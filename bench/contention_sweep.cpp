@@ -16,7 +16,7 @@
 // --smoke shrinks the workload and grid for the CTest wiring; --procs
 // (even, >= 2) scales the producer/consumer machine for the P=64..256
 // campaign, and the directory flags apply to every cell. The JSON
-// report (BENCH_contention_sweep.json) is mcsim-bench-v7 either way.
+// report (BENCH_contention_sweep.json) is mcsim-bench-v8 either way.
 #include <cstdio>
 #include <cstring>
 #include <string>

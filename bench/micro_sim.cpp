@@ -3,6 +3,7 @@
 // library cares about when scaling experiments up.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "coherence/cache.hpp"
@@ -14,6 +15,8 @@
 #include "sim/machine.hpp"
 #include "sim/sched.hpp"
 #include "sim/workloads.hpp"
+#include "trace/trace_core.hpp"
+#include "trace/workload_gen.hpp"
 
 namespace mcsim {
 namespace {
@@ -318,6 +321,43 @@ void BM_MachineSparseActivity(benchmark::State& state) {
   state.SetLabel("items = simulated guest cycles (4 active cores)");
 }
 BENCHMARK(BM_MachineSparseActivity)->Arg(64)->Arg(256);
+
+// The contended shape: a P-processor zipfian trace (32 ops per
+// processor, seed 1, workload_sweep --scale's cell at P=256) under SC
+// with prefetching and speculative loads. Most cores sleep with a miss
+// outstanding on a few hot lines, so this times how cheaply a sleeping
+// core's stall span is charged when it wakes. Items = simulated guest
+// cycles, so items/s is sim-cycles/s; only run() is timed.
+void BM_MachineContendedSleepers(benchmark::State& state) {
+  const auto procs = static_cast<std::uint32_t>(state.range(0));
+  WorkloadGenSpec spec;
+  spec.kind = WorkloadKind::kZipfian;
+  spec.nprocs = procs;
+  spec.ops = 32ull * procs;
+  spec.seed = 1;
+  const TraceFile t = generate_trace(spec);
+  const Workload w = trace_to_workload(t);
+  SystemConfig cfg = SystemConfig::realistic(procs, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  cfg.core.speculative_loads = true;
+  cfg.max_cycles = std::max<Cycle>(cfg.max_cycles, 1000 * t.total_ops() + (10u << 20));
+  cfg.mem.mem_bytes = std::max<std::uint64_t>(cfg.mem.mem_bytes, w.min_mem_bytes);
+  std::uint64_t guest_cycles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto m = std::make_unique<Machine>(cfg, w.programs);
+    state.ResumeTiming();
+    RunResult r = m->run();
+    guest_cycles += r.ticks;
+    benchmark::DoNotOptimize(r.cycles);
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(guest_cycles));
+  state.SetLabel("items = simulated guest cycles (zipfian SC +both)");
+}
+BENCHMARK(BM_MachineContendedSleepers)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_SpecLoadBufferScan(benchmark::State& state) {
   SpecLoadBuffer buf(16);

@@ -1,5 +1,5 @@
 // CLI wrapper over validate_bench_json: check one or more BENCH_*.json
-// files against the mcsim-bench-v7 schema (required keys, percentile
+// files against the mcsim-bench-v8 schema (required keys, percentile
 // ordering, cycle accounting, profiler conservation sums). Exits
 // nonzero naming the first violation, so the CI bench-smoke step fails
 // the build on schema drift instead of letting downstream tooling rot.

@@ -20,7 +20,7 @@
 // flags apply to every cell. --trace / --trace-dir run external trace
 // files instead of the generated suite (a malformed file fails its
 // cell, not the sweep). JSON report: BENCH_workload_sweep.json
-// (mcsim-bench-v7, per-cell "trace" provenance; --profile adds the
+// (mcsim-bench-v8, per-cell "trace" provenance; --profile adds the
 // per-cell technique-efficacy and per-bank directory breakdowns).
 #include <algorithm>
 #include <cstdio>

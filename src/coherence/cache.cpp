@@ -58,7 +58,6 @@ const StatId prefetch_useful_merge = StatNames::intern("prefetch_useful_merge");
 /// lines (useful *hits* only — a demand merged into an in-flight
 /// prefetch arrived before the fill, so it has no such distance).
 const StatId prefetch_to_use = StatNames::intern("prefetch_to_use");
-const StatId rejected_mshr_full = StatNames::intern("rejected_mshr_full");
 const StatId replace_clean = StatNames::intern("replace_clean");
 const StatId rmw_hit = StatNames::intern("rmw_hit");
 const StatId rmw_merged = StatNames::intern("rmw_merged");
@@ -317,10 +316,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::load_miss);
       m->waiters.push_back(
           Waiter{req.token, CacheOp::kLoad, req.addr, 0, RmwOp::kTestAndSet, 0, 0});
@@ -372,10 +368,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(way != nullptr ? stat::store_upgrade_miss : stat::store_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
@@ -405,10 +398,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::loadex_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
@@ -458,10 +448,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::rmw_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
@@ -479,10 +466,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kDropped;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::prefetch_read_issued);
       if (profile_) pf_issue(line, false, now);
       m->prefetch_initiated = true;
@@ -508,10 +492,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kDropped;
       }
       Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) {
-        stats_.add(stat::rejected_mshr_full);
-        return ProbeResult::kRejected;
-      }
+      if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::prefetch_ex_issued);
       if (profile_) pf_issue(line, true, now);
       m->prefetch_initiated = true;

@@ -208,8 +208,8 @@ class CoherentCache {
     Cycle fill_at = 0;
   };
   // All pf_* helpers fire only on progress sites (probe successes,
-  // message handling, evictions) — never on rejected/gated paths that
-  // fast-forward replays with a charge scale — so profiler counters
+  // message handling, evictions) — never on rejected/gated paths, which
+  // a sleeping core skips under fast-forward — so profiler counters
   // stay cycle-identical under fast-forward (MCSIM_FF_AUDIT covers
   // them via stats_report()).
   void pf_issue(Addr line, bool ex, Cycle now);

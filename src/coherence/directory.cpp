@@ -195,7 +195,7 @@ void Directory::handle(const Message& msg, Cycle now) {
         return;
       default:
         // New request for a busy line: defer in arrival order.
-        txn.deferred.push_back(msg);
+        txn.deferred.emplace_back(msg, now);
         stats_.add(stat::deferred);
         return;
     }
@@ -219,7 +219,6 @@ void Directory::handle_request(const Message& msg, Cycle now) {
           txn.kind = Txn::Kind::kRecallForRead;
           txn.request = msg;
           txn.started_at = now;
-          note_busy_flip(line);
           busy_.emplace(line, std::move(txn));
           Message recall;
           recall.type = MsgType::kRecall;
@@ -264,7 +263,6 @@ void Directory::handle_request(const Message& msg, Cycle now) {
             if (events_ != nullptr && events_->enabled())
               events_->counter(ev::inv_fanout, track_, now, txn.acks_left);
           }
-          note_busy_flip(line);
           busy_.emplace(line, std::move(txn));
           break;
         }
@@ -287,7 +285,6 @@ void Directory::handle_request(const Message& msg, Cycle now) {
             if (events_ != nullptr && events_->enabled())
               events_->counter(ev::inv_fanout, track_, now, 1);
           }
-          note_busy_flip(line);
           busy_.emplace(line, std::move(txn));
           Message recall;
           recall.type = MsgType::kRecall;
@@ -365,7 +362,6 @@ void Directory::handle_request(const Message& msg, Cycle now) {
         if (events_ != nullptr && events_->enabled())
           events_->counter(ev::upd_fanout, track_, now, txn.acks_left);
       }
-      note_busy_flip(line);
       busy_.emplace(line, std::move(txn));
       break;
     }
@@ -412,7 +408,6 @@ void Directory::handle_request(const Message& msg, Cycle now) {
         if (events_ != nullptr && events_->enabled())
           events_->counter(ev::upd_fanout, track_, now, txn.acks_left);
       }
-      note_busy_flip(line);
       busy_.emplace(line, std::move(txn));
       break;
     }
@@ -427,7 +422,6 @@ void Directory::finish_txn(Addr line, Cycle now) {
   auto it = busy_.find(line);
   assert(it != busy_.end());
   Txn txn = std::move(it->second);
-  note_busy_flip(line);
   busy_.erase(it);
 
   if (events_ != nullptr && events_->enabled()) {
@@ -473,12 +467,14 @@ void Directory::finish_txn(Addr line, Cycle now) {
   }
 
   // Replay deferred requests in arrival order. A replay may re-busy the
-  // line; remaining deferred messages must then be re-deferred.
-  for (std::size_t i = 0; i < txn.deferred.size(); ++i) {
+  // line; remaining deferred messages must then be re-deferred, keeping
+  // their first arrival cycle.
+  for (auto& [msg, arrived] : txn.deferred) {
     if (busy_.count(line)) {
-      busy_[line].deferred.push_back(txn.deferred[i]);
+      busy_[line].deferred.emplace_back(std::move(msg), arrived);
     } else {
-      handle_request(txn.deferred[i], now);
+      if (profile_) stats_.sample(prof::dir_queue_wait, now - arrived);
+      handle_request(msg, now);
     }
   }
 }

@@ -24,9 +24,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -68,15 +68,6 @@ class Directory {
     events_ = sink;
     track_ = track;
   }
-
-  /// Active-set scheduler: called with the line address immediately
-  /// BEFORE line_busy(line) flips (transaction start or finish), so
-  /// the machine can flush lazily-accumulated stall charges for cores
-  /// whose kDirPending/kCacheMiss classification reads that bit —
-  /// the flushed span is then classified with the pre-flip state, the
-  /// same state the naive loop's core ticks saw (directories tick
-  /// before cores within a cycle). Unset costs one branch per flip.
-  void set_busy_hook(std::function<void(Addr)> fn) { busy_hook_ = std::move(fn); }
 
   /// In-flight transactions, for deadlock post-mortems.
   Json snapshot_json() const;
@@ -122,15 +113,13 @@ class Directory {
     Message request;           ///< the original requester message
     std::uint32_t acks_left = 0;
     Cycle started_at = 0;      ///< for transaction-duration trace events
-    std::deque<Message> deferred;  ///< requests that arrived while busy
+    /// Requests that arrived while busy, with their arrival cycles (the
+    /// profiler's queue_wait runs from arrival to replay).
+    std::deque<std::pair<Message, Cycle>> deferred;
   };
 
   Addr align(Addr a) const { return a & ~static_cast<Addr>(line_bytes_ - 1); }
   Entry& entry(Addr line);
-  /// Pre-flip notification for every busy_ insert/erase (see set_busy_hook).
-  void note_busy_flip(Addr line) {
-    if (busy_hook_) busy_hook_(line);
-  }
 
   std::vector<Word> read_line(Addr line) const;
   void write_line(Addr line, const std::vector<Word>& data);
@@ -156,7 +145,6 @@ class Directory {
   // reserved up front so the per-message hot path does not rehash.
   std::unordered_map<Addr, Entry> entries_;
   std::unordered_map<Addr, Txn> busy_;
-  std::function<void(Addr)> busy_hook_;
   TraceEventSink* events_ = nullptr;
   std::uint16_t track_ = 0;
   bool profile_ = false;
@@ -212,13 +200,6 @@ class DirectoryGroup {
 
   void set_profiling(bool on) {
     for (auto& b : banks_) b->set_profiling(on);
-  }
-
-  /// Install the pre-flip busy hook on every bank (see
-  /// Directory::set_busy_hook; a line's busy bit only ever flips in
-  /// its home bank, so per-bank installation covers every flip once).
-  void set_busy_hook(std::function<void(Addr)> fn) {
-    for (auto& b : banks_) b->set_busy_hook(fn);
   }
 
   const SharingLedger& ledger() const { return ledger_; }

@@ -27,6 +27,8 @@ const StatId sh_inv_fanout = StatNames::intern("sh.inv_fanout");
 const StatId sh_upd_fanout = StatNames::intern("sh.upd_fanout");
 const StatId sh_read_share = StatNames::intern("sh.read_share");
 
+const StatId dir_queue_wait = StatNames::intern("queue_wait");
+
 }  // namespace prof
 
 void SharingLedger::on_invalidation_round(Addr line, std::uint32_t fanout) {

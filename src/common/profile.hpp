@@ -71,6 +71,11 @@ extern const StatId sh_inv_fanout;   ///< histogram: invalidates per round
 extern const StatId sh_upd_fanout;   ///< histogram: updates per round
 extern const StatId sh_read_share;   ///< histogram: sharer degree per read grant
 
+// --- directory queueing (directory StatSet, reported "dir.queue_wait") -
+/// Histogram: cycles a request waited behind another transaction on
+/// its line (deferred on arrival -> replayed when the line frees).
+extern const StatId dir_queue_wait;
+
 }  // namespace prof
 
 /// Per-cell prefetch outcome totals (experiment aggregation).
@@ -149,20 +154,21 @@ class SharingLedger {
   std::unordered_map<Addr, LineSharing> lines_;
 };
 
-/// One directory bank's share of the fan-out/sharing histograms
-/// (schema v7: bench JSON "profile.dir_banks"). The per-bank counts
-/// sum to the aggregate histograms exactly — each fan-out round is
-/// recorded at exactly one home bank — which validate_bench_json
-/// checks as a conservation law.
+/// One directory bank's share of the fan-out/sharing and queue-wait
+/// histograms (bench JSON "profile.dir_banks"). The per-bank counts
+/// sum to the aggregate histograms exactly — each fan-out round and
+/// each deferred request is recorded at exactly one home bank — which
+/// validate_bench_json checks as a conservation law.
 struct DirBankProfile {
   std::uint32_t bank = 0;
   LogHistogram inv_fanout;
   LogHistogram upd_fanout;
   LogHistogram read_share;
+  LogHistogram queue_wait;  ///< v8
 };
 
 /// Everything the profiler measured in one cell, aggregated across
-/// processors by ExperimentRunner::run_cell (schema mcsim-bench-v7).
+/// processors by ExperimentRunner::run_cell (schema mcsim-bench-v8).
 struct ProfileStats {
   bool enabled = false;
   PrefetchOutcomes prefetch;
@@ -174,7 +180,8 @@ struct ProfileStats {
   LogHistogram inv_fanout;
   LogHistogram upd_fanout;
   LogHistogram read_share;
-  /// v7: the same three histograms attributed per home bank.
+  LogHistogram queue_wait;  ///< v8: cycles deferred behind a busy line
+  /// v7: the same histograms attributed per home bank.
   std::vector<DirBankProfile> dir_banks;
   std::vector<SharingLedger::TopEntry> top_lines;
   /// v7: home bank of top_lines[i] (parallel array).

@@ -24,7 +24,7 @@ enum class StallCause : std::uint8_t {
   kStoreBufferFull,  ///< structural: store buffer / load queue slot unavailable
   kConsistency,      ///< gated by the model's delay arcs (fences, acquire/release)
   kCacheMiss,        ///< head's access outstanding in its cache (MSHR active)
-  kDirPending,       ///< ...and the directory has a transaction in flight on the line
+  kDirPending,       ///< never charged: folded into kCacheMiss (see dir.queue_wait)
   kNetwork,          ///< head's access in flight with no MSHR (update-protocol word op)
   kSpeculation,      ///< SLB: value speculatively bound but not yet safe, replay, or SLB full
   kIdle,             ///< halted and drained; ticking only while the machine quiesces

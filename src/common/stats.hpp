@@ -64,7 +64,7 @@ class StatSet {
   // --- hot path: pre-interned handles --------------------------------
   void add(StatId id, std::uint64_t delta = 1) {
     Counter& c = counter_slot(id);
-    c.value += delta * charge_scale_;
+    c.value += delta;
     c.touched = true;
   }
   void set(StatId id, std::uint64_t value) {
@@ -111,18 +111,6 @@ class StatSet {
     return histogram(StatNames::intern(name));
   }
 
-  /// Multiply every add() delta by `s` until reset to 1. The
-  /// fast-forward scheduler replays one representative quiescent tick
-  /// for a span of identical skipped ticks: setting the scale to the
-  /// span length makes the per-tick counters (stall retries, gated
-  /// issues, rejected probes) land exactly where the naive loop would
-  /// have put them. set() stays unscaled (absolute values) and
-  /// sample() asserts scale 1 — a quiescent tick never completes
-  /// anything, so no histogram observation can legitimately occur
-  /// while a span is being replayed.
-  void set_charge_scale(std::uint64_t s) { charge_scale_ = s; }
-  std::uint64_t charge_scale() const { return charge_scale_; }
-
   const std::string& prefix() const { return prefix_; }
 
   /// Touched counters as a name-sorted map (report-building; cold).
@@ -157,7 +145,6 @@ class StatSet {
   }
 
   std::string prefix_;
-  std::uint64_t charge_scale_ = 1;     ///< add() multiplier (fast-forward spans)
   std::vector<Counter> counters_;      ///< indexed by StatId
   std::vector<LogHistogram> samples_;  ///< indexed by StatId; present iff count > 0
 };

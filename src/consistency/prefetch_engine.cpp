@@ -10,7 +10,6 @@ const StatId prefetch_ex_suppressed_update = StatNames::intern("prefetch_ex_supp
 const StatId prefetch_offer_ex = StatNames::intern("prefetch_offer_ex");
 const StatId prefetch_offer_read = StatNames::intern("prefetch_offer_read");
 const StatId prefetch_offer_sw = StatNames::intern("prefetch_offer_sw");
-const StatId prefetch_retry = StatNames::intern("prefetch_retry");
 }  // namespace stat
 }  // namespace
 
@@ -61,11 +60,8 @@ bool PrefetchEngine::drain(CoherentCache& cache, Cycle now, StatSet& stats) {
   req.addr = p.line;
   req.token = 0;
   ProbeResult r = cache.probe(req, now);
-  if (r == ProbeResult::kRejected) {
-    // MSHRs full: keep the prefetch queued, port was burned this cycle.
-    stats.add(stat::prefetch_retry);
-    return true;
-  }
+  // MSHRs full: keep the prefetch queued, port was burned this cycle.
+  if (r == ProbeResult::kRejected) return true;
   queue_.pop_front();
   stats.add(stat::prefetch_drained);
   return true;

@@ -109,6 +109,7 @@ void Core::broadcast(std::uint64_t seq, Word value) {
 }
 
 void Core::tick(Cycle now) {
+  settle(now);
   progress_ = false;
   lsu_.clear_progress();
   const std::uint64_t retired_before = retired_;
@@ -126,7 +127,9 @@ void Core::tick(Cycle now) {
 
 void Core::account_cycle(bool retired_any, Cycle now) {
   const StallCause c = retired_any ? StallCause::kBusy : classify_stall();
-  stall_[static_cast<std::size_t>(c)] += stall_scale_;
+  ++stall_[static_cast<std::size_t>(c)];
+  last_cause_ = c;
+  uncharged_from_ = now + 1;
   if (events_ != nullptr && events_->enabled() && c != episode_cause_) {
     flush_stall_episode(now);
     episode_cause_ = c;
@@ -134,34 +137,14 @@ void Core::account_cycle(bool retired_any, Cycle now) {
   }
 }
 
-void Core::tick_quiescent(Cycle now, std::uint64_t span) {
-  // The skipped ticks are all identical no-ops, so one live tick with
-  // every per-tick charge multiplied by the span reproduces them: the
-  // stall cause is frozen (classify_stall is pure over frozen state),
-  // and the only stat deltas a quiescent tick produces are per-cycle
-  // retries (gated issues, fence/addr stalls, rejected probes,
-  // prefetch retries), which add() multiplies under the charge scale.
-  stats_.set_charge_scale(span);
-  lsu_.stats().set_charge_scale(span);
-  stall_scale_ = span;
-  tick(now);
-  stall_scale_ = 1;
-  lsu_.stats().set_charge_scale(1);
-  stats_.set_charge_scale(1);
-  assert(!progress_ && !lsu_.progressed() &&
-         "fast-forward quiescence proof violated: a skipped tick made progress");
-}
-
-void Core::charge_idle_span(Cycle now, std::uint64_t span) {
-  assert(idle_quiescent());
-  assert(classify_stall() == StallCause::kIdle);
-  stall_[static_cast<std::size_t>(StallCause::kIdle)] += span;
-  if (events_ != nullptr && events_->enabled() &&
-      episode_cause_ != StallCause::kIdle) {
-    flush_stall_episode(now);
-    episode_cause_ = StallCause::kIdle;
-    episode_start_ = now;
-  }
+void Core::settle(Cycle now) {
+  if (now <= uncharged_from_) return;
+  // Only a tick that made no progress lets the core sleep, so the cause
+  // it charged is its frozen classification (and the open episode's).
+  assert(classify_stall() == last_cause_ &&
+         "a sleeping core's state changed before it was settled");
+  stall_[static_cast<std::size_t>(last_cause_)] += now - uncharged_from_;
+  uncharged_from_ = now;
 }
 
 void Core::flush_stall_episode(Cycle now) {

@@ -37,8 +37,18 @@ class Core : public LsuHost, public LineEventObserver {
   Core(ProcId id, const SystemConfig& cfg, const Program& program, CoherentCache& cache,
        Trace* trace, TraceEventSink* events = nullptr);
 
-  /// Advance one cycle. The cache must have ticked already.
+  /// Advance one cycle. The cache must have ticked already. Any cycles
+  /// skipped since the previous tick are settled first.
   void tick(Cycle now);
+
+  /// Charge the cycles skipped since the previous tick — a span the
+  /// scheduler let this core sleep through — to the cause that tick
+  /// classified. A stall cause reads only core, LSU and cache state, and
+  /// a sleeping core's cache does not tick before the core wakes, so
+  /// every skipped tick would have charged that same cause. O(1); a no-op
+  /// for a core ticked every cycle. Call with the current cycle before
+  /// reading stall_cycles() of a core that may be asleep.
+  void settle(Cycle now);
 
   /// Earliest future cycle at which tick() could change any state,
   /// for the fast-forward scheduler. `now` when the previous tick made
@@ -51,30 +61,6 @@ class Core : public LsuHost, public LineEventObserver {
     if (progress_ || lsu_.progressed()) return now;
     return lsu_.next_local_completion();
   }
-
-  /// Replay one provably quiescent tick on behalf of `span` identical
-  /// skipped ticks: every stat delta (core, LSU, and this core's cache
-  /// set — scaled by the caller) and the stall-cause charge land
-  /// `span` times, exactly as the naive loop would have charged them.
-  /// Asserts that the tick indeed made no progress.
-  void tick_quiescent(Cycle now, std::uint64_t span);
-
-  /// A tick of this core is provably `stall_[kIdle] += 1` and nothing
-  /// else: drained (halted, ROB and LSU empty), no queued prefetches
-  /// left to drain, and no pending store-to-load forwarding result.
-  /// Such spans are folded in O(1) by charge_idle_span() instead of
-  /// replaying a tick.
-  bool idle_quiescent() const {
-    return drained() && lsu_.prefetch_engine().empty() &&
-           lsu_.next_local_completion() == kCycleNever;
-  }
-
-  /// Fold `span` idle_quiescent() ticks starting at `now`: the kIdle
-  /// stall charge plus the same episode transition account_cycle()
-  /// would have made on the first of them. No stat deltas — a fully
-  /// drained tick produces none (asserted via tick_quiescent under
-  /// MCSIM_FF_AUDIT by the machine's audit path).
-  void charge_idle_span(Cycle now, std::uint64_t span);
 
   bool halted() const { return halted_; }
   /// Halted and every buffered access has performed.
@@ -99,7 +85,8 @@ class Core : public LsuHost, public LineEventObserver {
   std::string rob_dump() const;
 
   /// Per-cause cycle counts; kBusy counts retiring cycles, so the
-  /// entries sum to exactly the number of tick() calls.
+  /// entries sum to exactly the cycles from the first tick() through
+  /// the last tick() or settle().
   const StallBreakdown& stall_cycles() const { return stall_; }
 
   /// Close the open stall episode at end-of-run so its duration event
@@ -179,10 +166,12 @@ class Core : public LsuHost, public LineEventObserver {
   /// Core state mutated this tick; starts armed (the constructor may
   /// pre-fill the pipeline, and the first tick must always run live).
   bool progress_ = true;
-  /// Cycles charged per account_cycle() call (fast-forward spans).
-  std::uint64_t stall_scale_ = 1;
 
   StallBreakdown stall_{};
+  /// Cause the last tick charged, and the first cycle not yet charged
+  /// (kCycleNever until the first tick, which then charges no gap).
+  StallCause last_cause_ = StallCause::kBusy;
+  Cycle uncharged_from_ = kCycleNever;
   StallCause episode_cause_ = StallCause::kBusy;
   Cycle episode_start_ = 0;
 

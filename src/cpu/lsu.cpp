@@ -11,26 +11,20 @@ namespace mcsim {
 namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
-const StatId addr_stall = StatNames::intern("addr_stall");
 const StatId fence_done = StatNames::intern("fence_done");
-const StatId fence_stall = StatNames::intern("fence_stall");
-const StatId forward_gated = StatNames::intern("forward_gated");
 const StatId load_forwarded = StatNames::intern("load_forwarded");
-const StatId load_gated = StatNames::intern("load_gated");
 const StatId load_issued = StatNames::intern("load_issued");
 const StatId load_latency = StatNames::intern("load_latency");
 const StatId load_reissued = StatNames::intern("load_reissued");
 const StatId response_dropped = StatNames::intern("response_dropped");
 const StatId rmw_issued = StatNames::intern("rmw_issued");
 const StatId rmw_latency = StatNames::intern("rmw_latency");
-const StatId spec_buffer_full_stall = StatNames::intern("spec_buffer_full_stall");
 const StatId spec_entries = StatNames::intern("spec_entries");
 const StatId spec_reissue = StatNames::intern("spec_reissue");
 const StatId spec_retired = StatNames::intern("spec_retired");
 const StatId spec_squash = StatNames::intern("spec_squash");
 const StatId spec_squash_after_rmw = StatNames::intern("spec_squash_after_rmw");
 const StatId spec_squash_rmw = StatNames::intern("spec_squash_rmw");
-const StatId store_gated = StatNames::intern("store_gated");
 const StatId store_issued = StatNames::intern("store_issued");
 const StatId store_latency = StatNames::intern("store_latency");
 const StatId store_release_latency = StatNames::intern("store_release_latency");
@@ -155,16 +149,11 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
       ls_rs_.pop_front();
       stats_.add(stat::fence_done);
       note_progress();
-    } else {
-      stats_.add(stat::fence_stall);
     }
     return;
   }
 
-  if (!head.addr_operands_ready()) {
-    stats_.add(stat::addr_stall);
-    return;
-  }
+  if (!head.addr_operands_ready()) return;
   const Addr ea = static_cast<Addr>(head.base.value) +
                   (static_cast<Addr>(head.index.value) << inst.mem.scale_log2) +
                   static_cast<Addr>(inst.mem.disp);
@@ -350,10 +339,7 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
       // model already allows the load to perform — never as a
       // speculation. Otherwise the load waits: either the gate opens,
       // or the store performs and the load re-checks via the cache.
-      if (spec_mode && !load_may_issue(cfg_.model, context_for(ld.seq, ld.sync))) {
-        stats_.add(stat::forward_gated);
-        return;
-      }
+      if (spec_mode && !load_may_issue(cfg_.model, context_for(ld.seq, ld.sync))) return;
       local_completions_.push_back(LocalCompletion{ld.seq, src->data.value, now + 1});
       ld.issued = true;
       stats_.add(stat::load_forwarded);
@@ -364,10 +350,7 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
   }
   if (!cache_.port_free(now)) return;
   const bool needs_entry = spec_mode && !ld.reissue;
-  if (needs_entry && spec_buffer_.full()) {
-    stats_.add(stat::spec_buffer_full_stall);
-    return;
-  }
+  if (needs_entry && spec_buffer_.full()) return;
   CacheRequest req;
   req.op = ld.is_rmw_read ? CacheOp::kLoadEx : CacheOp::kLoad;
   req.addr = ld.addr;
@@ -497,10 +480,7 @@ void LoadStoreUnit::tick_issue(Cycle now) {
     // Conventional enforcement: gate at the reservation-station/queue
     // head until the consistency model allows the load to perform.
     IssueContext ctx = context_for(lcand->seq, lcand->sync);
-    if (!load_may_issue(cfg_.model, ctx)) {
-      stats_.add(stat::load_gated);
-      lcand = nullptr;
-    }
+    if (!load_may_issue(cfg_.model, ctx)) lcand = nullptr;
   }
 
   StoreEntry* scand = nullptr;
@@ -516,7 +496,6 @@ void LoadStoreUnit::tick_issue(Cycle now) {
       IssueContext ctx = context_for(scand->seq, scand->sync);
       ready = scand->is_rmw ? rmw_may_issue(cfg_.model, ctx)
                             : store_may_issue(cfg_.model, ctx);
-      if (!ready) stats_.add(stat::store_gated);
     }
     if (!ready) scand = nullptr;
   }
@@ -803,9 +782,9 @@ void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
 }
 
 StallCause LoadStoreUnit::classify_mem_wait(Addr addr) const {
-  if (cache_.mshr_active(addr)) {
-    return mem_classifier_ ? mem_classifier_(addr) : StallCause::kCacheMiss;
-  }
+  // Whether the directory holds the line behind another transaction is
+  // invisible from here (the directory's queue_wait histogram reports it).
+  if (cache_.mshr_active(addr)) return StallCause::kCacheMiss;
   // No MSHR: the access rides the network without one (update-protocol
   // word op) or the reply is already queued for delivery.
   return StallCause::kNetwork;

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,13 +132,9 @@ class LoadStoreUnit {
 
   // --- stall-cause classification (observability) --------------------
   // Called by the core once per non-retiring cycle for the ROB head's
-  // blocked memory op; each is a cheap scan of the small queues.
-
-  /// Refines "access outstanding in the memory system" into
-  /// kDirPending/kCacheMiss; installed by Machine (it can see the
-  /// directory). Without one, every MSHR wait is kCacheMiss.
-  using MemStallClassifier = std::function<StallCause(Addr)>;
-  void set_mem_classifier(MemStallClassifier fn) { mem_classifier_ = std::move(fn); }
+  // blocked memory op; each is a cheap scan of the small queues. They
+  // read only LSU and cache state, so a core that sleeps keeps its
+  // classification until its cache or its own timer wakes it.
 
   /// Head memory op still in the reservation station.
   StallCause classify_rs_block(std::uint64_t seq) const;
@@ -247,7 +242,6 @@ class LoadStoreUnit {
   LsuHost& host_;
   Trace* trace_;
   TraceEventSink* events_;
-  MemStallClassifier mem_classifier_;
 
   std::deque<RsEntry> ls_rs_;
   std::deque<LoadEntry> load_q_;

@@ -146,11 +146,13 @@ CellResult run_cell(const ExperimentCell& cell) {
         merge_id(ps.inv_fanout, ds, prof::sh_inv_fanout);
         merge_id(ps.upd_fanout, ds, prof::sh_upd_fanout);
         merge_id(ps.read_share, ds, prof::sh_read_share);
+        merge_id(ps.queue_wait, ds, prof::dir_queue_wait);
         DirBankProfile bp;
         bp.bank = b;
         merge_id(bp.inv_fanout, ds, prof::sh_inv_fanout);
         merge_id(bp.upd_fanout, ds, prof::sh_upd_fanout);
         merge_id(bp.read_share, ds, prof::sh_read_share);
+        merge_id(bp.queue_wait, ds, prof::dir_queue_wait);
         ps.dir_banks.push_back(std::move(bp));
       }
       ps.top_lines = group.ledger().top(cfg.profile_top_lines);
@@ -300,9 +302,11 @@ Json profile_to_json(const ProfileStats& ps) {
   j.set("inv_fanout", histogram_to_json(ps.inv_fanout));
   j.set("upd_fanout", histogram_to_json(ps.upd_fanout));
   j.set("read_share", histogram_to_json(ps.read_share));
-  // v7: per-home-bank attribution of the three sharing histograms.
-  // Every fan-out round lands at exactly one bank, so per-bank counts
-  // sum to the aggregates above (validated as a conservation law).
+  j.set("queue_wait", histogram_to_json(ps.queue_wait));
+  // v7: per-home-bank attribution of the sharing histograms (v8 adds
+  // queue_wait). Every fan-out round and every deferred request lands
+  // at exactly one bank, so per-bank counts sum to the aggregates above
+  // (validated as a conservation law).
   Json banks = Json::array();
   for (const DirBankProfile& bp : ps.dir_banks) {
     Json b = Json::object();
@@ -310,6 +314,7 @@ Json profile_to_json(const ProfileStats& ps) {
     b.set("inv_fanout", histogram_to_json(bp.inv_fanout));
     b.set("upd_fanout", histogram_to_json(bp.upd_fanout));
     b.set("read_share", histogram_to_json(bp.read_share));
+    b.set("queue_wait", histogram_to_json(bp.queue_wait));
     banks.push_back(std::move(b));
   }
   j.set("dir_banks", std::move(banks));
@@ -340,7 +345,7 @@ Json profile_to_json(const ProfileStats& ps) {
 Json results_to_json(const ExperimentGrid& grid, const std::vector<CellResult>& results,
                      const SweepInfo& sweep) {
   Json root = Json::object();
-  root.set("schema", Json::string("mcsim-bench-v7"));
+  root.set("schema", Json::string("mcsim-bench-v8"));
   root.set("bench", Json::string(grid.name()));
   root.set("workers", Json::number(static_cast<std::uint64_t>(sweep.workers)));
   root.set("wall_ms", Json::number(sweep.wall_ms));
@@ -486,8 +491,8 @@ std::string validate_bench_json(const Json& report) {
         "aggregate", "cells"}) {
     if (!report.contains(key)) return std::string("missing root key '") + key + "'";
   }
-  if (report["schema"].as_string() != "mcsim-bench-v7")
-    return "schema is '" + report["schema"].as_string() + "', expected 'mcsim-bench-v7'";
+  if (report["schema"].as_string() != "mcsim-bench-v8")
+    return "schema is '" + report["schema"].as_string() + "', expected 'mcsim-bench-v8'";
   const Json& agg = report["aggregate"];
   for (const char* key : {"load_latency", "store_latency", "net_latency"}) {
     const Json* h = agg.find(key);
@@ -568,12 +573,13 @@ std::string validate_bench_json(const Json& report) {
       if (prof->find("top_lines") == nullptr || !(*prof)["top_lines"].is_array())
         return where + ".profile: missing 'top_lines' array";
 
-      // v7: per-bank fan-out attribution, conserved against the
-      // aggregate histograms (each round has exactly one home bank).
+      // v7: per-bank fan-out attribution (v8: and queue waits),
+      // conserved against the aggregate histograms (each round and
+      // each deferred request has exactly one home bank).
       const Json* banks = prof->find("dir_banks");
       if (banks == nullptr || !banks->is_array() || banks->size() == 0)
         return where + ".profile: missing non-empty 'dir_banks' array";
-      for (const char* key : {"inv_fanout", "upd_fanout", "read_share"}) {
+      for (const char* key : {"inv_fanout", "upd_fanout", "read_share", "queue_wait"}) {
         const Json* aggh = prof->find(key);
         if (aggh == nullptr) return where + ".profile: missing '" + key + "'";
         std::uint64_t bank_sum = 0;

@@ -194,7 +194,7 @@ Json results_to_json(const ExperimentGrid& grid, const std::vector<CellResult>& 
 bool write_json(const std::string& path, const ExperimentGrid& grid,
                 const std::vector<CellResult>& results, const SweepInfo& sweep);
 
-/// Structural validation of a bench report against the mcsim-bench-v7
+/// Structural validation of a bench report against the mcsim-bench-v8
 /// schema: required root/cell keys, percentile ordering, per-processor
 /// cycle accounting, the per-cell trace object, and the profiler
 /// conservation sums. Returns an

@@ -20,11 +20,7 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
       dir_(cfg.num_procs, cfg.cache, cfg.mem, net_),
       drain_cycle_(cfg.num_procs, 0),
       drained_(cfg.num_procs, false),
-      undrained_cores_(cfg.num_procs),
-      charged_until_(cfg.num_procs, 0),
-      watch_line_(cfg.num_procs, kNoWatch),
-      classifier_addr_(cfg.num_procs, 0),
-      classifier_probe_valid_(cfg.num_procs, false) {
+      undrained_cores_(cfg.num_procs) {
   std::string err = cfg_.validate();
   if (!err.empty()) throw std::invalid_argument("invalid SystemConfig: " + err);
   if (programs_.size() != cfg_.num_procs)
@@ -70,25 +66,11 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
   // topologies.
   net_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs + banks));
 
-  // Stall attribution: the LSU can tell an outstanding miss apart from
-  // everything else, but only the directory knows whether the line is
-  // additionally held up by a pending coherence transaction. The probe
-  // address is recorded so the active-set scheduler knows which line a
-  // sleeping core's classification depends on (set_core_watch).
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    cores_[p]->lsu().set_mem_classifier([this, p](Addr a) {
-      classifier_addr_[p] = a;
-      classifier_probe_valid_[p] = true;
-      return dir_.line_busy(a) ? StallCause::kDirPending : StallCause::kCacheMiss;
-    });
-  }
-
-  // Active-set scheduler hooks; both no-op until init_scheduler()
-  // marks the scheduler live (so the naive loop, manual step() use,
-  // and the MCSIM_FF_AUDIT shadow machine never pay more than the
-  // is-live branch).
+  // Active-set scheduler hook; a no-op until init_scheduler() marks
+  // the scheduler live (so the naive loop, manual step() use, and the
+  // MCSIM_FF_AUDIT shadow machine never pay more than the is-live
+  // branch).
   net_.set_delivery_hook([this](EndpointId ep) { on_delivery(ep); });
-  dir_.set_busy_hook([this](Addr line) { on_dir_busy_flip(line); });
 }
 
 void Machine::step() {
@@ -147,8 +129,8 @@ Cycle Machine::next_event_cycle() const {
   // counter says every cache is idle the whole sweep is skipped — at
   // P=256 the common quiescent probe drops the O(P) cache scan for a
   // counter check. (Cores cannot be skipped the same way: a core that
-  // just drained still reports its final tick as progress, and the
-  // quiescence proof in tick_quiescent must see that.)
+  // just drained still reports its final tick as progress, and must
+  // tick once more before it may be treated as asleep.)
   if (busy_caches_ != 0) {
     for (const auto& c : caches_) {
       t = c->next_event(cycle_);
@@ -168,7 +150,6 @@ void Machine::init_scheduler() {
   const std::uint32_t banks = dir_.num_banks();
   sched_.reset(1 + banks + 2ull * cfg_.num_procs);
   sched_live_ = true;
-  watchers_.clear();
   // Arm for whatever state the machine is in (fresh, or mid-flight
   // after manual step() calls): the network from its own earliest
   // deliverable, endpoints with inboxed traffic immediately, caches
@@ -185,8 +166,6 @@ void Machine::init_scheduler() {
     if (!net_.inbox_empty(p) || cache_at < cycle_) cache_at = cycle_;
     sched_.arm(cache_comp(p), cache_at);
     sched_.arm(core_comp(p), cycle_);
-    charged_until_[p] = cycle_;
-    watch_line_[p] = kNoWatch;
   }
 }
 
@@ -202,13 +181,13 @@ void Machine::step_active() {
     if (id == net_comp()) {
       net_.deliver(c);  // the delivery hook arms receiving banks/caches at c
     } else if (id <= banks) {
-      dir_.bank(id - 1).tick(c);  // busy-flip hook flushes watching cores
+      dir_.bank(id - 1).tick(c);
     } else if (id <= banks + cfg_.num_procs) {
       const ProcId p = static_cast<ProcId>(id - 1 - banks);
-      // Flush the deferred span BEFORE the cache mutates state the
-      // scaled replay's classification reads, and before observer
-      // callbacks (invalidation squashes) mutate the core.
-      flush_core_charges(p);
+      // The core's sleep ends here: its stall cause was frozen up to
+      // this cache tick. Settling first is what lets Core::settle assert
+      // that; the charge itself would be the same after the tick.
+      cores_[p]->settle(c);
       caches_[p]->tick(c);
       // A cache that acted means its core must tick live this cycle
       // (fills queue responses, invalidations squash — the naive loop
@@ -227,31 +206,18 @@ void Machine::step_active() {
 
 void Machine::tick_core_live(ProcId p) {
   const Cycle c = cycle_;
-  flush_core_charges(p);
-  classifier_probe_valid_[p] = false;  // only this tick's probe counts
-  cores_[p]->tick(c);
-  charged_until_[p] = c + 1;
+  cores_[p]->tick(c);  // charges any span it slept through first
   if (!drained_[p] && cores_[p]->drained()) {
     drained_[p] = true;
     drain_cycle_[p] = c;
     --undrained_cores_;
   }
+  // Progress: the pipeline is live, tick again next cycle. Frozen:
+  // timed local events (store-to-load forwarding) arm the core
+  // directly; external wake-ups arrive via this cache's tick, which
+  // re-arms it. kCycleNever leaves it unarmed.
   const Cycle ne = cores_[p]->next_event(c);
-  if (ne <= c) {
-    // Progress: the pipeline is live, tick again next cycle.
-    sched_.arm(core_comp(p), c + 1);
-    set_core_watch(p, kNoWatch);
-  } else {
-    // Frozen. Timed local events (store-to-load forwarding) arm the
-    // core directly; external wake-ups arrive via this cache's or a
-    // bank's tick, which re-arm it. If the frozen stall classification
-    // read the directory's busy bit, watch that line so the deferred
-    // charge is segmented at every flip (kCacheMiss <-> kDirPending).
-    sched_.arm(core_comp(p), ne);  // kCycleNever leaves it unarmed
-    set_core_watch(p, classifier_probe_valid_[p]
-                          ? caches_[p]->line_of(classifier_addr_[p])
-                          : kNoWatch);
-  }
+  sched_.arm(core_comp(p), ne <= c ? c + 1 : ne);
   // Re-arm the cache after the core tick: a hit probe just queued a
   // response maturing next cycle, and the core's issue may have left a
   // deferred fill to retry. Arming from full component state makes the
@@ -261,31 +227,8 @@ void Machine::tick_core_live(ProcId p) {
   sched_.arm(cache_comp(p), cache_at);
 }
 
-void Machine::flush_core_charges(ProcId p) {
-  if (!sched_live_) return;
-  const Cycle upto = cycle_;
-  const Cycle from = charged_until_[p];
-  if (from >= upto) return;
-  const std::uint64_t span = static_cast<std::uint64_t>(upto - from);
-  if (cores_[p]->idle_quiescent()) {
-    // A fully drained core's tick is exactly `stall_[kIdle] += 1`:
-    // fold the whole span in O(1) instead of replaying a tick.
-    cores_[p]->charge_idle_span(from, span);
-  } else {
-    // One scaled quiescent replay for the whole span — identical to
-    // what the naive loop charged across [from, upto). Replayed at
-    // `from` (the first uncharged cycle), so replay side-timestamps
-    // (e.g. the cache-port stamp of a rejected probe) stay strictly
-    // earlier than the live tick that follows at `upto`.
-    caches_[p]->stats().set_charge_scale(span);
-    cores_[p]->tick_quiescent(from, span);
-    caches_[p]->stats().set_charge_scale(1);
-  }
-  charged_until_[p] = upto;
-}
-
-void Machine::flush_all_core_charges() {
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) flush_core_charges(p);
+void Machine::settle_cores() {
+  for (auto& core : cores_) core->settle(cycle_);
 }
 
 void Machine::on_delivery(EndpointId ep) {
@@ -295,37 +238,6 @@ void Machine::on_delivery(EndpointId ep) {
   } else {
     sched_.arm(bank_comp(ep - cfg_.num_procs), cycle_);
   }
-}
-
-void Machine::on_dir_busy_flip(Addr line) {
-  if (!sched_live_) return;
-  const auto it = watchers_.find(line);
-  if (it == watchers_.end()) return;
-  // The hook fires BEFORE the flip, so the flushed span is classified
-  // with the pre-flip busy bit — the same state every naive core tick
-  // in that span saw (banks tick before cores; the flip cycle itself
-  // is charged later, with post-flip state, by the next flush).
-  for (ProcId p : it->second) flush_core_charges(p);
-}
-
-void Machine::set_core_watch(ProcId p, Addr line) {
-  Addr& cur = watch_line_[p];
-  if (cur == line) return;
-  if (cur != kNoWatch) {
-    const auto it = watchers_.find(cur);
-    assert(it != watchers_.end());
-    auto& v = it->second;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i] == p) {
-        v[i] = v.back();
-        v.pop_back();
-        break;
-      }
-    }
-    if (v.empty()) watchers_.erase(it);
-  }
-  cur = line;
-  if (line != kNoWatch) watchers_[line].push_back(p);
 }
 
 #ifdef MCSIM_FF_AUDIT
@@ -384,26 +296,31 @@ RunResult Machine::run() {
     }
   };
 #endif
+  wedged_at_ = kCycleNever;
   if (cfg_.fastforward) {
     // Active-set loop: the heap top is the O(1) answer to "earliest
     // cycle anything can act" — a jump past quiescent cycles costs
-    // nothing at all (sleeping cores' charges stay deferred until
-    // their wake or the end of the run), and a live cycle ticks only
+    // nothing at all (a sleeping core settles its skipped cycles when
+    // it wakes, or at the end of the run), and a live cycle ticks only
     // the armed components.
     init_scheduler();
     while (!done() && cycle_ < cfg_.max_cycles) {
       const Cycle ne = sched_.next_cycle();
       if (ne > cycle_) {
+        // Nothing armed and not done: no component can ever act again.
+        // The clock still runs on to the watchdog, so ticks and stall
+        // sums match the naive loop.
+        if (ne == kCycleNever) wedged_at_ = cycle_;
         cycle_ = ne < cfg_.max_cycles ? ne : cfg_.max_cycles;
 #ifdef MCSIM_FF_AUDIT
-        flush_all_core_charges();
+        settle_cores();
         audit_check();
 #endif
       } else {
         step_active();
       }
     }
-    flush_all_core_charges();
+    settle_cores();
     sched_live_ = false;
   } else {
     while (!done() && cycle_ < cfg_.max_cycles) step();
@@ -414,6 +331,7 @@ RunResult Machine::run() {
 #endif
   RunResult r;
   r.deadlocked = !done();
+  r.wedged_at = wedged_at_;
   r.drain_cycle = drain_cycle_;
   r.ticks = cycle_;
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
@@ -479,6 +397,8 @@ std::string Machine::stats_report() const {
 Json Machine::post_mortem() const {
   Json out = Json::object();
   out.set("cycle", Json::number(static_cast<std::uint64_t>(cycle_)));
+  if (wedged_at_ != kCycleNever)
+    out.set("wedged_at", Json::number(static_cast<std::uint64_t>(wedged_at_)));
   Json cores = Json::array();
   for (ProcId p = 0; p < cfg_.num_procs; ++p) cores.push_back(cores_[p]->snapshot_json());
   out.set("cores", std::move(cores));

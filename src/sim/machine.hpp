@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -35,10 +34,15 @@ struct RunResult {
   Cycle ticks = 0;         ///< machine cycles actually stepped (>= cycles:
                            ///< the clock runs on while memory quiesces)
   bool deadlocked = false; ///< hit cfg.max_cycles before completion
+  /// Fast-forward only: the cycle at which nothing was left to wake
+  /// (no armed component, yet not done) — a true deadlock, reported
+  /// here while the clock still runs on to max_cycles. kCycleNever
+  /// when the run never wedged.
+  Cycle wedged_at = kCycleNever;
   std::vector<std::uint64_t> retired;     ///< instructions per processor
   std::vector<Cycle> drain_cycle;         ///< per-processor completion time
   /// Per-processor cycles-by-cause; each entry sums to `ticks` exactly
-  /// (every core is ticked every machine cycle).
+  /// (a core the scheduler let sleep is charged for the skipped cycles).
   std::vector<StallBreakdown> stall;
 };
 
@@ -142,18 +146,10 @@ class Machine {
   /// Core p's live tick plus its drain bookkeeping and the re-arming
   /// of itself and its cache (the only arm sites for either).
   void tick_core_live(ProcId p);
-  /// Charge core p's lazily-deferred stall span [charged_until_[p],
-  /// cycle_): one scaled quiescent replay (or the O(1) idle fold for a
-  /// drained core), exactly what skip_to() charged eagerly before.
-  void flush_core_charges(ProcId p);
-  void flush_all_core_charges();
+  /// Charge every core's skipped cycles up to cycle_ (Core::settle).
+  void settle_cores();
   /// Network delivery hook: arm the receiving cache/bank for this cycle.
   void on_delivery(EndpointId ep);
-  /// Directory busy-bit pre-flip hook: flush stall charges for every
-  /// sleeping core whose classification watches `line`.
-  void on_dir_busy_flip(Addr line);
-  /// Maintain the line -> sleeping-watchers map (kNoWatch clears).
-  void set_core_watch(ProcId p, Addr line);
 
   /// Ground truth behind done()'s counters (audit + cold paths).
   bool done_scan() const;
@@ -176,25 +172,12 @@ class Machine {
   std::uint64_t busy_caches_ = 0;      ///< caches with pending work
   Cycle cycle_ = 0;
 
+  /// RunResult::wedged_at of the last run() (post-mortems report it).
+  Cycle wedged_at_ = kCycleNever;
+
   // --- active-set scheduler state (live only inside run()'s ff loop) -
-  static constexpr Addr kNoWatch = ~static_cast<Addr>(0);
   Scheduler sched_;
   bool sched_live_ = false;
-  /// First cycle whose stall/stat charges core p has NOT yet received;
-  /// the naive loop charges every tick eagerly, the active-set loop
-  /// defers a sleeping core's identical per-cycle charges and flushes
-  /// them in one scaled replay (flush_core_charges).
-  std::vector<Cycle> charged_until_;
-  /// Line whose directory busy bit core p's sleeping stall
-  /// classification depends on (kDirPending vs kCacheMiss), kNoWatch
-  /// when none; watchers_ is the inverse map.
-  std::vector<Addr> watch_line_;
-  std::unordered_map<Addr, std::vector<ProcId>> watchers_;
-  /// Last address the mem classifier probed for core p, valid only for
-  /// classifications made since the flag was cleared (the live tick
-  /// clears it, so a stale probe from a flush replay is never reused).
-  std::vector<Addr> classifier_addr_;
-  std::vector<bool> classifier_probe_valid_;
   /// done()-audit sampling counter. Unconditional on purpose: the
   /// MCSIM_FF_AUDIT macro is private to the sim target, so a member
   /// behind it would give this header two different layouts.

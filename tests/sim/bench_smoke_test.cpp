@@ -53,7 +53,7 @@ TEST(BenchSmoke, OneCellSweepEmitsValidJson) {
         "aggregate", "cells"}) {
     EXPECT_TRUE(report.contains(key)) << "missing root key: " << key;
   }
-  EXPECT_EQ(report["schema"].as_string(), "mcsim-bench-v7");
+  EXPECT_EQ(report["schema"].as_string(), "mcsim-bench-v8");
   EXPECT_EQ(report["bench"].as_string(), "smoke");
   EXPECT_GE(report["workers"].as_int(), 1);
   ASSERT_EQ(report["cells"].size(), 1u);
@@ -153,10 +153,14 @@ TEST(BenchSmoke, ValidatorRejectsCorruptedReports) {
 
   // Nested drift: rewrite the number after a key in the serialized
   // text and reparse (the value tree is immutable below the root).
-  auto corrupt_number = [&](const std::string& key, const std::string& num) {
+  // `within` names enclosing keys to descend through first.
+  auto corrupt_number = [&](const std::string& key, const std::string& num,
+                            const std::vector<std::string>& within = {}) {
     std::string text = good.dump();
+    std::size_t pos = 0;
+    for (const std::string& outer : within) pos = text.find("\"" + outer + "\":", pos);
     const std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle);
+    pos = text.find(needle, pos);
     EXPECT_NE(pos, std::string::npos) << key;
     pos += needle.size();
     while (pos < text.size() && text[pos] == ' ') ++pos;
@@ -175,6 +179,10 @@ TEST(BenchSmoke, ValidatorRejectsCorruptedReports) {
   EXPECT_NE(validate_bench_json(corrupt_number("ticks", "1")), "");
   // Rollback cause sum broken.
   EXPECT_NE(validate_bench_json(corrupt_number("total", "999999")), "");
+  // v8: a bank's queue_wait count no longer sums to the aggregate.
+  const std::string qerr =
+      validate_bench_json(corrupt_number("count", "777", {"dir_banks", "queue_wait"}));
+  EXPECT_NE(qerr.find("queue_wait"), std::string::npos) << qerr;
 }
 
 TEST(BenchSmoke, TraceOutWritesPerfettoLoadableJson) {

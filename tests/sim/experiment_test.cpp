@@ -164,7 +164,7 @@ TEST(ExperimentJson, ReportRoundTripsWithRequiredKeys) {
   std::string err;
   Json parsed = Json::parse(report.dump(2), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(parsed["schema"].as_string(), "mcsim-bench-v7");
+  EXPECT_EQ(parsed["schema"].as_string(), "mcsim-bench-v8");
   EXPECT_EQ(parsed["bench"].as_string(), "json");
   EXPECT_GE(parsed["workers"].as_int(), 1);
   ASSERT_EQ(parsed["cells"].size(), 1u);

@@ -3,8 +3,9 @@
 // cancel/pop semantics, the (cycle, id) tie-break that reproduces the
 // naive loop's stage order, never-under-reporting against a stepwise
 // ground truth, a randomized soak against a reference priority map,
-// and a P=256 sparse-activity run where the active-set fast-forward
-// path must fingerprint-match the naive per-cycle loop exactly.
+// a P=256 sparse-activity run where the active-set fast-forward path
+// must fingerprint-match the naive per-cycle loop exactly, and a P=64
+// contended run where many cores sleep on one hot line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "common/profile.hpp"
 #include "common/rng.hpp"
 #include "isa/builder.hpp"
 #include "sim/machine.hpp"
 #include "sim/sched.hpp"
+#include "trace/trace_core.hpp"
+#include "trace/workload_gen.hpp"
 
 namespace mcsim {
 namespace {
@@ -189,8 +193,8 @@ TEST(Scheduler, RandomizedSoakAgainstReferenceMap) {
 // Machine-level identity: active-set fast-forward vs naive loop on a
 // sparse-activity P=256 machine (4 busy cores, 252 that halt at once),
 // with the coarse-vector/4-bank directory the scaling campaign uses.
-// This is exactly the shape ISSUE 10 optimizes for, so it must stay
-// cycle-identical, stat-identical, and stall-breakdown-identical.
+// This is exactly the shape active-set scheduling optimizes for, so it
+// must stay cycle-identical, stat-identical, and stall-breakdown-identical.
 // ---------------------------------------------------------------------
 
 struct Fingerprint {
@@ -262,17 +266,60 @@ TEST(ActiveSetMachine, SparseP256FingerprintMatchesNaiveLoop) {
   EXPECT_EQ(ff.result.retired, naive.result.retired);
   EXPECT_EQ(ff.result.drain_cycle, naive.result.drain_cycle);
   EXPECT_EQ(ff.result.stall, naive.result.stall)
-      << "lazy charge flushing diverged from the naive eager charges";
+      << "settled sleeping spans diverged from the naive per-cycle charges";
   EXPECT_EQ(ff.regs, naive.regs);
   EXPECT_EQ(ff.mem, naive.mem);
   EXPECT_EQ(ff.stats, naive.stats) << "stats report diverged";
-  // The accounting identity the lazy-flush design must preserve: every
-  // core's cycles-by-cause sums to ticks exactly.
+  // The accounting identity settling must preserve: every core's
+  // cycles-by-cause sums to ticks exactly.
   for (std::size_t p = 0; p < ff.result.stall.size(); ++p) {
     std::uint64_t total = 0;
     for (std::uint64_t v : ff.result.stall[p]) total += v;
     EXPECT_EQ(total, ff.result.ticks) << "core " << p;
   }
+}
+
+// P=64 zipfian SC cell with both techniques on a pool of two lines: most
+// cores sleep with a miss outstanding on the same hot line while the
+// directory flips its busy bit under them again and again. A sleeping
+// core's span is charged in one piece when it wakes, so its stall
+// breakdown must still equal the naive loop's cycle-by-cycle charges.
+TEST(ActiveSetMachine, SleepersOnOneHotLineMatchNaiveLoop) {
+  WorkloadGenSpec spec;
+  spec.kind = WorkloadKind::kZipfian;
+  spec.nprocs = 64;
+  spec.ops = 64 * 12;
+  spec.sharing = 2;
+  spec.seed = 7;
+  const Workload w = trace_to_workload(generate_trace(spec));
+  auto run = [&](bool fastforward, std::uint64_t& deferred) {
+    SystemConfig cfg = SystemConfig::realistic(64, ConsistencyModel::kSC);
+    cfg.core.prefetch = PrefetchMode::kNonBinding;
+    cfg.core.speculative_loads = true;
+    cfg.profile = true;
+    cfg.fastforward = fastforward;
+    Machine m(cfg, w.programs);
+    Fingerprint fp;
+    fp.result = m.run();
+    fp.stats = m.stats_report();
+    const LogHistogram* h = m.directory().bank(0).stats().histogram(prof::dir_queue_wait);
+    deferred = h != nullptr ? h->count() : 0;
+    return fp;
+  };
+  std::uint64_t ff_deferred = 0, naive_deferred = 0;
+  const Fingerprint ff = run(true, ff_deferred);
+  const Fingerprint naive = run(false, naive_deferred);
+  ASSERT_FALSE(naive.result.deadlocked);
+  // Many requests queued behind a busy line: the sleepers' lines
+  // flipped busy many times while they slept.
+  EXPECT_GT(naive_deferred, 64u);
+  EXPECT_EQ(ff_deferred, naive_deferred);
+  EXPECT_EQ(ff.result.ticks, naive.result.ticks);
+  EXPECT_EQ(ff.result.drain_cycle, naive.result.drain_cycle);
+  EXPECT_EQ(ff.result.stall, naive.result.stall);
+  EXPECT_EQ(ff.stats, naive.stats);
+  for (const StallBreakdown& b : ff.result.stall)
+    EXPECT_EQ(b[static_cast<std::size_t>(StallCause::kDirPending)], 0u);
 }
 
 }  // namespace

@@ -133,6 +133,68 @@ TEST(GoldenTrace, CorpusCyclesAndFingerprintsArePinned) {
   }
 }
 
+// Per-cause stall totals (summed over processors) of the crossbar
+// cells, recorded when a core stalled on a busy directory line was
+// still charged kDirPending. That cause is folded into kCacheMiss now:
+// a core's stall cause reads only its own and its cache's state. So
+// every cause but those two, and ticks, must be unchanged, and the two
+// must have moved together.
+TEST(GoldenTrace, StallCausesMatchTheRecordedSplitWithDirPendingFolded) {
+  const std::string path = corpus_dir() + "/stall_golden.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::string line;
+  std::vector<std::string> causes;  // column names after "ticks"
+  std::map<std::string, std::map<std::string, std::uint64_t>> recorded;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    if (line.rfind("#", 0) == 0) {
+      std::string tok;
+      ls >> tok >> tok >> tok >> tok >> tok;  // # trace model technique ticks
+      while (ls >> tok) causes.push_back(tok);
+      continue;
+    }
+    if (line.empty()) continue;
+    std::string trace, model, tech;
+    ASSERT_TRUE(static_cast<bool>(ls >> trace >> model >> tech)) << line;
+    auto& row = recorded[trace + " " + model + " " + tech];
+    ASSERT_TRUE(static_cast<bool>(ls >> row["ticks"])) << line;
+    for (const std::string& c : causes) ASSERT_TRUE(static_cast<bool>(ls >> row[c])) << line;
+  }
+  ASSERT_EQ(causes.size(), kNumStallCauses);
+  ASSERT_EQ(recorded.size(), 3u * 4u * 2u);
+
+  for (const char* name : kTraces) {
+    const TraceFile t = read_trace(corpus_dir() + "/" + name);
+    const Workload w = trace_to_workload(t);
+    for (ConsistencyModel m : kModels) {
+      for (const Tech& tech : kTechs) {
+        const std::string key = std::string(name) + " " + to_string(m) + " " + tech.label;
+        ExperimentCell cell;
+        cell.workload = w;
+        cell.config = SystemConfig::realistic(1, m);
+        cell.config.core.speculative_loads = tech.on;
+        cell.config.core.prefetch = tech.on ? PrefetchMode::kNonBinding : PrefetchMode::kOff;
+        const CellResult r = run_cell(cell);
+        ASSERT_EQ(r.status, CellStatus::kOk) << key << ": " << r.error;
+        std::map<std::string, std::uint64_t> got;
+        for (const StallBreakdown& b : r.stats.stall) {
+          for (std::size_t c = 0; c < kNumStallCauses; ++c)
+            got[to_string(static_cast<StallCause>(c))] += b[c];
+        }
+        const auto it = recorded.find(key);
+        ASSERT_NE(it, recorded.end()) << "no recorded stall totals for " << key;
+        std::map<std::string, std::uint64_t> want = it->second;
+        EXPECT_EQ(static_cast<std::uint64_t>(r.stats.ticks), want["ticks"]) << key;
+        EXPECT_EQ(got["dir_pending"], 0u) << key;
+        want["cache_miss"] += want["dir_pending"];
+        want["dir_pending"] = 0;
+        for (const std::string& c : causes) EXPECT_EQ(got[c], want[c]) << key << ": " << c;
+      }
+    }
+  }
+}
+
 TEST(GoldenTrace, CorpusTracesRemainParseableAndValidated) {
   // Guard the corpus files themselves: parseable, self-consistent, and
   // text-stable (rewriting a parsed corpus trace reproduces the bytes —
