@@ -359,6 +359,44 @@ void BM_MachineContendedSleepers(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineContendedSleepers)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
+// The live-pipeline shape: an 8-processor barrier_tree trace (5000 ops,
+// seed 1) under SC with prefetching and speculative loads. Cores spin
+// on lines that hit in their caches and rarely sleep, so this times the
+// core's per-tick cost: selection, wakeup, rename and the LSU queues.
+// Items = simulated guest cycles, so items/s is sim-cycles/s; only
+// run() is timed.
+void BM_MachineBarrierTree8(benchmark::State& state) {
+  WorkloadGenSpec spec;
+  spec.kind = WorkloadKind::kBarrierTree;
+  spec.nprocs = 8;
+  spec.ops = 5000;
+  spec.seed = 1;
+  const TraceFile t = generate_trace(spec);
+  const Workload w = trace_to_workload(t);
+  SystemConfig cfg = SystemConfig::realistic(spec.nprocs, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  cfg.core.speculative_loads = true;
+  cfg.max_cycles = std::max<Cycle>(cfg.max_cycles, 1000 * t.total_ops() + (10u << 20));
+  const std::uint64_t line = cfg.cache.line_bytes;
+  cfg.mem.mem_bytes =
+      std::max<std::uint64_t>(cfg.mem.mem_bytes, (w.min_mem_bytes + line - 1) / line * line);
+  std::uint64_t guest_cycles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto m = std::make_unique<Machine>(cfg, w.programs);
+    state.ResumeTiming();
+    RunResult r = m->run();
+    guest_cycles += r.ticks;
+    benchmark::DoNotOptimize(r.cycles);
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(guest_cycles));
+  state.SetLabel("items = simulated guest cycles (barrier_tree SC +both)");
+}
+BENCHMARK(BM_MachineBarrierTree8)->Unit(benchmark::kMillisecond);
+
 void BM_SpecLoadBufferScan(benchmark::State& state) {
   SpecLoadBuffer buf(16);
   for (std::uint64_t i = 0; i < 16; ++i) {

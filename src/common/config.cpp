@@ -85,6 +85,18 @@ SystemConfig SystemConfig::realistic(std::uint32_t nprocs, ConsistencyModel m) {
 
 namespace {
 bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+void validate_core(const CoreConfig& core, std::ostringstream& err) {
+  if (core.rob_entries == 0 || core.ls_rs_entries == 0 || core.store_buffer_entries == 0)
+    err << "core buffer sizes must be >= 1; ";
+  if (core.speculative_loads && core.spec_load_buffer_entries == 0)
+    err << "speculative loads need spec_load_buffer_entries >= 1; ";
+  if (core.fetch_width == 0 || core.decode_width == 0 || core.commit_width == 0)
+    err << "pipeline widths must be >= 1; ";
+  if (core.num_alus == 0) err << "core.num_alus must be >= 1; ";
+  if (core.prefetch != PrefetchMode::kOff && core.prefetch_buffer_entries == 0)
+    err << "prefetching needs prefetch_buffer_entries >= 1; ";
+}
 }  // namespace
 
 std::string SystemConfig::validate() const {
@@ -105,19 +117,15 @@ std::string SystemConfig::validate() const {
   if (!is_pow2(cache.num_sets)) err << "cache.num_sets must be a power of two; ";
   if (cache.ways == 0) err << "cache.ways must be >= 1; ";
   if (cache.mshrs == 0) err << "cache.mshrs must be >= 1; ";
-  if (core.rob_entries == 0 || core.ls_rs_entries == 0 || core.store_buffer_entries == 0)
-    err << "core buffer sizes must be >= 1; ";
-  if (core.speculative_loads && core.spec_load_buffer_entries == 0)
-    err << "speculative loads need spec_load_buffer_entries >= 1; ";
-  if (core.fetch_width == 0 || core.decode_width == 0 || core.commit_width == 0)
-    err << "pipeline widths must be >= 1; ";
+  // Every core's pipeline buffers are sized once, at construction, so
+  // a per-core override gets the same checks as the machine default.
+  validate_core(core, err);
+  for (const CoreConfig& c : per_core) validate_core(c, err);
   if (mem.net_latency == 0) err << "net_latency must be >= 1; ";
   if (mem.topology != Topology::kCrossbar && mem.link_queue == 0)
     err << "ring/mesh topologies need link_queue >= 1; ";
   if (mem.mem_bytes % cache.line_bytes != 0)
     err << "mem_bytes must be a multiple of the cache line size; ";
-  if (core.prefetch != PrefetchMode::kOff && core.prefetch_buffer_entries == 0)
-    err << "prefetching needs prefetch_buffer_entries >= 1; ";
   if (!per_core.empty() && per_core.size() != num_procs)
     err << "per_core must be empty or have exactly num_procs entries; ";
   return err.str();

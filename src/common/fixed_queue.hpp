@@ -3,6 +3,9 @@
 // Hardware structures in the simulator (reorder buffer, store buffer,
 // speculative-load buffer, MSHR files...) are fixed-capacity FIFOs that
 // are also scanned associatively; this container supports both uses.
+// All storage is allocated once, at construction; a slot's element is
+// constructed the first time the ring reaches it, so capacity that is
+// never used costs no construction time and its memory stays untouched.
 #pragma once
 
 #include <cassert>
@@ -15,29 +18,33 @@ namespace mcsim {
 template <typename T>
 class FixedQueue {
  public:
-  explicit FixedQueue(std::size_t capacity) : slots_(capacity) {
+  explicit FixedQueue(std::size_t capacity) : capacity_(capacity) {
     assert(capacity > 0);
+    slots_.reserve(capacity);
   }
 
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == slots_.size(); }
+  bool full() const { return size_ == capacity_; }
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
   /// Push to the tail. Caller must check !full().
   T& push(T value) {
     assert(!full());
-    std::size_t pos = (head_ + size_) % slots_.size();
-    slots_[pos] = std::move(value);
+    // Until every slot is constructed the tail never wraps, and it is at
+    // most one past the last constructed slot.
+    const std::size_t pos = wrap(head_ + size_);
+    assert(pos <= slots_.size());
     ++size_;
-    return slots_[pos];
+    if (pos == slots_.size()) return slots_.emplace_back(std::move(value));
+    return slots_[pos] = std::move(value);
   }
 
   /// Pop from the head. Caller must check !empty().
   T pop() {
     assert(!empty());
     T out = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return out;
   }
@@ -52,17 +59,26 @@ class FixedQueue {
   }
   T& back() {
     assert(!empty());
-    return slots_[(head_ + size_ - 1) % slots_.size()];
+    return at(size_ - 1);
   }
 
   /// i-th element from the head (0 == head). Caller must check i < size().
   T& at(std::size_t i) {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
   const T& at(std::size_t i) const {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
+  }
+
+  /// Remove the i-th element from the head, shifting every younger
+  /// element one place toward the head (entries that complete out of
+  /// order). Caller must check i < size().
+  void erase_at(std::size_t i) {
+    assert(i < size_);
+    for (std::size_t j = i + 1; j < size_; ++j) at(j - 1) = std::move(at(j));
+    --size_;
   }
 
   /// Drop the newest n elements (used by pipeline squash).
@@ -77,7 +93,11 @@ class FixedQueue {
   }
 
  private:
-  std::vector<T> slots_;
+  /// Slot of ring position p, for p < 2 * capacity (head + offset).
+  std::size_t wrap(std::size_t p) const { return p < capacity_ ? p : p - capacity_; }
+
+  std::size_t capacity_;
+  std::vector<T> slots_;  ///< reserved to capacity_; never reallocates
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

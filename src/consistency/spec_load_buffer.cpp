@@ -23,20 +23,6 @@ void SpecLoadBuffer::nullify_store_tag(std::uint64_t store_seq) {
   }
 }
 
-std::vector<std::uint64_t> SpecLoadBuffer::retire_ready(
-    const std::function<bool(const Entry&)>& may_retire) {
-  std::vector<std::uint64_t> retired;
-  while (!entries_.empty()) {
-    const Entry& head = entries_.front();
-    if (head.store_tag != kNoTag) break;
-    if (head.acq && !head.done) break;
-    if (may_retire && !may_retire(head)) break;
-    retired.push_back(head.seq);
-    entries_.pop();
-  }
-  return retired;
-}
-
 SpecLoadBuffer::MatchResult SpecLoadBuffer::on_line_event(LineEventKind /*kind*/,
                                                           Addr line) const {
   // Every event kind is treated identically (conservatively): an

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,16 +61,29 @@ class SpecLoadBuffer {
   /// A store with dynamic id `store_seq` performed: null out matching tags.
   void nullify_store_tag(std::uint64_t store_seq);
 
-  /// Retire every ready head entry; returns the seqs retired, in
-  /// order. The retirement instant is when a speculative load stops
-  /// being speculative — coherence monitoring guarantees its value
-  /// still equals the memory value now, which is what makes "as if it
-  /// performed at retirement" the sound serialization point.
-  /// `may_retire` (optional) lets the owner veto a head entry whose
-  /// delay condition lives outside the buffer — e.g. a WC sync load
-  /// waiting on earlier plain accesses that hold no FIFO slot open.
-  std::vector<std::uint64_t> retire_ready(
-      const std::function<bool(const Entry&)>& may_retire = {});
+  /// Retire every ready head entry, calling `on_retire(seq)` for each
+  /// in order; returns how many retired. The retirement instant is when
+  /// a speculative load stops being speculative — coherence monitoring
+  /// guarantees its value still equals the memory value now, which is
+  /// what makes "as if it performed at retirement" the sound
+  /// serialization point. `may_retire(entry)` lets the owner veto a
+  /// head entry whose delay condition lives outside the buffer — e.g. a
+  /// WC sync load waiting on earlier plain accesses that hold no FIFO
+  /// slot open.
+  template <typename MayRetire, typename OnRetire>
+  std::size_t retire_ready(MayRetire&& may_retire, OnRetire&& on_retire) {
+    std::size_t n = 0;
+    while (!entries_.empty()) {
+      const Entry& head = entries_.front();
+      if (head.store_tag != kNoTag) break;
+      if (head.acq && !head.done) break;
+      if (!may_retire(head)) break;
+      on_retire(head.seq);
+      entries_.pop();
+      ++n;
+    }
+    return n;
+  }
 
   /// What the detection mechanism demands after a coherence transaction
   /// on `line`.

@@ -50,6 +50,16 @@ SystemConfig resolve_for(const SystemConfig& cfg, ProcId id) {
   out.per_core.clear();
   return out;
 }
+
+// Even an ideal frontend cannot usefully run further ahead than the ROB
+// can drain in one cycle: fetch happens after dispatch in the tick, so
+// next cycle's dispatch consumes at most rob_entries slots. An
+// unlimited cap would chase a predicted-taken spin loop for the whole
+// safety-valve budget every single tick.
+std::size_t fetch_buffer_cap(const CoreConfig& c) {
+  return c.ideal_frontend ? std::max<std::size_t>(c.rob_entries, 2 * c.fetch_width)
+                          : 2 * c.fetch_width;
+}
 }  // namespace
 
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
@@ -59,10 +69,11 @@ Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
       program_(program),
       trace_(trace),
       events_(events),
+      rob_(cfg_.core.rob_entries),
       predictor_(cfg_.core.btb_entries),
       lsu_(id, cfg_, cache, *this, trace, events),
+      fetch_buf_(fetch_buffer_cap(cfg_.core)),
       stats_("core" + std::to_string(id)) {
-  rename_.fill(kNoProducer);
   cache.set_observer(this);
   if (cfg_.core.ideal_frontend) {
     // The paper's walkthroughs assume the program is already decoded
@@ -75,37 +86,94 @@ Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
 Core::RobEntry* Core::rob_find(std::uint64_t seq) {
   // Seqs in the ROB are sorted but not contiguous: a squash discards a
   // suffix while the dynamic-id counter keeps advancing, so the next
-  // dispatched instruction leaves a gap. Scan (the window is small).
-  for (RobEntry& e : rob_) {
-    if (e.seq == seq) return &e;
+  // dispatched instruction leaves a gap. Gaps only push an entry toward
+  // the head, so its offset from the head's seq bounds its index and,
+  // with no gap in between, is its index.
+  if (rob_.empty() || seq < rob_.front().seq) return nullptr;
+  std::size_t lo = 0;
+  std::size_t hi = std::min<std::uint64_t>(seq - rob_.front().seq, rob_.size() - 1);
+  if (rob_.at(hi).seq == seq) return &rob_.at(hi);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (rob_.at(mid).seq < seq)
+      lo = mid + 1;
+    else
+      hi = mid;
   }
-  return nullptr;
+  if (rob_.at(lo).seq != seq) return nullptr;
+  return &rob_.at(lo);
 }
 
 Operand Core::resolve(RegId reg) {
   if (reg == 0) return Operand::immediate(0);
-  std::uint64_t p = rename_[reg];
-  if (p == kNoProducer) return Operand::immediate(regfile_[reg]);
+  const RenameEntry& r = rename_[reg];
+  if (r.seq == kNoProducer) return Operand::immediate(regfile_[reg]);
   // Producer is still in flight; it must be in the ROB.
-  RobEntry* e = rob_find(p);
-  assert(e != nullptr && "rename table points at a live ROB entry");
-  if (e->value_ready) return Operand::immediate(e->result);
-  return Operand::tagged(p);
+  assert(rob_find(r.seq) != nullptr && "rename table points at a live ROB entry");
+  if (r.ready) return Operand::immediate(r.value);
+  return Operand::tagged(r.seq);
+}
+
+void Core::add_source(RobEntry& e, std::uint8_t i, const Operand& op) {
+  if (op.ready) {
+    e.src[i] = op.value;
+    return;
+  }
+  pending_.push_back(PendingOperand{op.tag, e.seq, i});
+  ++e.waiting;
+}
+
+void Core::dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction& in) {
+  const std::array<Operand, 4> ops = {resolve(in.mem.base), resolve(in.mem.index),
+                                      resolve(in.rs2), resolve(in.rs1)};
+  for (std::uint8_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].ready)
+      pending_.push_back(PendingOperand{ops[i].tag, e.seq,
+                                        static_cast<std::uint8_t>(kLsuOperand + i)});
+  }
+  lsu_.dispatch(e.seq, pc, in, ops[LoadStoreUnit::kBase], ops[LoadStoreUnit::kIndex],
+                ops[LoadStoreUnit::kData], ops[LoadStoreUnit::kCmp]);
+}
+
+void Core::set_value(RobEntry& e, Word value) {
+  e.value_ready = true;
+  e.result = value;
+  const Instruction& in = *e.inst;
+  if (in.writes_rd() && in.rd != 0 && rename_[in.rd].seq == e.seq) {
+    rename_[in.rd].ready = true;
+    rename_[in.rd].value = value;
+  }
+  broadcast(e.seq, value);
 }
 
 void Core::writeback(const RobEntry& e) {
-  if (e.inst.writes_rd() && e.inst.rd != 0) {
-    regfile_[e.inst.rd] = e.result;
-    if (rename_[e.inst.rd] == e.seq) rename_[e.inst.rd] = kNoProducer;
+  const Instruction& in = *e.inst;
+  if (in.writes_rd() && in.rd != 0) {
+    regfile_[in.rd] = e.result;
+    if (rename_[in.rd].seq == e.seq) rename_[in.rd] = RenameEntry{};
   }
 }
 
 void Core::broadcast(std::uint64_t seq, Word value) {
-  for (RobEntry& e : rob_) {
-    e.op1.wake(seq, value);
-    e.op2.wake(seq, value);
+  std::size_t kept = 0;
+  for (const PendingOperand& p : pending_) {
+    if (p.producer != seq) {
+      pending_[kept++] = p;
+      continue;
+    }
+    if (p.operand >= kLsuOperand) {
+      lsu_.wake_operand(p.consumer,
+                        static_cast<LoadStoreUnit::OperandSlot>(p.operand - kLsuOperand), seq,
+                        value);
+      continue;
+    }
+    RobEntry* e = rob_find(p.consumer);
+    assert(e != nullptr && "squash prunes the pending operands of dropped entries");
+    e->src[p.operand] = value;
+    if (--e->waiting == 0)
+      ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), p.consumer), p.consumer);
   }
-  lsu_.on_producer_ready(seq, value);
+  pending_.resize(kept);
 }
 
 void Core::tick(Cycle now) {
@@ -163,7 +231,7 @@ StallCause Core::classify_stall() const {
     return StallCause::kFrontend;  // fetch/dispatch starved the window
   }
   const RobEntry& e = rob_.front();
-  const Instruction& in = e.inst;
+  const Instruction& in = *e.inst;
   if (in.op == Opcode::kHalt) return StallCause::kExec;  // commit width exhausted
   if (in.is_rmw() || in.is_store()) {
     if (!e.released) return lsu_.classify_rs_block(e.seq);
@@ -186,12 +254,12 @@ void Core::do_commit(Cycle now) {
   std::size_t n = 0;
   while (n < width && !rob_.empty()) {
     RobEntry& e = rob_.front();
-    const Instruction& in = e.inst;
+    const Instruction& in = *e.inst;
 
     if (in.op == Opcode::kHalt) {
       halted_ = true;
       halt_cycle_ = now;
-      rob_.pop_front();
+      rob_.pop();
       ++retired_;
       note_progress();
       stats_.set(stat::halt_cycle, now);
@@ -208,7 +276,7 @@ void Core::do_commit(Cycle now) {
       if (!e.performed) break;
       if (!lsu_.load_retirable(e.seq)) break;  // spec entry still live
       writeback(e);
-      rob_.pop_front();
+      rob_.pop();
       ++retired_;
       ++n;
       continue;
@@ -225,7 +293,7 @@ void Core::do_commit(Cycle now) {
       // buffer issues one store at a time (§4.2); the other models
       // retire it as soon as the address translation is done.
       if (cfg_.model == ConsistencyModel::kSC && !e.performed) break;
-      rob_.pop_front();
+      rob_.pop();
       ++retired_;
       ++n;
       continue;
@@ -235,7 +303,7 @@ void Core::do_commit(Cycle now) {
       if (!e.value_ready) break;
       if (!lsu_.load_retirable(e.seq)) break;
       writeback(e);
-      rob_.pop_front();
+      rob_.pop();
       ++retired_;
       ++n;
       continue;
@@ -243,7 +311,7 @@ void Core::do_commit(Cycle now) {
 
     if (in.is_branch()) {
       if (!e.executed) break;
-      rob_.pop_front();
+      rob_.pop();
       ++retired_;
       ++n;
       continue;
@@ -253,48 +321,43 @@ void Core::do_commit(Cycle now) {
     // completion signal is available.
     if (!e.value_ready) break;
     writeback(e);
-    rob_.pop_front();
+    rob_.pop();
     ++retired_;
     ++n;
   }
 }
 
 void Core::do_execute(Cycle now) {
-  std::vector<std::pair<std::uint64_t, Word>> results;
-  std::uint32_t used = 0;
-  for (RobEntry& e : rob_) {
-    if (used >= cfg_.core.num_alus) break;
-    if (e.executed) continue;
-    if (e.inst.is_alu()) {
-      if (!e.op1.ready || !e.op2.ready) continue;
-      e.executed = true;
-      results.emplace_back(e.seq, eval_alu(e.inst, e.op1.value, e.op2.value));
-      ++used;
-    } else if (e.inst.is_branch()) {
-      if (!e.op1.ready || !e.op2.ready) continue;
-      e.executed = true;
-      e.value_ready = true;
-      const bool taken = eval_branch(e.inst.op, e.op1.value, e.op2.value);
-      predictor_.train(e.pc, e.inst, taken);
-      ++used;
-      if (taken != e.predicted_taken) {
-        stats_.add(stat::branch_mispredicts);
-        const std::size_t target =
-            taken ? static_cast<std::size_t>(e.inst.imm) : e.pc + 1;
-        squash_from(e.seq + 1, target, now, "branch mispredict");
-        break;  // younger entries are gone
-      }
+  results_.clear();
+  const std::size_t width = std::min<std::size_t>(cfg_.core.num_alus, ready_.size());
+  std::size_t used = 0;
+  while (used < width) {
+    RobEntry* e = rob_find(ready_[used++]);
+    assert(e != nullptr && !e->executed);
+    const Instruction& in = *e->inst;
+    e->executed = true;
+    if (in.is_alu()) {
+      results_.emplace_back(e->seq, eval_alu(in, e->src[0], e->src[1]));
+      continue;
+    }
+    e->value_ready = true;  // branch
+    const bool taken = eval_branch(in.op, e->src[0], e->src[1]);
+    const std::size_t pc = pc_of(*e);
+    predictor_.train(pc, in, taken);
+    if (taken != e->predicted_taken) {
+      stats_.add(stat::branch_mispredicts);
+      const std::size_t target = taken ? static_cast<std::size_t>(in.imm) : pc + 1;
+      // Drops every younger entry, from ready_ too: what is left of it
+      // is exactly the `used` entries taken this cycle.
+      squash_from(e->seq + 1, target, now, "branch mispredict");
+      break;
     }
   }
+  ready_.erase(ready_.begin(), ready_.begin() + static_cast<std::ptrdiff_t>(used));
   if (used > 0) note_progress();
   // Results become visible at the end of the cycle (1-cycle ALU latency).
-  for (auto& [seq, value] : results) {
-    RobEntry* e = rob_find(seq);
-    if (e == nullptr) continue;  // squashed by a branch this same cycle
-    e->value_ready = true;
-    e->result = value;
-    broadcast(seq, value);
-  }
+  // All of them are older than any mispredicted branch, so they survived.
+  for (const auto& [seq, value] : results_) set_value(*rob_find(seq), value);
 }
 
 void Core::do_dispatch(Cycle now) {
@@ -303,40 +366,35 @@ void Core::do_dispatch(Cycle now) {
       cfg_.core.ideal_frontend ? kUnlimited : cfg_.core.decode_width;
   std::size_t n = 0;
   while (n < width && !fetch_buf_.empty() && !dispatch_stopped_) {
-    if (rob_.size() >= cfg_.core.rob_entries) break;
+    if (rob_.full()) break;
     const FetchedInst f = fetch_buf_.front();
     const Instruction& in = program_.at(f.pc);
     const bool to_lsu = in.is_mem() || in.is_fence();
     if (to_lsu && !lsu_.can_dispatch()) break;
-    fetch_buf_.pop_front();
+    fetch_buf_.pop();
 
-    RobEntry e;
+    RobEntry& e = rob_.push(RobEntry{});
     e.seq = next_seq_++;
-    e.pc = f.pc;
-    e.inst = in;
+    e.inst = &in;
     e.predicted_taken = f.predicted_taken;
 
-    if (in.is_alu()) {
-      e.op1 = resolve(in.rs1);
-      e.op2 = in.has_imm_operand() ? Operand::immediate(static_cast<Word>(in.imm))
-                                   : resolve(in.rs2);
-    } else if (in.is_branch()) {
-      e.op1 = resolve(in.rs1);
-      e.op2 = resolve(in.rs2);
+    if (in.is_alu() || in.is_branch()) {
+      add_source(e, 0, resolve(in.rs1));
+      add_source(e, 1,
+                 in.is_alu() && in.has_imm_operand()
+                     ? Operand::immediate(static_cast<Word>(in.imm))
+                     : resolve(in.rs2));
+      // The youngest entry so far: appending keeps ready_ sorted.
+      if (e.waiting == 0) ready_.push_back(e.seq);
     } else if (in.op == Opcode::kNop) {
       e.executed = true;
       e.value_ready = true;
     } else if (to_lsu) {
-      Operand base = resolve(in.mem.base);
-      Operand index = resolve(in.mem.index);
-      Operand data = resolve(in.rs2);
-      Operand cmp = resolve(in.rs1);
-      lsu_.dispatch(e.seq, f.pc, in, base, index, data, cmp);
+      dispatch_to_lsu(e, f.pc, in);
     }
 
     if (in.op == Opcode::kHalt) dispatch_stopped_ = true;
-    if (in.writes_rd() && in.rd != 0) rename_[in.rd] = e.seq;
-    rob_.push_back(std::move(e));
+    if (in.writes_rd() && in.rd != 0) rename_[in.rd] = RenameEntry{e.seq, false, 0};
     stats_.add(stat::dispatched);
     ++n;
   }
@@ -349,17 +407,8 @@ void Core::do_fetch(Cycle now) {
   const bool stopped_before = fetch_stopped_;
   const std::size_t width =
       cfg_.core.ideal_frontend ? kUnlimited : cfg_.core.fetch_width;
-  // Even an ideal frontend cannot usefully run further ahead than the
-  // ROB can drain in one cycle: fetch happens after dispatch in the
-  // tick, so next cycle's dispatch consumes at most rob_entries slots.
-  // An unlimited cap would chase a predicted-taken spin loop for the
-  // whole safety-valve budget every single tick.
-  const std::size_t cap = cfg_.core.ideal_frontend
-                              ? std::max<std::size_t>(cfg_.core.rob_entries,
-                                                      2 * cfg_.core.fetch_width)
-                              : 2 * cfg_.core.fetch_width;
   std::size_t n = 0;
-  while (n < width && !fetch_stopped_ && fetch_buf_.size() < cap) {
+  while (n < width && !fetch_stopped_ && !fetch_buf_.full()) {
     if (fetch_pc_ >= program_.size()) {
       // Programs must end in halt; stop cleanly if control fell off.
       fetch_stopped_ = true;
@@ -368,7 +417,7 @@ void Core::do_fetch(Cycle now) {
     const Instruction& in = program_.at(fetch_pc_);
     bool predicted_taken = false;
     if (in.is_branch()) predicted_taken = predictor_.predict(fetch_pc_, in);
-    fetch_buf_.push_back(FetchedInst{fetch_pc_, predicted_taken});
+    fetch_buf_.push(FetchedInst{fetch_pc_, predicted_taken});
     stats_.add(stat::fetched);
     if (in.op == Opcode::kHalt) {
       fetch_stopped_ = true;
@@ -389,19 +438,24 @@ void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
                        const char* why, SquashOrigin origin) {
   note_progress();
   std::size_t dropped = 0;
-  while (!rob_.empty() && rob_.back().seq >= seq) {
-    rob_.pop_back();
-    ++dropped;
-  }
+  while (dropped < rob_.size() && rob_.at(rob_.size() - 1 - dropped).seq >= seq) ++dropped;
+  rob_.pop_back_n(dropped);
+  ready_.erase(std::lower_bound(ready_.begin(), ready_.end(), seq), ready_.end());
+  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                [seq](const PendingOperand& p) { return p.consumer >= seq; }),
+                 pending_.end());
   lsu_.squash_from(seq, origin);
   if (cfg_.profile) stats_.sample(prof::rb_squash_depth, dropped);
   fetch_buf_.clear();
   fetch_pc_ = refetch_pc;
   fetch_stopped_ = false;
   dispatch_stopped_ = false;
-  rename_.fill(kNoProducer);
-  for (RobEntry& e : rob_) {
-    if (e.inst.writes_rd() && e.inst.rd != 0) rename_[e.inst.rd] = e.seq;
+  rename_.fill(RenameEntry{});
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    const RobEntry& e = rob_.at(i);
+    const Instruction& in = *e.inst;
+    if (in.writes_rd() && in.rd != 0)
+      rename_[in.rd] = RenameEntry{e.seq, e.value_ready, e.result};
   }
   stats_.add(stat::squashes);
   stats_.add(stat::squashed_instructions, dropped);
@@ -417,21 +471,19 @@ void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
   RobEntry* e = rob_find(seq);
   if (e == nullptr) return;  // e.g. a store already retired under RC/WC/PC
   note_progress();
-  const Instruction& in = e->inst;
+  const Instruction& in = *e->inst;
   if (in.is_rmw()) {
     if (e->spec_value && e->value_ready && e->result != value) {
       // Appendix-A speculation delivered a value that differs from the
       // one the atomic actually read: discard dependent computation.
       stats_.add(stat::rmw_value_mispredicts);
-      squash_from(seq + 1, e->pc + 1, now, "rmw speculated value wrong");
-      e = rob_find(seq);  // references may have moved
-      assert(e != nullptr);
+      squash_from(seq + 1, pc_of(*e) + 1, now, "rmw speculated value wrong");
+      // Ring slots never move, and the squash dropped only younger entries.
+      assert(rob_find(seq) == e);
     }
     e->performed = true;
-    e->value_ready = true;
     e->spec_value = false;
-    e->result = value;
-    broadcast(seq, value);
+    set_value(*e, value);
     return;
   }
   if (in.is_store()) {
@@ -440,9 +492,7 @@ void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
   }
   if (in.is_load()) {
     e->performed = true;
-    e->value_ready = true;
-    e->result = value;
-    broadcast(seq, value);
+    set_value(*e, value);
     return;
   }
   // fence / software prefetch
@@ -454,11 +504,9 @@ void Core::rmw_spec_value(std::uint64_t seq, Word value, Cycle now) {
   RobEntry* e = rob_find(seq);
   if (e == nullptr || e->performed || e->value_ready) return;
   note_progress();
-  e->value_ready = true;
   e->spec_value = true;
-  e->result = value;
   stats_.add(stat::rmw_spec_values);
-  broadcast(seq, value);
+  set_value(*e, value);
 }
 
 void Core::request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) {
@@ -469,7 +517,7 @@ void Core::request_squash_refetch(std::uint64_t seq, Cycle now, const char* reas
   // nothing to discard.
   RobEntry* e = rob_find(seq);
   if (e == nullptr) return;
-  squash_from(e->seq, e->pc, now, reason, SquashOrigin::kCoherence);
+  squash_from(e->seq, pc_of(*e), now, reason, SquashOrigin::kCoherence);
 }
 
 void Core::on_line_event(LineEventKind kind, Addr line, Cycle now) {
@@ -485,11 +533,12 @@ Json Core::snapshot_json() const {
     out.set("stalled_on", Json::string(to_string(classify_stall())));
   }
   Json rob = Json::array();
-  for (const RobEntry& e : rob_) {
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    const RobEntry& e = rob_.at(i);
     Json j = Json::object();
     j.set("seq", Json::number(e.seq));
-    j.set("pc", Json::number(static_cast<std::uint64_t>(e.pc)));
-    j.set("inst", Json::string(disassemble(e.inst)));
+    j.set("pc", Json::number(static_cast<std::uint64_t>(pc_of(e))));
+    j.set("inst", Json::string(disassemble(*e.inst)));
     std::string flags;
     if (e.executed) flags += 'E';
     if (e.value_ready) flags += 'V';
@@ -507,8 +556,8 @@ Json Core::snapshot_json() const {
 std::string Core::rob_dump() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < rob_.size(); ++i) {
-    const RobEntry& e = rob_[i];
-    os << "[" << e.seq << ":" << disassemble(e.inst)
+    const RobEntry& e = rob_.at(i);
+    os << "[" << e.seq << ":" << disassemble(*e.inst)
        << (e.value_ready ? " V" : "") << (e.performed ? " P" : "")
        << (e.released ? " R" : "") << "]";
     if (i + 1 != rob_.size()) os << ' ';

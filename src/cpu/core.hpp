@@ -14,10 +14,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
@@ -102,12 +104,12 @@ class Core : public LsuHost, public LineEventObserver {
  private:
   struct RobEntry {
     std::uint64_t seq = 0;
-    std::size_t pc = 0;
-    Instruction inst;
-    Operand op1, op2;         ///< ALU/branch sources
+    const Instruction* inst = nullptr;  ///< in program_, at pc_of(*this)
+    std::array<Word, 2> src{};  ///< ALU/branch source values, once ready
+    Word result = 0;
+    std::uint8_t waiting = 0; ///< ALU/branch sources still in pending_
     bool executed = false;    ///< ALU/branch has been executed
     bool value_ready = false; ///< rd value available (speculative for RMW)
-    Word result = 0;
     bool performed = false;   ///< memory access performed
     bool released = false;    ///< store/RMW released to the store buffer
     bool spec_value = false;  ///< result is an Appendix-A speculative RMW value
@@ -117,6 +119,25 @@ class Core : public LsuHost, public LineEventObserver {
   struct FetchedInst {
     std::size_t pc = 0;
     bool predicted_taken = false;
+  };
+
+  /// A source operand waiting on its producer's value.
+  struct PendingOperand {
+    std::uint64_t producer = 0;
+    std::uint64_t consumer = 0;  ///< seq of the waiting ROB entry
+    /// Index into an ALU/branch consumer's src, or kLsuOperand plus a
+    /// LoadStoreUnit::OperandSlot for a memory op's operand.
+    std::uint8_t operand = 0;
+  };
+  static constexpr std::uint8_t kLsuOperand = 2;
+
+  static constexpr std::uint64_t kNoProducer = ~0ull;
+  /// rename_[r]: the youngest in-flight producer of r (kNoProducer when
+  /// the register file holds r), and its value once that is available.
+  struct RenameEntry {
+    std::uint64_t seq = kNoProducer;
+    bool ready = false;
+    Word value = 0;
   };
 
   void do_commit(Cycle now);
@@ -129,8 +150,20 @@ class Core : public LsuHost, public LineEventObserver {
   void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now, const char* why,
                    SquashOrigin origin = SquashOrigin::kPipeline);
 
+  /// Bisect for `seq`; nullptr when it is not in the ROB.
   RobEntry* rob_find(std::uint64_t seq);
+  std::size_t pc_of(const RobEntry& e) const {
+    return static_cast<std::size_t>(e.inst - program_.instructions().data());
+  }
   Operand resolve(RegId reg);
+  /// Give a dispatched ALU/branch entry its source `i`: the value, or a
+  /// wait in pending_ for a tagged operand.
+  void add_source(RobEntry& e, std::uint8_t i, const Operand& op);
+  /// Hand a memory op to the LSU; its tagged operands wait in pending_.
+  void dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction& in);
+  /// e's destination value is available: record it, publish it to the
+  /// rename table, and wake its consumers.
+  void set_value(RobEntry& e, Word value);
   void writeback(const RobEntry& e);
   void broadcast(std::uint64_t seq, Word value);
   /// Mark an in-tick state mutation (see next_event()).
@@ -144,16 +177,24 @@ class Core : public LsuHost, public LineEventObserver {
   Trace* trace_;
   TraceEventSink* events_;
 
-  std::deque<RobEntry> rob_;
+  /// Head first, seqs ascending. Seqs are never reused, so they have
+  /// gaps after a squash.
+  FixedQueue<RobEntry> rob_;
+  /// Seqs of the unexecuted ALU/branch entries whose operands are both
+  /// ready, ascending: execute takes the oldest num_alus.
+  std::vector<std::uint64_t> ready_;
+  /// Every tagged operand of a ROB entry, the LSU's included; an entry
+  /// leaves when its producer broadcasts or its consumer is squashed.
+  std::vector<PendingOperand> pending_;
+  /// This cycle's ALU results, applied at the end of execute.
+  std::vector<std::pair<std::uint64_t, Word>> results_;
   std::array<Word, kNumArchRegs> regfile_{};
-  /// rename_[r]: seq of the youngest in-flight producer of r, or kNone.
-  static constexpr std::uint64_t kNoProducer = ~0ull;
-  std::array<std::uint64_t, kNumArchRegs> rename_;
+  std::array<RenameEntry, kNumArchRegs> rename_{};
 
   BranchPredictor predictor_;
   LoadStoreUnit lsu_;
 
-  std::deque<FetchedInst> fetch_buf_;
+  FixedQueue<FetchedInst> fetch_buf_;
   std::size_t fetch_pc_ = 0;
   bool fetch_stopped_ = false;   ///< fetched past a halt
   bool dispatch_stopped_ = false;///< dispatched a halt

@@ -55,38 +55,34 @@ LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& 
       host_(host),
       trace_(trace),
       events_(events),
+      ls_rs_(cfg.core.ls_rs_entries),
+      load_q_(cfg.core.ls_rs_entries),
+      store_buf_(cfg.core.store_buffer_entries),
       spec_buffer_(cfg.core.spec_load_buffer_entries),
       prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries),
-      stats_("lsu" + std::to_string(id)) {
-  tokens_.reserve(64);
-}
+      local_completions_(cfg.core.ls_rs_entries),
+      stats_("lsu" + std::to_string(id)) {}
 
 void LoadStoreUnit::dispatch(std::uint64_t seq, std::size_t pc, const Instruction& inst,
                              Operand base, Operand index, Operand data, Operand cmp) {
   assert(can_dispatch());
-  RsEntry e;
-  e.seq = seq;
-  e.pc = pc;
-  e.inst = inst;
-  e.base = base;
-  e.index = index;
-  e.data = data;
-  e.cmp = cmp;
-  ls_rs_.push_back(std::move(e));
+  ls_rs_.push(RsEntry{seq, pc, &inst, base, index, data, cmp});
   note_progress();
 }
 
-void LoadStoreUnit::on_producer_ready(std::uint64_t producer_seq, Word value) {
-  for (RsEntry& e : ls_rs_) {
-    e.base.wake(producer_seq, value);
-    e.index.wake(producer_seq, value);
-    e.data.wake(producer_seq, value);
-    e.cmp.wake(producer_seq, value);
+void LoadStoreUnit::wake_operand(std::uint64_t seq, OperandSlot slot, std::uint64_t producer,
+                                 Word value) {
+  for (std::size_t i = 0; i < ls_rs_.size(); ++i) {
+    RsEntry& e = ls_rs_.at(i);
+    if (e.seq != seq) continue;
+    Operand* ops[] = {&e.base, &e.index, &e.data, &e.cmp};
+    ops[slot]->wake(producer, value);
+    return;
   }
-  for (StoreEntry& e : store_buf_) {
-    e.data.wake(producer_seq, value);
-    e.cmp.wake(producer_seq, value);
-  }
+  // Past the station only a store/RMW keeps operands: its data and compare.
+  if (slot != kData && slot != kCmp) return;
+  StoreEntry* s = find_store(seq);
+  if (s != nullptr) (slot == kData ? s->data : s->cmp).wake(producer, value);
 }
 
 void LoadStoreUnit::release_store(std::uint64_t seq, Cycle now) {
@@ -108,37 +104,48 @@ bool LoadStoreUnit::load_retirable(std::uint64_t seq) const {
 }
 
 LoadStoreUnit::LoadEntry* LoadStoreUnit::find_load(std::uint64_t seq) {
-  for (LoadEntry& e : load_q_) {
-    if (e.seq == seq) return &e;
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    if (load_q_.at(i).seq == seq) return &load_q_.at(i);
   }
   return nullptr;
 }
 
 const LoadStoreUnit::LoadEntry* LoadStoreUnit::find_load(std::uint64_t seq) const {
-  for (const LoadEntry& e : load_q_) {
-    if (e.seq == seq) return &e;
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    if (load_q_.at(i).seq == seq) return &load_q_.at(i);
   }
   return nullptr;
 }
 
 LoadStoreUnit::StoreEntry* LoadStoreUnit::find_store(std::uint64_t seq) {
-  for (StoreEntry& e : store_buf_) {
-    if (e.seq == seq) return &e;
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    if (store_buf_.at(i).seq == seq) return &store_buf_.at(i);
   }
   return nullptr;
 }
 
 const LoadStoreUnit::StoreEntry* LoadStoreUnit::find_store(std::uint64_t seq) const {
-  for (const StoreEntry& e : store_buf_) {
-    if (e.seq == seq) return &e;
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    if (store_buf_.at(i).seq == seq) return &store_buf_.at(i);
   }
   return nullptr;
+}
+
+bool LoadStoreUnit::take_token(std::uint64_t token, TokenInfo& out) {
+  for (TokenInfo& t : tokens_) {
+    if (t.token != token) continue;
+    out = t;
+    t = tokens_.back();
+    tokens_.pop_back();
+    return true;
+  }
+  return false;
 }
 
 void LoadStoreUnit::tick_addr_unit(Cycle now) {
   if (ls_rs_.empty()) return;
   RsEntry& head = ls_rs_.front();
-  const Instruction& inst = head.inst;
+  const Instruction& inst = *head.inst;
 
   if (inst.is_fence()) {
     // Full fence: completes only when every earlier access has
@@ -146,7 +153,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     // two queues contain exactly the earlier accesses.
     if (load_q_.empty() && store_buf_.empty()) {
       host_.mem_completed(head.seq, 0, now);
-      ls_rs_.pop_front();
+      ls_rs_.pop();
       stats_.add(stat::fence_done);
       note_progress();
     }
@@ -162,7 +169,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     bool exclusive = inst.op == Opcode::kPrefetchEx;
     if (prefetch_.offer_software(cache_.line_of(ea), exclusive, stats_)) {
       host_.mem_completed(head.seq, 0, now);
-      ls_rs_.pop_front();
+      ls_rs_.pop();
       note_progress();
     }
     return;
@@ -176,8 +183,8 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     e.sync = inst.sync;
     e.addr = ea;
     e.ready_at = now;
-    load_q_.push_back(e);
-    ls_rs_.pop_front();
+    load_q_.push(e);
+    ls_rs_.pop();
     note_progress();
     return;
   }
@@ -194,14 +201,14 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
   StoreEntry s;
   s.seq = head.seq;
   s.pc = head.pc;
-  s.inst = inst;
+  s.inst = head.inst;
   s.addr = ea;
   s.data = head.data;
   s.cmp = head.cmp;
   s.sync = inst.sync;
   s.is_rmw = inst.is_rmw();
   s.ready_at = now;
-  store_buf_.push_back(s);
+  store_buf_.push(s);
   if (rmw_split) {
     // Appendix A: split the RMW into a speculative read-exclusive load
     // plus the buffered atomic operation.
@@ -212,22 +219,24 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     le.addr = ea;
     le.is_rmw_read = true;
     le.ready_at = now;
-    load_q_.push_back(le);
+    load_q_.push(le);
   }
-  ls_rs_.pop_front();
+  ls_rs_.pop();
   note_progress();
 }
 
 IssueContext LoadStoreUnit::context_for(std::uint64_t seq, SyncKind self_sync) const {
   IssueContext ctx;
   ctx.self_sync = self_sync;
-  for (const LoadEntry& e : load_q_) {
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    const LoadEntry& e = load_q_.at(i);
     if (e.seq >= seq) continue;
     ctx.earlier_load_incomplete = true;
     if (e.sync != SyncKind::kNone) ctx.earlier_sync_incomplete = true;
     if (e.sync == SyncKind::kAcquire) ctx.earlier_acquire_incomplete = true;
   }
-  for (const StoreEntry& e : store_buf_) {
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    const StoreEntry& e = store_buf_.at(i);
     if (e.seq >= seq) continue;
     ctx.earlier_store_incomplete = true;
     if (e.is_rmw) ctx.earlier_load_incomplete = true;  // an RMW reads too
@@ -254,14 +263,15 @@ IssueContext LoadStoreUnit::context_for(std::uint64_t seq, SyncKind self_sync) c
 LoadStoreUnit::StoreEntry* LoadStoreUnit::forwarding_source(const LoadEntry& ld,
                                                             bool& blocked) {
   blocked = false;
-  for (auto it = store_buf_.rbegin(); it != store_buf_.rend(); ++it) {
-    if (it->seq >= ld.seq) continue;
-    if (it->addr != ld.addr) continue;
-    if (it->is_rmw || !it->data.ready) {
+  for (std::size_t i = store_buf_.size(); i-- > 0;) {
+    StoreEntry& st = store_buf_.at(i);
+    if (st.seq >= ld.seq) continue;
+    if (st.addr != ld.addr) continue;
+    if (st.is_rmw || !st.data.ready) {
       blocked = true;  // value unknown until the RMW performs / data arrives
       return nullptr;
     }
-    return &*it;
+    return &st;
   }
   return nullptr;
 }
@@ -281,17 +291,19 @@ void LoadStoreUnit::insert_spec_entry(const LoadEntry& ld, Cycle now) {
       case StoreTagRule::kNone:
         break;
       case StoreTagRule::kAnyStore:
-        for (auto it = store_buf_.rbegin(); it != store_buf_.rend(); ++it) {
-          if (it->seq < ld.seq) {
-            e.store_tag = it->seq;
+        for (std::size_t i = store_buf_.size(); i-- > 0;) {
+          const StoreEntry& st = store_buf_.at(i);
+          if (st.seq < ld.seq) {
+            e.store_tag = st.seq;
             break;
           }
         }
         break;
       case StoreTagRule::kSyncStore:
-        for (auto it = store_buf_.rbegin(); it != store_buf_.rend(); ++it) {
-          if (it->seq < ld.seq && it->sync != SyncKind::kNone) {
-            e.store_tag = it->seq;
+        for (std::size_t i = store_buf_.size(); i-- > 0;) {
+          const StoreEntry& st = store_buf_.at(i);
+          if (st.seq < ld.seq && st.sync != SyncKind::kNone) {
+            e.store_tag = st.seq;
             break;
           }
         }
@@ -308,10 +320,11 @@ void LoadStoreUnit::insert_spec_entry(const LoadEntry& ld, Cycle now) {
       const bool gate_any_rmw = cfg_.model == ConsistencyModel::kPC;
       const bool gate_acq_rmw = cfg_.model == ConsistencyModel::kRC;
       if (gate_any_rmw || gate_acq_rmw) {
-        for (auto it = store_buf_.rbegin(); it != store_buf_.rend(); ++it) {
-          if (it->seq >= ld.seq || !it->is_rmw) continue;
-          if (gate_any_rmw || it->sync == SyncKind::kAcquire) {
-            e.store_tag = it->seq;
+        for (std::size_t i = store_buf_.size(); i-- > 0;) {
+          const StoreEntry& st = store_buf_.at(i);
+          if (st.seq >= ld.seq || !st.is_rmw) continue;
+          if (gate_any_rmw || st.sync == SyncKind::kAcquire) {
+            e.store_tag = st.seq;
             break;
           }
         }
@@ -340,7 +353,7 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
       // speculation. Otherwise the load waits: either the gate opens,
       // or the store performs and the load re-checks via the cache.
       if (spec_mode && !load_may_issue(cfg_.model, context_for(ld.seq, ld.sync))) return;
-      local_completions_.push_back(LocalCompletion{ld.seq, src->data.value, now + 1});
+      local_completions_.push(LocalCompletion{ld.seq, src->data.value, now + 1});
       ld.issued = true;
       stats_.add(stat::load_forwarded);
       demand_issued_this_cycle_ = true;
@@ -360,9 +373,9 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
     --next_token_;
     return;  // retry next cycle
   }
-  tokens_[req.token] =
-      TokenInfo{ld.is_rmw_read ? TokenInfo::Kind::kLoadEx : TokenInfo::Kind::kLoad, ld.seq,
-                ld.gen};
+  tokens_.push_back(TokenInfo{req.token, ld.seq, ld.gen,
+                              ld.is_rmw_read ? TokenInfo::Kind::kLoadEx
+                                             : TokenInfo::Kind::kLoad});
   if (ld.is_rmw_read) {
     if (StoreEntry* st = find_store(ld.seq)) st->spec_read_issued = true;
   }
@@ -396,7 +409,7 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
   req.token = next_token_;
   if (st.is_rmw) {
     req.op = CacheOp::kRmw;
-    req.rmw_op = st.inst.rmw;
+    req.rmw_op = st.inst->rmw;
     req.rmw_cmp = st.cmp.value;
     req.rmw_src = st.data.value;
   } else {
@@ -417,8 +430,8 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
     demand_issued_this_cycle_ = true;
   }
   ++next_token_;
-  tokens_[req.token] = TokenInfo{
-      st.is_rmw ? TokenInfo::Kind::kRmw : TokenInfo::Kind::kStore, st.seq, 0};
+  tokens_.push_back(TokenInfo{req.token, st.seq, 0,
+                              st.is_rmw ? TokenInfo::Kind::kRmw : TokenInfo::Kind::kStore});
   st.issued = true;
   note_progress();
   stats_.add(st.is_rmw ? stat::rmw_issued : stat::store_issued);
@@ -437,7 +450,8 @@ void LoadStoreUnit::offer_prefetches(Cycle now) {
   // *delayed* — an access the model already allows will issue on its
   // own and a prefetch for it would only burn the cache port.
   if (!spec_mode) {
-    for (LoadEntry& e : load_q_) {
+    for (std::size_t i = 0; i < load_q_.size(); ++i) {
+      LoadEntry& e = load_q_.at(i);
       if (e.issued || e.offered || e.is_rmw_read) continue;
       IssueContext ctx = context_for(e.seq, e.sync);
       bool allowed = load_may_issue(cfg_.model, ctx);
@@ -448,7 +462,8 @@ void LoadStoreUnit::offer_prefetches(Cycle now) {
       }
     }
   }
-  for (StoreEntry& e : store_buf_) {
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    StoreEntry& e = store_buf_.at(i);
     if (e.issued || e.offered) continue;
     // Under speculative execution (invalidation protocol) an RMW's line
     // is already being fetched exclusively by its Appendix-A read.
@@ -470,7 +485,8 @@ void LoadStoreUnit::tick_issue(Cycle now) {
 
   // Pick issue candidates: the oldest actionable load and store.
   LoadEntry* lcand = nullptr;
-  for (LoadEntry& e : load_q_) {
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    LoadEntry& e = load_q_.at(i);
     if (e.reissue || !e.issued) {
       lcand = &e;
       break;
@@ -484,7 +500,8 @@ void LoadStoreUnit::tick_issue(Cycle now) {
   }
 
   StoreEntry* scand = nullptr;
-  for (StoreEntry& e : store_buf_) {
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    StoreEntry& e = store_buf_.at(i);
     if (!e.issued) {
       scand = &e;
       break;
@@ -530,9 +547,9 @@ void LoadStoreUnit::tick_issue(Cycle now) {
 }
 
 bool LoadStoreUnit::erase_load(std::uint64_t seq) {
-  for (auto it = load_q_.begin(); it != load_q_.end(); ++it) {
-    if (it->seq == seq) {
-      load_q_.erase(it);
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    if (load_q_.at(i).seq == seq) {
+      load_q_.erase_at(i);
       return true;
     }
   }
@@ -540,9 +557,9 @@ bool LoadStoreUnit::erase_load(std::uint64_t seq) {
 }
 
 bool LoadStoreUnit::erase_store(std::uint64_t seq) {
-  for (auto it = store_buf_.begin(); it != store_buf_.end(); ++it) {
-    if (it->seq == seq) {
-      store_buf_.erase(it);
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    if (store_buf_.at(i).seq == seq) {
+      store_buf_.erase_at(i);
       return true;
     }
   }
@@ -572,8 +589,7 @@ std::vector<AccessRecord> LoadStoreUnit::access_log() const {
 
 void LoadStoreUnit::drain_responses(Cycle now) {
   while (!local_completions_.empty() && local_completions_.front().ready_at <= now) {
-    LocalCompletion lc = local_completions_.front();
-    local_completions_.pop_front();
+    const LocalCompletion lc = local_completions_.pop();
     note_progress();
     LoadEntry* le = find_load(lc.seq);
     if (le == nullptr) continue;  // squashed
@@ -585,10 +601,8 @@ void LoadStoreUnit::drain_responses(Cycle now) {
   CacheResponse r;
   while (cache_.pop_response(now, r)) {
     note_progress();  // the response pop itself mutates cache state
-    auto it = tokens_.find(r.token);
-    if (it == tokens_.end()) continue;
-    TokenInfo info = it->second;
-    tokens_.erase(it);
+    TokenInfo info;
+    if (!take_token(r.token, info)) continue;
     switch (info.kind) {
       case TokenInfo::Kind::kLoad: {
         LoadEntry* e = find_load(info.seq);
@@ -671,34 +685,33 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
   auto may_retire = [&](const SpecLoadBuffer::Entry& e) {
     if (!e.acq || e.is_rmw_read) return true;
     if (wait_loads) {
-      for (const LoadEntry& ld : load_q_) {
-        if (ld.seq < e.seq) return false;  // earlier load still in flight
+      for (std::size_t i = 0; i < load_q_.size(); ++i) {
+        if (load_q_.at(i).seq < e.seq) return false;  // earlier load still in flight
       }
     }
     if (wait_stores) {
-      for (const StoreEntry& st : store_buf_) {
-        if (st.seq < e.seq) return false;  // earlier store still pending
+      for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+        if (store_buf_.at(i).seq < e.seq) return false;  // earlier store still pending
       }
     }
     return true;
   };
-  std::vector<std::uint64_t> retired = spec_buffer_.retire_ready(may_retire);
-  if (retired.empty()) return;
-  note_progress();
-  stats_.add(stat::spec_retired, retired.size());
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::slb, "retired " + std::to_string(retired.size()));
-  if (cfg_.record_accesses) {
-    // Restamp loads to their retirement instant: that is when they
-    // stop being speculative, and coherence monitoring guarantees the
-    // value read still equals memory now — the sound serialization
-    // point for the sva analysis.
-    for (std::uint64_t seq : retired) {
-      for (AccessRecord& r : records_) {
-        if (r.seq == seq && r.kind == AccessKind::kLoad) r.performed_at = now;
-      }
+  // Restamp loads to their retirement instant: that is when they stop
+  // being speculative, and coherence monitoring guarantees the value
+  // read still equals memory now — the sound serialization point for
+  // the sva analysis.
+  auto restamp = [&](std::uint64_t seq) {
+    if (!cfg_.record_accesses) return;
+    for (AccessRecord& r : records_) {
+      if (r.seq == seq && r.kind == AccessKind::kLoad) r.performed_at = now;
     }
-  }
+  };
+  const std::size_t retired = spec_buffer_.retire_ready(may_retire, restamp);
+  if (retired == 0) return;
+  note_progress();
+  stats_.add(stat::spec_retired, retired);
+  if (trace_ != nullptr && trace_->enabled())
+    trace_->log(now, id_, cat::slb, "retired " + std::to_string(retired));
 }
 
 void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
@@ -754,11 +767,11 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
 
 void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
   note_progress();
-  while (!ls_rs_.empty() && ls_rs_.back().seq >= seq) ls_rs_.pop_back();
-  while (!load_q_.empty() && load_q_.back().seq >= seq) load_q_.pop_back();
+  while (!ls_rs_.empty() && ls_rs_.back().seq >= seq) ls_rs_.pop_back_n(1);
+  while (!load_q_.empty() && load_q_.back().seq >= seq) load_q_.pop_back_n(1);
   while (!store_buf_.empty() && store_buf_.back().seq >= seq) {
     assert(!store_buf_.back().issued && "issued stores are architecturally committed");
-    store_buf_.pop_back();
+    store_buf_.pop_back_n(1);
   }
   const std::size_t dropped = spec_buffer_.squash_from(seq);
   // Coherence-origin squashes were already attributed to their line-
@@ -766,11 +779,10 @@ void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
   // speculative-load entries is the remaining cause (context flush).
   if (cfg_.profile && origin == SquashOrigin::kPipeline && dropped > 0)
     stats_.add(prof::rb_flush);
-  for (auto it = local_completions_.begin(); it != local_completions_.end();) {
-    if (it->seq >= seq)
-      it = local_completions_.erase(it);
-    else
-      ++it;
+  // Forwarding order is not program order, so the doomed completions
+  // need not be a suffix.
+  for (std::size_t i = local_completions_.size(); i-- > 0;) {
+    if (local_completions_.at(i).seq >= seq) local_completions_.erase_at(i);
   }
   // Completed-but-squashed speculative loads are architecturally void.
   for (auto it = records_.begin(); it != records_.end();) {
@@ -793,7 +805,7 @@ StallCause LoadStoreUnit::classify_mem_wait(Addr addr) const {
 StallCause LoadStoreUnit::classify_rs_block(std::uint64_t seq) const {
   if (ls_rs_.empty() || ls_rs_.front().seq != seq) return StallCause::kExec;
   const RsEntry& head = ls_rs_.front();
-  if (head.inst.is_fence()) return StallCause::kConsistency;
+  if (head.inst->is_fence()) return StallCause::kConsistency;
   if (!head.addr_operands_ready()) return StallCause::kAddrGen;
   // Address ready but the entry has not left the reservation station:
   // the downstream structure (load queue / store buffer / software
@@ -810,9 +822,10 @@ StallCause LoadStoreUnit::classify_load_wait(std::uint64_t seq) const {
   // (RMW, or data operand pending) blocks forwarding: execution-side.
   bool has_source = false;
   if (!e->is_rmw_read) {
-    for (auto it = store_buf_.rbegin(); it != store_buf_.rend(); ++it) {
-      if (it->seq >= e->seq || it->addr != e->addr) continue;
-      if (it->is_rmw || !it->data.ready) return StallCause::kExec;
+    for (std::size_t i = store_buf_.size(); i-- > 0;) {
+      const StoreEntry& st = store_buf_.at(i);
+      if (st.seq >= e->seq || st.addr != e->addr) continue;
+      if (st.is_rmw || !st.data.ready) return StallCause::kExec;
       has_source = true;
       break;
     }
@@ -851,7 +864,8 @@ StallCause LoadStoreUnit::classify_drain() const {
 Json LoadStoreUnit::snapshot_json() const {
   Json out = Json::object();
   Json rs = Json::array();
-  for (const RsEntry& e : ls_rs_) {
+  for (std::size_t i = 0; i < ls_rs_.size(); ++i) {
+    const RsEntry& e = ls_rs_.at(i);
     Json j = Json::object();
     j.set("seq", Json::number(e.seq));
     j.set("pc", Json::number(static_cast<std::uint64_t>(e.pc)));
@@ -860,7 +874,8 @@ Json LoadStoreUnit::snapshot_json() const {
   }
   out.set("ls_rs", std::move(rs));
   Json lq = Json::array();
-  for (const LoadEntry& e : load_q_) {
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    const LoadEntry& e = load_q_.at(i);
     Json j = Json::object();
     j.set("seq", Json::number(e.seq));
     j.set("addr", Json::number(static_cast<std::uint64_t>(e.addr)));
@@ -871,7 +886,8 @@ Json LoadStoreUnit::snapshot_json() const {
   }
   out.set("load_queue", std::move(lq));
   Json sb = Json::array();
-  for (const StoreEntry& e : store_buf_) {
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    const StoreEntry& e = store_buf_.at(i);
     Json j = Json::object();
     j.set("seq", Json::number(e.seq));
     j.set("addr", Json::number(static_cast<std::uint64_t>(e.addr)));
@@ -889,7 +905,7 @@ Json LoadStoreUnit::snapshot_json() const {
 std::string LoadStoreUnit::store_buffer_dump() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    const StoreEntry& e = store_buf_[i];
+    const StoreEntry& e = store_buf_.at(i);
     os << "[seq=" << e.seq << (e.is_rmw ? " rmw" : " st") << " addr=0x" << std::hex
        << e.addr << std::dec << (e.released ? " rel" : "") << (e.issued ? " issued" : "")
        << "]";

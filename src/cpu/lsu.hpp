@@ -12,13 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/access_record.hpp"
 #include "common/config.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
@@ -63,12 +62,19 @@ class LoadStoreUnit {
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
   /// Decode handed us a memory instruction (load/store/RMW/fence/
-  /// software prefetch) with renamed operands.
+  /// software prefetch) with renamed operands. `inst` must outlive the
+  /// instruction's stay in the LSU (it is the program's own copy).
   void dispatch(std::uint64_t seq, std::size_t pc, const Instruction& inst, Operand base,
                 Operand index, Operand data, Operand cmp);
 
-  /// A producer completed; wake any operands waiting on it.
-  void on_producer_ready(std::uint64_t producer_seq, Word value);
+  /// Operand order of dispatch(), for wake_operand().
+  enum OperandSlot : std::uint8_t { kBase, kIndex, kData, kCmp };
+
+  /// Producer `producer` completed with `value`: wake operand `slot` of
+  /// the memory op `seq` if it still waits on it. A no-op once the op
+  /// has left the LSU, or dropped that operand (a load keeps no data or
+  /// compare operand past the reservation station).
+  void wake_operand(std::uint64_t seq, OperandSlot slot, std::uint64_t producer, Word value);
 
   /// The reorder buffer reached this store/RMW at its head (precise
   /// interrupts): the store buffer may now issue it. `now` stamps the
@@ -121,7 +127,7 @@ class LoadStoreUnit {
 
   /// Earliest ready_at of a pending store-to-load forwarding result
   /// (the only LSU-internal event with a future timestamp); kCycleNever
-  /// when none. The deque is pushed with nondecreasing ready_at, so the
+  /// when none. The queue is pushed with nondecreasing ready_at, so the
   /// front is the minimum.
   Cycle next_local_completion() const {
     return local_completions_.empty() ? kCycleNever : local_completions_.front().ready_at;
@@ -163,7 +169,7 @@ class LoadStoreUnit {
   struct RsEntry {  // load/store reservation station
     std::uint64_t seq = 0;
     std::size_t pc = 0;
-    Instruction inst;
+    const Instruction* inst = nullptr;
     Operand base, index, data, cmp;
     bool addr_operands_ready() const { return base.ready && index.ready; }
   };
@@ -184,7 +190,7 @@ class LoadStoreUnit {
   struct StoreEntry {
     std::uint64_t seq = 0;
     std::size_t pc = 0;
-    Instruction inst;
+    const Instruction* inst = nullptr;
     Addr addr = 0;
     Operand data, cmp;  ///< store value / RMW src, RMW compare
     SyncKind sync = SyncKind::kNone;
@@ -197,11 +203,13 @@ class LoadStoreUnit {
     Cycle released_at = 0;          ///< when the ROB head released it
   };
 
+  /// A demand request in flight in the cache, by its token.
   struct TokenInfo {
     enum class Kind : std::uint8_t { kLoad, kLoadEx, kStore, kRmw };
-    Kind kind = Kind::kLoad;
+    std::uint64_t token = 0;
     std::uint64_t seq = 0;
     std::uint32_t gen = 0;
+    Kind kind = Kind::kLoad;
   };
 
   struct LocalCompletion {  ///< store-to-load forwarding result
@@ -218,6 +226,8 @@ class LoadStoreUnit {
   const StoreEntry* find_store(std::uint64_t seq) const;
   bool erase_load(std::uint64_t seq);
   bool erase_store(std::uint64_t seq);
+  /// Remove `token`'s request into `out`; false for a token not ours.
+  bool take_token(std::uint64_t token, TokenInfo& out);
   void record(std::uint64_t seq, std::size_t pc, Addr addr, AccessKind kind, SyncKind sync,
               Word value, Cycle now);
 
@@ -243,13 +253,20 @@ class LoadStoreUnit {
   Trace* trace_;
   TraceEventSink* events_;
 
-  std::deque<RsEntry> ls_rs_;
-  std::deque<LoadEntry> load_q_;
-  std::deque<StoreEntry> store_buf_;
+  FixedQueue<RsEntry> ls_rs_;
+  FixedQueue<LoadEntry> load_q_;
+  FixedQueue<StoreEntry> store_buf_;
   SpecLoadBuffer spec_buffer_;
   PrefetchEngine prefetch_;
-  std::unordered_map<std::uint64_t, TokenInfo> tokens_;
-  std::deque<LocalCompletion> local_completions_;
+  /// Requests in flight, unordered; a response finds its entry by a
+  /// linear scan. Each request gets exactly one response, so this holds
+  /// only what is outstanding, grows to that high-water mark and then
+  /// allocates nothing. (Tokens are dense, but a miss on a contended
+  /// line can stay outstanding while hundreds of later tokens come and
+  /// go, so a table indexed by token would have to span them all.)
+  std::vector<TokenInfo> tokens_;
+  /// One per forwarded load still in the load queue.
+  FixedQueue<LocalCompletion> local_completions_;
   std::uint64_t next_token_ = 1;
   bool demand_issued_this_cycle_ = false;
   bool progress_ = true;  ///< state mutated this tick (starts armed)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mcsim {
 namespace {
 
@@ -37,6 +39,15 @@ TEST(SystemConfig, ValidateCatchesBadGeometry) {
   cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
   cfg.core.rob_entries = 0;
   EXPECT_FALSE(cfg.validate().empty());
+
+  cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
+  cfg.core.num_alus = 0;  // would wedge every ALU op until max_cycles
+  EXPECT_NE(cfg.validate().find("num_alus"), std::string::npos) << cfg.validate();
+
+  cfg = SystemConfig::paper_default(2, ConsistencyModel::kRC);
+  cfg.per_core.resize(2, cfg.core);
+  cfg.per_core[1].num_alus = 0;  // per-core overrides are checked too
+  EXPECT_NE(cfg.validate().find("num_alus"), std::string::npos) << cfg.validate();
 }
 
 TEST(SystemConfig, EnumNames) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace mcsim {
 namespace {
@@ -81,6 +82,47 @@ TEST(FixedQueue, MutationThroughAt) {
   q.at(1) = 99;
   q.pop();
   EXPECT_EQ(q.front(), 99);
+}
+
+std::vector<int> contents(const FixedQueue<int>& q) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < q.size(); ++i) out.push_back(q.at(i));
+  return out;
+}
+
+TEST(FixedQueue, EraseAtHeadMiddleAndTail) {
+  FixedQueue<int> q(5);
+  for (int i = 1; i <= 5; ++i) q.push(i);
+  q.erase_at(0);
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 3, 4, 5}));
+  q.erase_at(1);
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 4, 5}));
+  q.erase_at(2);
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 4}));
+  q.push(6);  // the freed tail slots are reusable
+  q.push(7);
+  q.push(8);
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 4, 6, 7, 8}));
+}
+
+TEST(FixedQueue, EraseAtAcrossTheWrap) {
+  FixedQueue<int> q(4);
+  for (int i = 0; i < 4; ++i) q.push(i);
+  q.pop();
+  q.pop();
+  q.push(4);
+  q.push(5);  // slots: [4 5 2 3], head at slot 2
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 3, 4, 5}));
+  q.erase_at(1);  // shift crosses the end of the buffer
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 4, 5}));
+  EXPECT_EQ(q.back(), 5);
+  q.push(6);
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 4, 5, 6}));
+  q.erase_at(3);
+  q.erase_at(0);
+  EXPECT_EQ(contents(q), (std::vector<int>{4, 5}));
+  EXPECT_EQ(q.front(), 4);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace mcsim {
 namespace {
 
@@ -16,36 +18,53 @@ SpecLoadBuffer::Entry entry(std::uint64_t seq, Addr line, bool acq,
   return e;
 }
 
+/// Retire with no veto; returns how many entries retired.
+std::size_t retire(SpecLoadBuffer& b) {
+  return b.retire_ready([](const SpecLoadBuffer::Entry&) { return true; },
+                        [](std::uint64_t) {});
+}
+
 TEST(SpecLoadBuffer, HeadRetiresWhenDoneAndTagNull) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/true));
-  EXPECT_EQ(b.retire_ready().size(), 0u);  // acq and not done
+  EXPECT_EQ(retire(b), 0u);  // acq and not done
   b.mark_done(1, 42);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), 1u);
   EXPECT_TRUE(b.empty());
 }
 
 TEST(SpecLoadBuffer, NonAcquireRetiresWithoutCompleting) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/false));
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), 1u);
 }
 
 TEST(SpecLoadBuffer, StoreTagBlocksRetirementUntilNullified) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/false, /*tag=*/7));
-  EXPECT_EQ(b.retire_ready().size(), 0u);
+  EXPECT_EQ(retire(b), 0u);
   b.nullify_store_tag(7);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), 1u);
 }
 
 TEST(SpecLoadBuffer, FifoRetirementBlocksYoungerBehindOlder) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/true));   // pending acquire
   b.insert(entry(2, 0x200, /*acq=*/false));  // ready, but behind
-  EXPECT_EQ(b.retire_ready().size(), 0u);
+  EXPECT_EQ(retire(b), 0u);
   b.mark_done(1, 0);
-  EXPECT_EQ(b.retire_ready().size(), 2u);
+  EXPECT_EQ(retire(b), 2u);
+}
+
+TEST(SpecLoadBuffer, RetireReportsSeqsInOrderUntilVetoed) {
+  SpecLoadBuffer b(4);
+  for (std::uint64_t s = 1; s <= 3; ++s) b.insert(entry(s, 0x100 * s, /*acq=*/false));
+  std::vector<std::uint64_t> seen;
+  auto veto_third = [](const SpecLoadBuffer::Entry& e) { return e.seq != 3; };
+  auto report = [&seen](std::uint64_t seq) { seen.push_back(seq); };
+  EXPECT_EQ(b.retire_ready(veto_third, report), 2u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(b.size(), 1u);  // the vetoed head stays
 }
 
 TEST(SpecLoadBuffer, MatchOnDoneEntryRequestsSquash) {
@@ -116,9 +135,9 @@ TEST(SpecLoadBuffer, MarkReissuedClearsDone) {
   b.insert(entry(1, 0x100, true));
   b.mark_done(1, 7);
   b.mark_reissued(1);
-  EXPECT_EQ(b.retire_ready().size(), 0u);  // done cleared again
+  EXPECT_EQ(retire(b), 0u);  // done cleared again
   b.mark_done(1, 8);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), 1u);
 }
 
 TEST(SpecLoadBuffer, DumpShowsPaperFields) {

@@ -1,8 +1,10 @@
 // Single-core pipeline behaviours: store-to-load forwarding, fences,
 // dependent address generation, RMW value speculation (Appendix A),
-// branch misprediction recovery, and structural-hazard survival with
-// tiny buffers.
+// ALU selection, branch misprediction recovery, and structural-hazard
+// survival with tiny buffers and reorder buffers from 1 to 200 entries.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "isa/builder.hpp"
 #include "isa/interp.hpp"
@@ -164,10 +166,74 @@ TEST(CorePipeline, WrongPathLoadsAreHarmless) {
   EXPECT_EQ(m.core(0).reg(3), 7u);
 }
 
-class TinyBufferTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+TEST(CorePipeline, SingleAluIssuesOldestReadyOpFirst) {
+  // Two independent ALU ops wake together when the load returns; with
+  // one ALU they execute in consecutive cycles, oldest first, and the
+  // op that needs both results waits for the second.
+  ProgramBuilder b;
+  b.data(0x100, 5);
+  b.load(1, ProgramBuilder::abs(0x100));  // miss: both adds wait on it
+  b.addi(2, 1, 10);
+  b.addi(3, 1, 20);
+  b.add(4, 2, 3);
+  b.halt();
+  struct Pin {
+    std::uint32_t alus;
+    Cycle cycles;
+  };
+  for (const Pin pin : {Pin{1, 105}, Pin{2, 104}}) {
+    SystemConfig cfg = SystemConfig::realistic(1, ConsistencyModel::kSC);
+    cfg.core.num_alus = pin.alus;
+    Machine m(cfg, {b.build()});
+    RunResult r = m.run();
+    ASSERT_FALSE(r.deadlocked) << "alus=" << pin.alus;
+    EXPECT_EQ(r.cycles, pin.cycles) << "alus=" << pin.alus;
+    EXPECT_EQ(m.core(0).reg(2), 15u);
+    EXPECT_EQ(m.core(0).reg(3), 25u);
+    EXPECT_EQ(m.core(0).reg(4), 40u);
+  }
+}
+
+TEST(CorePipeline, MispredictSquashesSameCycleYoungerOps) {
+  // The branch and a younger op become ready in the same cycle; a
+  // further younger op waits on a slow load. The mispredict must
+  // squash both without executing the ready one or waking the pending
+  // one when the load returns after the redirect.
+  ProgramBuilder b;
+  b.data(0x100, 5);
+  b.load(5, ProgramBuilder::abs(0x100));  // miss: returns long after the squash
+  b.li(1, 1);
+  b.bne(1, 0, "skip", BranchHint::kNotTaken);  // actually taken
+  b.add(2, 1, 1);                              // ready with the branch
+  b.add(3, 5, 2);                              // pending on the load
+  b.add(6, 2, 2);                              // pending on a squashed op
+  b.label("skip");
+  b.add(4, 5, 1);
+  b.halt();
+  for (std::uint32_t alus : {1u, 2u, 3u, 4u}) {
+    for (bool ideal : {false, true}) {
+      SystemConfig cfg = ideal ? SystemConfig::paper_default(1, ConsistencyModel::kSC)
+                               : SystemConfig::realistic(1, ConsistencyModel::kSC);
+      cfg.core.num_alus = alus;
+      const std::string what =
+          "alus=" + std::to_string(alus) + (ideal ? " ideal" : " realistic");
+      Machine m(cfg, {b.build()});
+      ASSERT_FALSE(m.run().deadlocked) << what;
+      EXPECT_EQ(m.core(0).reg(1), 1u) << what;
+      EXPECT_EQ(m.core(0).reg(5), 5u) << what;
+      EXPECT_EQ(m.core(0).reg(2), 0u) << what;
+      EXPECT_EQ(m.core(0).reg(3), 0u) << what;
+      EXPECT_EQ(m.core(0).reg(6), 0u) << what;
+      EXPECT_EQ(m.core(0).reg(4), 6u) << what;
+      EXPECT_GE(m.core(0).stats().get("branch_mispredicts"), 1u) << what;
+    }
+  }
+}
+
+class TinyBufferTest : public ::testing::TestWithParam<std::tuple<int, bool, int>> {};
 
 TEST_P(TinyBufferTest, StructuralHazardsDoNotBreakCorrectness) {
-  auto [size, spec] = GetParam();
+  auto [size, spec, rob] = GetParam();
   ProgramBuilder b;
   // Enough memory traffic to overflow any 1-2 entry structure.
   for (int i = 0; i < 12; ++i) {
@@ -183,17 +249,18 @@ TEST_P(TinyBufferTest, StructuralHazardsDoNotBreakCorrectness) {
   cfg.core.store_buffer_entries = size;
   cfg.core.spec_load_buffer_entries = size;
   cfg.core.prefetch_buffer_entries = size;
-  cfg.core.rob_entries = 8;
+  cfg.core.rob_entries = rob;
   Machine m(cfg, {b.build()});
   RunResult r = m.run();
-  ASSERT_FALSE(r.deadlocked) << "size=" << size << " spec=" << spec;
+  ASSERT_FALSE(r.deadlocked) << "size=" << size << " spec=" << spec << " rob=" << rob;
   EXPECT_EQ(m.core(0).reg(2), 111u);
   for (int i = 0; i < 12; ++i) EXPECT_EQ(m.read_word(0x400 + 4 * i), 100u + i);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TinyBufferTest,
                          ::testing::Combine(::testing::Values(1, 2, 3),
-                                            ::testing::Bool()));
+                                            ::testing::Bool(),
+                                            ::testing::Values(1, 2, 3, 8, 200)));
 
 TEST(CorePipeline, SoftwarePrefetchIsANonBindingHint) {
   ProgramBuilder b;
