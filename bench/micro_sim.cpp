@@ -273,6 +273,27 @@ void BM_MachineActiveSetIdleProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineActiveSetIdleProbe)->Arg(64)->Arg(256);
 
+// Building and destroying a paper_default machine of P processors, the
+// per-cell setup cost a campaign of thousands of tiny machines pays.
+// Each iteration also copies P one-instruction programs into the
+// machine. Items = machines built.
+void BM_MachineConstruct(benchmark::State& state) {
+  const auto procs = static_cast<std::uint32_t>(state.range(0));
+  std::vector<Program> programs;
+  for (std::uint32_t p = 0; p < procs; ++p) {
+    ProgramBuilder b;
+    b.halt();
+    programs.push_back(b.build());
+  }
+  const SystemConfig cfg = SystemConfig::paper_default(procs, ConsistencyModel::kSC);
+  for (auto _ : state) {
+    Machine m(cfg, programs);
+    benchmark::DoNotOptimize(&m);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineConstruct)->Arg(2)->Arg(256);
+
 // ISSUE 10's target shape end to end: P processors, 4 of which do real
 // work (a contended RMW line plus private strides) while P-4 halt
 // immediately. Items = simulated guest cycles, so items/s is

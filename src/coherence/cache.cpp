@@ -99,25 +99,24 @@ CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig&
       net_(net),
       num_procs_(num_procs),
       dir_banks_(mem_cfg.dir_banks),
-      sets_(cfg.num_sets),
+      words_per_line_(cfg.line_bytes / kWordBytes),
+      ways_(static_cast<std::size_t>(cfg.num_sets) * cfg.ways),
+      data_(ways_.size() * words_per_line_, 0),
       mshrs_(cfg.mshrs),
       stats_("cache" + std::to_string(id)) {
-  for (auto& set : sets_) {
-    set.resize(cfg.ways);
-    for (auto& way : set) way.data.resize(cfg.line_bytes / kWordBytes, 0);
-  }
+  assert(cfg.line_bytes <= kMaxLineBytes && "a line must fit a message payload");
   word_ops_.reserve(2 * cfg.mshrs);
 }
 
 CoherentCache::Way* CoherentCache::find_way(Addr line) {
-  for (auto& way : sets_[set_index(line)]) {
+  for (Way& way : set_of(line)) {
     if (way.state != LineState::kInvalid && way.line == line) return &way;
   }
   return nullptr;
 }
 
 const CoherentCache::Way* CoherentCache::find_way(Addr line) const {
-  for (const auto& way : sets_[set_index(line)]) {
+  for (const Way& way : set_of(line)) {
     if (way.state != LineState::kInvalid && way.line == line) return &way;
   }
   return nullptr;
@@ -199,11 +198,11 @@ void CoherentCache::notify(LineEventKind kind, Addr line, Cycle now) {
 }
 
 Word CoherentCache::read_word(const Way& way, Addr addr) const {
-  return way.data[(addr - way.line) / kWordBytes];
+  return data_[word_base(way) + (addr - way.line) / kWordBytes];
 }
 
 void CoherentCache::write_word(Way& way, Addr addr, Word v) {
-  way.data[(addr - way.line) / kWordBytes] = v;
+  data_[word_base(way) + (addr - way.line) / kWordBytes] = v;
 }
 
 // --- prefetch outcome attribution (profiling) ------------------------
@@ -288,8 +287,9 @@ Message make_request(MsgType type, ProcId src, EndpointId dst, Addr line) {
 ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
   assert(port_free(now));
   const Addr line = line_of(req.addr);
+  // Every case tests the way before any MSHR, so the MSHR scan runs
+  // only once the hit check has failed.
   Way* way = find_way(line);
-  Mshr* mshr = find_mshr(line);
   const bool update_proto = protocol_ == CoherenceKind::kUpdate;
   use_port(now);
 
@@ -307,6 +307,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, read_word(*way, req.addr), now + 1, true);
         return ProbeResult::kHit;
       }
+      Mshr* mshr = find_mshr(line);
       if (mshr != nullptr) {
         stats_.add(stat::load_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -358,6 +359,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, 0, now + 1, true);
         return ProbeResult::kHit;
       }
+      Mshr* mshr = find_mshr(line);
       if (mshr != nullptr) {
         stats_.add(stat::store_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -389,6 +391,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, read_word(*way, req.addr), now + 1, true);
         return ProbeResult::kHit;
       }
+      Mshr* mshr = find_mshr(line);
       if (mshr != nullptr) {
         stats_.add(stat::loadex_merged);
         if (profile_) pf_demand_touch(line, now);
@@ -438,6 +441,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, old, now + 1, true);
         return ProbeResult::kHit;
       }
+      Mshr* mshr = find_mshr(line);
       if (mshr != nullptr) {
         stats_.add(stat::rmw_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -461,7 +465,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
     case CacheOp::kPrefetchShared: {
       // Paper §3.2: "a prefetch request first checks the cache"; if the
       // line is already present (or on its way) the prefetch is discarded.
-      if (way != nullptr || mshr != nullptr) {
+      if (way != nullptr || find_mshr(line) != nullptr) {
         stats_.add(stat::prefetch_dropped);
         return ProbeResult::kDropped;
       }
@@ -482,6 +486,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         stats_.add(stat::prefetch_dropped);
         return ProbeResult::kDropped;
       }
+      Mshr* mshr = find_mshr(line);
       if (mshr != nullptr) {
         if (!mshr->want_ex && !mshr->upgrade_after_fill) {
           mshr->upgrade_after_fill = true;
@@ -504,10 +509,10 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
   return ProbeResult::kRejected;
 }
 
-void CoherentCache::preload_line(Addr line, LineState st, const std::vector<Word>& data) {
+void CoherentCache::preload_line(Addr line, LineState st, std::span<const Word> data) {
   assert(line == line_of(line));
-  assert(data.size() == cfg_.line_bytes / kWordBytes);
-  Way* way = fill_line(line, st, data, 0);
+  assert(data.size() == words_per_line_);
+  Way* way = fill_line(line, st, data.data(), 0);
   assert(way != nullptr && "preload found no victim");
   (void)way;
 }
@@ -534,7 +539,7 @@ bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
 void CoherentCache::evict(Way& way, Cycle now) {
   if (way.state == LineState::kExclusive) {
     Message msg = make_request(MsgType::kWriteback, id_, dir_for(way.line), way.line);
-    msg.data = way.data;
+    std::ranges::copy(line_words(way), msg.data.begin());
     net_.send(std::move(msg), now);
     stats_.add(stat::writeback);
   } else {
@@ -547,21 +552,24 @@ void CoherentCache::evict(Way& way, Cycle now) {
   way.prefetched = false;
 }
 
-CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st,
-                                             const std::vector<Word>& data, Cycle now) {
-  auto& set = sets_[set_index(line)];
+CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word* data,
+                                             Cycle now) {
+  const std::span<Way> set = set_of(line);
+  const auto install = [&](Way& way) {
+    std::copy_n(data, words_per_line_, data_.begin() + word_base(way));
+  };
   // Existing copy (upgrade path): overwrite in place.
-  for (auto& way : set) {
+  for (Way& way : set) {
     if (way.state != LineState::kInvalid && way.line == line) {
       way.state = st;
-      way.data = data;
+      install(way);
       way.last_use = now;
       way.fill_at = now;
       return &way;
     }
   }
   Way* victim = nullptr;
-  for (auto& way : set) {
+  for (Way& way : set) {
     if (way.state == LineState::kInvalid) {
       victim = &way;
       break;
@@ -571,7 +579,7 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st,
     // LRU among lines that have no in-flight transaction of their own
     // (paper footnote 3: a replacement of a line with an outstanding
     // access must be delayed until the access completes).
-    for (auto& way : set) {
+    for (Way& way : set) {
       if (find_mshr(way.line) != nullptr) continue;
       if (victim == nullptr || way.last_use < victim->last_use) victim = &way;
     }
@@ -580,7 +588,7 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st,
   }
   victim->state = st;
   victim->line = line;
-  victim->data = data;
+  install(*victim);
   victim->last_use = now;
   victim->fill_at = now;
   victim->prefetched = false;
@@ -592,7 +600,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
     case MsgType::kReadReply: {
       Mshr* m = find_mshr(msg.line_addr);
       assert(m != nullptr && "read fill without MSHR");
-      Way* way = fill_line(msg.line_addr, LineState::kShared, msg.data, now);
+      Way* way = fill_line(msg.line_addr, LineState::kShared, msg.data.data(), now);
       if (way == nullptr) {
         retry_fills_.push_back(msg);
         busy_inc();
@@ -626,7 +634,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
     case MsgType::kReadExReply: {
       Mshr* m = find_mshr(msg.line_addr);
       assert(m != nullptr && "exclusive fill without MSHR");
-      Way* way = fill_line(msg.line_addr, LineState::kExclusive, msg.data, now);
+      Way* way = fill_line(msg.line_addr, LineState::kExclusive, msg.data.data(), now);
       if (way == nullptr) {
         retry_fills_.push_back(msg);
         busy_inc();
@@ -683,7 +691,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
         break;
       }
       Message ack = make_request(MsgType::kRecallAck, id_, dir_for(msg.line_addr), msg.line_addr);
-      ack.data = way->data;
+      std::ranges::copy(line_words(*way), ack.data.begin());
       net_.send(std::move(ack), now);
       if (msg.recall_exclusive) {
         if (profile_) pf_kill(msg.line_addr, /*update=*/false, now);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -86,7 +87,7 @@ class CoherentCache {
   /// setup for "assume the location is initially cached" scenarios like
   /// the paper's `read D (hit)`. The directory must be preloaded to
   /// match (Machine::preload_* keeps the pair consistent).
-  void preload_line(Addr line, LineState st, const std::vector<Word>& data);
+  void preload_line(Addr line, LineState st, std::span<const Word> data);
 
   // --- introspection (tests, trace, end-of-run state collection) -----
   LineState line_state(Addr a) const;
@@ -101,14 +102,13 @@ class CoherentCache {
   /// The scanned ground truth behind idle()'s counter.
   std::uint64_t debug_scan_busy() const;
 
-  /// Visit every resident line (used to flush final state into memory
-  /// when a run ends).
+  /// Visit every resident line as (line, state, words), in set-major
+  /// way order. Introspection only: end-of-run state goes through
+  /// peek_word (Machine::read_word), not through this.
   template <typename Fn>
   void for_each_resident_line(Fn&& fn) const {
-    for (const auto& set : sets_) {
-      for (const auto& way : set) {
-        if (way.state != LineState::kInvalid) fn(way.line, way.state, way.data);
-      }
+    for (const Way& way : ways_) {
+      if (way.state != LineState::kInvalid) fn(way.line, way.state, line_words(way));
     }
   }
 
@@ -129,14 +129,15 @@ class CoherentCache {
   std::size_t profile_pending() const { return pf_tags_.size(); }
 
  private:
+  /// One tag-array entry; its words live in data_ at the same index.
   struct Way {
     LineState state = LineState::kInvalid;
+    bool prefetched = false;  ///< filled by a prefetch, no demand use yet
     Addr line = 0;
-    std::vector<Word> data;
     Cycle last_use = 0;
     Cycle fill_at = 0;        ///< when the current contents were installed
-    bool prefetched = false;  ///< filled by a prefetch, no demand use yet
   };
+  static_assert(sizeof(Way) == 32, "keep a tag entry at half a host cache line");
 
   struct Waiter {
     std::uint64_t token = 0;
@@ -171,6 +172,13 @@ class CoherentCache {
   std::size_t set_index(Addr line) const {
     return static_cast<std::size_t>((line / cfg_.line_bytes) & (cfg_.num_sets - 1));
   }
+  /// `line`'s set: its `ways` consecutive entries in ways_.
+  std::span<Way> set_of(Addr line) {
+    return {ways_.data() + set_index(line) * cfg_.ways, cfg_.ways};
+  }
+  std::span<const Way> set_of(Addr line) const {
+    return {ways_.data() + set_index(line) * cfg_.ways, cfg_.ways};
+  }
   Way* find_way(Addr line);
   const Way* find_way(Addr line) const;
   Mshr* find_mshr(Addr line);
@@ -189,10 +197,17 @@ class CoherentCache {
   /// Install `data` for `line` with state `st`; may evict. Returns the
   /// way, or nullptr when no victim is available this cycle (fill is
   /// retried from retry_fills_).
-  Way* fill_line(Addr line, LineState st, const std::vector<Word>& data, Cycle now);
+  Way* fill_line(Addr line, LineState st, const Word* data, Cycle now);
   void evict(Way& way, Cycle now);
   void handle_message(const Message& msg, Cycle now);
 
+  /// `way`'s words in the data_ arena.
+  std::size_t word_base(const Way& way) const {
+    return static_cast<std::size_t>(&way - ways_.data()) * words_per_line_;
+  }
+  std::span<const Word> line_words(const Way& way) const {
+    return {data_.data() + word_base(way), words_per_line_};
+  }
   Word read_word(const Way& way, Addr addr) const;
   void write_word(Way& way, Addr addr, Word v);
 
@@ -236,7 +251,11 @@ class CoherentCache {
   TraceEventSink* events_ = nullptr;
   std::uint16_t track_ = 0;
 
-  std::vector<std::vector<Way>> sets_;
+  std::size_t words_per_line_;
+  /// Tag array: num_sets x ways entries, set-major.
+  std::vector<Way> ways_;
+  /// Line words, words_per_line_ per way, in ways_ order.
+  std::vector<Word> data_;
   std::vector<Mshr> mshrs_;
   std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
   std::deque<CacheResponse> responses_;

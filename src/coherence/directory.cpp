@@ -79,14 +79,14 @@ Directory::Entry& Directory::entry(Addr line) {
   return it->second;
 }
 
-std::vector<Word> Directory::read_line(Addr line) const {
-  std::vector<Word> data(line_bytes_ / kWordBytes);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = mem_.read(line + i * kWordBytes);
-  return data;
+void Directory::read_line(Addr line, Message::LineData& out) const {
+  const std::size_t words = line_bytes_ / kWordBytes;
+  for (std::size_t i = 0; i < words; ++i) out[i] = mem_.read(line + i * kWordBytes);
 }
 
-void Directory::write_line(Addr line, const std::vector<Word>& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) mem_.write(line + i * kWordBytes, data[i]);
+void Directory::write_line(Addr line, const Message::LineData& data) {
+  const std::size_t words = line_bytes_ / kWordBytes;
+  for (std::size_t i = 0; i < words; ++i) mem_.write(line + i * kWordBytes, data[i]);
 }
 
 void Directory::preload(Addr line, State st, ProcId proc) {
@@ -130,7 +130,7 @@ void Directory::reply_read(const Message& req, Cycle now) {
   reply.src = self_;
   reply.dst = req.src;
   reply.line_addr = req.line_addr;
-  reply.data = read_line(req.line_addr);
+  read_line(req.line_addr, reply.data);
   send(std::move(reply), now);
   e.state = State::kShared;
   e.sharers.add(static_cast<ProcId>(req.src));
@@ -149,7 +149,7 @@ void Directory::reply_read_ex(const Message& req, Cycle now) {
   reply.src = self_;
   reply.dst = req.src;
   reply.line_addr = req.line_addr;
-  reply.data = read_line(req.line_addr);
+  read_line(req.line_addr, reply.data);
   send(std::move(reply), now);
   e.state = State::kDirty;
   e.sharers.clear();

@@ -121,15 +121,16 @@ class Directory {
   Addr align(Addr a) const { return a & ~static_cast<Addr>(line_bytes_ - 1); }
   Entry& entry(Addr line);
 
-  std::vector<Word> read_line(Addr line) const;
-  void write_line(Addr line, const std::vector<Word>& data);
+  /// Copy one line between memory and a message payload, in place.
+  void read_line(Addr line, Message::LineData& out) const;
+  void write_line(Addr line, const Message::LineData& data);
 
   void handle(const Message& msg, Cycle now);
   void handle_request(const Message& msg, Cycle now);
   void finish_txn(Addr line, Cycle now);
   void reply_read(const Message& req, Cycle now);
   void reply_read_ex(const Message& req, Cycle now);
-  void send(Message msg, Cycle now) { net_.send(std::move(msg), now, service_delay_); }
+  void send(Message&& msg, Cycle now) { net_.send(std::move(msg), now, service_delay_); }
 
   std::uint32_t num_procs_;
   std::uint32_t bank_;

@@ -114,6 +114,9 @@ std::string SystemConfig::validate() const {
     err << "coarse-vector directory needs mem.dir_cluster >= 1; ";
   if (!is_pow2(cache.line_bytes) || cache.line_bytes < kWordBytes)
     err << "cache.line_bytes must be a power of two >= word size; ";
+  if (cache.line_bytes > kMaxLineBytes)
+    err << "cache.line_bytes must be <= " << kMaxLineBytes
+        << " (coherence messages carry the line inline); ";
   if (!is_pow2(cache.num_sets)) err << "cache.num_sets must be a power of two; ";
   if (cache.ways == 0) err << "cache.ways must be >= 1; ";
   if (cache.mshrs == 0) err << "cache.mshrs must be >= 1; ";

@@ -29,6 +29,12 @@ inline constexpr std::uint32_t kNumArchRegs = 32;
 /// Width of one word in bytes; every memory access in the ISA is one word.
 inline constexpr Addr kWordBytes = 4;
 
+/// Largest cache line the machine supports. A coherence message carries
+/// its line payload inline, sized by this bound, so moving a line between
+/// cache, network and directory allocates nothing.
+/// SystemConfig::validate() rejects larger `cache.line_bytes`.
+inline constexpr Addr kMaxLineBytes = 64;
+
 /// Synchronization classification of a memory access (paper §2).
 ///
 /// Release consistency classifies synchronization accesses into

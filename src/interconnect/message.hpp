@@ -2,9 +2,9 @@
 // caches and the directory/memory module (DASH-style, paper §3.1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -39,11 +39,17 @@ enum class MsgType : std::uint8_t {
 const char* to_string(MsgType t);
 
 struct Message {
+  /// Room for the largest line (kMaxLineBytes).
+  using LineData = std::array<Word, kMaxLineBytes / kWordBytes>;
+
   MsgType type = MsgType::kReadReq;
   EndpointId src = 0;
   EndpointId dst = 0;
   Addr line_addr = 0;              ///< line-aligned address
-  std::vector<Word> data;          ///< line payload where applicable
+  /// Line payload where applicable (fills, writebacks, recall acks):
+  /// the first line_bytes / kWordBytes words, inline so a message
+  /// never allocates.
+  LineData data{};
   std::uint64_t txn = 0;           ///< transaction id chosen by the requester
   bool recall_exclusive = false;   ///< kRecall: true = invalidate owner
 

@@ -158,15 +158,16 @@ void Network::set_event_sink(TraceEventSink* sink, std::uint16_t first_track) {
   }
 }
 
-void Network::send(Message msg, Cycle now, std::uint32_t extra_delay) {
+void Network::send(Message&& msg, Cycle now, std::uint32_t extra_delay) {
   assert(msg.dst < inboxes_.size());
   assert(msg.src != msg.dst);
   stats_.add(stat::messages_sent);
   stats_.add(stat::sent(msg.type));
   ++undelivered_;
+  const EndpointId src = msg.src, dst = msg.dst;
+  const std::uint32_t slot = park(std::move(msg));
   if (topology_ == Topology::kCrossbar) {
-    in_flight_.push(InFlight{now + latency_ + extra_delay, next_seq_++, now,
-                             std::move(msg)});
+    in_flight_.push(InFlight{now + latency_ + extra_delay, next_seq_++, now, slot});
     return;
   }
   Transit t;
@@ -178,11 +179,10 @@ void Network::send(Message msg, Cycle now, std::uint32_t extra_delay) {
   t.entered_at = now;
   t.sent_at = now;
   t.seq = next_seq_++;
-  t.dst_router = msg.dst;
+  t.dst_router = dst;
   t.base_delay = latency_ + extra_delay;
-  const std::uint32_t src_router = msg.src;
-  t.msg = std::move(msg);
-  inject_[src_router].push_back(std::move(t));
+  t.slot = slot;
+  inject_[src].push_back(t);
   ++in_fabric_;
 }
 
@@ -191,13 +191,24 @@ void Network::deliver(Cycle now) {
   else deliver_routed(now);
 }
 
-void Network::deliver_to_inbox(Cycle now, Cycle sent_at, Message&& msg) {
+void Network::deliver_to_inbox(Cycle now, Cycle sent_at, std::uint32_t slot) {
   stats_.sample(stat::msg_latency, now - sent_at);
-  const EndpointId dst = msg.dst;
+  const EndpointId dst = pool_[slot].dst;
   ++delivered_[dst];
-  inboxes_[dst].push_back(std::move(msg));
+  inboxes_[dst].slots.push_back(slot);
   stats_.add(stat::messages_delivered);
   if (delivery_hook_) delivery_hook_(dst);
+}
+
+std::uint32_t Network::park(Message&& msg) {
+  if (free_slots_.empty()) {
+    pool_.push_back(std::move(msg));
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  pool_[slot] = std::move(msg);
+  return slot;
 }
 
 void Network::deliver_crossbar(Cycle now) {
@@ -206,9 +217,9 @@ void Network::deliver_crossbar(Cycle now) {
   if (deliver_bw_ == 0) {
     // Unlimited bandwidth: nothing ever stalls, no per-endpoint counts.
     while (!in_flight_.empty() && in_flight_.top().deliver_at <= now) {
-      InFlight f = in_flight_.top();
+      const InFlight f = in_flight_.top();
       in_flight_.pop();
-      deliver_to_inbox(now, f.sent_at, std::move(f.msg));
+      deliver_to_inbox(now, f.sent_at, f.slot);
     }
     return;
   }
@@ -222,22 +233,23 @@ void Network::deliver_crossbar(Cycle now) {
     for (EndpointId ep = 0; ep < stalled_.size(); ++ep) {
       auto& q = stalled_[ep];
       while (!q.empty() && delivered_[ep] < deliver_bw_) {
-        InFlight f = std::move(q.front());
+        const InFlight f = q.front();
         q.pop_front();
         --stalled_total_;
-        deliver_to_inbox(now, f.sent_at, std::move(f.msg));
+        deliver_to_inbox(now, f.sent_at, f.slot);
       }
     }
   }
   while (!in_flight_.empty() && in_flight_.top().deliver_at <= now) {
-    InFlight f = in_flight_.top();
+    const InFlight f = in_flight_.top();
     in_flight_.pop();
-    if (delivered_[f.msg.dst] >= deliver_bw_) {
+    const EndpointId dst = pool_[f.slot].dst;
+    if (delivered_[dst] >= deliver_bw_) {
       ++stalled_total_;
-      stalled_[f.msg.dst].push_back(std::move(f));
+      stalled_[dst].push_back(f);
       continue;
     }
-    deliver_to_inbox(now, f.sent_at, std::move(f.msg));
+    deliver_to_inbox(now, f.sent_at, f.slot);
   }
 }
 
@@ -264,27 +276,23 @@ bool Network::advance_head(Cycle now, std::size_t li) {
   if (l.to == t.dst_router) {
     // Final hop: eject into the endpoint inbox (per-endpoint delivery
     // bandwidth applies; a capped endpoint back-pressures this link).
-    if (deliver_bw_ != 0 && delivered_[t.msg.dst] >= deliver_bw_) return false;
+    if (deliver_bw_ != 0 && delivered_[t.dst_router] >= deliver_bw_) return false;
     if (events_ != nullptr && events_->enabled())
-      events_->complete(stat::span_name(t.msg.type), l.track, t.entered_at, now);
+      events_->complete(stat::span_name(pool_[t.slot].type), l.track, t.entered_at, now);
     stats_.sample(stat::msg_hops, t.hops);
     stats_.sample(stat::msg_queuing, (now - t.sent_at) - (t.base_delay + t.hops));
-    deliver_to_inbox(now, t.sent_at, std::move(t.msg));
+    deliver_to_inbox(now, t.sent_at, t.slot);
     l.q.pop_front();
     --in_fabric_;
     --in_links_;
     return true;
   }
   const std::uint32_t nl = next_link(l.to, t.dst_router);
-  Transit moved = std::move(t);
+  Transit moved = t;
   const Cycle entered = moved.entered_at;
-  if (!enter_link(now, nl, moved)) {
-    t = std::move(moved);  // blocked: put the head back untouched
-    return false;
-  }
+  if (!enter_link(now, nl, moved)) return false;  // blocked: head untouched
   if (events_ != nullptr && events_->enabled())
-    events_->complete(stat::span_name(links_[nl].q.back().msg.type), l.track,
-                      entered, now);
+    events_->complete(stat::span_name(pool_[moved.slot].type), l.track, entered, now);
   l.q.pop_front();
   --in_links_;
   return true;
@@ -317,10 +325,15 @@ void Network::deliver_routed(Cycle now) {
 }
 
 bool Network::recv(EndpointId ep, Message& out) {
-  auto& box = inboxes_.at(ep);
-  if (box.empty()) return false;
-  out = std::move(box.front());
-  box.pop_front();
+  Inbox& box = inboxes_.at(ep);
+  if (box.size() == 0) return false;
+  const std::uint32_t slot = box.slots[box.head++];
+  if (box.size() == 0) {
+    box.slots.clear();
+    box.head = 0;
+  }
+  out = std::move(pool_[slot]);
+  free_slots_.push_back(slot);
   --undelivered_;
   return true;
 }
@@ -393,11 +406,12 @@ Json Network::snapshot_json() const {
   auto copy = in_flight_;  // drain a copy in priority order (cold path)
   while (!copy.empty()) {
     const InFlight& f = copy.top();
+    const Message& msg = pool_[f.slot];
     Json j = Json::object();
-    j.set("type", Json::string(to_string(f.msg.type)));
-    j.set("src", Json::number(static_cast<std::uint64_t>(f.msg.src)));
-    j.set("dst", Json::number(static_cast<std::uint64_t>(f.msg.dst)));
-    j.set("line", Json::number(static_cast<std::uint64_t>(f.msg.line_addr)));
+    j.set("type", Json::string(to_string(msg.type)));
+    j.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
+    j.set("dst", Json::number(static_cast<std::uint64_t>(msg.dst)));
+    j.set("line", Json::number(static_cast<std::uint64_t>(msg.line_addr)));
     j.set("sent_at", Json::number(static_cast<std::uint64_t>(f.sent_at)));
     j.set("deliver_at", Json::number(static_cast<std::uint64_t>(f.deliver_at)));
     flight.push_back(std::move(j));
@@ -405,11 +419,12 @@ Json Network::snapshot_json() const {
   }
   for (const auto& q : stalled_) {
     for (const InFlight& f : q) {
+      const Message& msg = pool_[f.slot];
       Json j = Json::object();
-      j.set("type", Json::string(to_string(f.msg.type)));
-      j.set("src", Json::number(static_cast<std::uint64_t>(f.msg.src)));
-      j.set("dst", Json::number(static_cast<std::uint64_t>(f.msg.dst)));
-      j.set("line", Json::number(static_cast<std::uint64_t>(f.msg.line_addr)));
+      j.set("type", Json::string(to_string(msg.type)));
+      j.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
+      j.set("dst", Json::number(static_cast<std::uint64_t>(msg.dst)));
+      j.set("line", Json::number(static_cast<std::uint64_t>(msg.line_addr)));
       j.set("sent_at", Json::number(static_cast<std::uint64_t>(f.sent_at)));
       j.set("stalled", Json::boolean(true));
       flight.push_back(std::move(j));
@@ -427,9 +442,10 @@ Json Network::snapshot_json() const {
       Json msgs = Json::array();
       for (const Transit& t : l.q) {
         Json m = Json::object();
-        m.set("type", Json::string(to_string(t.msg.type)));
-        m.set("src", Json::number(static_cast<std::uint64_t>(t.msg.src)));
-        m.set("dst", Json::number(static_cast<std::uint64_t>(t.msg.dst)));
+        const Message& msg = pool_[t.slot];
+        m.set("type", Json::string(to_string(msg.type)));
+        m.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
+        m.set("dst", Json::number(static_cast<std::uint64_t>(msg.dst)));
         m.set("sent_at", Json::number(static_cast<std::uint64_t>(t.sent_at)));
         m.set("hops", Json::number(static_cast<std::uint64_t>(t.hops)));
         msgs.push_back(std::move(m));

@@ -65,7 +65,7 @@ class Network {
   /// or after `latency + extra_delay + hops` plus queuing (ring/mesh —
   /// the configured latency is charged as injection delay). The
   /// directory uses `extra_delay` to model its service time.
-  void send(Message msg, Cycle now, std::uint32_t extra_delay = 0);
+  void send(Message&& msg, Cycle now, std::uint32_t extra_delay = 0);
 
   /// Move messages whose delivery time has arrived into per-endpoint
   /// inboxes (crossbar), or advance every link by one cycle and eject
@@ -77,7 +77,7 @@ class Network {
 
   /// Undrained messages sitting in `ep`'s inbox (active-set scheduler
   /// start-up: an endpoint with inboxed traffic must tick immediately).
-  bool inbox_empty(EndpointId ep) const { return inboxes_.at(ep).empty(); }
+  bool inbox_empty(EndpointId ep) const { return inboxes_.at(ep).size() == 0; }
 
   /// Active-set scheduler: called with the destination endpoint every
   /// time deliver() lands a message in an inbox, so the machine can
@@ -128,11 +128,13 @@ class Network {
   StatSet& stats() { return stats_; }
 
  private:
+  /// Crossbar heap entry. The message waits in pool_[slot], so a heap
+  /// sift moves this 32-byte key and never the line payload.
   struct InFlight {
     Cycle deliver_at;
     std::uint64_t seq;  ///< injection order, for deterministic ties
     Cycle sent_at;      ///< injection cycle, for the latency histogram
-    Message msg;
+    std::uint32_t slot;
     bool operator>(const InFlight& o) const {
       if (deliver_at != o.deliver_at) return deliver_at > o.deliver_at;
       return seq > o.seq;
@@ -150,7 +152,7 @@ class Network {
     std::uint32_t hops = 0;       ///< links traversed so far
     std::uint32_t base_delay;     ///< 1 + extra_delay: contention-free
                                   ///< latency minus the hop count
-    Message msg;
+    std::uint32_t slot;           ///< the message, in pool_
   };
 
   /// One directed channel between adjacent routers.
@@ -172,11 +174,14 @@ class Network {
 
   void deliver_crossbar(Cycle now);
   void deliver_routed(Cycle now);
-  void deliver_to_inbox(Cycle now, Cycle sent_at, Message&& msg);
+  /// Move `msg` into a free pool slot (reusing released ones first).
+  std::uint32_t park(Message&& msg);
+  /// Queue pool slot `slot` in its destination's inbox.
+  void deliver_to_inbox(Cycle now, Cycle sent_at, std::uint32_t slot);
   /// Eject or forward one link-head transit; false = head blocked.
   bool advance_head(Cycle now, std::size_t li);
   /// Try to admit `t` onto link `li` (bandwidth + queue-depth checks);
-  /// moves from `t` only on success.
+  /// updates and enqueues `t` only on success.
   bool enter_link(Cycle now, std::size_t li, Transit& t);
 
   std::uint32_t next_link(std::uint32_t router, std::uint32_t dst_router) const {
@@ -191,6 +196,13 @@ class Network {
   std::uint64_t next_seq_ = 0;
   /// Messages inside the network or an inbox; send ++, recv --.
   std::uint64_t undelivered_ = 0;
+
+  /// Every message between send() and recv(), by slot: the heap, the
+  /// stall and link queues and the inboxes hold slot numbers. recv()
+  /// releases the slot onto free_slots_ for reuse, so steady traffic
+  /// allocates nothing.
+  std::vector<Message> pool_;
+  std::vector<std::uint32_t> free_slots_;
 
   // --- crossbar state ------------------------------------------------
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<InFlight>> in_flight_;
@@ -211,7 +223,15 @@ class Network {
   std::vector<std::uint32_t> link_used_;        ///< per-cycle entries, scratch
 
   std::vector<std::uint32_t> delivered_;        ///< per-endpoint scratch
-  std::vector<std::deque<Message>> inboxes_;
+  /// Pool slots delivered to one endpoint, received from `head` on.
+  /// The vector is cleared (capacity kept) whenever the endpoint drains
+  /// it, as caches and banks do every tick.
+  struct Inbox {
+    std::vector<std::uint32_t> slots;
+    std::size_t head = 0;
+    std::size_t size() const { return slots.size() - head; }
+  };
+  std::vector<Inbox> inboxes_;
   std::function<void(EndpointId)> delivery_hook_;
   TraceEventSink* events_ = nullptr;
   StatSet stats_;

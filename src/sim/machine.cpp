@@ -345,26 +345,30 @@ RunResult Machine::run() {
 }
 
 namespace {
-std::vector<Word> line_from_memory(const FlatMemory& mem, Addr line, std::uint32_t bytes) {
-  std::vector<Word> data(bytes / kWordBytes);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = mem.read(line + i * kWordBytes);
-  return data;
+/// Read one line from memory into `buf`; returns the words read.
+std::span<const Word> line_from_memory(const FlatMemory& mem, Addr line, std::uint32_t bytes,
+                                       Message::LineData& buf) {
+  const std::size_t n = bytes / kWordBytes;
+  for (std::size_t i = 0; i < n; ++i) buf[i] = mem.read(line + i * kWordBytes);
+  return {buf.data(), n};
 }
 }  // namespace
 
 void Machine::preload_shared(ProcId p, Addr a) {
   preload_log_.push_back(PreloadRecord{true, p, a});
   Addr line = caches_.at(p)->line_of(a);
+  Message::LineData buf;
   caches_[p]->preload_line(line, LineState::kShared,
-                           line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes));
+                           line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kShared, p);
 }
 
 void Machine::preload_exclusive(ProcId p, Addr a) {
   preload_log_.push_back(PreloadRecord{false, p, a});
   Addr line = caches_.at(p)->line_of(a);
+  Message::LineData buf;
   caches_[p]->preload_line(line, LineState::kExclusive,
-                           line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes));
+                           line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kDirty, p);
 }
 

@@ -40,6 +40,15 @@ struct Rig {
     cache->probe(r, cycle);
     settle();
   }
+  void store(Addr a, Word v) {
+    CacheRequest r;
+    r.op = CacheOp::kStore;
+    r.addr = a;
+    r.store_value = v;
+    r.token = ++token;
+    cache->probe(r, cycle);
+    settle();
+  }
 
   CacheConfig cache_cfg;
   MemConfig mem_cfg;
@@ -147,15 +156,37 @@ TEST(CacheUnit, IdleReflectsOutstandingWork) {
 
 TEST(CacheUnit, ForEachResidentLineVisitsEverything) {
   Rig r;
+  for (Addr line : {0x100, 0x120})
+    for (Addr i = 0; i < 4; ++i) r.dir->memory().write(line + 4 * i, static_cast<Word>(line + i));
   r.demand_load(0x100);
   r.demand_load(0x120);
   int count = 0;
   r.cache->for_each_resident_line(
-      [&](Addr, LineState st, const std::vector<Word>&) {
+      [&](Addr line, LineState st, std::span<const Word> words) {
         EXPECT_EQ(st, LineState::kShared);
+        ASSERT_EQ(words.size(), 4u);
+        for (Addr i = 0; i < 4; ++i) EXPECT_EQ(words[i], line + i) << "line " << line;
         ++count;
       });
   EXPECT_EQ(count, 2);
+}
+
+TEST(CacheUnit, EvictionWritesBackTheVictimsOwnWords) {
+  Rig r(/*sets=*/1, /*ways=*/2);  // every line maps to the one set
+  for (Addr i = 0; i < 4; ++i) r.store(0x100 + 4 * i, static_cast<Word>(0xa0 + i));
+  for (Addr i = 0; i < 4; ++i) r.store(0x200 + 4 * i, static_cast<Word>(0xb0 + i));
+  // 0x100 is now the LRU way; a third line evicts it, and its Writeback
+  // must carry its own words, not its neighbour's.
+  r.demand_load(0x300);
+  EXPECT_EQ(r.cache->line_state(0x100), LineState::kInvalid);
+  EXPECT_EQ(r.cache->line_state(0x200), LineState::kExclusive);
+  EXPECT_EQ(r.cache->stats().get("writeback"), 1u);
+  for (Addr i = 0; i < 4; ++i) {
+    EXPECT_EQ(r.dir->memory().read(0x100 + 4 * i), 0xa0 + i) << "word " << i;
+    EXPECT_EQ(*r.cache->peek_word(0x200 + 4 * i), 0xb0 + i) << "word " << i;
+    EXPECT_EQ(r.dir->memory().read(0x200 + 4 * i), 0u) << "survivor is still dirty";
+    EXPECT_EQ(*r.cache->peek_word(0x300 + 4 * i), 0u);
+  }
 }
 
 }  // namespace

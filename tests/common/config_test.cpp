@@ -50,6 +50,15 @@ TEST(SystemConfig, ValidateCatchesBadGeometry) {
   EXPECT_NE(cfg.validate().find("num_alus"), std::string::npos) << cfg.validate();
 }
 
+TEST(SystemConfig, ValidateBoundsLineBytesByMessagePayload) {
+  SystemConfig cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
+  cfg.cache.line_bytes = 128;  // a message carries at most kMaxLineBytes inline
+  EXPECT_NE(cfg.validate().find("line_bytes"), std::string::npos) << cfg.validate();
+
+  cfg.cache.line_bytes = kMaxLineBytes;
+  EXPECT_EQ(cfg.validate(), "");
+}
+
 TEST(SystemConfig, EnumNames) {
   EXPECT_STREQ(to_string(ConsistencyModel::kSC), "SC");
   EXPECT_STREQ(to_string(ConsistencyModel::kPC), "PC");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace mcsim {
 namespace {
 
@@ -75,6 +78,39 @@ TEST(Network, BandwidthLimitDefersExcess) {
   got = 0;
   while (net.recv(1, out)) ++got;
   EXPECT_EQ(got, 1);
+}
+
+TEST(Network, BandwidthLimitedFanInKeepsOrderWhileSlotsRecycle) {
+  // Three senders to endpoint 3, which takes one message per cycle.
+  // Each cycle's deliveries are received before the next sends, so the
+  // network's message slots are released and reused throughout.
+  Network net(4, 2, /*deliver_bw=*/1);
+  std::vector<std::string> got;
+  Message out;
+  Addr next_line = 0x40;
+  for (Cycle now = 0; now < 16; ++now) {
+    if (now < 4 || now == 8) {
+      for (EndpointId src = 0; src < 3; ++src) {
+        net.send(msg(src, 3, next_line), now);
+        next_line += 0x40;
+      }
+    }
+    net.deliver(now);
+    while (net.recv(3, out))
+      got.push_back(std::to_string(now) + ":" + std::to_string(out.src) + ":" +
+                    std::to_string(out.line_addr));
+  }
+  const std::vector<std::string> want = {
+      "2:0:64",   "3:1:128",  "4:2:192",  "5:0:256",  "6:1:320",
+      "7:2:384",  "8:0:448",  "9:1:512",  "10:2:576", "11:0:640",
+      "12:1:704", "13:2:768", "14:0:832", "15:1:896",
+  };
+  EXPECT_EQ(got, want);
+  net.deliver(16);
+  ASSERT_TRUE(net.recv(3, out));
+  EXPECT_EQ(out.src, 2u);
+  EXPECT_EQ(out.line_addr, 960u);
+  EXPECT_TRUE(net.idle());
 }
 
 TEST(Network, StatsCountMessages) {

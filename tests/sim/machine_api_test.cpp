@@ -121,6 +121,49 @@ TEST(MachineApi, DeadlockWatchdogReports) {
   EXPECT_GE(r.cycles, 2000u);
 }
 
+TEST(MachineApi, SixtyFourByteLinesRoundTripEveryWord) {
+  // A 64-byte line is 16 words. In P0's 2-set, 2-way cache, X, Y and W
+  // share set 0, so dirtying W evicts X, whose Writeback must carry all
+  // 16 words. P1 then reads Y, and P0 answers the recall with all 16.
+  // W stays dirty in P0's cache.
+  constexpr Addr kX = 0x1000, kY = 0x2000, kW = 0x3000, kFlag = 0x4040;
+  constexpr Addr kWords = 16;
+  ProgramBuilder p0;
+  for (Addr line : {kX, kY, kW}) {
+    for (Addr i = 0; i < kWords; ++i) {
+      p0.li(1, static_cast<Word>(line / 0x10 + i));
+      p0.store(1, ProgramBuilder::abs(line + 4 * i));
+    }
+  }
+  p0.li(1, 1);
+  p0.store_rel(1, ProgramBuilder::abs(kFlag));
+  p0.halt();
+  ProgramBuilder p1;
+  p1.spin_until_eq(kFlag, 1);
+  p1.load(2, ProgramBuilder::abs(kY + 4 * (kWords - 1)));
+  p1.halt();
+
+  SystemConfig cfg = SystemConfig::paper_default(2, ConsistencyModel::kSC);
+  cfg.cache.line_bytes = 64;
+  cfg.cache.num_sets = 2;
+  cfg.cache.ways = 2;
+  Machine m(cfg, {p0.build(), p1.build()});
+  RunResult r = m.run();
+  ASSERT_FALSE(r.deadlocked);
+  EXPECT_EQ(m.cache(0).stats().get("writeback"), 1u);
+  EXPECT_EQ(m.cache(0).line_state(kX), LineState::kInvalid);
+  EXPECT_EQ(m.cache(0).line_state(kY), LineState::kShared);
+  EXPECT_EQ(m.cache(0).line_state(kW), LineState::kExclusive);
+  EXPECT_EQ(m.core(1).reg(2), kY / 0x10 + kWords - 1);
+  const FlatMemory& mem = m.directory().memory();
+  for (Addr i = 0; i < kWords; ++i) {
+    EXPECT_EQ(mem.read(kX + 4 * i), kX / 0x10 + i) << "written back, word " << i;
+    EXPECT_EQ(mem.read(kY + 4 * i), kY / 0x10 + i) << "recalled, word " << i;
+    EXPECT_EQ(mem.read(kW + 4 * i), 0u) << "still dirty, word " << i;
+    EXPECT_EQ(m.read_word(kW + 4 * i), kW / 0x10 + i) << "cached, word " << i;
+  }
+}
+
 TEST(MachineApi, RetiredCountsPerProcessor) {
   SystemConfig cfg = SystemConfig::paper_default(2, ConsistencyModel::kSC);
   Machine m(cfg, {trivial(), trivial()});
