@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +32,7 @@
 #include "common/flat_memory.hpp"
 #include "common/json.hpp"
 #include "common/profile.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -54,7 +54,7 @@ class Directory {
   /// Service every message that arrived this cycle.
   void tick(Cycle now);
 
-  bool idle() const { return busy_.empty(); }
+  bool idle() const { return open_txns_ == 0; }
 
   /// Fast-forward contract: the directory is purely reactive — tick()
   /// only drains its network inbox, and pending transactions advance
@@ -91,14 +91,27 @@ class Directory {
   /// exact under full-map with P <= 64).
   std::uint64_t sharers(Addr line) const;
   ProcId owner(Addr line) const;
-  bool line_busy(Addr line) const { return busy_.count(align(line)) != 0; }
+  bool line_busy(Addr line) const {
+    auto it = entries_.find(align(line));
+    return it != entries_.end() && it->second.txn != kNoTxn;
+  }
   std::uint32_t bank() const { return bank_; }
 
  private:
+  static constexpr std::uint32_t kNoTxn = 0xffffffffu;
+
   struct Entry {
     State state = State::kUncached;
     SharerSet sharers;  ///< conservative candidate-sharer set
     ProcId owner = kNoProc;
+    std::uint32_t txn = kNoTxn;  ///< txns_ slot while the line is busy
+  };
+
+  /// A request that arrived while its line was busy, with its arrival
+  /// cycle (the profiler's queue_wait runs from arrival to replay).
+  struct Deferred {
+    Message msg;
+    Cycle arrived = 0;
   };
 
   /// One in-progress multi-step transaction.
@@ -110,12 +123,14 @@ class Directory {
       kGatherUpdateAcks,  ///< update protocol: fanning out a new value
     };
     Kind kind = Kind::kGatherInvAcks;
+    bool open = false;         ///< false: the slot is on free_txns_
     Message request;           ///< the original requester message
     std::uint32_t acks_left = 0;
     Cycle started_at = 0;      ///< for transaction-duration trace events
-    /// Requests that arrived while busy, with their arrival cycles (the
-    /// profiler's queue_wait runs from arrival to replay).
-    std::deque<std::pair<Message, Cycle>> deferred;
+    /// Requests for this line that arrived while it was busy, in
+    /// arrival order. The queue outlives the transaction: when a replay
+    /// re-busies the line, the rest moves to the next one whole.
+    RingFifo<Deferred> deferred;
   };
 
   Addr align(Addr a) const { return a & ~static_cast<Addr>(line_bytes_ - 1); }
@@ -126,10 +141,15 @@ class Directory {
   void write_line(Addr line, const Message::LineData& data);
 
   void handle(const Message& msg, Cycle now);
-  void handle_request(const Message& msg, Cycle now);
-  void finish_txn(Addr line, Cycle now);
-  void reply_read(const Message& req, Cycle now);
-  void reply_read_ex(const Message& req, Cycle now);
+  /// Serve a request for a line that is not busy (`e` is its entry).
+  /// Never defers: at most it opens a transaction on the line.
+  void handle_request(Entry& e, const Message& msg, Cycle now);
+  /// Start a transaction on `e`'s line in a reused txns_ slot. The
+  /// reference is valid until the next open_txn.
+  Txn& open_txn(Entry& e, Txn::Kind kind, const Message& req, Cycle now);
+  void finish_txn(Entry& e, Cycle now);
+  void reply_read(Entry& e, const Message& req, Cycle now);
+  void reply_read_ex(Entry& e, const Message& req, Cycle now);
   void send(Message&& msg, Cycle now) { net_.send(std::move(msg), now, service_delay_); }
 
   std::uint32_t num_procs_;
@@ -142,10 +162,18 @@ class Directory {
   Network& net_;
   FlatMemory& mem_;
   SharingLedger& ledger_;
-  // Hash maps (never iterated, so unordered lookup is safe and cheap);
-  // reserved up front so the per-message hot path does not rehash.
+  // Never iterated, so unordered lookup is safe and cheap; reserved up
+  // front so the per-message hot path does not rehash. One lookup per
+  // message finds both the line's state and its open transaction.
   std::unordered_map<Addr, Entry> entries_;
-  std::unordered_map<Addr, Txn> busy_;
+  /// Transaction slots, reused through free_txns_ together with their
+  /// wait-queue buffers, so a steady-state transaction allocates nothing.
+  std::vector<Txn> txns_;
+  std::vector<std::uint32_t> free_txns_;
+  std::uint32_t open_txns_ = 0;
+  /// The wait queue being replayed by finish_txn (its buffer swaps with
+  /// the closing slot's, so it is reused too).
+  RingFifo<Deferred> replay_;
   TraceEventSink* events_ = nullptr;
   std::uint16_t track_ = 0;
   bool profile_ = false;

@@ -1,5 +1,5 @@
-// Active-set scheduler: an indexed binary min-heap over a dense,
-// fixed universe of component ids, keyed by (cycle, id).
+// Active-set scheduler over a dense, fixed universe of component ids,
+// popped in (cycle, id) order.
 //
 // Every machine component (network, directory bank, cache, core)
 // holds AT MOST ONE armed wakeup at a time; arm() overwrites any
@@ -9,13 +9,30 @@
 // as ids are assigned in stage order (network < directory banks <
 // caches < cores — see Machine's id scheme).
 //
-// Complexity: arm/pop are O(log armed), next_cycle()/top() are O(1),
-// and `armed` is the number of currently-armed components — bounded
-// by the universe but in sparse-activity runs proportional to the
-// active set, which is the whole point (ISSUE 10): per-cycle cost no
-// longer scales with P when 4 of 256 cores are doing anything.
+// Two structures hold the armings:
+//
+//  * a calendar wheel of kWheelSlots one-cycle slots covering
+//    [base, base + kWheelSlots), where `base` is the latest cycle
+//    popped so far. Each slot is a bitset over the universe plus a
+//    count, and one occupancy word marks the non-empty slots. Arming
+//    sets one bit; the earliest slot is a rotate plus a count-trailing-
+//    zeros of the occupancy word; and the lowest set bit of that slot
+//    is the lowest id due then, so same-cycle pops come out in id
+//    order without a comparison;
+//  * an indexed binary min-heap keyed by (cycle, id), for every other
+//    arming: more than kWheelSlots - 1 cycles ahead, or below `base`
+//    (only unit tests arm into the past).
+//
+// pop()/top() take the smaller of the two candidates under (cycle,
+// id), so the order is exactly the heap-only order. Every popped cycle
+// is the global minimum, so no wheel arming is ever below a new base,
+// and the slots never alias. At the machine's default configuration
+// every arming lands in the wheel (at most net_latency + dir_latency
+// cycles ahead), which makes arm and pop O(1).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -27,6 +44,7 @@ namespace mcsim {
 class Scheduler {
  public:
   using CompId = std::uint32_t;
+  static constexpr std::uint32_t kWheelSlots = 64;
 
   explicit Scheduler(std::size_t universe = 0) { reset(universe); }
 
@@ -36,11 +54,18 @@ class Scheduler {
     heap_.reserve(universe);
     pos_.assign(universe, kNotArmed);
     when_.assign(universe, kCycleNever);
+    words_ = (universe + 63) / 64;
+    bits_.assign(words_ * kWheelSlots, 0);
+    count_.fill(0);
+    first_word_.fill(0);
+    occupied_ = 0;
+    in_wheel_ = 0;
+    base_ = 0;
   }
 
   std::size_t universe() const { return pos_.size(); }
-  std::size_t armed_count() const { return heap_.size(); }
-  bool empty() const { return heap_.empty(); }
+  std::size_t armed_count() const { return heap_.size() + in_wheel_; }
+  bool empty() const { return heap_.empty() && in_wheel_ == 0; }
 
   /// Set component `c`'s single wakeup to `at`, replacing any previous
   /// one; `at == kCycleNever` cancels the arming. Re-arming to the
@@ -50,21 +75,29 @@ class Scheduler {
     const Cycle prev = when_[c];
     if (prev == at) return;
     when_[c] = at;
-    if (prev == kCycleNever) {  // fresh arm
-      pos_[c] = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(Slot{at, c});
-      sift_up(pos_[c]);
+    const bool to_wheel = at != kCycleNever && at - base_ < kWheelSlots;
+    if (prev != kCycleNever) {
+      if (pos_[c] == kNotArmed) {
+        wheel_clear(c, prev);
+      } else if (at != kCycleNever && !to_wheel) {  // heap -> heap, in place
+        const std::uint32_t i = pos_[c];
+        heap_[i].at = at;
+        if (at < prev) sift_up(i);
+        else sift_down(i);
+        return;
+      } else {
+        remove_at(pos_[c]);
+        pos_[c] = kNotArmed;
+      }
+    }
+    if (at == kCycleNever) return;
+    if (to_wheel) {
+      wheel_set(c, at);
       return;
     }
-    if (at == kCycleNever) {  // cancel
-      remove_at(pos_[c]);
-      pos_[c] = kNotArmed;
-      return;
-    }
-    const std::uint32_t i = pos_[c];  // reschedule in place
-    heap_[i].at = at;
-    if (at < prev) sift_up(i);
-    else sift_down(i);
+    pos_[c] = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(Slot{at, c});
+    sift_up(pos_[c]);
   }
 
   void cancel(CompId c) { arm(c, kCycleNever); }
@@ -75,28 +108,51 @@ class Scheduler {
     return when_[c];
   }
 
-  /// Earliest armed cycle across all components (the heap top);
-  /// kCycleNever when nothing is armed. O(1).
-  Cycle next_cycle() const { return heap_.empty() ? kCycleNever : heap_.front().at; }
-
-  /// The component holding the earliest wakeup — ties broken by lowest
-  /// id, which is the machine's stage order. Heap must be non-empty.
-  CompId top() const {
-    assert(!heap_.empty());
-    return heap_.front().comp;
+  /// Earliest armed cycle across all components; kCycleNever when
+  /// nothing is armed. O(1).
+  Cycle next_cycle() const {
+    const Cycle h = heap_.empty() ? kCycleNever : heap_.front().at;
+    if (occupied_ == 0) return h;
+    const Cycle w = wheel_next();
+    return w < h ? w : h;
   }
 
-  /// Structural self-check for tests: the heap property holds and the
-  /// pos_/when_ indexes agree with the heap array. O(universe).
+  /// The component holding the earliest wakeup — ties broken by lowest
+  /// id, which is the machine's stage order. Must be non-empty.
+  CompId top() const {
+    assert(!empty());
+    if (occupied_ == 0) return heap_.front().comp;
+    const Cycle w = wheel_next();
+    const CompId wc = wheel_first(slot_of(w));
+    if (!heap_.empty() && before(heap_.front(), Slot{w, wc})) return heap_.front().comp;
+    return wc;
+  }
+
+  /// Structural self-check for tests: the heap property holds, the
+  /// pos_/when_ indexes agree with the heap array, and the wheel's
+  /// bits, counts and occupancy word agree with when_. O(universe).
   bool validate() const;
 
-  /// Pop the top component; it becomes unarmed. Heap must be non-empty.
+  /// Pop the top component; it becomes unarmed. Must be non-empty.
   CompId pop() {
-    assert(!heap_.empty());
-    const CompId c = heap_.front().comp;
+    assert(!empty());
+    CompId c = 0;
+    Cycle at = kCycleNever;
+    const bool wheel = occupied_ != 0;
+    if (wheel) {
+      at = wheel_next();
+      c = wheel_first(slot_of(at));
+    }
+    if (!wheel || (!heap_.empty() && before(heap_.front(), Slot{at, c}))) {
+      c = heap_.front().comp;
+      at = heap_.front().at;
+      pos_[c] = kNotArmed;
+      remove_at(0);
+    } else {
+      wheel_clear(c, at);
+    }
     when_[c] = kCycleNever;
-    pos_[c] = kNotArmed;
-    remove_at(0);
+    if (at > base_) base_ = at;
     return c;
   }
 
@@ -109,6 +165,51 @@ class Scheduler {
 
   static bool before(const Slot& a, const Slot& b) {
     return a.at != b.at ? a.at < b.at : a.comp < b.comp;
+  }
+
+  static std::uint32_t slot_of(Cycle at) {
+    return static_cast<std::uint32_t>(at & (kWheelSlots - 1));
+  }
+  std::uint64_t* slot_bits(std::uint32_t s) { return bits_.data() + s * words_; }
+  const std::uint64_t* slot_bits(std::uint32_t s) const {
+    return bits_.data() + s * words_;
+  }
+
+  /// Earliest occupied wheel cycle. Wheel must be non-empty.
+  Cycle wheel_next() const {
+    const std::uint32_t off = static_cast<std::uint32_t>(
+        std::countr_zero(std::rotr(occupied_, static_cast<int>(slot_of(base_)))));
+    return base_ + off;
+  }
+
+  /// Lowest id set in slot `s`, scanning from the slot's first
+  /// possibly-non-zero word. Slot must be non-empty.
+  CompId wheel_first(std::uint32_t s) const {
+    const std::uint64_t* b = slot_bits(s);
+    std::uint32_t w = first_word_[s];
+    while (b[w] == 0) ++w;
+    first_word_[s] = w;
+    return w * 64 + static_cast<CompId>(std::countr_zero(b[w]));
+  }
+
+  void wheel_set(CompId c, Cycle at) {
+    const std::uint32_t s = slot_of(at);
+    const std::uint32_t w = c / 64;
+    slot_bits(s)[w] |= std::uint64_t{1} << (c % 64);
+    if (count_[s]++ == 0) {
+      occupied_ |= std::uint64_t{1} << s;
+      first_word_[s] = w;
+    } else if (w < first_word_[s]) {
+      first_word_[s] = w;
+    }
+    ++in_wheel_;
+  }
+
+  void wheel_clear(CompId c, Cycle at) {
+    const std::uint32_t s = slot_of(at);
+    slot_bits(s)[c / 64] &= ~(std::uint64_t{1} << (c % 64));
+    if (--count_[s] == 0) occupied_ &= ~(std::uint64_t{1} << s);
+    --in_wheel_;
   }
 
   void place(std::uint32_t i, Slot s) {
@@ -153,9 +254,20 @@ class Scheduler {
     else sift_down(i);
   }
 
+  // --- overflow heap -------------------------------------------------
   std::vector<Slot> heap_;
   std::vector<std::uint32_t> pos_;   ///< comp -> heap index, kNotArmed
   std::vector<Cycle> when_;          ///< comp -> armed cycle, kCycleNever
+
+  // --- calendar wheel ------------------------------------------------
+  std::size_t words_ = 0;            ///< 64-bit words per slot bitset
+  std::vector<std::uint64_t> bits_;  ///< kWheelSlots bitsets, slot-major
+  std::array<std::uint32_t, kWheelSlots> count_{};  ///< armings per slot
+  /// Per slot, a word index at or below its lowest non-zero word.
+  mutable std::array<std::uint32_t, kWheelSlots> first_word_{};
+  std::uint64_t occupied_ = 0;       ///< bit s: slot s is non-empty
+  std::size_t in_wheel_ = 0;
+  Cycle base_ = 0;                   ///< latest popped cycle
 };
 
 }  // namespace mcsim

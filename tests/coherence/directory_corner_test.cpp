@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "coherence/cache.hpp"
 #include "coherence/directory.hpp"
@@ -194,6 +195,58 @@ TEST(DirectoryCorner, DirectoryIdleAfterQuiescence) {
   h.drain();
   EXPECT_TRUE(h.dir_->idle());
   EXPECT_TRUE(h.net_->idle());
+}
+
+// Four writers queue behind a recall on a hot line. Each replay re-busies
+// the line (the next writer must recall the previous one), so the rest
+// of the wait queue moves to every next transaction in turn. Requests
+// are served in arrival order, the queue depth the post-mortem snapshot
+// reports climbs to 3 and then falls by one per transaction, and the
+// profiler's queue-wait samples equal the values the re-queueing
+// implementation recorded.
+TEST(DirectoryCorner, WaitQueueHandedOverServesInArrivalOrder) {
+  // dir.queue_wait as recorded before the handover: 3 samples.
+  constexpr std::uint64_t kWaitSum = 66, kWaitMax = 33;
+  constexpr ProcId kProcs = 5;
+  constexpr Addr kLine = 0x300;
+  Harness h(kProcs);
+  h.dir_->set_profiling(true);
+  h.store(0, kLine, 100, 1);
+  h.drain();
+  ASSERT_EQ(h.caches_[0]->line_state(kLine), LineState::kExclusive);
+  for (ProcId p = 1; p < kProcs; ++p) {
+    h.store(p, kLine, 100 + p, 10 + p);
+    h.tick();
+  }
+  std::vector<Cycle> granted(kProcs, kCycleNever);
+  std::vector<std::uint64_t> depths;  // snapshot "deferred", deduplicated
+  for (int i = 0; i < 2000 && !(h.net_->idle() && h.dir_->idle()); ++i) {
+    h.tick();
+    for (ProcId p = 1; p < kProcs; ++p) {
+      // A grant and the next writer's recall reach the cache in the
+      // same cycle, so watch the store's completion, not the line state.
+      CacheResponse resp;
+      if (h.caches_[p]->pop_response(h.cycle_ + 1, resp)) granted[p] = h.cycle_;
+    }
+    const Json snap = h.dir_->snapshot_json();
+    const std::uint64_t depth =
+        snap.items().empty() ? 0 : snap.items().front()["deferred"].as_uint();
+    if (depths.empty() || depths.back() != depth) depths.push_back(depth);
+  }
+  ASSERT_TRUE(h.dir_->idle());
+  for (ProcId p = 1; p < kProcs; ++p) ASSERT_NE(granted[p], kCycleNever) << "P" << p;
+  for (ProcId p = 2; p < kProcs; ++p) {
+    EXPECT_LT(granted[p - 1], granted[p]) << "P" << p << " overtook P" << p - 1;
+  }
+  EXPECT_EQ(depths, (std::vector<std::uint64_t>{0, 1, 2, 3, 2, 1, 0}));
+  const StatSet& st = h.dir_->bank(0).stats();
+  EXPECT_EQ(st.get("deferred"), 3u);
+  const LogHistogram* wait = st.histogram(prof::dir_queue_wait);
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), 3u);
+  EXPECT_EQ(wait->sum(), kWaitSum);
+  EXPECT_EQ(wait->max(), kWaitMax);
+  EXPECT_EQ(h.caches_[kProcs - 1]->peek_word(kLine), Word{100 + kProcs - 1});
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Unit tests for the active-set Scheduler (sim/sched.hpp) plus a
-// machine-level identity check: the indexed min-heap's arm/re-arm/
-// cancel/pop semantics, the (cycle, id) tie-break that reproduces the
-// naive loop's stage order, never-under-reporting against a stepwise
-// ground truth, a randomized soak against a reference priority map,
-// a P=256 sparse-activity run where the active-set fast-forward path
-// must fingerprint-match the naive per-cycle loop exactly, and a P=64
-// contended run where many cores sleep on one hot line.
+// machine-level identity check: arm/re-arm/cancel/pop semantics, the
+// (cycle, id) tie-break that reproduces the naive loop's stage order,
+// never-under-reporting against a stepwise ground truth, randomized
+// soaks against a reference priority map, the calendar wheel's edges
+// (its last slot, the overflow heap, arms into the past, ties between
+// wheel and heap), a P=256 sparse-activity run where the active-set
+// fast-forward path must fingerprint-match the naive per-cycle loop
+// exactly, and a P=64 contended run where many cores sleep on one hot
+// line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,6 +188,143 @@ TEST(Scheduler, RandomizedSoakAgainstReferenceMap) {
     ref.erase(comp);
   }
   EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.validate());
+}
+
+// ---------------------------------------------------------------------
+// Calendar wheel: armings within kWheelSlots - 1 cycles of the latest
+// popped cycle live in the wheel, everything else in the overflow heap.
+// The pop order must not depend on which of the two holds an arming.
+// ---------------------------------------------------------------------
+
+/// Pop one component at `at` so the wheel's base moves there.
+void advance_base(Scheduler& s, Scheduler::CompId c, Cycle at) {
+  s.arm(c, at);
+  ASSERT_EQ(s.next_cycle(), at);
+  ASSERT_EQ(s.pop(), c);
+}
+
+TEST(SchedulerWheel, LastWheelSlotAndFirstOverflowCycle) {
+  Scheduler s(8);
+  advance_base(s, 0, 1000);
+  const Cycle base = 1000;
+  s.arm(3, base + Scheduler::kWheelSlots);      // first cycle past the wheel
+  s.arm(5, base + Scheduler::kWheelSlots - 1);  // last wheel slot
+  s.arm(1, base + Scheduler::kWheelSlots);
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.next_cycle(), base + 63);
+  EXPECT_EQ(s.top(), 5u);
+  EXPECT_EQ(s.pop(), 5u);
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.next_cycle(), base + 64);
+  EXPECT_EQ(s.pop(), 1u);
+  EXPECT_EQ(s.pop(), 3u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.validate());
+}
+
+TEST(SchedulerWheel, ArmBelowTheLastPoppedCycle) {
+  Scheduler s(8);
+  advance_base(s, 2, 500);
+  s.arm(4, 510);
+  s.arm(6, 120);  // into the past: overflow heap
+  s.arm(1, 500);  // the popped cycle itself: wheel
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.next_cycle(), 120u);
+  EXPECT_EQ(s.pop(), 6u);
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.pop(), 1u);
+  EXPECT_EQ(s.pop(), 4u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.validate());
+}
+
+TEST(SchedulerWheel, FarArmReArmedIntoTheWheel) {
+  Scheduler s(8);
+  s.arm(7, 10'000);  // far: overflow heap
+  s.arm(2, 9);
+  ASSERT_TRUE(s.validate());
+  s.arm(7, 5);       // re-armed near: moves into the wheel
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.armed_count(), 2u);
+  EXPECT_EQ(s.pop(), 7u);
+  s.arm(2, 20'000);  // and back out again
+  ASSERT_TRUE(s.validate());
+  EXPECT_EQ(s.armed_count(), 1u);
+  EXPECT_EQ(s.next_cycle(), 20'000u);
+  EXPECT_EQ(s.pop(), 2u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.validate());
+}
+
+TEST(SchedulerWheel, WheelAndHeapTiesPopInIdOrder) {
+  // 130 components (three bitset words per slot): some are armed for
+  // cycle 100 while it is beyond the wheel, the rest once the base has
+  // moved close enough for 100 to be a wheel slot.
+  Scheduler s(130);
+  const Scheduler::CompId far[] = {129, 64, 5, 70};
+  for (Scheduler::CompId c : far) s.arm(c, 100);
+  ASSERT_TRUE(s.validate());
+  advance_base(s, 0, 40);
+  const Scheduler::CompId near[] = {128, 2, 65, 7, 63};
+  for (Scheduler::CompId c : near) s.arm(c, 100);
+  ASSERT_TRUE(s.validate());
+  std::vector<Scheduler::CompId> popped;
+  while (!s.empty()) {
+    EXPECT_EQ(s.next_cycle(), 100u);
+    EXPECT_EQ(s.top(), s.top());
+    popped.push_back(s.pop());
+    ASSERT_TRUE(s.validate());
+  }
+  EXPECT_EQ(popped,
+            (std::vector<Scheduler::CompId>{2, 5, 7, 63, 64, 65, 70, 128, 129}));
+}
+
+TEST(SchedulerWheel, MachineLikeSoakAgainstReferenceMap) {
+  // Time moves forward as components pop; each re-arms a few cycles
+  // ahead (wheel), far ahead (heap) or, rarely, in the past (heap).
+  // Every step is cross-checked against a reference and validate().
+  constexpr std::uint32_t kUniverse = 150;
+  Scheduler s(kUniverse);
+  std::map<Scheduler::CompId, Cycle> ref;
+  Pcg32 rng(0x5EED);
+  Cycle now = 0;
+  auto ref_min = [&ref]() {
+    std::pair<Cycle, Scheduler::CompId> best{kCycleNever, 0};
+    for (const auto& [c, at] : ref) {
+      if (at < best.first) best = {at, c};  // map order: lowest id wins ties
+    }
+    return best;
+  };
+  auto arm_random = [&](Scheduler::CompId c) {
+    const std::uint32_t kind = rng.next_below(20);
+    Cycle at;
+    if (kind < 14) at = now + rng.next_below(Scheduler::kWheelSlots);
+    else if (kind < 18) at = now + Scheduler::kWheelSlots - 2 + rng.next_below(200);
+    else if (kind < 19) at = now > 10 ? now - 1 - rng.next_below(10) : now;
+    else at = kCycleNever;
+    s.arm(c, at);
+    if (at == kCycleNever) ref.erase(c);
+    else ref[c] = at;
+  };
+  for (Scheduler::CompId c = 0; c < kUniverse; ++c) arm_random(c);
+  for (int op = 0; op < 30000; ++op) {
+    if (rng.chance(1, 3)) {
+      arm_random(rng.next_below(kUniverse));
+    } else if (!ref.empty()) {
+      const auto [at, comp] = ref_min();
+      ASSERT_EQ(s.next_cycle(), at) << "op " << op;
+      ASSERT_EQ(s.top(), comp) << "op " << op;
+      ASSERT_EQ(s.pop(), comp) << "op " << op;
+      ref.erase(comp);
+      if (at > now) now = at;
+      arm_random(comp);
+    }
+    ASSERT_EQ(s.armed_count(), ref.size()) << "op " << op;
+    if ((op & 63) == 0) {
+      ASSERT_TRUE(s.validate()) << "op " << op;
+    }
+  }
   EXPECT_TRUE(s.validate());
 }
 
