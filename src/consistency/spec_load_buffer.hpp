@@ -61,12 +61,13 @@ class SpecLoadBuffer {
   /// A store with dynamic id `store_seq` performed: null out matching tags.
   void nullify_store_tag(std::uint64_t store_seq);
 
-  /// Retire every ready head entry, calling `on_retire(seq)` for each
+  /// Retire every ready head entry, calling `on_retire(entry)` for each
   /// in order; returns how many retired. The retirement instant is when
   /// a speculative load stops being speculative — coherence monitoring
   /// guarantees its value still equals the memory value now, which is
   /// what makes "as if it performed at retirement" the sound
-  /// serialization point. `may_retire(entry)` lets the owner veto a
+  /// serialization point (not for a `nonspec` entry, which monitoring
+  /// ignores). `may_retire(entry)` lets the owner veto a
   /// head entry whose delay condition lives outside the buffer — e.g. a
   /// WC sync load waiting on earlier plain accesses that hold no FIFO
   /// slot open.
@@ -78,7 +79,7 @@ class SpecLoadBuffer {
       if (head.store_tag != kNoTag) break;
       if (head.acq && !head.done) break;
       if (!may_retire(head)) break;
-      on_retire(head.seq);
+      on_retire(head);
       entries_.pop();
       ++n;
     }

@@ -696,14 +696,15 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
     }
     return true;
   };
-  // Restamp loads to their retirement instant: that is when they stop
-  // being speculative, and coherence monitoring guarantees the value
-  // read still equals memory now — the sound serialization point for
-  // the sva analysis.
-  auto restamp = [&](std::uint64_t seq) {
-    if (!cfg_.record_accesses) return;
+  // Restamp speculative loads to their retirement instant: that is when
+  // they stop being speculative, and coherence monitoring guarantees the
+  // value read still equals memory now — the sound serialization point
+  // for the sva analysis. A nonspec load ignores line events, so nothing
+  // holds its value until retirement: its stamp stays at bind time.
+  auto restamp = [&](const SpecLoadBuffer::Entry& e) {
+    if (!cfg_.record_accesses || e.nonspec) return;
     for (AccessRecord& r : records_) {
-      if (r.seq == seq && r.kind == AccessKind::kLoad) r.performed_at = now;
+      if (r.seq == e.seq && r.kind == AccessKind::kLoad) r.performed_at = now;
     }
   };
   const std::size_t retired = spec_buffer_.retire_ready(may_retire, restamp);

@@ -21,7 +21,7 @@ SpecLoadBuffer::Entry entry(std::uint64_t seq, Addr line, bool acq,
 /// Retire with no veto; returns how many entries retired.
 std::size_t retire(SpecLoadBuffer& b) {
   return b.retire_ready([](const SpecLoadBuffer::Entry&) { return true; },
-                        [](std::uint64_t) {});
+                        [](const SpecLoadBuffer::Entry&) {});
 }
 
 TEST(SpecLoadBuffer, HeadRetiresWhenDoneAndTagNull) {
@@ -61,7 +61,7 @@ TEST(SpecLoadBuffer, RetireReportsSeqsInOrderUntilVetoed) {
   for (std::uint64_t s = 1; s <= 3; ++s) b.insert(entry(s, 0x100 * s, /*acq=*/false));
   std::vector<std::uint64_t> seen;
   auto veto_third = [](const SpecLoadBuffer::Entry& e) { return e.seq != 3; };
-  auto report = [&seen](std::uint64_t seq) { seen.push_back(seq); };
+  auto report = [&seen](const SpecLoadBuffer::Entry& e) { seen.push_back(e.seq); };
   EXPECT_EQ(b.retire_ready(veto_third, report), 2u);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(b.size(), 1u);  // the vetoed head stays

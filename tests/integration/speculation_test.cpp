@@ -161,5 +161,48 @@ TEST(Speculation, BufferDrainsCompletely) {
             m.core(0).lsu().stats().get("spec_retired"));
 }
 
+// A load whose issue gate is already open when it issues binds
+// unconditionally (it is "nonspec": line events no longer touch it), so
+// the access log must keep the stamp it recorded when the value bound,
+// even though its speculative-load buffer entry retires much later,
+// behind an older slow RMW. (Under WC a plain swap does not order a
+// later plain load, so the load's gate is open at issue.)
+TEST(Speculation, NonspecLoadKeepsItsBindStamp) {
+  ProgramBuilder p0;
+  p0.data(kTarget, 5);
+  p0.li(6, 1);
+  p0.swap(4, ProgramBuilder::abs(kGate), 6, SyncKind::kNone);  // slow: recall from P1
+  p0.load(2, ProgramBuilder::abs(kTarget));                    // hits, gate open
+  p0.halt();
+  ProgramBuilder p1;
+  p1.halt();
+  SystemConfig cfg = SystemConfig::paper_default(2, ConsistencyModel::kWC);
+  cfg.core.speculative_loads = true;
+  cfg.record_accesses = true;
+  Machine m(cfg, {p0.build(), p1.build()});
+  m.preload_exclusive(1, kGate);
+  m.preload_shared(0, kTarget);
+  auto load_stamp = [&m]() {
+    const std::vector<std::vector<AccessRecord>> logs = m.access_logs();
+    for (const AccessRecord& r : logs[0])
+      if (r.kind == AccessKind::kLoad && r.addr == kTarget) return r.performed_at;
+    return kCycleNever;
+  };
+  Cycle bound_at = kCycleNever;  // the stamp as first recorded, at bind
+  while (!m.done() && m.now() < 5000) {
+    m.step();
+    if (bound_at == kCycleNever) bound_at = load_stamp();
+  }
+  ASSERT_TRUE(m.done());
+  ASSERT_NE(bound_at, kCycleNever);
+  EXPECT_EQ(m.core(0).reg(2), 5u);
+  const std::vector<AccessRecord> log = m.access_logs()[0];
+  ASSERT_EQ(log.size(), 2u);
+  ASSERT_EQ(log[0].kind, AccessKind::kRmw);
+  EXPECT_LT(bound_at, log[0].performed_at) << "the load should bind long before the swap";
+  EXPECT_EQ(log[1].performed_at, bound_at)
+      << "the nonspec load was restamped when its buffer entry retired";
+}
+
 }  // namespace
 }  // namespace mcsim

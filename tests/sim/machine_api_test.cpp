@@ -173,5 +173,28 @@ TEST(MachineApi, RetiredCountsPerProcessor) {
   EXPECT_EQ(r.retired[1], 3u);
 }
 
+TEST(MachineApi, UpgradeInvalidatesEverySharedPreload) {
+  // Two caches preloaded Shared with one line are both sharers; a third
+  // cache's store must invalidate both copies (single writer).
+  constexpr Addr kLine = 0x500;
+  ProgramBuilder w;
+  w.li(1, 3);
+  w.store(1, ProgramBuilder::abs(kLine));
+  w.halt();
+  ProgramBuilder idle;
+  idle.halt();
+  SystemConfig cfg = SystemConfig::paper_default(3, ConsistencyModel::kSC);
+  Machine m(cfg, {idle.build(), idle.build(), w.build()});
+  m.preload_shared(0, kLine);
+  m.preload_shared(1, kLine);
+  EXPECT_EQ(m.directory().sharers(kLine), 0b11u);
+  RunResult r = m.run();
+  ASSERT_FALSE(r.deadlocked);
+  EXPECT_EQ(m.cache(0).line_state(kLine), LineState::kInvalid);
+  EXPECT_EQ(m.cache(1).line_state(kLine), LineState::kInvalid);
+  EXPECT_EQ(m.cache(2).line_state(kLine), LineState::kExclusive);
+  EXPECT_EQ(m.read_word(kLine), 3u);
+}
+
 }  // namespace
 }  // namespace mcsim

@@ -135,5 +135,17 @@ TEST(Corpus, LockHandoffTasAtomicity) {
                });
 }
 
+// Two shrunk fuzzer reproducers of machine bugs, kept as regressions:
+// every grid cell must pass its checker and, under SC, the oracle.
+TEST(Corpus, SharedPreloadsAreAllInvalidatedByAnUpgrade) {
+  check_corpus("shared_preload_upgrade.litmus",
+               [](CM, const TechniqueKnobs&, const std::vector<std::array<Word, 4>>&) {});
+}
+
+TEST(Corpus, NonspecLoadIsStampedAtBind) {
+  check_corpus("nonspec_load_stamp.litmus",
+               [](CM, const TechniqueKnobs&, const std::vector<std::array<Word, 4>>&) {});
+}
+
 }  // namespace
 }  // namespace mcsim
