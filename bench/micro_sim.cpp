@@ -119,6 +119,76 @@ void BM_NetworkMeshTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkMeshTraversal);
 
+// The active-set scheduler's arming pattern on the contended path:
+// every live cycle, components arm for this cycle, the next one and
+// net_latency + dir_latency (51) cycles ahead, then everything due now
+// pops. Every arming falls in the calendar wheel. Items = pops.
+void BM_SchedulerNearChurn(benchmark::State& state) {
+  constexpr std::uint32_t kUniverse = 1 + 1 + 2 * 256;  // P=256, one bank
+  Scheduler s(kUniverse);
+  Cycle c = 0;
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    s.arm(static_cast<Scheduler::CompId>((c * 7) % kUniverse), c);
+    s.arm(static_cast<Scheduler::CompId>((c * 13 + 1) % kUniverse), c + 1);
+    s.arm(static_cast<Scheduler::CompId>((c * 31 + 2) % kUniverse), c + 51);
+    while (!s.empty() && s.next_cycle() <= c) {
+      benchmark::DoNotOptimize(s.pop());
+      ++pops;
+    }
+    ++c;
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_SchedulerNearChurn);
+
+// N caches ReadEx one line at once, round after round: the directory
+// queues N - 1 requests behind the first, and every replay recalls the
+// line from the previous writer, so the rest of the wait queue moves to
+// each next transaction. Only caches with delivered traffic tick, as
+// under the machine's active set. Items = requests served.
+void BM_DirectoryHotLineFanIn(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr Addr kLine = 0x1000;
+  CacheConfig cfg;
+  MemConfig mem_cfg;
+  Network net(n + 1, mem_cfg.net_latency);
+  DirectoryGroup dir(n, cfg, mem_cfg, net);
+  std::vector<std::unique_ptr<CoherentCache>> caches;
+  for (ProcId p = 0; p < n; ++p)
+    caches.push_back(std::make_unique<CoherentCache>(p, cfg, mem_cfg, net, n));
+  std::vector<EndpointId> landed;
+  net.set_delivery_hook([&landed](EndpointId ep) { landed.push_back(ep); });
+  Cycle now = 0;
+  std::uint64_t token = 1;
+  for (auto _ : state) {
+    for (ProcId p = 0; p < n; ++p) {
+      CacheRequest req;
+      req.op = CacheOp::kStore;
+      req.addr = kLine;
+      req.store_value = p;
+      req.token = token++;
+      benchmark::DoNotOptimize(caches[p]->probe(req, now));
+    }
+    do {
+      landed.clear();
+      net.deliver(now);
+      dir.tick(now);
+      for (EndpointId ep : landed) {
+        if (ep < n) caches[ep]->tick(now);
+      }
+      ++now;
+    } while (!net.idle() || !dir.idle());
+    CacheResponse resp;
+    for (auto& c : caches) {
+      while (c->pop_response(now + 1000, resp)) benchmark::DoNotOptimize(resp.value);
+    }
+    now += 1000;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_DirectoryHotLineFanIn)->Arg(64)->Arg(256);
+
 void BM_InterpreterThroughput(benchmark::State& state) {
   ProgramBuilder b;
   b.li(1, 0);

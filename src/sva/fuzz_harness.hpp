@@ -87,7 +87,8 @@ struct FuzzConfig {
   LitmusGenConfig gen;
   unsigned workers = 0;  ///< ExperimentRunner workers (0 = MCSIM_JOBS / all cores)
   std::uint64_t sc_max_states = 2'000'000;
-  /// Directory for reproducer files; empty = keep reproducers in memory only.
+  /// Directory for reproducer files, created on the first violation if
+  /// missing; empty = keep reproducers in memory only.
   std::string repro_dir;
   bool shrink = true;
   std::size_t max_failures = 8;  ///< stop fuzzing after this many failing programs

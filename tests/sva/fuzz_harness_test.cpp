@@ -5,8 +5,13 @@
 // whatever the worker count.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "consistency/policy.hpp"
 #include "sva/fuzz_harness.hpp"
+#include "sva/reproducer.hpp"
+#include "sva/sc_enumerator.hpp"
 
 namespace mcsim {
 namespace {
@@ -63,6 +68,48 @@ TEST_F(FuzzHarness, InjectedFaultIsCaughtAndShrunkSmall) {
   set_policy_fault(PolicyFault::kNone);
   CellCheck healthy = verify_litmus_cell(v.repro.litmus, v.cell, nullptr);
   EXPECT_FALSE(healthy.failed) << healthy.detail;
+}
+
+/// One injected-fault catch, SC only: the first violation of the run.
+FuzzReport caught_sc_load_fault(const std::string& repro_dir) {
+  set_policy_fault(PolicyFault::kSCLoadIgnoresStores);
+  FuzzConfig cfg = small_config();
+  cfg.programs = 30;
+  cfg.models = {ConsistencyModel::kSC};
+  cfg.max_failures = 1;
+  cfg.repro_dir = repro_dir;
+  return run_fuzz(cfg);
+}
+
+TEST_F(FuzzHarness, ReproducerNoteRecordsTheShrunkFailure) {
+  // --replay re-checks the shrunk program against a fresh SC oracle; the
+  // note must name the failure that re-check finds (its seq and cycle),
+  // not the unshrunk program's.
+  FuzzReport rep = caught_sc_load_fault("");
+  ASSERT_FALSE(rep.ok());
+  const FuzzViolation& v = rep.violations.front();
+  const Reproducer& r = v.repro;
+  EnumerationResult sc =
+      enumerate_sc_outcomes(r.litmus.programs, 1u << 20, r.litmus.addrs, 2'000'000);
+  ASSERT_TRUE(sc.complete);
+  CellCheck replayed = verify_litmus_cell(r.litmus, v.cell, &sc);
+  ASSERT_TRUE(replayed.failed);
+  EXPECT_EQ(r.note, std::string(to_string(replayed.kind)) + ": " + replayed.detail);
+}
+
+TEST_F(FuzzHarness, MissingReproDirIsCreated) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "mcsim-fuzz-repro-dir-test";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path dir = root / "nested" / "repros";
+  FuzzReport rep = caught_sc_load_fault(dir.string());
+  ASSERT_FALSE(rep.ok());
+  const FuzzViolation& v = rep.violations.front();
+  ASSERT_FALSE(v.repro_path.empty()) << "the reproducer was not written";
+  EXPECT_TRUE(std::filesystem::is_regular_file(v.repro_path)) << v.repro_path;
+  EXPECT_EQ(std::filesystem::path(v.repro_path).parent_path(), dir);
+  EXPECT_EQ(load_reproducer(v.repro_path).litmus.seed, v.seed);
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(FuzzHarness, PartialScEnumerationIsInconclusiveNotPassing) {
