@@ -488,6 +488,43 @@ void BM_MachineBarrierTree8(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineBarrierTree8)->Unit(benchmark::kMillisecond);
 
+// One core spinning on a flag that stays in its cache, SC with both
+// techniques: every tick is a live core tick whose load hits, the
+// per-tick cost spin_barrier8 is bound by (operand wakeup, the delay-arc
+// gates, the hit's response). Items = core ticks; only run() is timed.
+void BM_CoreSpinOnHit(benchmark::State& state) {
+  constexpr Addr kFlag = 0x1000;
+  ProgramBuilder b;
+  b.data(kFlag, 1);
+  b.li(2, 5000);
+  b.label("spin");
+  b.load(1, ProgramBuilder::abs(kFlag));
+  b.add(3, 3, 1);
+  b.sub(2, 2, 1);
+  b.bne(2, 0, "spin");
+  b.halt();
+  const Program p = b.build();
+  SystemConfig cfg = SystemConfig::realistic(1, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  cfg.core.speculative_loads = true;
+  std::uint64_t ticks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto m = std::make_unique<Machine>(cfg, std::vector<Program>{p});
+    m->preload_shared(0, kFlag);
+    state.ResumeTiming();
+    RunResult r = m->run();
+    ticks += r.ticks;
+    benchmark::DoNotOptimize(r.cycles);
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
+  state.SetLabel("items = core ticks");
+}
+BENCHMARK(BM_CoreSpinOnHit);
+
 void BM_SpecLoadBufferScan(benchmark::State& state) {
   SpecLoadBuffer buf(16);
   for (std::uint64_t i = 0; i < 16; ++i) {

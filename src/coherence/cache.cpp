@@ -188,6 +188,8 @@ void CoherentCache::use_port(Cycle now) {
 
 void CoherentCache::push_response(std::uint64_t token, Word value, Cycle ready, bool hit) {
   if (token == 0) return;  // prefetch: nobody waits for a reply
+  assert((responses_.empty() || responses_.back().ready_at <= ready) &&
+         "responses queue in ready order: the cache ticks before its core");
   responses_.push_back(CacheResponse{token, value, ready, hit});
   busy_inc();
 }
@@ -757,17 +759,11 @@ void CoherentCache::tick(Cycle now) {
 }
 
 bool CoherentCache::pop_response(Cycle now, CacheResponse& out) {
-  // Responses are not ready in FIFO order (a later hit is ready before
-  // an earlier miss); return any ready entry, oldest first.
-  for (auto it = responses_.begin(); it != responses_.end(); ++it) {
-    if (it->ready_at <= now) {
-      out = *it;
-      responses_.erase(it);
-      busy_dec();
-      return true;
-    }
-  }
-  return false;
+  if (responses_.empty() || responses_.front().ready_at > now) return false;
+  out = responses_.front();
+  responses_.pop_front();
+  busy_dec();
+  return true;
 }
 
 LineState CoherentCache::line_state(Addr a) const {
@@ -794,11 +790,7 @@ bool CoherentCache::idle() const {
 
 Cycle CoherentCache::next_event(Cycle now) const {
   if (!retry_fills_.empty()) return now;
-  Cycle ne = kCycleNever;
-  for (const CacheResponse& r : responses_) {
-    if (r.ready_at < ne) ne = r.ready_at;
-  }
-  return ne;
+  return responses_.empty() ? kCycleNever : responses_.front().ready_at;
 }
 
 Json CoherentCache::snapshot_json() const {

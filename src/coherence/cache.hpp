@@ -22,6 +22,7 @@
 
 #include "common/config.hpp"
 #include "common/json.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -67,7 +68,10 @@ class CoherentCache {
   /// invalidations, recalls, updates). Call before the core ticks.
   void tick(Cycle now);
 
-  /// Pop the next completion whose ready_at <= now.
+  /// Pop the next completion whose ready_at <= now. Completions pop in
+  /// the order they were queued, which is also ready order: within a
+  /// cycle the cache ticks before its core, so a fill queued at T (ready
+  /// at T) always precedes a hit probed at T (ready at T+1).
   bool pop_response(Cycle now, CacheResponse& out);
 
   /// Earliest future cycle at which this cache can act on its own
@@ -76,6 +80,10 @@ class CoherentCache {
   /// the network's next_event covers). Deferred fills retry on the
   /// next tick; queued responses mature at their ready_at.
   Cycle next_event(Cycle now) const;
+
+  /// Is a fill deferred for lack of a victim? It retries on the next
+  /// tick, the only work this cache does without a message arriving.
+  bool retry_pending() const { return !retry_fills_.empty(); }
 
   /// Register the machine-wide count of non-idle caches: this cache
   /// bumps it on every idle->busy transition and drops it on
@@ -258,7 +266,7 @@ class CoherentCache {
   std::vector<Word> data_;
   std::vector<Mshr> mshrs_;
   std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
-  std::deque<CacheResponse> responses_;
+  RingFifo<CacheResponse> responses_;  ///< ready_at non-decreasing
   std::deque<Message> retry_fills_;
 
   bool port_used_valid_ = false;

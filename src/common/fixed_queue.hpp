@@ -61,6 +61,10 @@ class FixedQueue {
     assert(!empty());
     return at(size_ - 1);
   }
+  const T& back() const {
+    assert(!empty());
+    return at(size_ - 1);
+  }
 
   /// i-th element from the head (0 == head). Caller must check i < size().
   T& at(std::size_t i) {
@@ -72,12 +76,19 @@ class FixedQueue {
     return slots_[wrap(head_ + i)];
   }
 
-  /// Remove the i-th element from the head, shifting every younger
-  /// element one place toward the head (entries that complete out of
-  /// order). Caller must check i < size().
+  /// Remove the i-th element from the head (entries that complete out
+  /// of order), shifting the shorter side by one place: the older
+  /// elements toward the tail, or the younger ones toward the head. So
+  /// erasing the head is O(1). Either way the tail never moves outward,
+  /// so the slots up to it stay constructed. Caller must check i < size().
   void erase_at(std::size_t i) {
     assert(i < size_);
-    for (std::size_t j = i + 1; j < size_; ++j) at(j - 1) = std::move(at(j));
+    if (i < size_ - 1 - i) {
+      for (std::size_t j = i; j > 0; --j) at(j) = std::move(at(j - 1));
+      head_ = wrap(head_ + 1);
+    } else {
+      for (std::size_t j = i + 1; j < size_; ++j) at(j - 1) = std::move(at(j));
+    }
     --size_;
   }
 

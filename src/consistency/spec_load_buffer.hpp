@@ -18,6 +18,7 @@
 // makes "all previous acquires completed" fall out for free.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,7 +54,11 @@ class SpecLoadBuffer {
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
-  void insert(const Entry& e) { entries_.push(e); }
+  /// Loads issue oldest first, so entries arrive in seq order.
+  void insert(const Entry& e) {
+    assert((entries_.empty() || entries_.back().seq < e.seq) && "entries arrive in seq order");
+    entries_.push(e);
+  }
 
   /// The load (or RMW read) completed with `value` at cycle `now`.
   void mark_done(std::uint64_t seq, Word value, Cycle now = 0);

@@ -119,7 +119,7 @@ void Core::add_source(RobEntry& e, std::uint8_t i, const Operand& op) {
     e.src[i] = op.value;
     return;
   }
-  pending_.push_back(PendingOperand{op.tag, e.seq, i});
+  wait_on(op.tag, e.seq, i);
   ++e.waiting;
 }
 
@@ -127,9 +127,7 @@ void Core::dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction&
   const std::array<Operand, 4> ops = {resolve(in.mem.base), resolve(in.mem.index),
                                       resolve(in.rs2), resolve(in.rs1)};
   for (std::uint8_t i = 0; i < ops.size(); ++i) {
-    if (!ops[i].ready)
-      pending_.push_back(PendingOperand{ops[i].tag, e.seq,
-                                        static_cast<std::uint8_t>(kLsuOperand + i)});
+    if (!ops[i].ready) wait_on(ops[i].tag, e.seq, static_cast<std::uint8_t>(kLsuOperand + i));
   }
   lsu_.dispatch(e.seq, pc, in, ops[LoadStoreUnit::kBase], ops[LoadStoreUnit::kIndex],
                 ops[LoadStoreUnit::kData], ops[LoadStoreUnit::kCmp]);
@@ -143,7 +141,7 @@ void Core::set_value(RobEntry& e, Word value) {
     rename_[in.rd].ready = true;
     rename_[in.rd].value = value;
   }
-  broadcast(e.seq, value);
+  broadcast(e, value);
 }
 
 void Core::writeback(const RobEntry& e) {
@@ -154,26 +152,48 @@ void Core::writeback(const RobEntry& e) {
   }
 }
 
-void Core::broadcast(std::uint64_t seq, Word value) {
-  std::size_t kept = 0;
-  for (const PendingOperand& p : pending_) {
-    if (p.producer != seq) {
-      pending_[kept++] = p;
-      continue;
-    }
-    if (p.operand >= kLsuOperand) {
-      lsu_.wake_operand(p.consumer,
-                        static_cast<LoadStoreUnit::OperandSlot>(p.operand - kLsuOperand), seq,
+void Core::wait_on(std::uint64_t producer, std::uint64_t consumer, std::uint8_t operand) {
+  RobEntry* p = rob_find(producer);
+  assert(p != nullptr && "a tagged operand names a live ROB entry");
+  std::uint32_t n = wake_free_;
+  if (n != kNoNode) {
+    wake_free_ = wake_nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(wake_nodes_.size());
+    wake_nodes_.emplace_back();
+  }
+  wake_nodes_[n] = WakeNode{consumer, kNoNode, operand};
+  if (p->consumers == kNoNode)
+    p->consumers = n;
+  else
+    wake_nodes_[p->consumers_tail].next = n;
+  p->consumers_tail = n;
+}
+
+void Core::free_chain(RobEntry& e) {
+  if (e.consumers == kNoNode) return;
+  wake_nodes_[e.consumers_tail].next = wake_free_;
+  wake_free_ = e.consumers;
+  e.consumers = e.consumers_tail = kNoNode;
+}
+
+void Core::broadcast(RobEntry& e, Word value) {
+  for (std::uint32_t n = e.consumers; n != kNoNode; n = wake_nodes_[n].next) {
+    const WakeNode& w = wake_nodes_[n];
+    if (w.operand >= kLsuOperand) {
+      // A no-op for a memory op that has left the LSU or been squashed.
+      lsu_.wake_operand(w.consumer,
+                        static_cast<LoadStoreUnit::OperandSlot>(w.operand - kLsuOperand), e.seq,
                         value);
       continue;
     }
-    RobEntry* e = rob_find(p.consumer);
-    assert(e != nullptr && "squash prunes the pending operands of dropped entries");
-    e->src[p.operand] = value;
-    if (--e->waiting == 0)
-      ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), p.consumer), p.consumer);
+    RobEntry* c = rob_find(w.consumer);
+    if (c == nullptr) continue;  // squashed after it joined the chain
+    c->src[w.operand] = value;
+    if (--c->waiting == 0)
+      ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), w.consumer), w.consumer);
   }
-  pending_.resize(kept);
+  free_chain(e);
 }
 
 void Core::tick(Cycle now) {
@@ -438,12 +458,12 @@ void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
                        const char* why, SquashOrigin origin) {
   note_progress();
   std::size_t dropped = 0;
-  while (dropped < rob_.size() && rob_.at(rob_.size() - 1 - dropped).seq >= seq) ++dropped;
+  while (dropped < rob_.size() && rob_.at(rob_.size() - 1 - dropped).seq >= seq) {
+    free_chain(rob_.at(rob_.size() - 1 - dropped));
+    ++dropped;
+  }
   rob_.pop_back_n(dropped);
   ready_.erase(std::lower_bound(ready_.begin(), ready_.end(), seq), ready_.end());
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [seq](const PendingOperand& p) { return p.consumer >= seq; }),
-                 pending_.end());
   lsu_.squash_from(seq, origin);
   if (cfg_.profile) stats_.sample(prof::rb_squash_depth, dropped);
   fetch_buf_.clear();

@@ -101,13 +101,22 @@ class Core : public LsuHost, public LineEventObserver {
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }
 
+  /// Wake-chain nodes ever allocated: the high-water mark of tagged
+  /// operands waiting at once (a free list recycles them).
+  std::size_t wake_nodes_allocated() const { return wake_nodes_.size(); }
+
  private:
+  static constexpr std::uint32_t kNoNode = ~0u;
+
   struct RobEntry {
     std::uint64_t seq = 0;
     const Instruction* inst = nullptr;  ///< in program_, at pc_of(*this)
     std::array<Word, 2> src{};  ///< ALU/branch source values, once ready
     Word result = 0;
-    std::uint8_t waiting = 0; ///< ALU/branch sources still in pending_
+    /// This entry's consumer chain in wake_nodes_, oldest consumer first.
+    std::uint32_t consumers = kNoNode;
+    std::uint32_t consumers_tail = kNoNode;
+    std::uint8_t waiting = 0; ///< ALU/branch sources still in a consumer chain
     bool executed = false;    ///< ALU/branch has been executed
     bool value_ready = false; ///< rd value available (speculative for RMW)
     bool performed = false;   ///< memory access performed
@@ -121,10 +130,11 @@ class Core : public LsuHost, public LineEventObserver {
     bool predicted_taken = false;
   };
 
-  /// A source operand waiting on its producer's value.
-  struct PendingOperand {
-    std::uint64_t producer = 0;
+  /// A source operand waiting on its producer's value: one link in the
+  /// producer's consumer chain, or in the free list.
+  struct WakeNode {
     std::uint64_t consumer = 0;  ///< seq of the waiting ROB entry
+    std::uint32_t next = kNoNode;
     /// Index into an ALU/branch consumer's src, or kLsuOperand plus a
     /// LoadStoreUnit::OperandSlot for a memory op's operand.
     std::uint8_t operand = 0;
@@ -157,15 +167,21 @@ class Core : public LsuHost, public LineEventObserver {
   }
   Operand resolve(RegId reg);
   /// Give a dispatched ALU/branch entry its source `i`: the value, or a
-  /// wait in pending_ for a tagged operand.
+  /// wait in its producer's consumer chain for a tagged operand.
   void add_source(RobEntry& e, std::uint8_t i, const Operand& op);
-  /// Hand a memory op to the LSU; its tagged operands wait in pending_.
+  /// Hand a memory op to the LSU; its tagged operands wait in their
+  /// producers' consumer chains.
   void dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction& in);
+  /// Append `consumer`'s operand to the chain of its in-flight producer.
+  void wait_on(std::uint64_t producer, std::uint64_t consumer, std::uint8_t operand);
+  /// Return e's whole consumer chain to the free list.
+  void free_chain(RobEntry& e);
   /// e's destination value is available: record it, publish it to the
   /// rename table, and wake its consumers.
   void set_value(RobEntry& e, Word value);
   void writeback(const RobEntry& e);
-  void broadcast(std::uint64_t seq, Word value);
+  /// Wake every operand in e's consumer chain, then free the chain.
+  void broadcast(RobEntry& e, Word value);
   /// Mark an in-tick state mutation (see next_event()).
   void note_progress() { progress_ = true; }
 
@@ -178,14 +194,19 @@ class Core : public LsuHost, public LineEventObserver {
   TraceEventSink* events_;
 
   /// Head first, seqs ascending. Seqs are never reused, so they have
-  /// gaps after a squash.
+  /// gaps after a squash. Slots never move, so an entry is a stable
+  /// home for its consumer chain.
   FixedQueue<RobEntry> rob_;
   /// Seqs of the unexecuted ALU/branch entries whose operands are both
   /// ready, ascending: execute takes the oldest num_alus.
   std::vector<std::uint64_t> ready_;
-  /// Every tagged operand of a ROB entry, the LSU's included; an entry
-  /// leaves when its producer broadcasts or its consumer is squashed.
-  std::vector<PendingOperand> pending_;
+  /// Node pool of the consumer chains: every tagged operand of a ROB
+  /// entry, the LSU's included. A chain is freed whole when its producer
+  /// broadcasts or is squashed. A node whose consumer was squashed stays
+  /// in its surviving producer's chain and is skipped at the broadcast
+  /// (seqs are never reused, so the consumer is simply gone).
+  std::vector<WakeNode> wake_nodes_;
+  std::uint32_t wake_free_ = kNoNode;  ///< head of the free list
   /// This cycle's ALU results, applied at the end of execute.
   std::vector<std::pair<std::uint64_t, Word>> results_;
   std::array<Word, kNumArchRegs> regfile_{};

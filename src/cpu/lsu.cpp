@@ -60,8 +60,22 @@ LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& 
       store_buf_(cfg.core.store_buffer_entries),
       spec_buffer_(cfg.core.spec_load_buffer_entries),
       prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries),
+      sync_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries),
+      acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries),
+      rmws_(cfg.core.store_buffer_entries),
+      slb_acquires_(cfg.core.spec_load_buffer_entries),
       local_completions_(cfg.core.ls_rs_entries),
       stats_("lsu" + std::to_string(id)) {}
+
+void LoadStoreUnit::SeqFifo::erase(std::uint64_t seq) {
+  for (std::size_t i = 0; i < q_.size(); ++i) {
+    if (q_.at(i) == seq) {
+      q_.erase_at(i);
+      return;
+    }
+  }
+  assert(false && "erased seq is not in its class");
+}
 
 void LoadStoreUnit::dispatch(std::uint64_t seq, std::size_t pc, const Instruction& inst,
                              Operand base, Operand index, Operand data, Operand cmp) {
@@ -103,32 +117,74 @@ bool LoadStoreUnit::load_retirable(std::uint64_t seq) const {
   return spec_buffer_.find(seq) == nullptr;
 }
 
+std::size_t LoadStoreUnit::load_index(std::uint64_t seq) const {
+  std::size_t i = 0;
+  while (i < load_q_.size() && load_q_.at(i).seq != seq) ++i;
+  return i;
+}
+
+std::size_t LoadStoreUnit::store_index(std::uint64_t seq) const {
+  std::size_t i = 0;
+  while (i < store_buf_.size() && store_buf_.at(i).seq != seq) ++i;
+  return i;
+}
+
 LoadStoreUnit::LoadEntry* LoadStoreUnit::find_load(std::uint64_t seq) {
-  for (std::size_t i = 0; i < load_q_.size(); ++i) {
-    if (load_q_.at(i).seq == seq) return &load_q_.at(i);
-  }
-  return nullptr;
+  const std::size_t i = load_index(seq);
+  return i == load_q_.size() ? nullptr : &load_q_.at(i);
 }
 
 const LoadStoreUnit::LoadEntry* LoadStoreUnit::find_load(std::uint64_t seq) const {
-  for (std::size_t i = 0; i < load_q_.size(); ++i) {
-    if (load_q_.at(i).seq == seq) return &load_q_.at(i);
-  }
-  return nullptr;
+  const std::size_t i = load_index(seq);
+  return i == load_q_.size() ? nullptr : &load_q_.at(i);
 }
 
 LoadStoreUnit::StoreEntry* LoadStoreUnit::find_store(std::uint64_t seq) {
-  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    if (store_buf_.at(i).seq == seq) return &store_buf_.at(i);
-  }
-  return nullptr;
+  const std::size_t i = store_index(seq);
+  return i == store_buf_.size() ? nullptr : &store_buf_.at(i);
 }
 
 const LoadStoreUnit::StoreEntry* LoadStoreUnit::find_store(std::uint64_t seq) const {
-  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    if (store_buf_.at(i).seq == seq) return &store_buf_.at(i);
-  }
-  return nullptr;
+  const std::size_t i = store_index(seq);
+  return i == store_buf_.size() ? nullptr : &store_buf_.at(i);
+}
+
+void LoadStoreUnit::push_load(const LoadEntry& e) {
+  assert((load_q_.empty() || load_q_.back().seq < e.seq) && "load queue fills in seq order");
+  load_q_.push(e);
+  if (e.sync != SyncKind::kNone) sync_.push(e.seq);
+  if (e.sync == SyncKind::kAcquire) acquires_.push(e.seq);
+}
+
+void LoadStoreUnit::push_store(const StoreEntry& e) {
+  assert((store_buf_.empty() || store_buf_.back().seq < e.seq) &&
+         "store buffer fills in seq order");
+  store_buf_.push(e);
+  if (e.sync != SyncKind::kNone) sync_.push(e.seq);
+  if (e.sync == SyncKind::kAcquire) acquires_.push(e.seq);
+  if (e.is_rmw) rmws_.push(e.seq);
+}
+
+void LoadStoreUnit::erase_load_at(std::size_t i) {
+  const LoadEntry& e = load_q_.at(i);
+  if (e.sync != SyncKind::kNone) sync_.erase(e.seq);
+  if (e.sync == SyncKind::kAcquire) acquires_.erase(e.seq);
+  load_q_.erase_at(i);
+}
+
+void LoadStoreUnit::erase_store_at(std::size_t i) {
+  const StoreEntry& e = store_buf_.at(i);
+  if (e.sync != SyncKind::kNone) sync_.erase(e.seq);
+  if (e.sync == SyncKind::kAcquire) acquires_.erase(e.seq);
+  if (e.is_rmw) rmws_.erase(e.seq);
+  store_buf_.erase_at(i);
+}
+
+bool LoadStoreUnit::erase_load(std::uint64_t seq) {
+  const std::size_t i = load_index(seq);
+  if (i == load_q_.size()) return false;
+  erase_load_at(i);
+  return true;
 }
 
 bool LoadStoreUnit::take_token(std::uint64_t token, TokenInfo& out) {
@@ -183,7 +239,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     e.sync = inst.sync;
     e.addr = ea;
     e.ready_at = now;
-    load_q_.push(e);
+    push_load(e);
     ls_rs_.pop();
     note_progress();
     return;
@@ -208,7 +264,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
   s.sync = inst.sync;
   s.is_rmw = inst.is_rmw();
   s.ready_at = now;
-  store_buf_.push(s);
+  push_store(s);
   if (rmw_split) {
     // Appendix A: split the RMW into a speculative read-exclusive load
     // plus the buffered atomic operation.
@@ -219,7 +275,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     le.addr = ea;
     le.is_rmw_read = true;
     le.ready_at = now;
-    load_q_.push(le);
+    push_load(le);
   }
   ls_rs_.pop();
   note_progress();
@@ -228,21 +284,8 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
 IssueContext LoadStoreUnit::context_for(std::uint64_t seq, SyncKind self_sync) const {
   IssueContext ctx;
   ctx.self_sync = self_sync;
-  for (std::size_t i = 0; i < load_q_.size(); ++i) {
-    const LoadEntry& e = load_q_.at(i);
-    if (e.seq >= seq) continue;
-    ctx.earlier_load_incomplete = true;
-    if (e.sync != SyncKind::kNone) ctx.earlier_sync_incomplete = true;
-    if (e.sync == SyncKind::kAcquire) ctx.earlier_acquire_incomplete = true;
-  }
-  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    const StoreEntry& e = store_buf_.at(i);
-    if (e.seq >= seq) continue;
-    ctx.earlier_store_incomplete = true;
-    if (e.is_rmw) ctx.earlier_load_incomplete = true;  // an RMW reads too
-    if (e.sync != SyncKind::kNone) ctx.earlier_sync_incomplete = true;
-    if (e.sync == SyncKind::kAcquire) ctx.earlier_acquire_incomplete = true;
-  }
+  ctx.earlier_load_incomplete = load_before(seq) || rmws_.any_before(seq);  // an RMW reads too
+  ctx.earlier_store_incomplete = store_before(seq);
   // A speculative sync load leaves the load queue when its value binds,
   // but it has not *performed* until its buffer entry retires — that
   // retirement is its serialization point. While the entry lingers
@@ -250,13 +293,11 @@ IssueContext LoadStoreUnit::context_for(std::uint64_t seq, SyncKind self_sync) c
   // accesses must still treat the sync as incomplete. Entries carry
   // `acq` only for genuine sync loads under WC/RC; SC/PC set it on
   // every load but their gates never read the sync flags. RMW read
-  // entries are skipped: the RMW still occupies the store buffer, which
-  // the scan above already accounts for with its true sync kind.
-  spec_buffer_.for_each([&](const SpecLoadBuffer::Entry& e) {
-    if (e.seq >= seq || e.is_rmw_read || !e.acq) return;
-    ctx.earlier_sync_incomplete = true;
-    ctx.earlier_acquire_incomplete = true;
-  });
+  // entries are not counted: the RMW still occupies the store buffer,
+  // which sync_ and acquires_ already count with its true sync kind.
+  const bool slb_acquire = slb_acquires_.any_before(seq);
+  ctx.earlier_sync_incomplete = sync_.any_before(seq) || slb_acquire;
+  ctx.earlier_acquire_incomplete = acquires_.any_before(seq) || slb_acquire;
   return ctx;
 }
 
@@ -332,6 +373,7 @@ void LoadStoreUnit::insert_spec_entry(const LoadEntry& ld, Cycle now) {
     }
   }
   spec_buffer_.insert(e);
+  if (e.acq && !e.is_rmw_read) slb_acquires_.push(e.seq);
   stats_.add(stat::spec_entries);
   if (trace_ != nullptr && trace_->enabled())
     trace_->log(now, id_, cat::slb,
@@ -546,26 +588,6 @@ void LoadStoreUnit::tick_issue(Cycle now) {
   }
 }
 
-bool LoadStoreUnit::erase_load(std::uint64_t seq) {
-  for (std::size_t i = 0; i < load_q_.size(); ++i) {
-    if (load_q_.at(i).seq == seq) {
-      load_q_.erase_at(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool LoadStoreUnit::erase_store(std::uint64_t seq) {
-  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    if (store_buf_.at(i).seq == seq) {
-      store_buf_.erase_at(i);
-      return true;
-    }
-  }
-  return false;
-}
-
 void LoadStoreUnit::record(std::uint64_t seq, std::size_t pc, Addr addr, AccessKind kind,
                            SyncKind sync, Word value, Cycle now) {
   if (!cfg_.record_accesses) return;
@@ -591,10 +613,11 @@ void LoadStoreUnit::drain_responses(Cycle now) {
   while (!local_completions_.empty() && local_completions_.front().ready_at <= now) {
     const LocalCompletion lc = local_completions_.pop();
     note_progress();
-    LoadEntry* le = find_load(lc.seq);
-    if (le == nullptr) continue;  // squashed
-    record(lc.seq, le->pc, le->addr, AccessKind::kLoad, le->sync, lc.value, now);
-    erase_load(lc.seq);
+    const std::size_t i = load_index(lc.seq);
+    if (i == load_q_.size()) continue;  // squashed
+    const LoadEntry& le = load_q_.at(i);
+    record(lc.seq, le.pc, le.addr, AccessKind::kLoad, le.sync, lc.value, now);
+    erase_load_at(i);
     host_.mem_completed(lc.seq, lc.value, now);
   }
 
@@ -605,7 +628,8 @@ void LoadStoreUnit::drain_responses(Cycle now) {
     if (!take_token(r.token, info)) continue;
     switch (info.kind) {
       case TokenInfo::Kind::kLoad: {
-        LoadEntry* e = find_load(info.seq);
+        const std::size_t i = load_index(info.seq);
+        const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
         if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) {
           stats_.add(stat::response_dropped);
           break;
@@ -614,33 +638,35 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         stats_.sample(stat::load_latency, now - e->ready_at);
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::load, static_cast<std::uint16_t>(id_), e->ready_at, now);
-        erase_load(info.seq);
+        erase_load_at(i);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.mem_completed(info.seq, r.value, now);
         break;
       }
       case TokenInfo::Kind::kLoadEx: {
-        LoadEntry* e = find_load(info.seq);
+        const std::size_t i = load_index(info.seq);
+        const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
         if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) {
           stats_.add(stat::response_dropped);
           break;
         }
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::rmw_read, static_cast<std::uint16_t>(id_), e->ready_at, now);
-        erase_load(info.seq);
+        erase_load_at(i);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.rmw_spec_value(info.seq, r.value, now);
         break;
       }
       case TokenInfo::Kind::kStore: {
-        StoreEntry* s = find_store(info.seq);
-        assert(s != nullptr && "issued stores are never squashed");
+        const std::size_t i = store_index(info.seq);
+        assert(i < store_buf_.size() && "issued stores are never squashed");
+        const StoreEntry* s = &store_buf_.at(i);
         record(info.seq, s->pc, s->addr, AccessKind::kStore, s->sync, s->data.value, now);
         stats_.sample(stat::store_latency, now - s->ready_at);
         stats_.sample(stat::store_release_latency, now - s->released_at);
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::store, static_cast<std::uint16_t>(id_), s->ready_at, now);
-        erase_store(info.seq);
+        erase_store_at(i);
         spec_buffer_.nullify_store_tag(info.seq);
         host_.mem_completed(info.seq, 0, now);
         if (trace_ != nullptr && trace_->enabled())
@@ -648,14 +674,15 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         break;
       }
       case TokenInfo::Kind::kRmw: {
-        StoreEntry* s = find_store(info.seq);
-        assert(s != nullptr && "issued RMWs are never squashed");
+        const std::size_t i = store_index(info.seq);
+        assert(i < store_buf_.size() && "issued RMWs are never squashed");
+        const StoreEntry* s = &store_buf_.at(i);
         record(info.seq, s->pc, s->addr, AccessKind::kRmw, s->sync, r.value, now);
         stats_.sample(stat::rmw_latency, now - s->ready_at);
         if (s->released) stats_.sample(stat::store_release_latency, now - s->released_at);
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::rmw, static_cast<std::uint16_t>(id_), s->ready_at, now);
-        erase_store(info.seq);
+        erase_store_at(i);
         // Drop a still-pending speculative read-exclusive for this RMW:
         // its return value must be ignored once the atomic has issued.
         erase_load(info.seq);
@@ -684,16 +711,8 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
   const bool wait_stores = spec_retire_waits_for(cfg_.model, AccessClass::kStore);
   auto may_retire = [&](const SpecLoadBuffer::Entry& e) {
     if (!e.acq || e.is_rmw_read) return true;
-    if (wait_loads) {
-      for (std::size_t i = 0; i < load_q_.size(); ++i) {
-        if (load_q_.at(i).seq < e.seq) return false;  // earlier load still in flight
-      }
-    }
-    if (wait_stores) {
-      for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-        if (store_buf_.at(i).seq < e.seq) return false;  // earlier store still pending
-      }
-    }
+    if (wait_loads && load_before(e.seq)) return false;    // earlier load still in flight
+    if (wait_stores && store_before(e.seq)) return false;  // earlier store still pending
     return true;
   };
   // Restamp speculative loads to their retirement instant: that is when
@@ -701,13 +720,14 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
   // value read still equals memory now — the sound serialization point
   // for the sva analysis. A nonspec load ignores line events, so nothing
   // holds its value until retirement: its stamp stays at bind time.
-  auto restamp = [&](const SpecLoadBuffer::Entry& e) {
+  auto on_retire = [&](const SpecLoadBuffer::Entry& e) {
+    if (e.acq && !e.is_rmw_read) slb_acquires_.erase(e.seq);
     if (!cfg_.record_accesses || e.nonspec) return;
     for (AccessRecord& r : records_) {
       if (r.seq == e.seq && r.kind == AccessKind::kLoad) r.performed_at = now;
     }
   };
-  const std::size_t retired = spec_buffer_.retire_ready(may_retire, restamp);
+  const std::size_t retired = spec_buffer_.retire_ready(may_retire, on_retire);
   if (retired == 0) return;
   note_progress();
   stats_.add(stat::spec_retired, retired);
@@ -774,6 +794,10 @@ void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
     assert(!store_buf_.back().issued && "issued stores are architecturally committed");
     store_buf_.pop_back_n(1);
   }
+  sync_.squash_from(seq);
+  acquires_.squash_from(seq);
+  rmws_.squash_from(seq);
+  slb_acquires_.squash_from(seq);
   const std::size_t dropped = spec_buffer_.squash_from(seq);
   // Coherence-origin squashes were already attributed to their line-
   // event kind in on_line_event; a pipeline redirect that discards live

@@ -11,6 +11,7 @@
 // fetched early.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -136,6 +137,11 @@ class LoadStoreUnit {
   const SpecLoadBuffer& spec_buffer() const { return spec_buffer_; }
   const PrefetchEngine& prefetch_engine() const { return prefetch_; }
 
+  /// What Figure 1's delay arcs see for access `seq`: which classes of
+  /// program-order-earlier access have not performed yet. A few compares
+  /// against the per-class watermarks, never a scan of the queues.
+  IssueContext context_for(std::uint64_t seq, SyncKind self_sync) const;
+
   // --- stall-cause classification (observability) --------------------
   // Called by the core once per non-retiring cycle for the ROB head's
   // blocked memory op; each is a cheap scan of the small queues. They
@@ -218,14 +224,52 @@ class LoadStoreUnit {
     Cycle ready_at = 0;
   };
 
-  IssueContext context_for(std::uint64_t seq, SyncKind self_sync) const;
+  /// Seqs of one class's incomplete accesses, ascending, so the front
+  /// is the class's watermark: its oldest access not yet performed.
+  /// Seqs arrive in program order and mostly leave from the front; a
+  /// squash drops a suffix.
+  class SeqFifo {
+   public:
+    explicit SeqFifo(std::size_t capacity) : q_(capacity) {}
+    void push(std::uint64_t seq) {
+      assert((q_.empty() || q_.back() <= seq) && "class members arrive in seq order");
+      q_.push(seq);
+    }
+    /// Remove one occurrence of `seq`, which must be present.
+    void erase(std::uint64_t seq);
+    void squash_from(std::uint64_t seq) {
+      while (!q_.empty() && q_.back() >= seq) q_.pop_back_n(1);
+    }
+    /// Has an access of this class older than `seq` not performed?
+    bool any_before(std::uint64_t seq) const { return !q_.empty() && q_.front() < seq; }
+
+   private:
+    FixedQueue<std::uint64_t> q_;
+  };
+
   StallCause classify_mem_wait(Addr addr) const;
+  /// Index of `seq` in load_q_ / store_buf_, or the queue's size if absent.
+  std::size_t load_index(std::uint64_t seq) const;
+  std::size_t store_index(std::uint64_t seq) const;
   LoadEntry* find_load(std::uint64_t seq);
   const LoadEntry* find_load(std::uint64_t seq) const;
   StoreEntry* find_store(std::uint64_t seq);
   const StoreEntry* find_store(std::uint64_t seq) const;
+  /// Every insertion into and removal from load_q_ / store_buf_ goes
+  /// through these, so the class watermarks follow the queues.
+  void push_load(const LoadEntry& e);
+  void push_store(const StoreEntry& e);
+  void erase_load_at(std::size_t i);
+  void erase_store_at(std::size_t i);
   bool erase_load(std::uint64_t seq);
-  bool erase_store(std::uint64_t seq);
+  /// Has a load / store older than `seq` not performed? Both queues are
+  /// filled in seq order, so their fronts are the watermarks.
+  bool load_before(std::uint64_t seq) const {
+    return !load_q_.empty() && load_q_.front().seq < seq;
+  }
+  bool store_before(std::uint64_t seq) const {
+    return !store_buf_.empty() && store_buf_.front().seq < seq;
+  }
   /// Remove `token`'s request into `out`; false for a token not ours.
   bool take_token(std::uint64_t token, TokenInfo& out);
   void record(std::uint64_t seq, std::size_t pc, Addr addr, AccessKind kind, SyncKind sync,
@@ -254,10 +298,19 @@ class LoadStoreUnit {
   TraceEventSink* events_;
 
   FixedQueue<RsEntry> ls_rs_;
-  FixedQueue<LoadEntry> load_q_;
-  FixedQueue<StoreEntry> store_buf_;
+  FixedQueue<LoadEntry> load_q_;      ///< seqs ascending
+  FixedQueue<StoreEntry> store_buf_;  ///< seqs ascending
   SpecLoadBuffer spec_buffer_;
   PrefetchEngine prefetch_;
+  /// Watermarks of the classes the queue fronts do not give: sync and
+  /// acquire accesses in load_q_ and store_buf_ (an Appendix-A RMW is in
+  /// both, once each), RMWs in store_buf_ (they read too), and the acq
+  /// entries of speculative sync loads still in the speculative-load
+  /// buffer (RMW read entries excluded: their RMW is in store_buf_).
+  SeqFifo sync_;
+  SeqFifo acquires_;
+  SeqFifo rmws_;
+  SeqFifo slb_acquires_;
   /// Requests in flight, unordered; a response finds its entry by a
   /// linear scan. Each request gets exactly one response, so this holds
   /// only what is outstanding, grows to that high-water mark and then

@@ -191,7 +191,8 @@ void Machine::step_active() {
       caches_[p]->tick(c);
       // A cache that acted means its core must tick live this cycle
       // (fills queue responses, invalidations squash — the naive loop
-      // ticked it too); tick_core_live then re-arms the cache.
+      // ticked it too); tick_core_live then re-arms the cache if a fill
+      // is left to retry.
       sched_.arm(core_comp(p), c);
     } else {
       tick_core_live(static_cast<ProcId>(id - 1 - banks - cfg_.num_procs));
@@ -218,13 +219,11 @@ void Machine::tick_core_live(ProcId p) {
   // re-arms it. kCycleNever leaves it unarmed.
   const Cycle ne = cores_[p]->next_event(c);
   sched_.arm(core_comp(p), ne <= c ? c + 1 : ne);
-  // Re-arm the cache after the core tick: a hit probe just queued a
-  // response maturing next cycle, and the core's issue may have left a
-  // deferred fill to retry. Arming from full component state makes the
-  // overwrite-arm always safe.
-  Cycle cache_at = caches_[p]->next_event(c + 1);
-  if (cache_at < c + 1) cache_at = c + 1;
-  sched_.arm(cache_comp(p), cache_at);
+  // The cache acts on its own only to retry a deferred fill. A queued
+  // response needs no cache tick: this core drains it, and is armed
+  // already — by its own progress after a hit probe, or by the cache
+  // tick that queued a fill.
+  if (caches_[p]->retry_pending()) sched_.arm(cache_comp(p), c + 1);
 }
 
 void Machine::settle_cores() {

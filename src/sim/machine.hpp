@@ -144,7 +144,7 @@ class Machine {
   /// is proportional to the number of armed components, not P.
   void step_active();
   /// Core p's live tick plus its drain bookkeeping and the re-arming
-  /// of itself and its cache (the only arm sites for either).
+  /// of itself, and of its cache while a deferred fill waits to retry.
   void tick_core_live(ProcId p);
   /// Charge every core's skipped cycles up to cycle_ (Core::settle).
   void settle_cores();

@@ -128,6 +128,64 @@ TEST(CacheUnit, MergeIntoMshrRequiresOutstandingTransaction) {
   EXPECT_EQ(*r.cache->peek_word(0x300), 1u);  // test&set wrote 1
 }
 
+TEST(CacheUnit, HitAndLaterFillPopInPushOrder) {
+  // A hit probed at T is ready at T+1; a miss whose fill the cache
+  // handles at T+1 is ready at T+1 too. The hit was queued first, so it
+  // pops first: within a cycle the cache ticks before its core probes,
+  // which is what keeps the response queue in ready order.
+  auto start_miss = [](Rig& r) {
+    CacheRequest miss;
+    miss.op = CacheOp::kLoad;
+    miss.addr = 0x100;
+    miss.token = 1;
+    r.cache->probe(miss, r.cycle);
+  };
+  auto tick = [](Rig& r) {
+    r.net->deliver(r.cycle);
+    r.dir->tick(r.cycle);
+    r.cache->tick(r.cycle);
+  };
+  Cycle fill_at = 0;
+  {
+    Rig probe;
+    start_miss(probe);
+    CacheResponse resp;
+    for (; probe.cycle < 100; ++probe.cycle) {
+      tick(probe);
+      if (probe.cache->pop_response(probe.cycle, resp)) break;
+    }
+    fill_at = probe.cycle;
+    ASSERT_LT(fill_at, 100u);
+    ASSERT_GT(fill_at, 1u);
+  }
+  Rig r;
+  std::vector<Word> data(4, 9);
+  r.cache->preload_line(0x200, LineState::kShared, data);
+  start_miss(r);
+  CacheResponse resp;
+  for (; r.cycle < fill_at; ++r.cycle) {
+    tick(r);
+    EXPECT_FALSE(r.cache->pop_response(r.cycle, resp)) << "cycle " << r.cycle;
+  }
+  CacheRequest hit;
+  hit.op = CacheOp::kLoad;
+  hit.addr = 0x200;
+  hit.token = 2;
+  --r.cycle;  // the core's slot of cycle fill_at - 1, after the cache ticked
+  EXPECT_EQ(r.cache->probe(hit, r.cycle), ProbeResult::kHit);
+  ++r.cycle;
+  tick(r);  // handles the fill: queued behind the hit, ready at the same cycle
+  EXPECT_EQ(r.cache->next_event(r.cycle), r.cycle);
+  ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+  EXPECT_EQ(resp.token, 2u);
+  EXPECT_TRUE(resp.was_hit);
+  ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+  EXPECT_EQ(resp.token, 1u);
+  EXPECT_FALSE(resp.was_hit);
+  EXPECT_FALSE(r.cache->pop_response(r.cycle, resp));
+  EXPECT_TRUE(r.cache->idle());
+}
+
 TEST(CacheUnit, PreloadInstallsWithoutTraffic) {
   Rig r;
   std::vector<Word> data(4, 77);

@@ -125,5 +125,48 @@ TEST(FixedQueue, EraseAtAcrossTheWrap) {
   EXPECT_EQ(q.front(), 4);
 }
 
+TEST(FixedQueue, EraseHeadMiddleAndBackOfAWrappedRing) {
+  // Erasing near the head shifts the older side and advances the head;
+  // near the back it shifts the younger side. Either way the order is
+  // kept and the freed capacity is reusable across the wrap.
+  FixedQueue<int> q(6);
+  for (int i = 0; i < 6; ++i) q.push(i);
+  for (int i = 0; i < 4; ++i) q.pop();
+  for (int i = 6; i < 10; ++i) q.push(i);  // slots: [6 7 8 9 4 5], head at slot 4
+  EXPECT_EQ(contents(q), (std::vector<int>{4, 5, 6, 7, 8, 9}));
+  q.erase_at(0);  // the head
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 6, 7, 8, 9}));
+  EXPECT_EQ(q.front(), 5);
+  q.erase_at(1);  // near the head, across the wrap
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 7, 8, 9}));
+  q.erase_at(2);  // middle
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 7, 9}));
+  q.erase_at(2);  // the back
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 7}));
+  EXPECT_EQ(q.back(), 7);
+  for (int i = 10; i < 14; ++i) q.push(i);
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 7, 10, 11, 12, 13}));
+  EXPECT_EQ(q.pop(), 5);
+  EXPECT_EQ(q.pop(), 7);
+  EXPECT_EQ(q.front(), 10);
+}
+
+TEST(FixedQueue, EraseHeadBeforeTheRingFillsKeepsPushing) {
+  // Slots are constructed lazily up to the tail; erasing the head
+  // moves the head, not the tail, so pushes still land on the next
+  // unconstructed slot and later wrap onto the freed one.
+  FixedQueue<std::string> q(3);
+  q.push("a");
+  q.push("b");
+  q.erase_at(0);
+  q.push("c");
+  q.push("d");  // wraps onto slot 0
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(q.pop(), "b");
+  EXPECT_EQ(q.pop(), "c");
+  EXPECT_EQ(q.pop(), "d");
+}
+
 }  // namespace
 }  // namespace mcsim

@@ -230,6 +230,71 @@ TEST(CorePipeline, MispredictSquashesSameCycleYoungerOps) {
   }
 }
 
+TEST(CorePipeline, SquashedConsumerOfInFlightLoadWakesOnceRedispatched) {
+  // The add joins the missing load's consumer chain on the predicted
+  // path, is squashed when the branch resolves (long before the load
+  // returns), and joins the chain again when it is refetched. The
+  // load's broadcast must skip the squashed copy and wake the
+  // re-dispatched one exactly once: a second wake would underflow its
+  // waiting count, a missing one would leave it unexecuted.
+  ProgramBuilder b;
+  b.data(0x100, 5);
+  b.load(1, ProgramBuilder::abs(0x100));  // miss: in flight across the squash
+  b.li(2, 1);
+  b.bne(2, 0, "use", BranchHint::kNotTaken);  // taken, to the next instruction
+  b.label("use");
+  b.add(3, 1, 1);
+  b.addi(4, 3, 1);
+  b.halt();
+  for (bool spec : {false, true}) {
+    SystemConfig cfg = SystemConfig::realistic(1, ConsistencyModel::kSC);
+    cfg.core.speculative_loads = spec;
+    const std::string what = spec ? "spec" : "nospec";
+    Machine m(cfg, {b.build()});
+    ASSERT_FALSE(m.run().deadlocked) << what;
+    EXPECT_EQ(m.core(0).reg(3), 10u) << what;
+    EXPECT_EQ(m.core(0).reg(4), 11u) << what;
+    EXPECT_EQ(m.core(0).stats().get("branch_mispredicts"), 1u) << what;
+    EXPECT_GE(m.core(0).stats().get("squashed_instructions"), 2u) << what;
+  }
+}
+
+TEST(CorePipeline, WakeNodePoolStaysBoundedUnderSquashes) {
+  // Every other iteration mispredicts, squashing consumers of loads
+  // that are still in flight (each iteration's load misses). The pool
+  // recycles nodes, so it never holds more than the window's operands.
+  ProgramBuilder b;
+  for (Word i = 0; i < 16; ++i) b.data(0x1000 + 64 * i, i);
+  b.li(5, 0);    // iteration
+  b.li(6, 200);  // iterations
+  b.li(7, 0);    // alternates 0, 1, 0, ...
+  b.li(8, 1);
+  b.li(9, 15);
+  b.label("loop");
+  b.and_(10, 5, 9);
+  b.load(1, ProgramBuilder::indexed(0x1000, 10, 6));
+  b.add(2, 1, 1);
+  b.add(11, 11, 2);
+  b.sub(7, 8, 7);
+  b.beq(7, 0, "skip");
+  b.add(12, 12, 1);
+  b.label("skip");
+  b.addi(5, 5, 1);
+  b.blt(5, 6, "loop");
+  b.halt();
+  for (ConsistencyModel model : {ConsistencyModel::kSC, ConsistencyModel::kRC}) {
+    SystemConfig cfg = SystemConfig::realistic(1, model);
+    cfg.core.speculative_loads = true;
+    cfg.core.prefetch = PrefetchMode::kNonBinding;
+    expect_matches_interpreter(cfg, b.build(), to_string(model));
+    Machine m(cfg, {b.build()});
+    ASSERT_FALSE(m.run().deadlocked);
+    EXPECT_GE(m.core(0).stats().get("squashes"), 50u) << to_string(model);
+    EXPECT_LE(m.core(0).wake_nodes_allocated(), 4u * cfg.core.rob_entries)
+        << to_string(model);
+  }
+}
+
 class TinyBufferTest : public ::testing::TestWithParam<std::tuple<int, bool, int>> {};
 
 TEST_P(TinyBufferTest, StructuralHazardsDoNotBreakCorrectness) {
