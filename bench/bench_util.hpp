@@ -65,40 +65,6 @@ inline Workload make_adhoc_workload(std::string name, std::vector<Program> progr
   return w;
 }
 
-/// Shared directory-organisation flags (--dir-scheme= / --dir-ptrs= /
-/// --dir-cluster= / --dir-banks=): returns true when `arg` is one of
-/// them (value applied to `mem`); a malformed value sets `err`.
-inline bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err) {
-  auto u32 = [](const std::string& v, std::uint32_t& out) {
-    char* end = nullptr;
-    unsigned long x = std::strtoul(v.c_str(), &end, 0);
-    if (v.empty() || end == nullptr || *end != '\0') return false;
-    out = static_cast<std::uint32_t>(x);
-    return true;
-  };
-  if (arg.rfind("--dir-scheme=", 0) == 0) {
-    const std::string v = arg.substr(13);
-    if (v == "fullmap") mem.dir_scheme = DirScheme::kFullMap;
-    else if (v == "limptr") mem.dir_scheme = DirScheme::kLimitedPtr;
-    else if (v == "coarse") mem.dir_scheme = DirScheme::kCoarseVector;
-    else err = "unknown dir scheme: " + v + " (fullmap|limptr|coarse)";
-    return true;
-  }
-  if (arg.rfind("--dir-ptrs=", 0) == 0) {
-    if (!u32(arg.substr(11), mem.dir_pointers)) err = "bad --dir-ptrs";
-    return true;
-  }
-  if (arg.rfind("--dir-cluster=", 0) == 0) {
-    if (!u32(arg.substr(14), mem.dir_cluster)) err = "bad --dir-cluster";
-    return true;
-  }
-  if (arg.rfind("--dir-banks=", 0) == 0) {
-    if (!u32(arg.substr(12), mem.dir_banks)) err = "bad --dir-banks";
-    return true;
-  }
-  return false;
-}
-
 /// Extract --trace-out=PATH from a bench's argv. Benches build their
 /// own configs, so they take just this flag rather than parse_options.
 inline std::string trace_out_from_args(int argc, const char* const* argv) {

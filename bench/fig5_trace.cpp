@@ -81,7 +81,7 @@ int main() {
   Machine m(cfg, {p0_program(), p1_program()});
   m.preload_shared(0, kD);      // "read D (hit)"
   m.preload_exclusive(1, kC);   // C's ownership must be recalled: arrives last
-  m.trace().enable();
+  m.trace_events().enable();
 
   std::printf("Figure 5 trace: buffers of P0 at every change\n");
   std::printf("(SC, speculative loads + exclusive prefetch; P1 invalidates D)\n\n");
@@ -104,15 +104,21 @@ int main() {
     }
   }
 
+  // P0's speculative-load buffer, line and squash instants, in record
+  // order (P0's events are on track 0).
   std::printf("\nkey pipeline events:\n");
-  const Trace::Category cat_squash = Trace::category("squash");
-  const Trace::Category cat_slb = Trace::category("slb");
-  const Trace::Category cat_coherence = Trace::category("coherence");
-  for (const auto& e : m.trace().events()) {
-    if (e.proc != 0) continue;
-    if (e.category == cat_squash || e.category == cat_slb || e.category == cat_coherence)
-      std::printf("  %6llu  %-10s %s\n", static_cast<unsigned long long>(e.cycle),
-                  Trace::category_name(e.category).c_str(), e.text.c_str());
+  for (const TraceEventSink::Event& e : m.trace_events().events()) {
+    if (e.track != 0 || e.phase != TraceEventSink::Phase::kInstant) continue;
+    const std::string name = TraceEventSink::name_of(e.name);
+    if (name != "squash" && name.rfind("slb-", 0) != 0 && name.rfind("line:", 0) != 0)
+      continue;
+    std::string args;
+    for (int k = 0; k < 2; ++k) {
+      if (e.key[k] == TraceEventSink::kNoArg) continue;
+      args += " " + TraceEventSink::name_of(e.key[k]) + "=" + std::to_string(e.value[k]);
+    }
+    std::printf("  %6llu  %-16s%s\n", static_cast<unsigned long long>(e.ts), name.c_str(),
+                args.c_str());
   }
 
   Word r3 = m.core(0).reg(3);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "sim/options.hpp"
 
 using namespace mcsim;
 using namespace mcsim::bench;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "sim/options.hpp"
 #include "trace/trace_core.hpp"
 #include "trace/workload_gen.hpp"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
 #include "common/profile.hpp"
 
 namespace mcsim {
@@ -25,15 +24,6 @@ const char* to_string(CacheOp op) {
     case CacheOp::kRmw: return "rmw";
     case CacheOp::kPrefetchShared: return "pf";
     case CacheOp::kPrefetchEx: return "pfx";
-  }
-  return "?";
-}
-
-const char* to_string(LineEventKind k) {
-  switch (k) {
-    case LineEventKind::kInvalidate: return "invalidate";
-    case LineEventKind::kUpdate: return "update";
-    case LineEventKind::kReplacement: return "replacement";
   }
   return "?";
 }

@@ -88,8 +88,6 @@ enum class LineEventKind : std::uint8_t {
                  ///< will no longer reach us
 };
 
-const char* to_string(LineEventKind k);
-
 /// Processor-side listener for coherence transactions on cached lines.
 class LineEventObserver {
  public:

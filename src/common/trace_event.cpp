@@ -22,6 +22,8 @@ NameTable& names() {
 
 }  // namespace
 
+static_assert(sizeof(TraceEventSink::Event) == 40, "keep a recorded event small");
+
 TraceEventSink::NameId TraceEventSink::name_id(std::string_view name) {
   NameTable& t = names();
   std::lock_guard<std::mutex> lock(t.mu);
@@ -75,20 +77,24 @@ Json TraceEventSink::to_json() const {
     Json j = Json::object();
     j.set("name", Json::string(name_of(e->name)));
     j.set("cat", Json::string("sim"));
-    if (e->phase == kPhaseComplete) {
+    if (e->phase == Phase::kComplete) {
       j.set("ph", Json::string("X"));
       j.set("ts", Json::number(static_cast<std::uint64_t>(e->ts)));
-      j.set("dur", Json::number(static_cast<std::uint64_t>(e->dur)));
-    } else if (e->phase == kPhaseCounter) {
+      j.set("dur", Json::number(static_cast<std::uint64_t>(e->dur())));
+    } else if (e->phase == Phase::kCounter) {
       j.set("ph", Json::string("C"));
       j.set("ts", Json::number(static_cast<std::uint64_t>(e->ts)));
-      Json args = Json::object();
-      args.set("value", Json::number(static_cast<std::uint64_t>(e->dur)));
-      j.set("args", std::move(args));
     } else {
       j.set("ph", Json::string("i"));
       j.set("ts", Json::number(static_cast<std::uint64_t>(e->ts)));
       j.set("s", Json::string("t"));  // instant scope: thread
+    }
+    if (e->key[0] != kNoArg || e->key[1] != kNoArg) {
+      Json args = Json::object();
+      for (int k = 0; k < 2; ++k) {
+        if (e->key[k] != kNoArg) args.set(name_of(e->key[k]), Json::number(e->value[k]));
+      }
+      j.set("args", std::move(args));
     }
     j.set("pid", Json::number(std::uint64_t{0}));
     j.set("tid", Json::number(static_cast<std::uint64_t>(e->track)));

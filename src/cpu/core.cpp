@@ -21,10 +21,6 @@ const StatId squashed_instructions = StatNames::intern("squashed_instructions");
 const StatId squashes = StatNames::intern("squashes");
 }  // namespace stat
 
-namespace cat {
-const Trace::Category squash = Trace::category("squash");
-}  // namespace cat
-
 // Trace-event names for stall episodes, one per cause, interned once.
 TraceEventSink::NameId stall_event_name(StallCause c) {
   static const std::array<TraceEventSink::NameId, kNumStallCauses> ids = [] {
@@ -39,6 +35,8 @@ TraceEventSink::NameId stall_event_name(StallCause c) {
 }
 
 const TraceEventSink::NameId ev_squash = TraceEventSink::name_id("squash");
+const TraceEventSink::NameId arg_seq = TraceEventSink::name_id("seq");
+const TraceEventSink::NameId arg_dropped = TraceEventSink::name_id("dropped");
 }  // namespace
 
 namespace {
@@ -63,15 +61,14 @@ std::size_t fetch_buffer_cap(const CoreConfig& c) {
 }  // namespace
 
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
-           CoherentCache& cache, Trace* trace, TraceEventSink* events)
+           CoherentCache& cache, TraceEventSink* events)
     : id_(id),
       cfg_(resolve_for(cfg, id)),
       program_(program),
-      trace_(trace),
       events_(events),
       rob_(cfg_.core.rob_entries),
       predictor_(cfg_.core.btb_entries),
-      lsu_(id, cfg_, cache, *this, trace, events),
+      lsu_(id, cfg_, cache, *this, events),
       fetch_buf_(fetch_buffer_cap(cfg_.core)),
       stats_("core" + std::to_string(id)) {
   cache.set_observer(this);
@@ -357,7 +354,7 @@ void Core::do_execute(Cycle now) {
     const Instruction& in = *e->inst;
     e->executed = true;
     if (in.is_alu()) {
-      results_.emplace_back(e->seq, eval_alu(in, e->src[0], e->src[1]));
+      results_.emplace_back(e, eval_alu(in, e->src[0], e->src[1]));
       continue;
     }
     e->value_ready = true;  // branch
@@ -369,15 +366,20 @@ void Core::do_execute(Cycle now) {
       const std::size_t target = taken ? static_cast<std::size_t>(in.imm) : pc + 1;
       // Drops every younger entry, from ready_ too: what is left of it
       // is exactly the `used` entries taken this cycle.
-      squash_from(e->seq + 1, target, now, "branch mispredict");
+      squash_from(e->seq + 1, target, now);
       break;
     }
   }
   ready_.erase(ready_.begin(), ready_.begin() + static_cast<std::ptrdiff_t>(used));
   if (used > 0) note_progress();
   // Results become visible at the end of the cycle (1-cycle ALU latency).
-  // All of them are older than any mispredicted branch, so they survived.
-  for (const auto& [seq, value] : results_) set_value(*rob_find(seq), value);
+  // All of them are older than any mispredicted branch, so they survived
+  // its squash, and pop_back_n leaves older slots where they are: each
+  // pointer still names its entry.
+  for (const auto& [e, value] : results_) {
+    assert(e->seq <= rob_.back().seq && "a squash popped a result's entry");
+    set_value(*e, value);
+  }
 }
 
 void Core::do_dispatch(Cycle now) {
@@ -455,7 +457,7 @@ void Core::do_fetch(Cycle now) {
 }
 
 void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
-                       const char* why, SquashOrigin origin) {
+                       SquashOrigin origin) {
   note_progress();
   std::size_t dropped = 0;
   while (dropped < rob_.size() && rob_.at(rob_.size() - 1 - dropped).seq >= seq) {
@@ -480,11 +482,8 @@ void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
   stats_.add(stat::squashes);
   stats_.add(stat::squashed_instructions, dropped);
   if (events_ != nullptr && events_->enabled())
-    events_->instant(ev_squash, static_cast<std::uint16_t>(id_), now);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::squash,
-                std::string(why) + " from seq=" + std::to_string(seq) + " refetch pc=" +
-                    std::to_string(refetch_pc) + " dropped=" + std::to_string(dropped));
+    events_->instant(ev_squash, static_cast<std::uint16_t>(id_), now, {arg_seq, seq},
+                     {arg_dropped, dropped});
 }
 
 void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
@@ -497,7 +496,7 @@ void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
       // Appendix-A speculation delivered a value that differs from the
       // one the atomic actually read: discard dependent computation.
       stats_.add(stat::rmw_value_mispredicts);
-      squash_from(seq + 1, pc_of(*e) + 1, now, "rmw speculated value wrong");
+      squash_from(seq + 1, pc_of(*e) + 1, now);
       // Ring slots never move, and the squash dropped only younger entries.
       assert(rob_find(seq) == e);
     }
@@ -529,7 +528,7 @@ void Core::rmw_spec_value(std::uint64_t seq, Word value, Cycle now) {
   set_value(*e, value);
 }
 
-void Core::request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) {
+void Core::request_squash_refetch(std::uint64_t seq, Cycle now) {
   // A squash target is always an uncommitted instruction: a load with a
   // live speculative-load entry cannot retire, and nothing younger than
   // an unretired entry can have retired either. If seq points past the
@@ -537,7 +536,7 @@ void Core::request_squash_refetch(std::uint64_t seq, Cycle now, const char* reas
   // nothing to discard.
   RobEntry* e = rob_find(seq);
   if (e == nullptr) return;
-  squash_from(e->seq, pc_of(*e), now, reason, SquashOrigin::kCoherence);
+  squash_from(e->seq, pc_of(*e), now, SquashOrigin::kCoherence);
 }
 
 void Core::on_line_event(LineEventKind kind, Addr line, Cycle now) {

@@ -23,7 +23,6 @@
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
 #include "coherence/cache.hpp"
@@ -37,7 +36,7 @@ namespace mcsim {
 class Core : public LsuHost, public LineEventObserver {
  public:
   Core(ProcId id, const SystemConfig& cfg, const Program& program, CoherentCache& cache,
-       Trace* trace, TraceEventSink* events = nullptr);
+       TraceEventSink* events = nullptr);
 
   /// Advance one cycle. The cache must have ticked already. Any cycles
   /// skipped since the previous tick are settled first.
@@ -78,7 +77,7 @@ class Core : public LsuHost, public LineEventObserver {
   // --- LsuHost --------------------------------------------------------
   void mem_completed(std::uint64_t seq, Word value, Cycle now) override;
   void rmw_spec_value(std::uint64_t seq, Word value, Cycle now) override;
-  void request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) override;
+  void request_squash_refetch(std::uint64_t seq, Cycle now) override;
 
   // --- LineEventObserver (wired to this core's cache) -----------------
   void on_line_event(LineEventKind kind, Addr line, Cycle now) override;
@@ -157,7 +156,7 @@ class Core : public LsuHost, public LineEventObserver {
   /// Why is the ROB head not retiring this cycle? (const; no side effects)
   StallCause classify_stall() const;
   void account_cycle(bool retired_any, Cycle now);
-  void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now, const char* why,
+  void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
                    SquashOrigin origin = SquashOrigin::kPipeline);
 
   /// Bisect for `seq`; nullptr when it is not in the ROB.
@@ -190,7 +189,6 @@ class Core : public LsuHost, public LineEventObserver {
   /// with any per_core override for this processor already applied.
   SystemConfig cfg_;
   const Program& program_;
-  Trace* trace_;
   TraceEventSink* events_;
 
   /// Head first, seqs ascending. Seqs are never reused, so they have
@@ -207,8 +205,9 @@ class Core : public LsuHost, public LineEventObserver {
   /// (seqs are never reused, so the consumer is simply gone).
   std::vector<WakeNode> wake_nodes_;
   std::uint32_t wake_free_ = kNoNode;  ///< head of the free list
-  /// This cycle's ALU results, applied at the end of execute.
-  std::vector<std::pair<std::uint64_t, Word>> results_;
+  /// This cycle's ALU results, applied at the end of execute. The
+  /// entries are ROB slots, which stay put while they are in the ROB.
+  std::vector<std::pair<RobEntry*, Word>> results_;
   std::array<Word, kNumArchRegs> regfile_{};
   std::array<RenameEntry, kNumArchRegs> rename_{};
 

@@ -1,6 +1,7 @@
 #include "cpu/lsu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <sstream>
 
@@ -30,30 +31,41 @@ const StatId store_latency = StatNames::intern("store_latency");
 const StatId store_release_latency = StatNames::intern("store_release_latency");
 }  // namespace stat
 
-// Trace categories and trace-event names likewise intern once; call
-// sites compare/pass integers so a disabled trace costs one branch.
-namespace cat {
-const Trace::Category sb = Trace::category("sb");
-const Trace::Category slb = Trace::category("slb");
-const Trace::Category lq = Trace::category("lq");
-const Trace::Category coherence = Trace::category("coherence");
-}  // namespace cat
-
+// Trace-event and arg names likewise intern once; call sites pass
+// integers so a disabled sink costs one branch.
 namespace ev {
 const TraceEventSink::NameId load = TraceEventSink::name_id("load");
 const TraceEventSink::NameId rmw_read = TraceEventSink::name_id("rmw-read");
 const TraceEventSink::NameId store = TraceEventSink::name_id("store");
 const TraceEventSink::NameId rmw = TraceEventSink::name_id("rmw");
+// Figure-5 pipeline events, instants on the core's track.
+const TraceEventSink::NameId sb_release = TraceEventSink::name_id("sb-release");
+const TraceEventSink::NameId sb_issue = TraceEventSink::name_id("sb-issue");
+const TraceEventSink::NameId lq_issue = TraceEventSink::name_id("lq-issue");
+const TraceEventSink::NameId lq_reissue = TraceEventSink::name_id("lq-reissue");
+const TraceEventSink::NameId slb_insert = TraceEventSink::name_id("slb-insert");
+const TraceEventSink::NameId slb_retired = TraceEventSink::name_id("slb-retired");
+const TraceEventSink::NameId slb_reissue = TraceEventSink::name_id("slb-reissue");
+/// One per LineEventKind, in enum order.
+const std::array<TraceEventSink::NameId, 3> line_event = {
+    TraceEventSink::name_id("line:invalidate"), TraceEventSink::name_id("line:update"),
+    TraceEventSink::name_id("line:replacement")};
 }  // namespace ev
+
+namespace arg {
+const TraceEventSink::NameId seq = TraceEventSink::name_id("seq");
+const TraceEventSink::NameId addr = TraceEventSink::name_id("addr");
+const TraceEventSink::NameId line = TraceEventSink::name_id("line");
+const TraceEventSink::NameId count = TraceEventSink::name_id("count");
+}  // namespace arg
 }  // namespace
 
 LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache,
-                             LsuHost& host, Trace* trace, TraceEventSink* events)
+                             LsuHost& host, TraceEventSink* events)
     : id_(id),
       cfg_(cfg),
       cache_(cache),
       host_(host),
-      trace_(trace),
       events_(events),
       ls_rs_(cfg.core.ls_rs_entries),
       load_q_(cfg.core.ls_rs_entries),
@@ -105,8 +117,7 @@ void LoadStoreUnit::release_store(std::uint64_t seq, Cycle now) {
   s->released = true;
   s->released_at = now;
   note_progress();
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::sb, "release seq=" + std::to_string(seq));
+  instant(ev::sb_release, now, {arg::seq, seq});
 }
 
 bool LoadStoreUnit::store_in_buffer(std::uint64_t seq) const {
@@ -375,10 +386,7 @@ void LoadStoreUnit::insert_spec_entry(const LoadEntry& ld, Cycle now) {
   spec_buffer_.insert(e);
   if (e.acq && !e.is_rmw_read) slb_acquires_.push(e.seq);
   stats_.add(stat::spec_entries);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::slb,
-                "insert seq=" + std::to_string(e.seq) + " addr=" + std::to_string(e.addr) +
-                    " acq=" + (e.acq ? std::string("1") : std::string("0")));
+  instant(ev::slb_insert, now, {arg::seq, e.seq}, {arg::addr, e.addr});
 }
 
 void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
@@ -438,11 +446,8 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
     spec_buffer_.mark_nonspec(ld.seq);
   }
   stats_.add(was_reissue ? stat::load_reissued : stat::load_issued);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::lq,
-                std::string(was_reissue ? "reissue" : "issue") + " seq=" +
-                    std::to_string(ld.seq) + " addr=" + std::to_string(ld.addr) +
-                    (ld.is_rmw_read ? " rmw-read" : ""));
+  instant(was_reissue ? ev::lq_reissue : ev::lq_issue, now, {arg::seq, ld.seq},
+          {arg::addr, ld.addr});
 }
 
 void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
@@ -477,9 +482,7 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
   st.issued = true;
   note_progress();
   stats_.add(st.is_rmw ? stat::rmw_issued : stat::store_issued);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::sb,
-                "issue seq=" + std::to_string(st.seq) + " addr=" + std::to_string(st.addr));
+  instant(ev::sb_issue, now, {arg::seq, st.seq}, {arg::addr, st.addr});
 }
 
 void LoadStoreUnit::offer_prefetches(Cycle now) {
@@ -669,8 +672,6 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         erase_store_at(i);
         spec_buffer_.nullify_store_tag(info.seq);
         host_.mem_completed(info.seq, 0, now);
-        if (trace_ != nullptr && trace_->enabled())
-          trace_->log(now, id_, cat::sb, "complete seq=" + std::to_string(info.seq));
         break;
       }
       case TokenInfo::Kind::kRmw: {
@@ -689,8 +690,6 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         spec_buffer_.nullify_store_tag(info.seq);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.mem_completed(info.seq, r.value, now);
-        if (trace_ != nullptr && trace_->enabled())
-          trace_->log(now, id_, cat::sb, "rmw complete seq=" + std::to_string(info.seq));
         break;
       }
     }
@@ -731,14 +730,11 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
   if (retired == 0) return;
   note_progress();
   stats_.add(stat::spec_retired, retired);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::slb, "retired " + std::to_string(retired));
+  instant(ev::slb_retired, now, {arg::count, retired});
 }
 
 void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::coherence,
-                std::string(to_string(kind)) + " line=" + std::to_string(line));
+  instant(ev::line_event[static_cast<std::size_t>(kind)], now, {arg::line, line});
   if (spec_buffer_.empty()) return;
   SpecLoadBuffer::MatchResult mr = spec_buffer_.on_line_event(kind, line);
   for (std::uint64_t seq : mr.reissue) {
@@ -748,8 +744,7 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
     e->reissue = true;
     spec_buffer_.mark_reissued(seq);
     stats_.add(stat::spec_reissue);
-    if (trace_ != nullptr && trace_->enabled())
-      trace_->log(now, id_, cat::slb, "reissue seq=" + std::to_string(seq));
+    instant(ev::slb_reissue, now, {arg::seq, seq});
   }
   if (!mr.squash) return;
 
@@ -773,16 +768,15 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
     StoreEntry* st = find_store(mr.squash_seq);
     if (st != nullptr && !st->issued) {
       stats_.add(stat::spec_squash_rmw);
-      host_.request_squash_refetch(mr.squash_seq, now, "rmw speculative value invalidated");
+      host_.request_squash_refetch(mr.squash_seq, now);
     } else {
       spec_buffer_.mark_reissued(mr.squash_seq);
       stats_.add(stat::spec_squash_after_rmw);
-      host_.request_squash_refetch(mr.squash_seq + 1, now,
-                                   "computation after RMW invalidated");
+      host_.request_squash_refetch(mr.squash_seq + 1, now);
     }
   } else {
     stats_.add(stat::spec_squash);
-    host_.request_squash_refetch(mr.squash_seq, now, "speculative load value invalidated");
+    host_.request_squash_refetch(mr.squash_seq, now);
   }
 }
 

@@ -22,7 +22,6 @@
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
 #include "coherence/cache.hpp"
@@ -45,7 +44,7 @@ class LsuHost {
   virtual void rmw_spec_value(std::uint64_t seq, Word value, Cycle now) = 0;
   /// §4.2 correction mechanism: squash `seq` and everything younger,
   /// then refetch starting at `seq`'s instruction.
-  virtual void request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) = 0;
+  virtual void request_squash_refetch(std::uint64_t seq, Cycle now) = 0;
 };
 
 /// Why a squash reached the LSU — profiling splits coherence-triggered
@@ -58,7 +57,7 @@ enum class SquashOrigin : std::uint8_t { kPipeline, kCoherence };
 class LoadStoreUnit {
  public:
   LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache, LsuHost& host,
-                Trace* trace, TraceEventSink* events = nullptr);
+                TraceEventSink* events = nullptr);
 
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
@@ -289,12 +288,17 @@ class LoadStoreUnit {
   /// call this; missing one breaks the fast-forward quiescence proof
   /// (caught by the MCSIM_FF_AUDIT lockstep and the equivalence tests).
   void note_progress() { progress_ = true; }
+  /// Record a Figure-5 pipeline event on this core's track.
+  void instant(TraceEventSink::NameId name, Cycle now, TraceEventSink::Arg a0 = {},
+               TraceEventSink::Arg a1 = {}) {
+    if (events_ != nullptr && events_->enabled())
+      events_->instant(name, static_cast<std::uint16_t>(id_), now, a0, a1);
+  }
 
   ProcId id_;
   const SystemConfig& cfg_;
   CoherentCache& cache_;
   LsuHost& host_;
-  Trace* trace_;
   TraceEventSink* events_;
 
   FixedQueue<RsEntry> ls_rs_;

@@ -388,25 +388,7 @@ Cycle Network::next_event(Cycle now) const {
   // Undrained inbox messages are actionable by their endpoint already.
   const std::uint64_t inboxed =
       undelivered_ - in_lanes_ - stalled_total_ - in_fabric_;
-  if (inboxed != 0) return now;
-  if (topology_ == Topology::kCrossbar) {
-    // Bandwidth-deferred messages deliver on the very next deliver()
-    // (their due time has passed; only the per-cycle cap parked them).
-    if (stalled_total_ != 0) return now;
-    const std::size_t li = next_lane();
-    return li == lanes_.size() ? kCycleNever : lanes_[li].q.front().deliver_at;
-  }
-  // Routed fabric: anything on a link either moves next cycle or is
-  // blocked by other link traffic, which is itself on a link — so a
-  // non-empty link means "actionable now". With empty links, only the
-  // injection-queue fronts can act (head-of-line FIFO injection; a
-  // blocked front implies a non-empty downstream link, covered above).
-  if (in_links_ != 0) return now;
-  Cycle ne = kCycleNever;
-  for (const auto& q : inject_) {
-    if (!q.empty() && q.front().ready_at < ne) ne = q.front().ready_at;
-  }
-  return ne;
+  return inboxed != 0 ? now : deliver_next_event(now);
 }
 
 Cycle Network::deliver_next_event(Cycle now) const {
@@ -417,9 +399,13 @@ Cycle Network::deliver_next_event(Cycle now) const {
     const Cycle at = lanes_[li].q.front().deliver_at;
     return at > now ? at : now;
   }
-  // Routed fabric: same structure as next_event() without the inboxed
-  // term. The inject-queue scan runs only while messages are pending
-  // injection with every link empty — a short transient.
+  // Routed fabric: anything on a link either moves next cycle or is
+  // blocked by other link traffic, which is itself on a link — so a
+  // non-empty link means "actionable now". With empty links, only the
+  // injection-queue fronts can act (head-of-line FIFO injection; a
+  // blocked front implies a non-empty downstream link, covered above).
+  // The scan runs only while messages are pending injection with every
+  // link empty — a short transient.
   if (in_fabric_ == 0) return kCycleNever;
   if (in_links_ != 0) return now;
   Cycle ne = kCycleNever;

@@ -110,7 +110,9 @@ class Network {
   /// itself actionable). Otherwise the crossbar's answer is the earliest
   /// lane front's deliver_at and the routed fabric's is the min ready_at over
   /// injection-queue fronts (injection is head-of-line FIFO, so only
-  /// fronts can act). O(1) for the crossbar, O(routers) for ring/mesh.
+  /// fronts can act). That is deliver_next_event() plus the inboxed
+  /// term, so it is never less than `now` either. O(1) for the
+  /// crossbar, O(routers) for ring/mesh.
   Cycle next_event(Cycle now) const;
 
   /// The scanned ground truth behind idle()'s counter: every message

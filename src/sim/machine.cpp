@@ -38,7 +38,7 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
   }
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
     cores_.push_back(
-        std::make_unique<Core>(p, cfg_, programs_[p], *caches_[p], &trace_, &events_));
+        std::make_unique<Core>(p, cfg_, programs_[p], *caches_[p], &events_));
   }
   if (cfg_.profile) {
     for (auto& c : caches_) c->set_profiling(true);

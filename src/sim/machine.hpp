@@ -18,7 +18,6 @@
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/stall.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "coherence/cache.hpp"
 #include "coherence/directory.hpp"
@@ -85,7 +84,6 @@ class Machine {
   DirectoryGroup& directory() { return dir_; }
   const DirectoryGroup& directory() const { return dir_; }
   Network& network() { return net_; }
-  Trace& trace() { return trace_; }
   /// Chrome trace-event timeline; call .enable() before run() to record.
   TraceEventSink& trace_events() { return events_; }
   const TraceEventSink& trace_events() const { return events_; }
@@ -158,7 +156,6 @@ class Machine {
 #endif
 
   SystemConfig cfg_;
-  Trace trace_;
   TraceEventSink events_;
   std::vector<Program> programs_;
   Network net_;

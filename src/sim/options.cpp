@@ -30,6 +30,25 @@ bool parse_u64(const std::string& s, std::uint64_t& out) {
 
 }  // namespace
 
+bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err) {
+  if (starts_with(arg, "--dir-scheme=")) {
+    const std::string v = arg.substr(13);
+    if (v == "fullmap") mem.dir_scheme = DirScheme::kFullMap;
+    else if (v == "limptr") mem.dir_scheme = DirScheme::kLimitedPtr;
+    else if (v == "coarse") mem.dir_scheme = DirScheme::kCoarseVector;
+    else err = "unknown dir scheme: " + v + " (fullmap|limptr|coarse)";
+  } else if (starts_with(arg, "--dir-ptrs=")) {
+    if (!parse_u32(arg.substr(11), mem.dir_pointers)) err = "bad --dir-ptrs";
+  } else if (starts_with(arg, "--dir-cluster=")) {
+    if (!parse_u32(arg.substr(14), mem.dir_cluster)) err = "bad --dir-cluster";
+  } else if (starts_with(arg, "--dir-banks=")) {
+    if (!parse_u32(arg.substr(12), mem.dir_banks)) err = "bad --dir-banks";
+  } else {
+    return false;
+  }
+  return true;
+}
+
 OptionsResult parse_options(int argc, const char* const* argv) {
   OptionsResult r;
   std::uint32_t procs = 1;
@@ -81,21 +100,8 @@ OptionsResult parse_options(int argc, const char* const* argv) {
     } else if (starts_with(arg, "--link-queue=")) {
       if (!parse_u32(arg.substr(13), r.config.mem.link_queue))
         return fail("bad --link-queue");
-    } else if (starts_with(arg, "--dir-scheme=")) {
-      std::string v = arg.substr(13);
-      if (v == "fullmap") r.config.mem.dir_scheme = DirScheme::kFullMap;
-      else if (v == "limptr") r.config.mem.dir_scheme = DirScheme::kLimitedPtr;
-      else if (v == "coarse") r.config.mem.dir_scheme = DirScheme::kCoarseVector;
-      else return fail("unknown dir scheme: " + v + " (fullmap|limptr|coarse)");
-    } else if (starts_with(arg, "--dir-ptrs=")) {
-      if (!parse_u32(arg.substr(11), r.config.mem.dir_pointers))
-        return fail("bad --dir-ptrs");
-    } else if (starts_with(arg, "--dir-cluster=")) {
-      if (!parse_u32(arg.substr(14), r.config.mem.dir_cluster))
-        return fail("bad --dir-cluster");
-    } else if (starts_with(arg, "--dir-banks=")) {
-      if (!parse_u32(arg.substr(12), r.config.mem.dir_banks))
-        return fail("bad --dir-banks");
+    } else if (std::string dir_err; parse_dir_flag(arg, r.config.mem, dir_err)) {
+      if (!dir_err.empty()) return fail(dir_err);
     } else if (starts_with(arg, "--protocol=")) {
       std::string v = arg.substr(11);
       if (v == "inv") r.config.mem.coherence = CoherenceKind::kInvalidation;
@@ -187,7 +193,6 @@ std::string options_help() {
       "                           binary .mctb; repeatable, one cell per file)\n"
       "  --trace-dir=DIR          run every *.mct / *.mctb trace under DIR\n"
       "environment:\n"
-      "  MCSIM_LOG_LEVEL=error|warn|info|debug   runtime log verbosity\n"
       "  MCSIM_JOBS=N             worker threads for experiment sweeps\n";
 }
 

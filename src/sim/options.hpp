@@ -43,6 +43,12 @@ struct OptionsResult {
 ///   --help
 OptionsResult parse_options(int argc, const char* const* argv);
 
+/// Directory-organisation flags (--dir-scheme= / --dir-ptrs= /
+/// --dir-cluster= / --dir-banks=), shared by parse_options and the
+/// benches that build their own configs: returns true when `arg` is one
+/// of them (value applied to `mem`); a malformed value sets `err`.
+bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err);
+
 /// One-paragraph usage text listing the flags above.
 std::string options_help();
 

@@ -103,6 +103,74 @@ TEST(TraceEventSink, WriteRoundTripsThroughParser) {
   EXPECT_EQ(timeline, s.event_count());
 }
 
+TEST(TraceEventSink, DisableStopsRecordingButKeepsHistory) {
+  TraceEventSink s;
+  s.enable();
+  s.instant(TraceEventSink::name_id("x"), 0, 1);
+  s.enable(false);
+  s.instant(TraceEventSink::name_id("x"), 0, 2);
+  EXPECT_EQ(s.event_count(), 1u);
+}
+
+TEST(TraceEventSink, InstantArgsRoundTripThroughParser) {
+  const TraceEventSink::NameId seq = TraceEventSink::name_id("seq");
+  const TraceEventSink::NameId addr = TraceEventSink::name_id("addr");
+  TraceEventSink s;
+  s.enable();
+  s.instant(TraceEventSink::name_id("slb-insert"), 0, 7, {seq, 3}, {addr, 0x5030});
+  s.instant(TraceEventSink::name_id("sb-release"), 0, 8, {seq, 4});
+  s.instant(TraceEventSink::name_id("mark"), 0, 9);
+
+  const std::string path = "trace_event_args_test.json";
+  ASSERT_TRUE(s.write(path));
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+
+  std::string err;
+  Json j = Json::parse(buf.str(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const Json& ev = j["traceEvents"];
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_EQ(ev[0]["name"].as_string(), "slb-insert");
+  EXPECT_EQ(ev[0]["args"]["seq"].as_uint(), 3u);
+  EXPECT_EQ(ev[0]["args"]["addr"].as_uint(), 0x5030u);
+  EXPECT_EQ(ev[1]["args"]["seq"].as_uint(), 4u);
+  EXPECT_FALSE(ev[1]["args"].contains("addr"));
+  EXPECT_FALSE(ev[2].contains("args")) << "an instant without args exports none";
+}
+
+TEST(TraceEventSink, EventsAreInRecordOrderWithTheirArgs) {
+  const TraceEventSink::NameId seq = TraceEventSink::name_id("seq");
+  const TraceEventSink::NameId line = TraceEventSink::name_id("line");
+  const TraceEventSink::NameId span = TraceEventSink::name_id("span");
+  const TraceEventSink::NameId inval = TraceEventSink::name_id("line:invalidate");
+  const TraceEventSink::NameId squash = TraceEventSink::name_id("squash");
+  TraceEventSink s;
+  s.enable();
+  s.complete(span, 1, 2, 30);  // recorded when it closes, after later starts
+  s.instant(inval, 0, 20, {line, 0x5030});
+  s.instant(squash, 0, 20, {seq, 4});
+
+  const std::vector<TraceEventSink::Event>& ev = s.events();
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_EQ(ev[0].name, span);
+  EXPECT_EQ(ev[0].phase, TraceEventSink::Phase::kComplete);
+  EXPECT_EQ(ev[0].track, 1u);
+  EXPECT_EQ(ev[0].ts, 2u);
+  EXPECT_EQ(ev[0].dur(), 28u);
+  EXPECT_EQ(ev[1].name, inval);
+  EXPECT_EQ(ev[1].arg(line), 0x5030u);
+  EXPECT_EQ(ev[1].arg(seq, 99), 99u) << "an absent arg reads as the fallback";
+  EXPECT_EQ(ev[2].name, squash);
+  EXPECT_EQ(ev[2].phase, TraceEventSink::Phase::kInstant);
+  EXPECT_EQ(ev[2].ts, 20u);
+  EXPECT_EQ(ev[2].arg(seq), 4u);
+  EXPECT_EQ(ev[2].dur(), 0u);
+}
+
 TEST(TraceEventSink, ClearDropsEventsButKeepsTrackNames) {
   TraceEventSink s;
   s.enable();

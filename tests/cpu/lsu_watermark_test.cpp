@@ -101,7 +101,7 @@ class Harness : public LsuHost, public LineEventObserver {
     }
   }
   void rmw_spec_value(std::uint64_t, Word, Cycle) override {}
-  void request_squash_refetch(std::uint64_t seq, Cycle, const char*) override {
+  void request_squash_refetch(std::uint64_t seq, Cycle) override {
     // Seqs between memory ops stand for ALU ops, so any seq up to the
     // newest dispatched one is still in the window.
     if (seq > last_seq_) return;

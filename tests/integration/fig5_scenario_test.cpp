@@ -45,7 +45,7 @@ TEST(Fig5Scenario, DetectionAndCorrectionSequence) {
   Machine m(cfg, {p0_program(), p1_program(55)});
   m.preload_shared(0, kD);      // "read D (hit)"
   m.preload_exclusive(1, kC);   // store C's ownership arrives last
-  m.trace().enable();
+  m.trace_events().enable();
   RunResult r = m.run();
   ASSERT_FALSE(r.deadlocked);
 
@@ -57,41 +57,39 @@ TEST(Fig5Scenario, DetectionAndCorrectionSequence) {
   // Event-kind sequence on P0 (paper events 1, 5, 6, 7/9 in order):
   // speculative inserts for A, D, E[old D]; the invalidation for D; the
   // squash; the re-insert of D; the re-insert of E at the NEW address.
-  const Trace::Category cat_coherence = Trace::category("coherence");
-  const Trace::Category cat_squash = Trace::category("squash");
-  const Trace::Category cat_slb = Trace::category("slb");
-  std::vector<std::string> slb;
-  bool saw_inval_d = false, saw_squash = false;
+  const TraceEventSink::NameId ev_inval = TraceEventSink::name_id("line:invalidate");
+  const TraceEventSink::NameId ev_squash = TraceEventSink::name_id("squash");
+  const TraceEventSink::NameId ev_slb_insert = TraceEventSink::name_id("slb-insert");
+  const TraceEventSink::NameId arg_line = TraceEventSink::name_id("line");
+  const TraceEventSink::NameId arg_addr = TraceEventSink::name_id("addr");
+  std::vector<Addr> slb;
+  bool saw_inval_d = false;
+  int squashes = 0;
   Cycle inval_cycle = 0, squash_cycle = 0;
-  for (const auto& e : m.trace().events()) {
-    if (e.proc != 0) continue;
-    if (e.category == cat_coherence &&
-        e.text.find("invalidate line=" + std::to_string(kD)) != std::string::npos) {
+  for (const TraceEventSink::Event& e : m.trace_events().events()) {
+    if (e.track != 0) continue;  // P0's track
+    if (e.name == ev_inval && e.arg(arg_line) == kD) {
       saw_inval_d = true;
-      inval_cycle = e.cycle;
+      inval_cycle = e.ts;
     }
-    if (e.category == cat_squash) {
-      saw_squash = true;
-      squash_cycle = e.cycle;
+    if (e.name == ev_squash) {
+      ++squashes;
+      squash_cycle = e.ts;
       EXPECT_TRUE(saw_inval_d) << "squash must be caused by the invalidation";
     }
-    if (e.category == cat_slb && e.text.rfind("insert", 0) == 0) slb.push_back(e.text);
+    if (e.name == ev_slb_insert) slb.push_back(e.arg(arg_addr));
   }
   EXPECT_TRUE(saw_inval_d);
-  EXPECT_TRUE(saw_squash);
+  EXPECT_EQ(squashes, 1) << "a squash is recorded once";
   EXPECT_EQ(inval_cycle, squash_cycle) << "detection acts immediately";
 
   // Five speculative-load inserts: A, D, E[old], then D and E[new] again.
   ASSERT_EQ(slb.size(), 5u);
-  auto addr_of = [](const std::string& s) {
-    std::size_t p = s.find("addr=");
-    return std::stoull(s.substr(p + 5));
-  };
-  EXPECT_EQ(addr_of(slb[0]), kA);
-  EXPECT_EQ(addr_of(slb[1]), kD);
-  EXPECT_EQ(addr_of(slb[2]), kEBase + 4 * kDOld);
-  EXPECT_EQ(addr_of(slb[3]), kD);                  // reissued after the squash
-  EXPECT_EQ(addr_of(slb[4]), kEBase + 4 * kDNew);  // new address!
+  EXPECT_EQ(slb[0], kA);
+  EXPECT_EQ(slb[1], kD);
+  EXPECT_EQ(slb[2], kEBase + 4 * kDOld);
+  EXPECT_EQ(slb[3], kD);                  // reissued after the squash
+  EXPECT_EQ(slb[4], kEBase + 4 * kDNew);  // new address!
 }
 
 TEST(Fig5Scenario, LateInvalidationIsArchitecturallyLegal) {

@@ -115,7 +115,6 @@ TEST(Options, TraceOutCapturesPath) {
 TEST(Options, HelpDocumentsTraceAndEnvironment) {
   std::string help = options_help();
   EXPECT_NE(help.find("--trace-out"), std::string::npos);
-  EXPECT_NE(help.find("MCSIM_LOG_LEVEL"), std::string::npos);
   EXPECT_NE(help.find("MCSIM_JOBS"), std::string::npos);
 }
 
