@@ -66,7 +66,7 @@ int main() {
   for (std::size_t i = 0; i < sizeof(kBwSweep) / sizeof(kBwSweep[0]); ++i) {
     Cycle base = results[bw_first + 2 * i].stats.cycles;
     Cycle both = results[bw_first + 2 * i + 1].stats.cycles;
-    char label[16];
+    char label[24];  // "%u/cycle" for any 32-bit value
     if (kBwSweep[i] == 0)
       std::snprintf(label, sizeof label, "unlimited");
     else

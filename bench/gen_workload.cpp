@@ -1,8 +1,7 @@
 // gen_workload: CLI over the seeded workload generator — emit a trace
 // file for any of the five sharing patterns at any op count.
 //
-//   gen_workload --kind=producer_consumer --procs=8 --ops=1000000 \
-//                --seed=7 --out=pc_1m.mctb
+//   gen_workload --kind=producer_consumer --procs=8 --ops=1000000 --seed=7 --out=pc_1m.mctb
 //
 // The output encoding follows the extension: .mct = text (diffable,
 // corpus-friendly), .mctb = binary (~17 bytes/op, for the 10^6-op

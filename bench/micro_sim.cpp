@@ -364,6 +364,30 @@ void BM_MachineConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineConstruct)->Arg(2)->Arg(256);
 
+// What one litmus cell pays around its short run: build a paper_default
+// machine of P processors, preload one line into P0's cache, run P0's
+// one load of an initialised word (every other processor halts at
+// once), and destroy the machine. Items = machines built.
+void BM_MachineLifecycle(benchmark::State& state) {
+  const auto procs = static_cast<std::uint32_t>(state.range(0));
+  std::vector<Program> programs;
+  for (std::uint32_t p = 0; p < procs; ++p) {
+    ProgramBuilder b;
+    if (p == 0) b.data(0x100, 1).load(1, MemOperand{0, 0, 0, 0x100});
+    b.halt();
+    programs.push_back(b.build());
+  }
+  const SystemConfig cfg = SystemConfig::paper_default(procs, ConsistencyModel::kSC);
+  for (auto _ : state) {
+    Machine m(cfg, programs);
+    m.preload_shared(0, 0x200);
+    RunResult r = m.run();
+    benchmark::DoNotOptimize(r.cycles);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineLifecycle)->Arg(2)->Arg(256);
+
 // ISSUE 10's target shape end to end: P processors, 4 of which do real
 // work (a contended RMW line plus private strides) while P-4 halt
 // immediately. Items = simulated guest cycles, so items/s is

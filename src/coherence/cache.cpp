@@ -1,6 +1,7 @@
 #include "coherence/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/profile.hpp"
@@ -90,23 +91,28 @@ CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig&
       num_procs_(num_procs),
       dir_banks_(mem_cfg.dir_banks),
       words_per_line_(cfg.line_bytes / kWordBytes),
-      ways_(static_cast<std::size_t>(cfg.num_sets) * cfg.ways),
-      data_(ways_.size() * words_per_line_, 0),
+      line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
+      ways_(std::make_unique_for_overwrite<Way[]>(static_cast<std::size_t>(cfg.num_sets) *
+                                                   cfg.ways)),
+      data_(std::make_unique_for_overwrite<Word[]>(static_cast<std::size_t>(cfg.num_sets) *
+                                                   cfg.ways * words_per_line_)),
+      filled_(cfg.num_sets, 0),
       mshrs_(cfg.mshrs),
       stats_("cache" + std::to_string(id)) {
   assert(cfg.line_bytes <= kMaxLineBytes && "a line must fit a message payload");
+  assert(std::has_single_bit(cfg.line_bytes) && "a line is a power of two bytes");
   word_ops_.reserve(2 * cfg.mshrs);
 }
 
 CoherentCache::Way* CoherentCache::find_way(Addr line) {
-  for (Way& way : set_of(line)) {
+  for (Way& way : filled_ways(set_index(line))) {
     if (way.state != LineState::kInvalid && way.line == line) return &way;
   }
   return nullptr;
 }
 
 const CoherentCache::Way* CoherentCache::find_way(Addr line) const {
-  for (const Way& way : set_of(line)) {
+  for (const Way& way : filled_ways(set_index(line))) {
     if (way.state != LineState::kInvalid && way.line == line) return &way;
   }
   return nullptr;
@@ -546,12 +552,13 @@ void CoherentCache::evict(Way& way, Cycle now) {
 
 CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word* data,
                                              Cycle now) {
-  const std::span<Way> set = set_of(line);
+  const std::size_t set_idx = set_index(line);
+  const std::span<Way> filled = filled_ways(set_idx);
   const auto install = [&](Way& way) {
-    std::copy_n(data, words_per_line_, data_.begin() + word_base(way));
+    std::copy_n(data, words_per_line_, data_.get() + word_base(way));
   };
   // Existing copy (upgrade path): overwrite in place.
-  for (Way& way : set) {
+  for (Way& way : filled) {
     if (way.state != LineState::kInvalid && way.line == line) {
       way.state = st;
       install(way);
@@ -560,18 +567,25 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word
       return &way;
     }
   }
+  // The first invalid way in index order: an invalidated one inside the
+  // filled prefix, else the first never-filled way past it.
   Way* victim = nullptr;
-  for (Way& way : set) {
+  for (Way& way : filled) {
     if (way.state == LineState::kInvalid) {
       victim = &way;
       break;
     }
   }
+  if (victim == nullptr && filled.size() < cfg_.ways) {
+    victim = filled.data() + filled.size();
+    ++filled_[set_idx];
+  }
   if (victim == nullptr) {
-    // LRU among lines that have no in-flight transaction of their own
-    // (paper footnote 3: a replacement of a line with an outstanding
-    // access must be delayed until the access completes).
-    for (Way& way : set) {
+    // Every way is valid. LRU among lines that have no in-flight
+    // transaction of their own (paper footnote 3: a replacement of a
+    // line with an outstanding access must be delayed until the access
+    // completes).
+    for (Way& way : filled) {
       if (find_mshr(way.line) != nullptr) continue;
       if (victim == nullptr || way.last_use < victim->last_use) victim = &way;
     }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -115,8 +116,10 @@ class CoherentCache {
   /// peek_word (Machine::read_word), not through this.
   template <typename Fn>
   void for_each_resident_line(Fn&& fn) const {
-    for (const Way& way : ways_) {
-      if (way.state != LineState::kInvalid) fn(way.line, way.state, line_words(way));
+    for (std::size_t set = 0; set < cfg_.num_sets; ++set) {
+      for (const Way& way : filled_ways(set)) {
+        if (way.state != LineState::kInvalid) fn(way.line, way.state, line_words(way));
+      }
     }
   }
 
@@ -138,12 +141,14 @@ class CoherentCache {
 
  private:
   /// One tag-array entry; its words live in data_ at the same index.
+  /// No initialisers: a way is written in full by its first fill, and
+  /// nothing reads a way before that (see filled_).
   struct Way {
-    LineState state = LineState::kInvalid;
-    bool prefetched = false;  ///< filled by a prefetch, no demand use yet
-    Addr line = 0;
-    Cycle last_use = 0;
-    Cycle fill_at = 0;        ///< when the current contents were installed
+    LineState state;
+    bool prefetched;  ///< filled by a prefetch, no demand use yet
+    Addr line;
+    Cycle last_use;
+    Cycle fill_at;    ///< when the current contents were installed
   };
   static_assert(sizeof(Way) == 32, "keep a tag entry at half a host cache line");
 
@@ -178,14 +183,15 @@ class CoherentCache {
   };
 
   std::size_t set_index(Addr line) const {
-    return static_cast<std::size_t>((line / cfg_.line_bytes) & (cfg_.num_sets - 1));
+    return static_cast<std::size_t>((line >> line_shift_) & (cfg_.num_sets - 1));
   }
-  /// `line`'s set: its `ways` consecutive entries in ways_.
-  std::span<Way> set_of(Addr line) {
-    return {ways_.data() + set_index(line) * cfg_.ways, cfg_.ways};
+  /// The ways of `set` ever filled: a prefix of its `ways` consecutive
+  /// entries in ways_. Every way past it is invalid and uninitialised.
+  std::span<Way> filled_ways(std::size_t set) {
+    return {ways_.get() + set * cfg_.ways, filled_[set]};
   }
-  std::span<const Way> set_of(Addr line) const {
-    return {ways_.data() + set_index(line) * cfg_.ways, cfg_.ways};
+  std::span<const Way> filled_ways(std::size_t set) const {
+    return {ways_.get() + set * cfg_.ways, filled_[set]};
   }
   Way* find_way(Addr line);
   const Way* find_way(Addr line) const;
@@ -211,10 +217,10 @@ class CoherentCache {
 
   /// `way`'s words in the data_ arena.
   std::size_t word_base(const Way& way) const {
-    return static_cast<std::size_t>(&way - ways_.data()) * words_per_line_;
+    return static_cast<std::size_t>(&way - ways_.get()) * words_per_line_;
   }
   std::span<const Word> line_words(const Way& way) const {
-    return {data_.data() + word_base(way), words_per_line_};
+    return {data_.get() + word_base(way), words_per_line_};
   }
   Word read_word(const Way& way, Addr addr) const;
   void write_word(Way& way, Addr addr, Word v);
@@ -246,7 +252,7 @@ class CoherentCache {
   /// DirectoryGroup::home_bank — see home_bank_of_line).
   EndpointId dir_for(Addr line) const {
     return static_cast<EndpointId>(
-        num_procs_ + home_bank_of_line(line / cfg_.line_bytes, dir_banks_));
+        num_procs_ + home_bank_of_line(line >> line_shift_, dir_banks_));
   }
 
   ProcId id_;
@@ -260,10 +266,17 @@ class CoherentCache {
   std::uint16_t track_ = 0;
 
   std::size_t words_per_line_;
-  /// Tag array: num_sets x ways entries, set-major.
-  std::vector<Way> ways_;
-  /// Line words, words_per_line_ per way, in ways_ order.
-  std::vector<Word> data_;
+  /// log2(line_bytes): a line number is a shift, not a division.
+  std::uint32_t line_shift_;
+  /// Tag array: num_sets x ways entries, set-major. Allocated without
+  /// being initialised, so a cache costs O(lines filled), not O(capacity).
+  std::unique_ptr<Way[]> ways_;
+  /// Line words, words_per_line_ per way, in ways_ order; uninitialised
+  /// like ways_.
+  std::unique_ptr<Word[]> data_;
+  /// Per set, how many ways have ever been filled. A fill takes the
+  /// first invalid way in index order, so the filled ways are a prefix.
+  std::vector<std::uint32_t> filled_;
   std::vector<Mshr> mshrs_;
   std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
   RingFifo<CacheResponse> responses_;  ///< ready_at non-decreasing

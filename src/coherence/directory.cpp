@@ -79,13 +79,11 @@ Directory::Entry& Directory::entry(Addr line) {
 }
 
 void Directory::read_line(Addr line, Message::LineData& out) const {
-  const std::size_t words = line_bytes_ / kWordBytes;
-  for (std::size_t i = 0; i < words; ++i) out[i] = mem_.read(line + i * kWordBytes);
+  mem_.read_words(line, std::span<Word>(out.data(), line_bytes_ / kWordBytes));
 }
 
 void Directory::write_line(Addr line, const Message::LineData& data) {
-  const std::size_t words = line_bytes_ / kWordBytes;
-  for (std::size_t i = 0; i < words; ++i) mem_.write(line + i * kWordBytes, data[i]);
+  mem_.write_words(line, std::span<const Word>(data.data(), line_bytes_ / kWordBytes));
 }
 
 void Directory::preload(Addr line, State st, ProcId proc) {

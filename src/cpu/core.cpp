@@ -101,33 +101,35 @@ Core::RobEntry* Core::rob_find(std::uint64_t seq) {
   return &rob_.at(lo);
 }
 
-Operand Core::resolve(RegId reg) {
-  if (reg == 0) return Operand::immediate(0);
+Core::Source Core::resolve(RegId reg) {
+  if (reg == 0) return {Operand::immediate(0)};
   const RenameEntry& r = rename_[reg];
-  if (r.seq == kNoProducer) return Operand::immediate(regfile_[reg]);
+  if (r.seq == kNoProducer) return {Operand::immediate(regfile_[reg])};
   // Producer is still in flight; it must be in the ROB.
-  assert(rob_find(r.seq) != nullptr && "rename table points at a live ROB entry");
-  if (r.ready) return Operand::immediate(r.value);
-  return Operand::tagged(r.seq);
+  RobEntry* producer = rob_find(r.seq);
+  assert(producer != nullptr && "rename table points at a live ROB entry");
+  if (r.ready) return {Operand::immediate(r.value)};
+  return {Operand::tagged(r.seq), producer};
 }
 
-void Core::add_source(RobEntry& e, std::uint8_t i, const Operand& op) {
-  if (op.ready) {
-    e.src[i] = op.value;
+void Core::add_source(RobEntry& e, std::uint8_t i, const Source& s) {
+  if (s.op.ready) {
+    e.src[i] = s.op.value;
     return;
   }
-  wait_on(op.tag, e.seq, i);
+  wait_on(*s.producer, e.seq, i);
   ++e.waiting;
 }
 
 void Core::dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction& in) {
-  const std::array<Operand, 4> ops = {resolve(in.mem.base), resolve(in.mem.index),
+  const std::array<Source, 4> srcs = {resolve(in.mem.base), resolve(in.mem.index),
                                       resolve(in.rs2), resolve(in.rs1)};
-  for (std::uint8_t i = 0; i < ops.size(); ++i) {
-    if (!ops[i].ready) wait_on(ops[i].tag, e.seq, static_cast<std::uint8_t>(kLsuOperand + i));
+  for (std::uint8_t i = 0; i < srcs.size(); ++i) {
+    if (!srcs[i].op.ready)
+      wait_on(*srcs[i].producer, e.seq, static_cast<std::uint8_t>(kLsuOperand + i));
   }
-  lsu_.dispatch(e.seq, pc, in, ops[LoadStoreUnit::kBase], ops[LoadStoreUnit::kIndex],
-                ops[LoadStoreUnit::kData], ops[LoadStoreUnit::kCmp]);
+  lsu_.dispatch(e.seq, pc, in, srcs[LoadStoreUnit::kBase].op, srcs[LoadStoreUnit::kIndex].op,
+                srcs[LoadStoreUnit::kData].op, srcs[LoadStoreUnit::kCmp].op);
 }
 
 void Core::set_value(RobEntry& e, Word value) {
@@ -149,9 +151,7 @@ void Core::writeback(const RobEntry& e) {
   }
 }
 
-void Core::wait_on(std::uint64_t producer, std::uint64_t consumer, std::uint8_t operand) {
-  RobEntry* p = rob_find(producer);
-  assert(p != nullptr && "a tagged operand names a live ROB entry");
+void Core::wait_on(RobEntry& p, std::uint64_t consumer, std::uint8_t operand) {
   std::uint32_t n = wake_free_;
   if (n != kNoNode) {
     wake_free_ = wake_nodes_[n].next;
@@ -160,11 +160,11 @@ void Core::wait_on(std::uint64_t producer, std::uint64_t consumer, std::uint8_t 
     wake_nodes_.emplace_back();
   }
   wake_nodes_[n] = WakeNode{consumer, kNoNode, operand};
-  if (p->consumers == kNoNode)
-    p->consumers = n;
+  if (p.consumers == kNoNode)
+    p.consumers = n;
   else
-    wake_nodes_[p->consumers_tail].next = n;
-  p->consumers_tail = n;
+    wake_nodes_[p.consumers_tail].next = n;
+  p.consumers_tail = n;
 }
 
 void Core::free_chain(RobEntry& e) {
@@ -404,7 +404,7 @@ void Core::do_dispatch(Cycle now) {
       add_source(e, 0, resolve(in.rs1));
       add_source(e, 1,
                  in.is_alu() && in.has_imm_operand()
-                     ? Operand::immediate(static_cast<Word>(in.imm))
+                     ? Source{Operand::immediate(static_cast<Word>(in.imm))}
                      : resolve(in.rs2));
       // The youngest entry so far: appending keeps ready_ sorted.
       if (e.waiting == 0) ready_.push_back(e.seq);

@@ -164,15 +164,21 @@ class Core : public LsuHost, public LineEventObserver {
   std::size_t pc_of(const RobEntry& e) const {
     return static_cast<std::size_t>(e.inst - program_.instructions().data());
   }
-  Operand resolve(RegId reg);
+  /// A renamed source register: its operand and, when the operand is
+  /// tagged, the producer's ROB entry, so the wait needs no second lookup.
+  struct Source {
+    Operand op;
+    RobEntry* producer = nullptr;
+  };
+  Source resolve(RegId reg);
   /// Give a dispatched ALU/branch entry its source `i`: the value, or a
   /// wait in its producer's consumer chain for a tagged operand.
-  void add_source(RobEntry& e, std::uint8_t i, const Operand& op);
+  void add_source(RobEntry& e, std::uint8_t i, const Source& s);
   /// Hand a memory op to the LSU; its tagged operands wait in their
   /// producers' consumer chains.
   void dispatch_to_lsu(const RobEntry& e, std::size_t pc, const Instruction& in);
   /// Append `consumer`'s operand to the chain of its in-flight producer.
-  void wait_on(std::uint64_t producer, std::uint64_t consumer, std::uint8_t operand);
+  void wait_on(RobEntry& producer, std::uint64_t consumer, std::uint8_t operand);
   /// Return e's whole consumer chain to the free list.
   void free_chain(RobEntry& e);
   /// e's destination value is available: record it, publish it to the

@@ -347,9 +347,9 @@ namespace {
 /// Read one line from memory into `buf`; returns the words read.
 std::span<const Word> line_from_memory(const FlatMemory& mem, Addr line, std::uint32_t bytes,
                                        Message::LineData& buf) {
-  const std::size_t n = bytes / kWordBytes;
-  for (std::size_t i = 0; i < n; ++i) buf[i] = mem.read(line + i * kWordBytes);
-  return {buf.data(), n};
+  const std::span<Word> words(buf.data(), bytes / kWordBytes);
+  mem.read_words(line, words);
+  return words;
 }
 }  // namespace
 

@@ -271,8 +271,12 @@ TEST(CacheDir, EvictionWritesBackDirtyData) {
   bool first_resident = ms.cache(0).line_state(0x0) != LineState::kInvalid;
   bool second_resident = ms.cache(0).line_state(0x100) != LineState::kInvalid;
   EXPECT_NE(first_resident, second_resident);
-  if (!first_resident) EXPECT_EQ(ms.dir().memory().read(0x0), 11u);
-  if (!second_resident) EXPECT_EQ(ms.dir().memory().read(0x100), 22u);
+  if (!first_resident) {
+    EXPECT_EQ(ms.dir().memory().read(0x0), 11u);
+  }
+  if (!second_resident) {
+    EXPECT_EQ(ms.dir().memory().read(0x100), 22u);
+  }
 }
 
 TEST(CacheDir, ReplacementNotifiesObserver) {

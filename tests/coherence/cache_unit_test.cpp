@@ -229,6 +229,59 @@ TEST(CacheUnit, ForEachResidentLineVisitsEverything) {
   EXPECT_EQ(count, 2);
 }
 
+// The lines for_each_resident_line visits, in its set-major way order.
+std::vector<Addr> resident_lines(const CoherentCache& cache) {
+  std::vector<Addr> lines;
+  cache.for_each_resident_line(
+      [&](Addr line, LineState, std::span<const Word>) { lines.push_back(line); });
+  return lines;
+}
+
+// Deliver a directory-side invalidation of `line` to cache 0. Only the
+// cache ticks: no directory transaction waits for the ack.
+void invalidate(Rig& r, Addr line) {
+  Message msg;
+  msg.type = MsgType::kInvalidate;
+  msg.src = 1;
+  msg.dst = 0;
+  msg.line_addr = line;
+  r.net->send(std::move(msg), r.cycle);
+  for (int i = 0; i < 10; ++i) {
+    r.net->deliver(r.cycle);
+    r.cache->tick(r.cycle);
+    ++r.cycle;
+  }
+  ASSERT_EQ(r.cache->line_state(line), LineState::kInvalid);
+}
+
+TEST(CacheUnit, FreshCacheVisitsNothing) {
+  Rig r(/*sets=*/4, /*ways=*/4);
+  EXPECT_TRUE(resident_lines(*r.cache).empty());
+  EXPECT_EQ(r.cache->line_state(0x0), LineState::kInvalid);
+  EXPECT_FALSE(r.cache->peek_word(0x0).has_value());
+}
+
+TEST(CacheUnit, FillTakesTheInvalidatedWayOfAFullSet) {
+  Rig r(/*sets=*/1, /*ways=*/4);  // every line maps to the one set
+  const std::vector<Word> data(4, 5);
+  for (Addr line : {0x100, 0x200, 0x300, 0x400})
+    r.cache->preload_line(line, LineState::kShared, data);
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{0x100, 0x200, 0x300, 0x400}));
+  invalidate(r, 0x200);  // way 1
+  r.cache->preload_line(0x500, LineState::kShared, data);
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{0x100, 0x500, 0x300, 0x400}));
+}
+
+TEST(CacheUnit, FillPrefersAnInvalidatedWayToANeverFilledOne) {
+  Rig r(/*sets=*/1, /*ways=*/4);
+  const std::vector<Word> data(4, 5);
+  for (Addr line : {0x100, 0x200, 0x300}) r.cache->preload_line(line, LineState::kShared, data);
+  invalidate(r, 0x200);  // way 1; way 3 was never filled
+  r.cache->preload_line(0x500, LineState::kShared, data);
+  r.cache->preload_line(0x600, LineState::kShared, data);
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{0x100, 0x500, 0x300, 0x600}));
+}
+
 TEST(CacheUnit, EvictionWritesBackTheVictimsOwnWords) {
   Rig r(/*sets=*/1, /*ways=*/2);  // every line maps to the one set
   for (Addr i = 0; i < 4; ++i) r.store(0x100 + 4 * i, static_cast<Word>(0xa0 + i));

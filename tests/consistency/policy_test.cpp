@@ -73,12 +73,15 @@ TEST(DelayArcs, RCOrdinaryAccessesAreFree) {
 TEST(DelayArcs, StrictnessHierarchy) {
   for (AC prev : {AC::kLoad, AC::kStore, AC::kAcquire, AC::kRelease}) {
     for (AC next : {AC::kLoad, AC::kStore, AC::kAcquire, AC::kRelease}) {
-      if (requires_delay(CM::kPC, prev, next))
+      if (requires_delay(CM::kPC, prev, next)) {
         EXPECT_TRUE(requires_delay(CM::kSC, prev, next));
-      if (requires_delay(CM::kRC, prev, next))
+      }
+      if (requires_delay(CM::kRC, prev, next)) {
         EXPECT_TRUE(requires_delay(CM::kWC, prev, next));
-      if (requires_delay(CM::kWC, prev, next))
+      }
+      if (requires_delay(CM::kWC, prev, next)) {
         EXPECT_TRUE(requires_delay(CM::kSC, prev, next));
+      }
     }
   }
 }
