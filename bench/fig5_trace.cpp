@@ -115,7 +115,10 @@ int main() {
     std::string args;
     for (int k = 0; k < 2; ++k) {
       if (e.key[k] == TraceEventSink::kNoArg) continue;
-      args += " " + TraceEventSink::name_of(e.key[k]) + "=" + std::to_string(e.value[k]);
+      args += ' ';
+      args += TraceEventSink::name_of(e.key[k]);
+      args += '=';
+      args += std::to_string(e.value[k]);
     }
     std::printf("  %6llu  %-16s%s\n", static_cast<unsigned long long>(e.ts), name.c_str(),
                 args.c_str());

@@ -106,7 +106,7 @@ int replay(const std::string& path, std::uint64_t sc_max_states) {
 
 int main(int argc, char** argv) {
   FuzzConfig cfg;
-  cfg.repro_dir = ".";
+  cfg.repro_dir = std::string(".");  // move-assigned: GCC 12 -O3 -Wrestrict false positive
   std::string fault = "none";
   std::string json_path = "BENCH_fuzz.json";
   std::string replay_path;

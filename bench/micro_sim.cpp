@@ -549,6 +549,43 @@ void BM_CoreSpinOnHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreSpinOnHit);
 
+// Seven cores spin on a flag that one core stores after a long counted
+// delay: the spinners' periodic spans are what periodic sleep settles in
+// closed form. Items = guest cycles; only run() is timed.
+void BM_MachineFlagSpin(benchmark::State& state) {
+  constexpr Addr kFlag = 0x1000;
+  constexpr ProcId kProcs = 8;
+  ProgramBuilder setter;
+  setter.li(1, 50'000);
+  setter.label("delay");
+  setter.addi(1, 1, -1);
+  setter.bne(1, 0, "delay");
+  setter.li(2, 1);
+  setter.store(2, ProgramBuilder::abs(kFlag));
+  setter.halt();
+  ProgramBuilder spinner;
+  spinner.spin_until_eq(kFlag, 1);
+  spinner.halt();
+  std::vector<Program> programs(kProcs, spinner.build());
+  programs[0] = setter.build();
+  const SystemConfig cfg = SystemConfig::realistic(kProcs, ConsistencyModel::kSC);
+  std::uint64_t cycles = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto m = std::make_unique<Machine>(cfg, programs);
+    state.ResumeTiming();
+    RunResult r = m->run();
+    cycles += r.ticks;
+    benchmark::DoNotOptimize(r.cycles);
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
+  state.SetLabel("items = guest cycles");
+}
+BENCHMARK(BM_MachineFlagSpin);
+
 void BM_SpecLoadBufferScan(benchmark::State& state) {
   SpecLoadBuffer buf(16);
   for (std::uint64_t i = 0; i < 16; ++i) {

@@ -132,13 +132,25 @@ const CoherentCache::Mshr* CoherentCache::find_mshr(Addr line) const {
   return nullptr;
 }
 
+CoherentCache::Mshr* CoherentCache::merge_target(Addr line) {
+  Mshr* m = find_mshr(line);
+  if (m != nullptr) ++activity_;
+  return m;
+}
+
 CoherentCache::Mshr* CoherentCache::alloc_mshr(Addr line, Cycle now) {
+  ++activity_;
   for (auto& m : mshrs_) {
     if (!m.valid) {
-      m = Mshr{};
+      // Field by field: the waiter list keeps its capacity, so a miss
+      // allocates nothing once each MSHR has held its largest merge.
       m.valid = true;
       m.line = line;
+      m.want_ex = false;
+      m.upgrade_after_fill = false;
+      m.prefetch_initiated = false;
       m.alloc_at = now;
+      m.waiters.clear();
       busy_inc();
       return &m;
     }
@@ -180,6 +192,56 @@ std::size_t CoherentCache::mshrs_in_use() const {
 void CoherentCache::use_port(Cycle now) {
   port_used_valid_ = true;
   port_used_at_ = now;
+}
+
+void CoherentCache::log_touch(const Way& way) {
+  const auto i = static_cast<std::uint32_t>(&way - ways_.get());
+  if (std::find(touched_.begin(), touched_.end(), i) == touched_.end()) touched_.push_back(i);
+}
+
+void CoherentCache::walk(PeriodWalk& w) {
+  w.plain(responses_.size());
+  for (std::size_t i = 0; i < responses_.size(); ++i) {
+    CacheResponse& r = responses_[i];
+    w.token(r.token);
+    w.plain(r.value);
+    w.cycle(r.ready_at);
+    w.plain(r.was_hit);
+  }
+  w.plain(port_used_valid_);
+  w.cycle(port_used_at_);
+  // Outstanding misses change only when a message arrives or a probe
+  // merges (both cache activity), but the core's probes read them.
+  for (Mshr& m : mshrs_) {
+    w.plain(m.valid);
+    if (!m.valid) continue;
+    w.plain(m.line);
+    w.plain(m.want_ex);
+    w.plain(m.upgrade_after_fill);
+    w.plain(m.prefetch_initiated);
+    w.cycle(m.alloc_at);
+    w.plain(m.waiters.size());
+    for (Waiter& wt : m.waiters) {
+      w.token(wt.token);
+      w.plain(wt.op);
+      w.plain(wt.addr);
+      w.plain(wt.store_value);
+      w.plain(wt.rmw_op);
+      w.plain(wt.rmw_cmp);
+      w.plain(wt.rmw_src);
+    }
+  }
+  w.plain(touched_.size());
+  for (std::uint32_t i : touched_) {
+    Way& way = ways_[i];
+    w.plain(i);
+    w.plain(way.state);
+    w.plain(way.prefetched);
+    w.plain(way.line);
+    w.cycle(way.last_use);
+    w.cycle(way.fill_at);
+    for (Word v : line_words(way)) w.plain(v);
+  }
 }
 
 void CoherentCache::push_response(std::uint64_t token, Word value, Cycle ready, bool hit) {
@@ -294,7 +356,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
   switch (req.op) {
     case CacheOp::kLoad: {
       if (way != nullptr) {
-        way->last_use = now;
+        touch(*way, now);
         if (way->prefetched) {
           way->prefetched = false;
           stats_.add(stat::prefetch_useful_hit);
@@ -305,7 +367,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, read_word(*way, req.addr), now + 1, true);
         return ProbeResult::kHit;
       }
-      Mshr* mshr = find_mshr(line);
+      Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         stats_.add(stat::load_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -327,13 +389,14 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       if (update_proto) {
         stats_.add(way != nullptr ? stat::store_hit_update : stat::store_miss_update);
         if (way != nullptr) {
-          way->last_use = now;
+          touch(*way, now);
           write_word(*way, req.addr, req.store_value);
           if (profile_) pf_demand_touch(line, now);
         }
         // The store performs only when the directory confirms every
         // sharer saw the new value (paper §3.1: an update protocol
         // cannot partially service a write).
+        ++activity_;
         word_ops_[req.token] =
             WordOp{req.token, false, RmwOp::kTestAndSet, 0, 0, req.addr};
         busy_inc();
@@ -345,7 +408,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMiss;
       }
       if (way != nullptr && way->state == LineState::kExclusive) {
-        way->last_use = now;
+        touch(*way, now);
         if (way->prefetched) {
           way->prefetched = false;
           stats_.add(stat::prefetch_useful_hit);
@@ -357,7 +420,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, 0, now + 1, true);
         return ProbeResult::kHit;
       }
-      Mshr* mshr = find_mshr(line);
+      Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         stats_.add(stat::store_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -383,13 +446,13 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       // a value AND acquires ownership. Only used under invalidation.
       assert(!update_proto);
       if (way != nullptr && way->state == LineState::kExclusive) {
-        way->last_use = now;
+        touch(*way, now);
         if (profile_) pf_demand_touch(line, now);
         stats_.add(stat::loadex_hit);
         push_response(req.token, read_word(*way, req.addr), now + 1, true);
         return ProbeResult::kHit;
       }
-      Mshr* mshr = find_mshr(line);
+      Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         stats_.add(stat::loadex_merged);
         if (profile_) pf_demand_touch(line, now);
@@ -413,6 +476,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       if (update_proto) {
         stats_.add(stat::rmw_update);
         if (profile_ && way != nullptr) pf_demand_touch(line, now);
+        ++activity_;
         word_ops_[req.token] =
             WordOp{req.token, true, req.rmw_op, req.rmw_cmp, req.rmw_src, req.addr};
         busy_inc();
@@ -426,7 +490,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         return ProbeResult::kMiss;
       }
       if (way != nullptr && way->state == LineState::kExclusive) {
-        way->last_use = now;
+        touch(*way, now);
         if (way->prefetched) {
           way->prefetched = false;
           stats_.add(stat::prefetch_useful_hit);
@@ -439,7 +503,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         push_response(req.token, old, now + 1, true);
         return ProbeResult::kHit;
       }
-      Mshr* mshr = find_mshr(line);
+      Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         stats_.add(stat::rmw_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
@@ -484,7 +548,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         stats_.add(stat::prefetch_dropped);
         return ProbeResult::kDropped;
       }
-      Mshr* mshr = find_mshr(line);
+      Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         if (!mshr->want_ex && !mshr->upgrade_after_fill) {
           mshr->upgrade_after_fill = true;
@@ -516,7 +580,7 @@ void CoherentCache::preload_line(Addr line, LineState st, std::span<const Word> 
 }
 
 bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
-  Mshr* mshr = find_mshr(line_of(req.addr));
+  Mshr* mshr = merge_target(line_of(req.addr));
   if (mshr == nullptr) return false;
   Waiter w;
   w.token = req.token;
@@ -602,6 +666,7 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word
 }
 
 void CoherentCache::handle_message(const Message& msg, Cycle now) {
+  ++activity_;
   switch (msg.type) {
     case MsgType::kReadReply: {
       Mshr* m = find_mshr(msg.line_addr);
@@ -617,15 +682,15 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       if (profile_) pf_fill(msg.line_addr, now);
       // Loads complete off the shared copy; store/RMW waiters forced an
       // upgrade and keep waiting for the exclusive reply.
-      std::vector<Waiter> remaining;
-      for (const Waiter& w : m->waiters) {
-        if (w.op == CacheOp::kLoad) {
-          push_response(w.token, read_word(*way, w.addr), now, false);
-        } else {
-          remaining.push_back(w);
-        }
+      std::vector<Waiter>& waiters = m->waiters;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < waiters.size(); ++i) {
+        if (waiters[i].op == CacheOp::kLoad)
+          push_response(waiters[i].token, read_word(*way, waiters[i].addr), now, false);
+        else
+          waiters[kept++] = waiters[i];
       }
-      m->waiters = std::move(remaining);
+      waiters.resize(kept);
       if (m->upgrade_after_fill || !m->waiters.empty()) {
         m->upgrade_after_fill = false;
         m->want_ex = true;

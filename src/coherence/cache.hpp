@@ -23,6 +23,7 @@
 
 #include "common/config.hpp"
 #include "common/json.hpp"
+#include "common/period.hpp"
 #include "common/ring_fifo.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
@@ -129,6 +130,23 @@ class CoherentCache {
   const StatSet& stats() const { return stats_; }
   StatSet& stats() { return stats_; }
 
+  // --- periodic-core support (see Core::settle) ----------------------
+  /// Bumped by every MSHR allocation or merge, word op and handled
+  /// message: cache state changed beyond what a hit changes.
+  std::uint64_t activity() const { return activity_; }
+  /// A word op or deferred fill is outstanding (state walk() leaves out).
+  bool holds_transactions() const { return !word_ops_.empty() || !retry_fills_.empty(); }
+  /// Log each way a demand probe touches, once, in first-touch order.
+  /// start clears the log and logs; stop ends logging and keeps the log.
+  void start_touch_log() {
+    touched_.clear();
+    touch_log_on_ = true;
+  }
+  void stop_touch_log() { touch_log_on_ = false; }
+  /// Visit the state a core's hits read and write — the response ring,
+  /// the port stamp, the MSHRs and the logged ways — for a PeriodWalk.
+  void walk(PeriodWalk& w);
+
   // --- technique-efficacy profiling (--profile) ----------------------
   /// Per-prefetch outcome attribution: every prefetch-installed tag is
   /// resolved exactly once as useful / late / useless / killed (see
@@ -198,9 +216,17 @@ class CoherentCache {
   Mshr* find_mshr(Addr line);
   const Mshr* find_mshr(Addr line) const;
   Mshr* alloc_mshr(Addr line, Cycle now);
+  /// find_mshr for a probe that may join the MSHR (counts as activity).
+  Mshr* merge_target(Addr line);
   void close_mshr(Mshr& m, Cycle now);
 
   void use_port(Cycle now);
+  /// A demand hit on `way`: stamp it for LRU and log it if logging.
+  void touch(Way& way, Cycle now) {
+    way.last_use = now;
+    if (touch_log_on_) log_touch(way);
+  }
+  void log_touch(const Way& way);
   /// Pending-work accounting (valid MSHRs + responses + retry fills +
   /// word ops); 0<->nonzero transitions update the machine counter.
   void busy_inc();
@@ -284,6 +310,10 @@ class CoherentCache {
 
   bool port_used_valid_ = false;
   Cycle port_used_at_ = 0;
+
+  std::uint64_t activity_ = 0;
+  bool touch_log_on_ = false;
+  std::vector<std::uint32_t> touched_;  ///< way indices, first-touch order
 
   std::uint64_t busy_ = 0;            ///< pending work items (idle() == 0)
   std::uint64_t* quiesce_ = nullptr;  ///< machine-wide busy-cache count

@@ -36,7 +36,13 @@ class FixedQueue {
     const std::size_t pos = wrap(head_ + size_);
     assert(pos <= slots_.size());
     ++size_;
-    if (pos == slots_.size()) return slots_.emplace_back(std::move(value));
+    if (pos == slots_.size()) {
+      // Reserved at construction: this never reallocates. Saying so
+      // also keeps GCC from analysing a reallocation path that cannot
+      // run (its -O3 -Warray-bounds false positive on an empty buffer).
+      if (slots_.size() == slots_.capacity()) __builtin_unreachable();
+      return slots_.emplace_back(std::move(value));
+    }
     return slots_[pos] = std::move(value);
   }
 

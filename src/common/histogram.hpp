@@ -81,6 +81,16 @@ class LogHistogram {
 
   void clear() { *this = LogHistogram(); }
 
+  /// Visit every field for a PeriodWalk: counts and the sum grow, the
+  /// max repeats.
+  template <typename Walk>
+  void walk(Walk& w) {
+    for (std::uint64_t& b : buckets_) w.counter(b);
+    w.counter(sum_);
+    w.counter(count_);
+    w.plain(max_);
+  }
+
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t sum_ = 0;

@@ -34,6 +34,10 @@ class RingFifo {
     return (*this)[size_ - 1];
   }
   /// i-th element from the head (0 == front). Caller checks i < size().
+  T& operator[](std::size_t i) {
+    assert(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
   const T& operator[](std::size_t i) const {
     assert(i < size_);
     return buf_[(head_ + i) & (buf_.size() - 1)];

@@ -79,9 +79,10 @@ std::uint64_t StatSet::percentile_of(StatId id, double q) const {
 }
 
 const LogHistogram* StatSet::histogram(StatId id) const {
-  if (id.value() >= samples_.size()) return nullptr;
-  const LogHistogram& h = samples_[id.value()];
-  return h.count() > 0 ? &h : nullptr;
+  for (const Sampled& s : samples_) {
+    if (s.id == id.value()) return &s.hist;
+  }
+  return nullptr;
 }
 
 std::map<std::string, std::uint64_t> StatSet::counters() const {
@@ -98,9 +99,7 @@ std::string StatSet::report() const {
     os << prefix_ << '.' << name << ' ' << value << '\n';
   }
   std::map<std::string, const LogHistogram*> samples;
-  for (std::uint32_t i = 0; i < samples_.size(); ++i) {
-    if (samples_[i].count() > 0) samples.emplace(StatNames::name(StatId(i)), &samples_[i]);
-  }
+  for (const Sampled& s : samples_) samples.emplace(StatNames::name(StatId(s.id)), &s.hist);
   for (const auto& [name, h] : samples) {
     os << prefix_ << '.' << name << ".mean " << h->mean() << " (n=" << h->count()
        << ", p50=" << h->p50() << ", p90=" << h->p90() << ", p99=" << h->p99()

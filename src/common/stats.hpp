@@ -56,8 +56,8 @@ class StatSet {
   explicit StatSet(std::string prefix) : prefix_(std::move(prefix)) {
     // Pre-size to every name interned so far (components intern at
     // static init, well before any StatSet exists), so the steady-state
-    // add(StatId) below never takes the resize branch. Histogram slots
-    // stay lazy — they are ~40x bigger and most ids are pure counters.
+    // add(StatId) below never takes the resize branch. Histograms are
+    // kept only for the ids actually sampled.
     counters_.resize(StatNames::count());
   }
 
@@ -124,6 +124,21 @@ class StatSet {
     samples_.clear();
   }
 
+  /// Visit every touched counter and every histogram for a PeriodWalk.
+  template <typename Walk>
+  void walk(Walk& w) {
+    for (std::uint32_t i = 0; i < counters_.size(); ++i) {
+      if (!counters_[i].touched) continue;
+      w.plain(i);
+      w.counter(counters_[i].value);
+    }
+    w.plain(samples_.size());
+    for (Sampled& s : samples_) {
+      w.plain(s.id);
+      s.hist.walk(w);
+    }
+  }
+
   /// Allocated counter slots (pre-sizing introspection for tests/benches).
   std::size_t counter_slots() const { return counters_.size(); }
 
@@ -139,14 +154,22 @@ class StatSet {
     if (id.value() >= counters_.size()) counters_.resize(id.value() + 1);
     return counters_[id.value()];
   }
+  /// One sampled id's histogram. A set samples a handful of ids, so a
+  /// short list beats a table indexed by id (288 bytes per slot).
+  struct Sampled {
+    std::uint32_t id;
+    LogHistogram hist;
+  };
   LogHistogram& sample_slot(StatId id) {
-    if (id.value() >= samples_.size()) samples_.resize(id.value() + 1);
-    return samples_[id.value()];
+    for (Sampled& s : samples_) {
+      if (s.id == id.value()) return s.hist;
+    }
+    return samples_.emplace_back(Sampled{id.value(), {}}).hist;
   }
 
   std::string prefix_;
-  std::vector<Counter> counters_;      ///< indexed by StatId
-  std::vector<LogHistogram> samples_;  ///< indexed by StatId; present iff count > 0
+  std::vector<Counter> counters_;  ///< indexed by StatId
+  std::vector<Sampled> samples_;   ///< in first-sample order; every count > 0
 };
 
 }  // namespace mcsim

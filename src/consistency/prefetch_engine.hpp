@@ -53,6 +53,16 @@ class PrefetchEngine {
 
   void clear() { queue_.clear(); }
 
+  /// Visit the queued prefetches for a PeriodWalk.
+  template <typename Walk>
+  void walk(Walk& w) const {
+    w.plain(queue_.size());
+    for (const Pending& p : queue_) {
+      w.plain(p.line);
+      w.plain(p.exclusive);
+    }
+  }
+
  private:
   struct Pending {
     Addr line;

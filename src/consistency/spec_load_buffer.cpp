@@ -24,11 +24,12 @@ void SpecLoadBuffer::nullify_store_tag(std::uint64_t store_seq) {
 }
 
 SpecLoadBuffer::MatchResult SpecLoadBuffer::on_line_event(LineEventKind /*kind*/,
-                                                          Addr line) const {
+                                                          Addr line) {
   // Every event kind is treated identically (conservatively): an
   // invalidation or update may have changed the value; a replacement
   // means we would no longer observe such a change (§4.2).
   MatchResult r;
+  reissue_.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_.at(i);
     if (e.line != line) continue;
@@ -42,8 +43,9 @@ SpecLoadBuffer::MatchResult SpecLoadBuffer::on_line_event(LineEventKind /*kind*/
     }
     // Not done: the initial return value must be discarded and the
     // load reissued; instructions after it have consumed nothing.
-    r.reissue.push_back(e.seq);
+    reissue_.push_back(e.seq);
   }
+  r.reissue = reissue_;
   return r;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,9 @@ class SpecLoadBuffer {
     Cycle done_at = 0;            ///< cycle the value bound (profiling: wasted work)
   };
 
-  explicit SpecLoadBuffer(std::size_t capacity) : entries_(capacity) {}
+  explicit SpecLoadBuffer(std::size_t capacity) : entries_(capacity) {
+    reissue_.reserve(capacity);
+  }
 
   bool full() const { return entries_.full(); }
   bool empty() const { return entries_.empty(); }
@@ -93,12 +96,14 @@ class SpecLoadBuffer {
 
   /// What the detection mechanism demands after a coherence transaction
   /// on `line`.
+  /// `reissue` lives in the buffer (at most one seq per entry, so it
+  /// never allocates) and is valid until the next on_line_event call.
   struct MatchResult {
     bool squash = false;
     std::uint64_t squash_seq = 0;           ///< oldest done (consumed) match
-    std::vector<std::uint64_t> reissue;     ///< not-done matches older than that
+    std::span<const std::uint64_t> reissue; ///< not-done matches older than that
   };
-  MatchResult on_line_event(LineEventKind kind, Addr line) const;
+  MatchResult on_line_event(LineEventKind kind, Addr line);
 
   /// Remove every entry with seq >= `seq` (pipeline squash). Returns
   /// how many entries were dropped.
@@ -137,6 +142,25 @@ class SpecLoadBuffer {
     return arr;
   }
 
+  /// Visit every entry for a PeriodWalk.
+  template <typename Walk>
+  void walk(Walk& w) {
+    w.plain(entries_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_.at(i);
+      w.seq(e.seq);
+      w.plain(e.addr);
+      w.plain(e.line);
+      w.plain(e.acq);
+      w.plain(e.done);
+      w.seq(e.store_tag);
+      w.plain(e.is_rmw_read);
+      w.plain(e.nonspec);
+      w.plain(e.value);
+      w.cycle(e.done_at);
+    }
+  }
+
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::size_t i = 0; i < entries_.size(); ++i) fn(entries_.at(i));
@@ -144,6 +168,7 @@ class SpecLoadBuffer {
 
  private:
   FixedQueue<Entry> entries_;
+  std::vector<std::uint64_t> reissue_;  ///< on_line_event's result, reserved to capacity
 };
 
 }  // namespace mcsim

@@ -3,7 +3,7 @@
 namespace mcsim {
 
 BranchPredictor::BranchPredictor(std::uint32_t entries)
-    : counters_(entries == 0 ? 1 : entries, 1), stats_("bpred") {}
+    : counters_(entries == 0 ? 1 : entries, 1) {}
 
 bool BranchPredictor::predict(std::size_t pc, const Instruction& inst) const {
   if (inst.op == Opcode::kJmp) return true;

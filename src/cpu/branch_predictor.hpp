@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 
@@ -23,13 +22,21 @@ class BranchPredictor {
   /// Train the dynamic predictor with the resolved direction.
   void train(std::size_t pc, const Instruction& inst, bool taken);
 
-  const StatSet& stats() const { return stats_; }
-  StatSet& stats() { return stats_; }
+  /// Visit the counters for a PeriodWalk.
+  template <typename Walk>
+  void walk(Walk& w) const {
+    // Eight 2-bit counters per recorded word, to keep a record short.
+    for (std::size_t i = 0; i < counters_.size(); i += 8) {
+      std::uint64_t packed = 0;
+      for (std::size_t j = i; j < counters_.size() && j < i + 8; ++j)
+        packed |= std::uint64_t{counters_[j]} << (8 * (j - i));
+      w.plain(packed);
+    }
+  }
 
  private:
   std::size_t index(std::size_t pc) const { return pc % counters_.size(); }
   std::vector<std::uint8_t> counters_;  ///< 2-bit: 0,1 = not taken; 2,3 = taken
-  StatSet stats_;
 };
 
 }  // namespace mcsim

@@ -58,6 +58,12 @@ std::size_t fetch_buffer_cap(const CoreConfig& c) {
   return c.ideal_frontend ? std::max<std::size_t>(c.rob_entries, 2 * c.fetch_width)
                           : 2 * c.fetch_width;
 }
+
+// Periodic sleep: quiet ticks before a probe may start, and the wait
+// after a failed probe, doubled per failure within one quiet run.
+constexpr std::uint64_t kMinQuietTicks = 4;
+constexpr Cycle kMinProbeBackoff = 16;
+constexpr Cycle kMaxProbeBackoff = 16384;
 }  // namespace
 
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
@@ -65,6 +71,7 @@ Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
     : id_(id),
       cfg_(resolve_for(cfg, id)),
       program_(program),
+      cache_(cache),
       events_(events),
       rob_(cfg_.core.rob_entries),
       predictor_(cfg_.core.btb_entries),
@@ -195,6 +202,13 @@ void Core::broadcast(RobEntry& e, Word value) {
 
 void Core::tick(Cycle now) {
   settle(now);
+  // A periodic core is ticked only once its cache has acted: it wakes.
+  if (period_.phase == Period::kAsleep) restart_watch();
+  tick_live(now);
+  if (period_.phase != Period::kOff) watch_period(now);
+}
+
+void Core::tick_live(Cycle now) {
   progress_ = false;
   lsu_.clear_progress();
   const std::uint64_t retired_before = retired_;
@@ -224,12 +238,176 @@ void Core::account_cycle(bool retired_any, Cycle now) {
 
 void Core::settle(Cycle now) {
   if (now <= uncharged_from_) return;
+  if (period_.phase == Period::kAsleep) {
+    const std::uint64_t periods = (now - uncharged_from_) / period_.period;
+    if (periods > 0) {
+      PeriodWalk counters = PeriodWalk::shifter(period_.shift, periods, period_.deltas);
+      walk_counters(counters);
+      PeriodWalk state = PeriodWalk::shifter(period_.shift, periods, {});
+      walk_state(state);  // moves uncharged_from_ by the whole periods
+      period_ticks_settled_ += periods * period_.period;
+    }
+    while (uncharged_from_ < now) tick_live(uncharged_from_);
+    return;
+  }
   // Only a tick that made no progress lets the core sleep, so the cause
   // it charged is its frozen classification (and the open episode's).
   assert(classify_stall() == last_cause_ &&
          "a sleeping core's state changed before it was settled");
   stall_[static_cast<std::size_t>(last_cause_)] += now - uncharged_from_;
   uncharged_from_ = now;
+}
+
+void Core::allow_periodic_sleep(PeriodRecordPool* pool) {
+  restart_watch();
+  period_.pool = pool;
+  period_.phase = pool != nullptr ? Period::kWatch : Period::kOff;
+  period_.last_tick = kCycleNever;
+}
+
+void Core::restart_watch() {
+  PeriodState& ps = period_;
+  if (ps.phase != Period::kWatch) cache_.stop_touch_log();
+  if (ps.records != nullptr) ps.pool->give(std::move(ps.records));
+  ps.phase = Period::kWatch;
+  ps.quiet = 0;
+  ps.retry_at = 0;
+  ps.backoff = kMinProbeBackoff;
+}
+
+std::uint64_t Core::period_signature() const {
+  std::uint64_t h = lsu_.occupancy();
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  };
+  mix(rob_.size() | ready_.size() << 16 | fetch_buf_.size() << 32 |
+      static_cast<std::uint64_t>(last_cause_) << 48);
+  mix(fetch_pc_);
+  mix(next_seq_ - period_.last_seq);
+  mix(retired_ - period_.last_retired);
+  mix(lsu_.next_token() - period_.last_token);
+  return h;
+}
+
+void Core::watch_period(Cycle now) {
+  PeriodState& ps = period_;
+  // Quiet: a live tick right after the previous one, in which the cache
+  // handled no message, allocated or joined no MSHR, and holds no word
+  // op or deferred fill (walk_state compares the MSHRs it does hold).
+  const bool quiet = (progress_ || lsu_.progressed()) && ps.last_tick + 1 == now &&
+                     cache_.activity() == ps.cache_activity && !cache_.holds_transactions();
+  ps.last_tick = now;
+  ps.cache_activity = cache_.activity();
+  if (!quiet) {
+    restart_watch();
+    return;
+  }
+  ++ps.quiet;
+  if (ps.phase == Period::kWatch) {
+    // Backing off after a failed probe: signatures are needed again only
+    // for the last kSignatures ticks before the next one.
+    if (now + kSignatures < ps.retry_at) return;
+    const std::uint64_t sig = period_signature();
+    ps.last_seq = next_seq_;
+    ps.last_retired = retired_;
+    ps.last_token = lsu_.next_token();
+    ps.signatures[ps.quiet % kSignatures] = sig;
+    if (ps.quiet < kMinQuietTicks || now < ps.retry_at) return;
+    for (Cycle t = 1; t < kSignatures && t < ps.quiet; ++t) {
+      if (ps.signatures[(ps.quiet - t) % kSignatures] != sig) continue;
+      // A candidate period: record the counters now, the full state one
+      // and two periods on (the cache logs the ways hit in between).
+      ps.period = t;
+      ps.probe_at = now + t;
+      ps.records = ps.pool->take();
+      PeriodWalk w = PeriodWalk::recorder(ps.records->counters[0]);
+      walk_counters(w);
+      cache_.start_touch_log();
+      ps.phase = Period::kProbe1;
+      return;
+    }
+    return;
+  }
+  if (now < ps.probe_at) return;
+  const bool first = ps.phase == Period::kProbe1;
+  PeriodRecords& r = *ps.records;
+  PeriodWalk c = PeriodWalk::recorder(r.counters[first ? 1 : 2]);
+  walk_counters(c);
+  PeriodWalk x = PeriodWalk::recorder(r.state[first ? 0 : 1]);
+  walk_state(x);
+  if (first) {
+    ps.probe_seq = next_seq_;
+    ps.probe_token = lsu_.next_token();
+    cache_.start_touch_log();
+    ps.probe_at = now + ps.period;
+    ps.phase = Period::kProbe2;
+    return;
+  }
+  cache_.stop_touch_log();
+  ps.shift.by = {next_seq_ - ps.probe_seq, lsu_.next_token() - ps.probe_token, ps.period};
+  const bool periodic =
+      PeriodWalk::fit_state(r.state[0], r.state[1], ps.shift) &&
+      PeriodWalk::fit_counters(r.counters[0], r.counters[1], r.counters[2], ps.deltas);
+  ps.pool->give(std::move(ps.records));
+  if (periodic) {
+    ps.phase = Period::kAsleep;
+    return;
+  }
+  ps.phase = Period::kWatch;
+  ps.quiet = 0;
+  ps.retry_at = now + ps.backoff;
+  ps.backoff = std::min(2 * ps.backoff, kMaxProbeBackoff);
+}
+
+void Core::walk_counters(PeriodWalk& w) {
+  stats_.walk(w);
+  for (std::uint64_t& cycles : stall_) w.counter(cycles);
+  w.counter(retired_);
+  lsu_.stats().walk(w);
+  cache_.stats().walk(w);
+}
+
+void Core::walk_state(PeriodWalk& w) {
+  w.seq(next_seq_);
+  w.cycle(uncharged_from_);
+  w.plain(last_cause_);
+  w.plain(fetch_pc_);
+  w.plain(fetch_stopped_);
+  w.plain(dispatch_stopped_);
+  w.plain(halted_);
+  w.plain(rob_.size());
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    RobEntry& e = rob_.at(i);
+    w.seq(e.seq);
+    // Plain fields packed, to keep a record short: pc and Words fit 32 bits.
+    const std::uint64_t flags = e.executed | e.value_ready << 1 | e.performed << 2 |
+                                e.released << 3 | e.spec_value << 4 | e.predicted_taken << 5;
+    w.plain(pc_of(e) | std::uint64_t{e.waiting} << 32 | flags << 40);
+    w.plain(e.src[0] | std::uint64_t{e.src[1]} << 32);
+    w.plain(e.result);
+    // The consumer chain in chain order; which pool nodes hold it does
+    // not matter.
+    for (std::uint32_t n = e.consumers; n != kNoNode; n = wake_nodes_[n].next) {
+      w.plain(wake_nodes_[n].operand);
+      w.seq(wake_nodes_[n].consumer);
+    }
+    w.plain(kNoNode);
+  }
+  w.plain(ready_.size());
+  for (std::uint64_t& seq : ready_) w.seq(seq);
+  for (RenameEntry& r : rename_) {
+    w.seq(r.seq);
+    w.plain(r.value | std::uint64_t{r.ready} << 32);
+  }
+  for (Word v : regfile_) w.plain(v);
+  w.plain(fetch_buf_.size());
+  for (std::size_t i = 0; i < fetch_buf_.size(); ++i)
+    w.plain(fetch_buf_.at(i).pc | std::uint64_t{fetch_buf_.at(i).predicted_taken} << 32);
+  w.plain(wake_nodes_.size());
+  predictor_.walk(w);
+  lsu_.walk(w);
+  cache_.walk(w);
 }
 
 void Core::flush_stall_episode(Cycle now) {

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/json.hpp"
+#include "common/period.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
@@ -39,16 +41,27 @@ class Core : public LsuHost, public LineEventObserver {
        TraceEventSink* events = nullptr);
 
   /// Advance one cycle. The cache must have ticked already. Any cycles
-  /// skipped since the previous tick are settled first.
+  /// skipped since the previous tick are settled first, and a core
+  /// asleep in a periodic spin wakes.
   void tick(Cycle now);
 
-  /// Charge the cycles skipped since the previous tick — a span the
-  /// scheduler let this core sleep through — to the cause that tick
-  /// classified. A stall cause reads only core, LSU and cache state, and
-  /// a sleeping core's cache does not tick before the core wakes, so
-  /// every skipped tick would have charged that same cause. O(1); a no-op
-  /// for a core ticked every cycle. Call with the current cycle before
-  /// reading stall_cycles() of a core that may be asleep.
+  /// Bring the cycles skipped since the previous tick — a span the
+  /// scheduler let this core sleep through — up to `now`. Only the
+  /// core's cache acts on the core, and the cache's tick settles its
+  /// core first, so nothing outside the core touched it meanwhile.
+  ///
+  /// A frozen core (its last tick made no progress) charges the span to
+  /// the cause that tick classified: a stall cause reads only core, LSU
+  /// and cache state, so every skipped tick would have charged it. O(1).
+  ///
+  /// A periodic core (asleep in a spin whose state repeats every
+  /// `period` ticks while its cache sends nothing) advances k = n /
+  /// period whole periods in closed form — seqs, tokens and cycle stamps
+  /// shift, counters grow by k periods' worth — and ticks the n mod
+  /// period remainder live. O(state + period).
+  ///
+  /// A no-op for a core ticked every cycle. Call with the current cycle
+  /// before reading the stats of a core that may be asleep.
   void settle(Cycle now);
 
   /// Earliest future cycle at which tick() could change any state,
@@ -58,10 +71,25 @@ class Core : public LsuHost, public LineEventObserver {
   /// forwarding result matures (its ready_at) or an external event
   /// arrives (cache response or coherence transaction — covered by the
   /// cache's and network's own next_event). kCycleNever when neither.
+  /// A core asleep in a periodic spin answers max_cycles: its skipped
+  /// ticks are not no-ops, but settle() reproduces them on wake, and a
+  /// machine whose only live work is such a spin still runs to the
+  /// watchdog without being taken for wedged.
   Cycle next_event(Cycle now) const {
+    if (period_.phase == Period::kAsleep) return cfg_.max_cycles;
     if (progress_ || lsu_.progressed()) return now;
     return lsu_.next_local_completion();
   }
+
+  /// Let this core fall asleep in a periodic spin, borrowing probe
+  /// records from `pool` (Machine::run() does this for its active-set
+  /// loop when no trace events, profile or access log observe
+  /// individual ticks). nullptr turns it off and wakes a sleeping core,
+  /// so settle first.
+  void allow_periodic_sleep(PeriodRecordPool* pool);
+  /// Ticks settled in closed form by periodic sleep (introspection: not
+  /// a statistic, so stats reports stay identical to the naive loop's).
+  std::uint64_t periodic_ticks_settled() const { return period_ticks_settled_; }
 
   bool halted() const { return halted_; }
   /// Halted and every buffered access has performed.
@@ -149,6 +177,8 @@ class Core : public LsuHost, public LineEventObserver {
     Word value = 0;
   };
 
+  /// The pipeline's cycle: everything tick() does besides settling.
+  void tick_live(Cycle now);
   void do_commit(Cycle now);
   void do_execute(Cycle now);
   void do_dispatch(Cycle now);
@@ -190,11 +220,49 @@ class Core : public LsuHost, public LineEventObserver {
   /// Mark an in-tick state mutation (see next_event()).
   void note_progress() { progress_ = true; }
 
+  // --- periodic sleep (see settle) -----------------------------------
+  enum class Period : std::uint8_t {
+    kOff,     ///< not allowed: costs one branch per tick
+    kWatch,   ///< counting quiet ticks, looking for a repeating signature
+    kProbe1,  ///< candidate period found: recording one period apart
+    kProbe2,
+    kAsleep,  ///< proven periodic; next_event() parks it at max_cycles
+  };
+  /// Ticks whose signatures are kept: the longest period looked for + 1.
+  static constexpr std::size_t kSignatures = 16;
+  struct PeriodState {
+    Period phase = Period::kOff;
+    Cycle last_tick = kCycleNever;  ///< cycle of the previous live tick
+    std::uint64_t cache_activity = 0;
+    std::uint64_t quiet = 0;        ///< consecutive quiet ticks so far
+    std::uint64_t last_seq = 0, last_retired = 0, last_token = 0;
+    std::array<std::uint64_t, kSignatures> signatures{};
+    Cycle period = 0;
+    Cycle probe_at = 0;             ///< tick at whose end the next record is taken
+    Cycle retry_at = 0;             ///< no new probe before this tick
+    Cycle backoff = 0;              ///< grows with each failed probe in a quiet run
+    std::uint64_t probe_seq = 0, probe_token = 0;
+    PeriodRecordPool* pool = nullptr;
+    std::unique_ptr<PeriodRecords> records;  ///< borrowed for one probe
+    PeriodWalk::Shift shift;
+    std::vector<std::uint64_t> deltas;  ///< per period, by counter walk position
+  };
+  /// After a live tick: track quiet ticks, probe for a period, sleep.
+  void watch_period(Cycle now);
+  void restart_watch();
+  /// Occupancies, fetch pc, stall cause and one tick's seq/retired/token
+  /// growth, mixed into one word.
+  std::uint64_t period_signature() const;
+  void walk_counters(PeriodWalk& w);
+  /// Everything a live tick reads or writes, the cache side included.
+  void walk_state(PeriodWalk& w);
+
   ProcId id_;
   /// This core's resolved configuration: the machine-wide settings
   /// with any per_core override for this processor already applied.
   SystemConfig cfg_;
   const Program& program_;
+  CoherentCache& cache_;
   TraceEventSink* events_;
 
   /// Head first, seqs ascending. Seqs are never reused, so they have
@@ -243,6 +311,9 @@ class Core : public LsuHost, public LineEventObserver {
   Cycle episode_start_ = 0;
 
   StatSet stats_;
+
+  PeriodState period_;
+  std::uint64_t period_ticks_settled_ = 0;
 };
 
 }  // namespace mcsim

@@ -406,7 +406,6 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
       local_completions_.push(LocalCompletion{ld.seq, src->data.value, now + 1});
       ld.issued = true;
       stats_.add(stat::load_forwarded);
-      demand_issued_this_cycle_ = true;
       note_progress();
       return;
     }
@@ -429,7 +428,6 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
   if (ld.is_rmw_read) {
     if (StoreEntry* st = find_store(ld.seq)) st->spec_read_issued = true;
   }
-  demand_issued_this_cycle_ = true;
   note_progress();
   const bool was_reissue = ld.reissue;
   ld.issued = true;
@@ -474,7 +472,6 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
     if (!cache_.port_free(now)) return;
     ProbeResult r = cache_.probe(req, now);
     if (r == ProbeResult::kRejected) return;
-    demand_issued_this_cycle_ = true;
   }
   ++next_token_;
   tokens_.push_back(TokenInfo{req.token, st.seq, 0,
@@ -525,7 +522,6 @@ void LoadStoreUnit::offer_prefetches(Cycle now) {
 }
 
 void LoadStoreUnit::tick_issue(Cycle now) {
-  demand_issued_this_cycle_ = false;
   const bool spec_mode = cfg_.core.speculative_loads;
 
   // Pick issue candidates: the oldest actionable load and store.
@@ -878,6 +874,76 @@ StallCause LoadStoreUnit::classify_drain() const {
   if (!store_buf_.empty()) return classify_store_wait(store_buf_.front().seq);
   if (!load_q_.empty()) return classify_load_wait(load_q_.front().seq);
   return StallCause::kIdle;
+}
+
+std::uint64_t LoadStoreUnit::occupancy() const {
+  return ls_rs_.size() | load_q_.size() << 8 | store_buf_.size() << 16 |
+         spec_buffer_.size() << 24 | prefetch_.size() << 32 | tokens_.size() << 40 |
+         local_completions_.size() << 48;
+}
+
+namespace {
+void walk_operand(PeriodWalk& w, Operand& op) {
+  w.plain(op.value | std::uint64_t{op.ready} << 32);
+  if (!op.ready) w.seq(op.tag);
+}
+}  // namespace
+
+void LoadStoreUnit::walk(PeriodWalk& w) {
+  w.token(next_token_);
+  w.plain(ls_rs_.size());
+  for (std::size_t i = 0; i < ls_rs_.size(); ++i) {
+    RsEntry& e = ls_rs_.at(i);
+    w.seq(e.seq);
+    w.plain(e.pc);
+    for (Operand* op : {&e.base, &e.index, &e.data, &e.cmp}) walk_operand(w, *op);
+  }
+  w.plain(load_q_.size());
+  for (std::size_t i = 0; i < load_q_.size(); ++i) {
+    LoadEntry& e = load_q_.at(i);
+    w.seq(e.seq);
+    // Plain fields packed, to keep a record short: pc and gen fit 32 bits.
+    const std::uint64_t flags = static_cast<std::uint64_t>(e.sync) | e.is_rmw_read << 8 |
+                                e.issued << 9 | e.reissue << 10 | e.offered << 11;
+    w.plain(e.pc | flags << 32);
+    w.plain(e.addr);
+    w.plain(e.gen);
+    w.cycle(e.ready_at);
+  }
+  w.plain(store_buf_.size());
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    StoreEntry& e = store_buf_.at(i);
+    w.seq(e.seq);
+    w.plain(e.pc);
+    w.plain(e.addr);
+    walk_operand(w, e.data);
+    walk_operand(w, e.cmp);
+    w.plain(static_cast<std::uint64_t>(e.sync) | e.is_rmw << 8 | e.released << 9 |
+            e.issued << 10 | e.offered << 11 | e.spec_read_issued << 12);
+    w.cycle(e.ready_at);
+    w.cycle(e.released_at);
+  }
+  spec_buffer_.walk(w);
+  prefetch_.walk(w);
+  for (SeqFifo* f : {&sync_, &acquires_, &rmws_, &slb_acquires_}) f->walk(w);
+  if (w.recording()) {
+    std::sort(tokens_.begin(), tokens_.end(),
+              [](const TokenInfo& a, const TokenInfo& b) { return a.token < b.token; });
+  }
+  w.plain(tokens_.size());
+  for (TokenInfo& t : tokens_) {
+    w.token(t.token);
+    w.seq(t.seq);
+    w.plain(t.gen);
+    w.plain(t.kind);
+  }
+  w.plain(local_completions_.size());
+  for (std::size_t i = 0; i < local_completions_.size(); ++i) {
+    LocalCompletion& c = local_completions_.at(i);
+    w.seq(c.seq);
+    w.plain(c.value);
+    w.cycle(c.ready_at);
+  }
 }
 
 Json LoadStoreUnit::snapshot_json() const {

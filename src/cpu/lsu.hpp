@@ -20,6 +20,7 @@
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/json.hpp"
+#include "common/period.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
@@ -133,6 +134,16 @@ class LoadStoreUnit {
     return local_completions_.empty() ? kCycleNever : local_completions_.front().ready_at;
   }
 
+  // --- periodic-core support (see Core::settle) ----------------------
+  /// Queue occupancies packed into one word: a cheap signature for
+  /// spotting a state that may repeat.
+  std::uint64_t occupancy() const;
+  std::uint64_t next_token() const { return next_token_; }
+  /// Visit every piece of state a tick reads or writes for a
+  /// PeriodWalk. Recording sorts the in-flight tokens, whose order is
+  /// never observed, so two records compare them as a set.
+  void walk(PeriodWalk& w);
+
   const SpecLoadBuffer& spec_buffer() const { return spec_buffer_; }
   const PrefetchEngine& prefetch_engine() const { return prefetch_; }
 
@@ -241,6 +252,10 @@ class LoadStoreUnit {
     }
     /// Has an access of this class older than `seq` not performed?
     bool any_before(std::uint64_t seq) const { return !q_.empty() && q_.front() < seq; }
+    void walk(PeriodWalk& w) {
+      w.plain(q_.size());
+      for (std::size_t i = 0; i < q_.size(); ++i) w.seq(q_.at(i));
+    }
 
    private:
     FixedQueue<std::uint64_t> q_;
@@ -325,7 +340,6 @@ class LoadStoreUnit {
   /// One per forwarded load still in the load queue.
   FixedQueue<LocalCompletion> local_completions_;
   std::uint64_t next_token_ = 1;
-  bool demand_issued_this_cycle_ = false;
   bool progress_ = true;  ///< state mutated this tick (starts armed)
   std::vector<AccessRecord> records_;
 

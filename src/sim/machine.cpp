@@ -118,7 +118,8 @@ Cycle Machine::next_event_cycle() const {
   // sweep minimum from below (components may be armed EARLIER than
   // their true next event — over-arming only costs a live tick), so
   // returning it preserves the "a larger value proves every earlier
-  // tick is a no-op" contract without touching any component.
+  // tick is a no-op, or a periodic core's tick settled on wake"
+  // contract without touching any component.
   if (sched_live_) return sched_.next_cycle();
   Cycle ne = net_.next_event(cycle_);
   if (ne <= cycle_) return ne;
@@ -302,6 +303,12 @@ RunResult Machine::run() {
     // nothing at all (a sleeping core settles its skipped cycles when
     // it wakes, or at the end of the run), and a live cycle ticks only
     // the armed components.
+    // A spinning core may sleep through its periodic span unless
+    // something observes its individual ticks.
+    const bool periodic = !events_.enabled() && !cfg_.profile && !cfg_.record_accesses;
+    if (periodic) {
+      for (auto& core : cores_) core->allow_periodic_sleep(&period_records_);
+    }
     init_scheduler();
     while (!done() && cycle_ < cfg_.max_cycles) {
       const Cycle ne = sched_.next_cycle();
@@ -320,6 +327,9 @@ RunResult Machine::run() {
       }
     }
     settle_cores();
+    if (periodic) {
+      for (auto& core : cores_) core->allow_periodic_sleep(nullptr);
+    }
     sched_live_ = false;
   } else {
     while (!done() && cycle_ < cfg_.max_cycles) step();

@@ -64,8 +64,10 @@ class Machine {
   /// Earliest cycle at which any component can make progress: the min
   /// of every component's next_event(). A value <= now() means the
   /// next tick must run live; a larger value proves every tick before
-  /// it is a no-op; kCycleNever means the machine is permanently
-  /// quiescent (done, or deadlocked until max_cycles). O(1) while
+  /// it is either a no-op or the tick of a core asleep in a periodic
+  /// spin, which Core::settle reproduces on wake; kCycleNever means the
+  /// machine is permanently quiescent (done, or deadlocked until
+  /// max_cycles). O(1) while
   /// run()'s active-set loop is live (the scheduler heap top, see
   /// sim/sched.hpp); otherwise the O(P) sweep that is the ground truth
   /// behind the heap's arming contract.
@@ -175,6 +177,8 @@ class Machine {
   // --- active-set scheduler state (live only inside run()'s ff loop) -
   Scheduler sched_;
   bool sched_live_ = false;
+  /// Lent to cores probing for a periodic spin (Core::settle).
+  PeriodRecordPool period_records_;
   /// done()-audit sampling counter. Unconditional on purpose: the
   /// MCSIM_FF_AUDIT macro is private to the sim target, so a member
   /// behind it would give this header two different layouts.

@@ -18,7 +18,13 @@ std::string hex(std::uint64_t v) {
   return os.str();
 }
 
-std::string reg(RegId r) { return "r" + std::to_string(r); }
+std::string reg(RegId r) {
+  // Appended rather than built with operator+, which GCC 12 at -O3
+  // flags with a false-positive -Wrestrict.
+  std::string s("r");
+  s += std::to_string(r);
+  return s;
+}
 
 std::string asm_mem(const MemOperand& m) {
   std::string s = "[";

@@ -17,6 +17,7 @@
 #include "sim/machine.hpp"
 #include "sim/options.hpp"
 #include "sim/workloads.hpp"
+#include "isa/builder.hpp"
 #include "sva/reproducer.hpp"
 #include "trace/trace_core.hpp"
 #include "trace/workload_gen.hpp"
@@ -65,11 +66,15 @@ struct Fingerprint {
   std::string stats;
   std::vector<Word> regs;  ///< all processors' register files, flattened
   std::vector<Word> mem;   ///< watched addresses, in `watch` order
+  /// Per processor, ticks settled in closed form by periodic sleep: how
+  /// the run got its result, not part of it, so never compared.
+  std::vector<std::uint64_t> periodic_ticks;
 };
 
 bool operator==(const Fingerprint& a, const Fingerprint& b) {
   return a.result.cycles == b.result.cycles && a.result.ticks == b.result.ticks &&
          a.result.deadlocked == b.result.deadlocked &&
+         a.result.wedged_at == b.result.wedged_at &&
          a.result.retired == b.result.retired &&
          a.result.drain_cycle == b.result.drain_cycle &&
          a.result.stall == b.result.stall && a.stats == b.stats && a.regs == b.regs &&
@@ -79,15 +84,17 @@ bool operator==(const Fingerprint& a, const Fingerprint& b) {
 Fingerprint run_one(const std::vector<Program>& programs,
                     const std::vector<std::pair<ProcId, Addr>>& preload_shared,
                     SystemConfig cfg, const std::vector<Addr>& watch,
-                    bool fastforward) {
+                    bool fastforward, bool trace_events = false) {
   cfg.fastforward = fastforward;
   Machine m(cfg, programs);
   for (const auto& [p, a] : preload_shared) m.preload_shared(p, a);
+  if (trace_events) m.trace_events().enable();
   Fingerprint fp;
   fp.result = m.run();
   fp.stats = m.stats_report();
   for (ProcId p = 0; p < cfg.num_procs; ++p) {
     for (RegId r = 0; r < kNumArchRegs; ++r) fp.regs.push_back(m.core(p).reg(r));
+    fp.periodic_ticks.push_back(m.core(p).periodic_ticks_settled());
   }
   for (Addr a : watch) fp.mem.push_back(m.read_word(a));
   return fp;
@@ -98,6 +105,7 @@ void expect_identical(const Fingerprint& ff, const Fingerprint& naive,
   EXPECT_EQ(ff.result.cycles, naive.result.cycles) << what;
   EXPECT_EQ(ff.result.ticks, naive.result.ticks) << what;
   EXPECT_EQ(ff.result.deadlocked, naive.result.deadlocked) << what;
+  EXPECT_EQ(ff.result.wedged_at, naive.result.wedged_at) << what;
   EXPECT_EQ(ff.result.retired, naive.result.retired) << what;
   EXPECT_EQ(ff.result.drain_cycle, naive.result.drain_cycle) << what;
   EXPECT_EQ(ff.result.stall, naive.result.stall) << what;
@@ -297,6 +305,153 @@ TEST(FastForwardEquivalence, TraceSweepIsWorkerCountInvariant) {
     EXPECT_EQ(serial[i].stats.retired, parallel[i].stats.retired) << i;
     EXPECT_EQ(serial[i].watch_values, parallel[i].watch_values) << i;
     EXPECT_EQ(serial[i].trace_meta, parallel[i].trace_meta) << i;
+  }
+}
+
+// ---- spinning cores (periodic sleep) ----------------------------------
+
+std::uint64_t total(const std::vector<std::uint64_t>& v) {
+  std::uint64_t sum = 0;
+  for (std::uint64_t x : v) sum += x;
+  return sum;
+}
+
+#ifdef NDEBUG
+constexpr std::uint64_t kSpinTraceOps = 2'000;
+#else
+constexpr std::uint64_t kSpinTraceOps = 400;
+#endif
+
+Workload spin_trace(WorkloadKind kind) {
+  WorkloadGenSpec spec;
+  spec.kind = kind;
+  spec.nprocs = 8;
+  spec.ops = kSpinTraceOps;
+  spec.seed = 3;
+  return trace_to_workload(generate_trace(spec));
+}
+
+SystemConfig spin_config(ConsistencyModel model, bool both, const Workload& w) {
+  SystemConfig cfg = SystemConfig::realistic(8, model);
+  cfg.core.prefetch = both ? PrefetchMode::kNonBinding : PrefetchMode::kOff;
+  cfg.core.speculative_loads = both;
+  cfg.mem.mem_bytes = std::max<std::uint64_t>(cfg.mem.mem_bytes, w.min_mem_bytes);
+  cfg.max_cycles = 100'000'000;
+  return cfg;
+}
+
+TEST(FastForwardEquivalence, SpinningTracesMatchNaive) {
+  // Cores spinning on barrier flags and lock words fall asleep in their
+  // periodic span and are settled in closed form; every result must
+  // still equal the naive loop's, on every model, with and without the
+  // techniques.
+  for (WorkloadKind kind : {WorkloadKind::kBarrierTree, WorkloadKind::kLockConvoy}) {
+    const Workload w = spin_trace(kind);
+    const std::vector<Addr> watch = expect_addrs(w);
+    for (ConsistencyModel model : {ConsistencyModel::kSC, ConsistencyModel::kPC,
+                                   ConsistencyModel::kWC, ConsistencyModel::kRC}) {
+      for (bool both : {false, true}) {
+        const SystemConfig cfg = spin_config(model, both, w);
+        const std::string what = std::string(to_string(kind)) + " " + to_string(model) +
+                                 (both ? " +both" : " base");
+        const Fingerprint ff = run_one(w.programs, w.preload_shared, cfg, watch, true);
+        const Fingerprint naive = run_one(w.programs, w.preload_shared, cfg, watch, false);
+        ASSERT_FALSE(ff.result.deadlocked) << what;
+        expect_identical(ff, naive, what);
+        EXPECT_EQ(total(naive.periodic_ticks), 0u) << what;
+        // A silent fallback to live ticking would still be exact; this
+        // is what keeps it from going unnoticed.
+        if (kind == WorkloadKind::kBarrierTree) {
+          EXPECT_GT(total(ff.periodic_ticks), 0u) << what << ": no spinner was settled";
+        }
+      }
+    }
+  }
+}
+
+TEST(FastForwardEquivalence, TraceEventsKeepSpinnersLive) {
+  // Trace events observe individual ticks, so a traced run never lets a
+  // core sleep through its spin; the result is the same either way.
+  const Workload w = spin_trace(WorkloadKind::kBarrierTree);
+  const SystemConfig cfg = spin_config(ConsistencyModel::kSC, false, w);
+  const Fingerprint traced = run_one(w.programs, w.preload_shared, cfg, {}, true, true);
+  const Fingerprint plain = run_one(w.programs, w.preload_shared, cfg, {}, true);
+  EXPECT_EQ(total(traced.periodic_ticks), 0u);
+  EXPECT_GT(total(plain.periodic_ticks), 0u);
+  expect_identical(traced, plain, "traced vs untraced barrier_tree");
+}
+
+constexpr Addr kFlag = 0x1000;
+constexpr Addr kOther = 0x2000;  ///< a different cache line
+
+/// Burn roughly `n` cycles in a counted loop on r1.
+void delay(ProgramBuilder& b, Word n, const std::string& label) {
+  b.li(1, n);
+  b.label(label);
+  b.addi(1, 1, -1);
+  b.bne(1, 0, label);
+}
+
+TEST(FastForwardEquivalence, WatchdogLandsMidSpin) {
+  // The only live work is an endless spin: the spinner sleeps, is armed
+  // at the watchdog, and the run must end there as the naive loop's
+  // does — same ticks and stall sums, and not reported as wedged.
+  ProgramBuilder spinner;
+  spinner.spin_until_eq(kFlag, 1);
+  spinner.halt();
+  ProgramBuilder idle;
+  idle.halt();
+  for (ConsistencyModel model : {ConsistencyModel::kSC, ConsistencyModel::kRC}) {
+    SystemConfig cfg = SystemConfig::realistic(2, model);
+    cfg.max_cycles = 20'000;
+    const std::vector<Program> programs = {spinner.build(), idle.build()};
+    const Fingerprint ff = run_one(programs, {}, cfg, {kFlag}, true);
+    const Fingerprint naive = run_one(programs, {}, cfg, {kFlag}, false);
+    const std::string what = std::string("endless spin ") + to_string(model);
+    expect_identical(ff, naive, what);
+    EXPECT_TRUE(ff.result.deadlocked) << what;
+    EXPECT_EQ(ff.result.ticks, 20'000u) << what;
+    EXPECT_EQ(ff.result.wedged_at, kCycleNever) << what;
+    for (std::size_t p = 0; p < ff.result.stall.size(); ++p)
+      EXPECT_EQ(total({ff.result.stall[p].begin(), ff.result.stall[p].end()}), 20'000u)
+          << what << " core " << p;
+    EXPECT_GT(ff.periodic_ticks[0], 10'000u) << what << ": the spinner never slept";
+  }
+}
+
+TEST(FastForwardEquivalence, UnrelatedInvalidationWakesSpinner) {
+  // Core 0 reads another line, then spins on the flag. Core 1 first
+  // writes that other line — the invalidation reaches core 0's cache
+  // mid-spin, waking the sleeping spinner, which settles and resumes —
+  // and only later sets the flag.
+  ProgramBuilder spinner;
+  spinner.load(5, ProgramBuilder::abs(kOther));
+  spinner.spin_until_eq(kFlag, 1);
+  spinner.load(6, ProgramBuilder::abs(kOther));
+  spinner.halt();
+  ProgramBuilder writer;
+  delay(writer, 2'000, "first");
+  writer.li(2, 7);
+  writer.store(2, ProgramBuilder::abs(kOther));
+  delay(writer, 2'000, "second");
+  writer.li(2, 1);
+  writer.store(2, ProgramBuilder::abs(kFlag));
+  writer.halt();
+  const std::vector<Program> programs = {spinner.build(), writer.build()};
+  for (ConsistencyModel model : {ConsistencyModel::kSC, ConsistencyModel::kRC}) {
+    for (bool both : {false, true}) {
+      SystemConfig cfg = SystemConfig::realistic(2, model);
+      cfg.core.prefetch = both ? PrefetchMode::kNonBinding : PrefetchMode::kOff;
+      cfg.core.speculative_loads = both;
+      const std::string what =
+          std::string("invalidation wake ") + to_string(model) + (both ? " +both" : " base");
+      const Fingerprint ff = run_one(programs, {}, cfg, {kFlag, kOther}, true);
+      const Fingerprint naive = run_one(programs, {}, cfg, {kFlag, kOther}, false);
+      ASSERT_FALSE(ff.result.deadlocked) << what;
+      expect_identical(ff, naive, what);
+      EXPECT_EQ(ff.regs[6], 7u) << what << ": the spinner missed the other line's new value";
+      EXPECT_GT(ff.periodic_ticks[0], 0u) << what << ": the spinner never slept";
+    }
   }
 }
 

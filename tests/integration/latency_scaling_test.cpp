@@ -72,7 +72,9 @@ TEST_P(LatencyLaw, Example2FollowsClosedForms) {
 INSTANTIATE_TEST_SUITE_P(MissLatencies, LatencyLaw,
                          ::testing::Values(20u, 60u, 100u, 250u, 400u),
                          [](const testing::TestParamInfo<std::uint32_t>& info) {
-                           return "L" + std::to_string(info.param);
+                           std::string name("L");
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -6,6 +6,7 @@
 // their invariants (counter totals) and pass the sva race check.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,9 +29,16 @@ Program random_program(std::uint64_t seed, int length) {
 
   int pending_label = -1;   // branch target not yet placed
   int label_counter = 0;
+  // Appended rather than built with operator+, which GCC 12 at -O3
+  // flags with a false-positive -Wrestrict.
+  auto label_name = [](int n) {
+    std::string s("L");
+    s += std::to_string(n);
+    return s;
+  };
   for (int i = 0; i < length; ++i) {
     if (pending_label >= 0 && rng.chance(1, 3)) {
-      b.label("L" + std::to_string(pending_label));
+      b.label(label_name(pending_label));
       pending_label = -1;
     }
     switch (rng.next_below(10)) {
@@ -59,7 +67,7 @@ Program random_program(std::uint64_t seed, int length) {
       case 8:
         if (pending_label < 0) {
           pending_label = label_counter++;
-          b.beq(rand_reg(), rand_reg(), "L" + std::to_string(pending_label));
+          b.beq(rand_reg(), rand_reg(), label_name(pending_label));
         } else {
           b.nop();
         }
@@ -74,7 +82,7 @@ Program random_program(std::uint64_t seed, int length) {
         break;
     }
   }
-  if (pending_label >= 0) b.label("L" + std::to_string(pending_label));
+  if (pending_label >= 0) b.label(label_name(pending_label));
   b.halt();
   return b.build();
 }
