@@ -199,7 +199,8 @@ void CoherentCache::log_touch(const Way& way) {
   if (std::find(touched_.begin(), touched_.end(), i) == touched_.end()) touched_.push_back(i);
 }
 
-void CoherentCache::walk(PeriodWalk& w) {
+template <typename Walk>
+void CoherentCache::walk(Walk& w) {
   w.plain(responses_.size());
   for (std::size_t i = 0; i < responses_.size(); ++i) {
     CacheResponse& r = responses_[i];
@@ -243,6 +244,10 @@ void CoherentCache::walk(PeriodWalk& w) {
     for (Word v : line_words(way)) w.plain(v);
   }
 }
+
+template void CoherentCache::walk(PeriodWalk::Recorder&);
+template void CoherentCache::walk(PeriodWalk::StateComparer&);
+template void CoherentCache::walk(PeriodWalk::Shifter&);
 
 void CoherentCache::push_response(std::uint64_t token, Word value, Cycle ready, bool hit) {
   if (token == 0) return;  // prefetch: nobody waits for a reply
@@ -372,15 +377,13 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         stats_.add(stat::load_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
-        mshr->waiters.push_back(Waiter{req.token, CacheOp::kLoad, req.addr, 0,
-                                       RmwOp::kTestAndSet, 0, 0});
+        mshr->waiters.emplace_back(req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::load_miss);
-      m->waiters.push_back(
-          Waiter{req.token, CacheOp::kLoad, req.addr, 0, RmwOp::kTestAndSet, 0, 0});
+      m->waiters.emplace_back(req);
       net_.send(make_request(MsgType::kReadReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -426,8 +429,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.push_back(Waiter{req.token, CacheOp::kStore, req.addr,
-                                       req.store_value, RmwOp::kTestAndSet, 0, 0});
+        mshr->waiters.emplace_back(req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
@@ -435,8 +437,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       stats_.add(way != nullptr ? stat::store_upgrade_miss : stat::store_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.push_back(Waiter{req.token, CacheOp::kStore, req.addr, req.store_value,
-                                  RmwOp::kTestAndSet, 0, 0});
+      m->waiters.emplace_back(req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -457,8 +458,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         stats_.add(stat::loadex_merged);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.push_back(Waiter{req.token, CacheOp::kLoadEx, req.addr, 0,
-                                       RmwOp::kTestAndSet, 0, 0});
+        mshr->waiters.emplace_back(req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
@@ -466,8 +466,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       stats_.add(stat::loadex_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.push_back(Waiter{req.token, CacheOp::kLoadEx, req.addr, 0,
-                                  RmwOp::kTestAndSet, 0, 0});
+      m->waiters.emplace_back(req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -509,8 +508,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.push_back(Waiter{req.token, CacheOp::kRmw, req.addr, 0, req.rmw_op,
-                                       req.rmw_cmp, req.rmw_src});
+        mshr->waiters.emplace_back(req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
@@ -518,8 +516,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       stats_.add(stat::rmw_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.push_back(Waiter{req.token, CacheOp::kRmw, req.addr, 0, req.rmw_op,
-                                  req.rmw_cmp, req.rmw_src});
+      m->waiters.emplace_back(req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -582,18 +579,10 @@ void CoherentCache::preload_line(Addr line, LineState st, std::span<const Word> 
 bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
   Mshr* mshr = merge_target(line_of(req.addr));
   if (mshr == nullptr) return false;
-  Waiter w;
-  w.token = req.token;
-  w.op = req.op;
-  w.addr = req.addr;
-  w.store_value = req.store_value;
-  w.rmw_op = req.rmw_op;
-  w.rmw_cmp = req.rmw_cmp;
-  w.rmw_src = req.rmw_src;
   if (!mshr->want_ex &&
       (req.op == CacheOp::kStore || req.op == CacheOp::kRmw || req.op == CacheOp::kLoadEx))
     mshr->upgrade_after_fill = true;
-  mshr->waiters.push_back(w);
+  mshr->waiters.emplace_back(req);
   stats_.add(stat::mshr_direct_merge);
   return true;
 }

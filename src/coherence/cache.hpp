@@ -145,7 +145,8 @@ class CoherentCache {
   void stop_touch_log() { touch_log_on_ = false; }
   /// Visit the state a core's hits read and write — the response ring,
   /// the port stamp, the MSHRs and the logged ways — for a PeriodWalk.
-  void walk(PeriodWalk& w);
+  template <typename Walk>
+  void walk(Walk& w);
 
   // --- technique-efficacy profiling (--profile) ----------------------
   /// Per-prefetch outcome attribution: every prefetch-installed tag is
@@ -170,15 +171,21 @@ class CoherentCache {
   };
   static_assert(sizeof(Way) == 32, "keep a tag entry at half a host cache line");
 
+  /// A merged access: the request's fields, widest first (32 bytes).
   struct Waiter {
+    Waiter() = default;
+    explicit Waiter(const CacheRequest& r)
+        : token(r.token), addr(r.addr), store_value(r.store_value), rmw_cmp(r.rmw_cmp),
+          rmw_src(r.rmw_src), op(r.op), rmw_op(r.rmw_op) {}
     std::uint64_t token = 0;
-    CacheOp op = CacheOp::kLoad;
     Addr addr = 0;  ///< full word address of the merged access
     Word store_value = 0;
-    RmwOp rmw_op = RmwOp::kTestAndSet;
     Word rmw_cmp = 0;
     Word rmw_src = 0;
+    CacheOp op = CacheOp::kLoad;
+    RmwOp rmw_op = RmwOp::kTestAndSet;
   };
+  static_assert(sizeof(Waiter) == 32);
 
   struct Mshr {
     bool valid = false;

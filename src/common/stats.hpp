@@ -65,12 +65,18 @@ class StatSet {
   void add(StatId id, std::uint64_t delta = 1) {
     Counter& c = counter_slot(id);
     c.value += delta;
-    c.touched = true;
+    if (!c.touched) {
+      c.touched = true;
+      ++touched_;
+    }
   }
   void set(StatId id, std::uint64_t value) {
     Counter& c = counter_slot(id);
     c.value = value;
-    c.touched = true;
+    if (!c.touched) {
+      c.touched = true;
+      ++touched_;
+    }
   }
   std::uint64_t get(StatId id) const {
     return id.value() < counters_.size() ? counters_[id.value()].value : 0;
@@ -121,14 +127,21 @@ class StatSet {
 
   void clear() {
     counters_.assign(counters_.size(), Counter{});  // keep the pre-sizing
+    touched_ = 0;
+    touched_ids_.clear();
     samples_.clear();
   }
 
-  /// Visit every touched counter and every histogram for a PeriodWalk.
+  /// Visit every touched counter (in id order) and every histogram for a PeriodWalk.
   template <typename Walk>
   void walk(Walk& w) {
-    for (std::uint32_t i = 0; i < counters_.size(); ++i) {
-      if (!counters_[i].touched) continue;
+    if (touched_ids_.size() != touched_) {
+      // Only here, so that add() and set() never allocate.
+      touched_ids_.clear();
+      for (std::uint32_t i = 0; i < counters_.size(); ++i)
+        if (counters_[i].touched) touched_ids_.push_back(i);
+    }
+    for (std::uint32_t i : touched_ids_) {
       w.plain(i);
       w.counter(counters_[i].value);
     }
@@ -169,6 +182,8 @@ class StatSet {
 
   std::string prefix_;
   std::vector<Counter> counters_;  ///< indexed by StatId
+  std::size_t touched_ = 0;        ///< counters add/set has touched
+  std::vector<std::uint32_t> touched_ids_;  ///< ascending; rebuilt when touched_ moves
   std::vector<Sampled> samples_;   ///< in first-sample order; every count > 0
 };
 

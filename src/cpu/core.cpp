@@ -241,10 +241,9 @@ void Core::settle(Cycle now) {
   if (period_.phase == Period::kAsleep) {
     const std::uint64_t periods = (now - uncharged_from_) / period_.period;
     if (periods > 0) {
-      PeriodWalk counters = PeriodWalk::shifter(period_.shift, periods, period_.deltas);
-      walk_counters(counters);
-      PeriodWalk state = PeriodWalk::shifter(period_.shift, periods, {});
-      walk_state(state);  // moves uncharged_from_ by the whole periods
+      PeriodWalk::Shifter shift(period_.shift, periods, period_.deltas);
+      walk_counters(shift);
+      walk_state(shift);  // moves uncharged_from_ by the whole periods
       period_ticks_settled_ += periods * period_.period;
     }
     while (uncharged_from_ < now) tick_live(uncharged_from_);
@@ -316,13 +315,12 @@ void Core::watch_period(Cycle now) {
     if (ps.quiet < kMinQuietTicks || now < ps.retry_at) return;
     for (Cycle t = 1; t < kSignatures && t < ps.quiet; ++t) {
       if (ps.signatures[(ps.quiet - t) % kSignatures] != sig) continue;
-      // A candidate period: record the counters now, the full state one
-      // and two periods on (the cache logs the ways hit in between).
+      // A candidate period: record the counters now (S0), counters and state
+      // a period on (S1); compare a period later (S2). The cache logs hit ways.
       ps.period = t;
       ps.probe_at = now + t;
       ps.records = ps.pool->take();
-      PeriodWalk w = PeriodWalk::recorder(ps.records->counters[0]);
-      walk_counters(w);
+      walk_counters(PeriodWalk::Recorder(ps.records->counters[0]));
       cache_.start_touch_log();
       ps.phase = Period::kProbe1;
       return;
@@ -330,13 +328,10 @@ void Core::watch_period(Cycle now) {
     return;
   }
   if (now < ps.probe_at) return;
-  const bool first = ps.phase == Period::kProbe1;
   PeriodRecords& r = *ps.records;
-  PeriodWalk c = PeriodWalk::recorder(r.counters[first ? 1 : 2]);
-  walk_counters(c);
-  PeriodWalk x = PeriodWalk::recorder(r.state[first ? 0 : 1]);
-  walk_state(x);
-  if (first) {
+  if (ps.phase == Period::kProbe1) {
+    walk_counters(PeriodWalk::Recorder(r.counters[1]));
+    walk_state(PeriodWalk::Recorder(r.state));
     ps.probe_seq = next_seq_;
     ps.probe_token = lsu_.next_token();
     cache_.start_touch_log();
@@ -347,8 +342,8 @@ void Core::watch_period(Cycle now) {
   cache_.stop_touch_log();
   ps.shift.by = {next_seq_ - ps.probe_seq, lsu_.next_token() - ps.probe_token, ps.period};
   const bool periodic =
-      PeriodWalk::fit_state(r.state[0], r.state[1], ps.shift) &&
-      PeriodWalk::fit_counters(r.counters[0], r.counters[1], r.counters[2], ps.deltas);
+      walk_state(PeriodWalk::StateComparer(r.state, ps.shift.by)).finish(ps.shift) &&
+      walk_counters(PeriodWalk::CounterComparer(r.counters[0], r.counters[1], ps.deltas)).finish();
   ps.pool->give(std::move(ps.records));
   if (periodic) {
     ps.phase = Period::kAsleep;
@@ -360,15 +355,18 @@ void Core::watch_period(Cycle now) {
   ps.backoff = std::min(2 * ps.backoff, kMaxProbeBackoff);
 }
 
-void Core::walk_counters(PeriodWalk& w) {
+template <typename Walk>
+Walk& Core::walk_counters(Walk&& w) {
   stats_.walk(w);
   for (std::uint64_t& cycles : stall_) w.counter(cycles);
   w.counter(retired_);
   lsu_.stats().walk(w);
   cache_.stats().walk(w);
+  return w;
 }
 
-void Core::walk_state(PeriodWalk& w) {
+template <typename Walk>
+Walk& Core::walk_state(Walk&& w) {
   w.seq(next_seq_);
   w.cycle(uncharged_from_);
   w.plain(last_cause_);
@@ -408,6 +406,7 @@ void Core::walk_state(PeriodWalk& w) {
   predictor_.walk(w);
   lsu_.walk(w);
   cache_.walk(w);
+  return w;
 }
 
 void Core::flush_stall_episode(Cycle now) {

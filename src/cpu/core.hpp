@@ -224,8 +224,8 @@ class Core : public LsuHost, public LineEventObserver {
   enum class Period : std::uint8_t {
     kOff,     ///< not allowed: costs one branch per tick
     kWatch,   ///< counting quiet ticks, looking for a repeating signature
-    kProbe1,  ///< candidate period found: recording one period apart
-    kProbe2,
+    kProbe1,  ///< candidate period found: recording at S1, one period on
+    kProbe2,  ///< comparing at S2, one period after S1
     kAsleep,  ///< proven periodic; next_event() parks it at max_cycles
   };
   /// Ticks whose signatures are kept: the longest period looked for + 1.
@@ -245,7 +245,7 @@ class Core : public LsuHost, public LineEventObserver {
     PeriodRecordPool* pool = nullptr;
     std::unique_ptr<PeriodRecords> records;  ///< borrowed for one probe
     PeriodWalk::Shift shift;
-    std::vector<std::uint64_t> deltas;  ///< per period, by counter walk position
+    std::vector<std::uint64_t> deltas;  ///< per period, by counter in walk order
   };
   /// After a live tick: track quiet ticks, probe for a period, sleep.
   void watch_period(Cycle now);
@@ -253,9 +253,12 @@ class Core : public LsuHost, public LineEventObserver {
   /// Occupancies, fetch pc, stall cause and one tick's seq/retired/token
   /// growth, mixed into one word.
   std::uint64_t period_signature() const;
-  void walk_counters(PeriodWalk& w);
+  /// Return the walker (for a comparer's verdict); never inlined into the per-tick code.
+  template <typename Walk>
+  [[gnu::noinline]] Walk& walk_counters(Walk&& w);
   /// Everything a live tick reads or writes, the cache side included.
-  void walk_state(PeriodWalk& w);
+  template <typename Walk>
+  [[gnu::noinline]] Walk& walk_state(Walk&& w);
 
   ProcId id_;
   /// This core's resolved configuration: the machine-wide settings

@@ -883,13 +883,15 @@ std::uint64_t LoadStoreUnit::occupancy() const {
 }
 
 namespace {
-void walk_operand(PeriodWalk& w, Operand& op) {
+template <typename Walk>
+void walk_operand(Walk& w, Operand& op) {
   w.plain(op.value | std::uint64_t{op.ready} << 32);
   if (!op.ready) w.seq(op.tag);
 }
 }  // namespace
 
-void LoadStoreUnit::walk(PeriodWalk& w) {
+template <typename Walk>
+void LoadStoreUnit::walk(Walk& w) {
   w.token(next_token_);
   w.plain(ls_rs_.size());
   for (std::size_t i = 0; i < ls_rs_.size(); ++i) {
@@ -926,7 +928,7 @@ void LoadStoreUnit::walk(PeriodWalk& w) {
   spec_buffer_.walk(w);
   prefetch_.walk(w);
   for (SeqFifo* f : {&sync_, &acquires_, &rmws_, &slb_acquires_}) f->walk(w);
-  if (w.recording()) {
+  if constexpr (Walk::kCompared) {
     std::sort(tokens_.begin(), tokens_.end(),
               [](const TokenInfo& a, const TokenInfo& b) { return a.token < b.token; });
   }
@@ -945,6 +947,10 @@ void LoadStoreUnit::walk(PeriodWalk& w) {
     w.cycle(c.ready_at);
   }
 }
+
+template void LoadStoreUnit::walk(PeriodWalk::Recorder&);
+template void LoadStoreUnit::walk(PeriodWalk::StateComparer&);
+template void LoadStoreUnit::walk(PeriodWalk::Shifter&);
 
 Json LoadStoreUnit::snapshot_json() const {
   Json out = Json::object();

@@ -140,9 +140,10 @@ class LoadStoreUnit {
   std::uint64_t occupancy() const;
   std::uint64_t next_token() const { return next_token_; }
   /// Visit every piece of state a tick reads or writes for a
-  /// PeriodWalk. Recording sorts the in-flight tokens, whose order is
-  /// never observed, so two records compare them as a set.
-  void walk(PeriodWalk& w);
+  /// PeriodWalk. A compared walk sorts the in-flight tokens, whose
+  /// order is never observed, so two periods compare them as a set.
+  template <typename Walk>
+  void walk(Walk& w);
 
   const SpecLoadBuffer& spec_buffer() const { return spec_buffer_; }
   const PrefetchEngine& prefetch_engine() const { return prefetch_; }
@@ -252,7 +253,8 @@ class LoadStoreUnit {
     }
     /// Has an access of this class older than `seq` not performed?
     bool any_before(std::uint64_t seq) const { return !q_.empty() && q_.front() < seq; }
-    void walk(PeriodWalk& w) {
+    template <typename Walk>
+    void walk(Walk& w) {
       w.plain(q_.size());
       for (std::size_t i = 0; i < q_.size(); ++i) w.seq(q_.at(i));
     }
