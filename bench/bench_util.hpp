@@ -65,17 +65,6 @@ inline Workload make_adhoc_workload(std::string name, std::vector<Program> progr
   return w;
 }
 
-/// Extract --trace-out=PATH from a bench's argv. Benches build their
-/// own configs, so they take just this flag rather than parse_options.
-inline std::string trace_out_from_args(int argc, const char* const* argv) {
-  std::string out;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--trace-out=", 0) == 0) out = a.substr(12);
-  }
-  return out;
-}
-
 /// Point every cell of a grid at a trace file: PATH for a single-cell
 /// grid, PATH.cell<i> per cell otherwise (one timeline per Machine).
 inline void apply_trace_out(ExperimentGrid& grid, const std::string& path) {

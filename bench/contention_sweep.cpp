@@ -10,15 +10,17 @@
 // benefit survive when latency is hop-count + queuing instead of a
 // constant?
 //
-//   contention_sweep [--smoke] [--procs=N] [--dir-scheme=...] [--dir-banks=N]
+//   contention_sweep [--smoke] [--procs=N] [--link-bw=N] [--link-queue=N]
+//                    [--protocol=inv|upd] [--dir-scheme=...] [--dir-banks=N] ...
 //                    [--trace-out=PATH]
 //
 // --smoke shrinks the workload and grid for the CTest wiring; --procs
 // (even, >= 2) scales the producer/consumer machine for the P=64..256
-// campaign, and the directory flags apply to every cell. The JSON
-// report (BENCH_contention_sweep.json) is mcsim-bench-v8 either way.
+// campaign, and the memory-system flags apply to every cell. The sweep
+// sets each cell's topology and miss latency itself, so --topology is
+// refused. The JSON report (BENCH_contention_sweep.json) is
+// mcsim-bench-v8 either way.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,17 +40,14 @@ const Tech kTechs[] = {{false, "baseline"}, {true, "+both"}};
 const Topology kTopologies[] = {Topology::kCrossbar, Topology::kRing,
                                 Topology::kMesh2D};
 
-MemConfig g_mem;  // --dir-scheme/--dir-banks/... applied to every cell
+MemConfig g_mem;  // every cell's memory system, before the sweep's own axes
 
 SystemConfig cell_config(ConsistencyModel m, bool both, Topology topo,
                          std::uint32_t miss) {
   SystemConfig cfg = tech_config(m, both, both);
+  cfg.mem = g_mem;
   cfg.with_clean_miss_latency(miss);
-  cfg.mem.topology = topo;  // link_bw=1, link_queue=8 defaults
-  cfg.mem.dir_scheme = g_mem.dir_scheme;
-  cfg.mem.dir_pointers = g_mem.dir_pointers;
-  cfg.mem.dir_cluster = g_mem.dir_cluster;
-  cfg.mem.dir_banks = g_mem.dir_banks;
+  cfg.mem.topology = topo;
   return cfg;
 }
 
@@ -59,14 +58,25 @@ unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>
 int main(int argc, char** argv) {
   bool smoke = false;
   std::uint32_t procs = 0;  // 0 = mode default
-  std::string flag_err;
+  std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--procs=", 0) == 0)
-      procs = static_cast<std::uint32_t>(std::strtoul(argv[i] + 8, nullptr, 0));
-    else if (parse_dir_flag(arg, g_mem, flag_err) && !flag_err.empty()) {
-      std::fprintf(stderr, "contention_sweep: %s\n", flag_err.c_str());
+    std::string err, topology;
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (flag_value(arg, "--topology", topology)) {
+      err = "--topology is swept, not set: every cell runs crossbar, ring and mesh2d";
+    } else if (!parse_uint_flag(arg, "--procs", procs, err) &&
+               !parse_mem_flag(arg, g_mem, err) &&
+               !flag_value(arg, "--trace-out", trace_out)) {
+      std::fprintf(stderr,
+                   "usage: contention_sweep [--smoke] [--procs=N] [--trace-out=PATH]\n"
+                   "  %s (all but --topology)\n",
+                   mem_flags_usage());
+      return 1;
+    }
+    if (!err.empty()) {
+      std::fprintf(stderr, "contention_sweep: %s\n", err.c_str());
       return 1;
     }
   }
@@ -74,7 +84,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "contention_sweep: --procs must be even and >= 2\n");
     return 1;
   }
-  const std::string trace_out = trace_out_from_args(argc, argv);
 
   const std::uint32_t nprocs = procs != 0 ? procs : (smoke ? 4u : 8u);
   const std::uint32_t items = smoke ? 4 : (nprocs > 8 ? 6u : 12u);
@@ -89,7 +98,8 @@ int main(int argc, char** argv) {
 
   std::printf("Contention sweep: %u-processor producer/consumer, %u items/pair\n",
               nprocs, items);
-  std::printf("link_bw=1 msg/cycle, link_queue=8 (ring/mesh)\n\n");
+  std::printf("link_bw=%u msg/cycle, link_queue=%u (ring/mesh)\n\n", g_mem.link_bw,
+              g_mem.link_queue);
 
   ExperimentGrid grid("contention_sweep");
 

@@ -10,9 +10,10 @@
 // line — which is also what the bench JSON's per-cell "trace" object
 // records.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
+#include "sim/options.hpp"
 #include "trace/workload_gen.hpp"
 
 using namespace mcsim;
@@ -35,14 +36,6 @@ void usage() {
       "  --text/--binary force the encoding (default: by extension, .mctb=binary)\n");
 }
 
-bool parse_u64_arg(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,7 +45,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto val = [&](std::size_t n) { return arg.substr(n); };
-    std::uint64_t u = 0;
+    std::string err;
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -61,20 +54,23 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "gen_workload: unknown kind '%s'\n", val(7).c_str());
         return 1;
       }
-    } else if (arg.rfind("--procs=", 0) == 0 && parse_u64_arg(argv[i] + 8, u)) {
-      spec.nprocs = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--ops=", 0) == 0 && parse_u64_arg(argv[i] + 6, u)) {
-      spec.ops = u;
-    } else if (arg.rfind("--seed=", 0) == 0 && parse_u64_arg(argv[i] + 7, u)) {
-      spec.seed = u;
-    } else if (arg.rfind("--sharing=", 0) == 0 && parse_u64_arg(argv[i] + 10, u)) {
-      spec.sharing = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--sync-period=", 0) == 0 && parse_u64_arg(argv[i] + 14, u)) {
-      spec.sync_period = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--delay=", 0) == 0 && parse_u64_arg(argv[i] + 8, u)) {
-      spec.delay = static_cast<std::uint32_t>(u);
+    } else if (parse_uint_flag(arg, "--procs", spec.nprocs, err) ||
+               parse_uint_flag(arg, "--ops", spec.ops, err) ||
+               parse_uint_flag(arg, "--seed", spec.seed, err) ||
+               parse_uint_flag(arg, "--sharing", spec.sharing, err) ||
+               parse_uint_flag(arg, "--sync-period", spec.sync_period, err) ||
+               parse_uint_flag(arg, "--delay", spec.delay, err)) {
+      if (!err.empty()) {
+        std::fprintf(stderr, "gen_workload: %s\n", err.c_str());
+        return 1;
+      }
     } else if (arg.rfind("--zipf-s=", 0) == 0) {
-      spec.zipf_s = std::strtod(argv[i] + 9, nullptr);
+      char* end = nullptr;
+      spec.zipf_s = std::strtod(argv[i] + 9, &end);
+      if (end == argv[i] + 9 || *end != '\0') {
+        std::fprintf(stderr, "gen_workload: bad --zipf-s: '%s'\n", argv[i] + 9);
+        return 1;
+      }
     } else if (arg.rfind("--out=", 0) == 0) {
       out = val(6);
     } else if (arg == "--text") {

@@ -140,6 +140,8 @@ struct MemConfig {
   /// ring/mesh each bank is a distinct home NODE and home distance is
   /// real. 1 bank = the historical centralized directory.
   std::uint32_t dir_banks = 1;
+
+  bool operator==(const MemConfig&) const = default;
 };
 
 struct SystemConfig {

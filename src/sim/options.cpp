@@ -1,52 +1,112 @@
 #include "sim/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <type_traits>
 
 namespace mcsim {
 
 namespace {
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
+constexpr Topology kTopologies[] = {Topology::kCrossbar, Topology::kRing, Topology::kMesh2D};
+constexpr DirScheme kDirSchemes[] = {DirScheme::kFullMap, DirScheme::kLimitedPtr,
+                                     DirScheme::kCoarseVector};
+constexpr CoherenceKind kProtocols[] = {CoherenceKind::kInvalidation, CoherenceKind::kUpdate};
+
+const char* protocol_flag(CoherenceKind k) {
+  return k == CoherenceKind::kUpdate ? "upd" : "inv";
 }
 
-bool parse_u32(const std::string& s, std::uint32_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
+/// Sets `out` to the value of `values` that `name` renders as `v`, or
+/// sets `err` to "unknown <what>: v (a|b|c)".
+template <typename E, std::size_t N>
+void parse_name(const std::string& v, const E (&values)[N],
+                const char* (*name)(std::type_identity_t<E>), const char* what, E& out,
+                std::string& err) {
+  std::string choices;
+  for (E e : values) {
+    if (v == name(e)) {
+      out = e;
+      return;
+    }
+    choices += choices.empty() ? "" : "|";
+    choices += name(e);
+  }
+  err = std::string("unknown ") + what + ": " + v + " (" + choices + ")";
 }
 
 }  // namespace
 
-bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err) {
-  if (starts_with(arg, "--dir-scheme=")) {
-    const std::string v = arg.substr(13);
-    if (v == "fullmap") mem.dir_scheme = DirScheme::kFullMap;
-    else if (v == "limptr") mem.dir_scheme = DirScheme::kLimitedPtr;
-    else if (v == "coarse") mem.dir_scheme = DirScheme::kCoarseVector;
-    else err = "unknown dir scheme: " + v + " (fullmap|limptr|coarse)";
-  } else if (starts_with(arg, "--dir-ptrs=")) {
-    if (!parse_u32(arg.substr(11), mem.dir_pointers)) err = "bad --dir-ptrs";
-  } else if (starts_with(arg, "--dir-cluster=")) {
-    if (!parse_u32(arg.substr(14), mem.dir_cluster)) err = "bad --dir-cluster";
-  } else if (starts_with(arg, "--dir-banks=")) {
-    if (!parse_u32(arg.substr(12), mem.dir_banks)) err = "bad --dir-banks";
-  } else {
+bool flag_value(const std::string& arg, std::string_view name, std::string& value) {
+  if (arg.size() <= name.size() || arg.compare(0, name.size(), name) != 0 ||
+      arg[name.size()] != '=') {
     return false;
   }
+  value = arg.substr(name.size() + 1);
   return true;
+}
+
+bool parse_uint_flag(const std::string& arg, std::string_view name, std::uint64_t max,
+                     std::uint64_t& out, std::string& err) {
+  std::string text;
+  if (!flag_value(arg, name, text)) return false;
+  // strtoull would skip leading blanks and negate a leading '-'.
+  const bool digit = !text.empty() && text[0] >= '0' && text[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = digit ? std::strtoull(text.c_str(), &end, 0) : 0;
+  if (end == nullptr || *end != '\0' || errno == ERANGE || v > max) {
+    err = "bad " + std::string(name) + ": '" + text + "' (expected an integer from 0 to " +
+          std::to_string(max) + ")";
+  } else {
+    out = v;
+  }
+  return true;
+}
+
+bool parse_mem_flag(const std::string& arg, MemConfig& mem, std::string& err) {
+  std::string v;
+  if (flag_value(arg, "--topology", v)) {
+    parse_name(v, kTopologies, to_string, "topology", mem.topology, err);
+  } else if (flag_value(arg, "--protocol", v)) {
+    parse_name(v, kProtocols, protocol_flag, "protocol", mem.coherence, err);
+  } else if (flag_value(arg, "--dir-scheme", v)) {
+    parse_name(v, kDirSchemes, to_string, "dir scheme", mem.dir_scheme, err);
+  } else {
+    return parse_uint_flag(arg, "--link-bw", mem.link_bw, err) ||
+           parse_uint_flag(arg, "--link-queue", mem.link_queue, err) ||
+           parse_uint_flag(arg, "--dir-ptrs", mem.dir_pointers, err) ||
+           parse_uint_flag(arg, "--dir-cluster", mem.dir_cluster, err) ||
+           parse_uint_flag(arg, "--dir-banks", mem.dir_banks, err);
+  }
+  return true;
+}
+
+const char* mem_flags_usage() {
+  return "[--topology=crossbar|ring|mesh2d] [--link-bw=N] [--link-queue=N] "
+         "[--protocol=inv|upd] [--dir-scheme=fullmap|limptr|coarse] [--dir-ptrs=N] "
+         "[--dir-cluster=N] [--dir-banks=N]";
+}
+
+std::string mem_flags(const MemConfig& mem) {
+  const MemConfig d;
+  std::string out;
+  auto add = [&](const char* flag, const std::string& value) {
+    if (!out.empty()) out += ' ';
+    out += flag;
+    out += value;
+  };
+  if (mem.topology != d.topology) add("--topology=", to_string(mem.topology));
+  if (mem.link_bw != d.link_bw) add("--link-bw=", std::to_string(mem.link_bw));
+  if (mem.link_queue != d.link_queue) add("--link-queue=", std::to_string(mem.link_queue));
+  if (mem.coherence != d.coherence) add("--protocol=", protocol_flag(mem.coherence));
+  if (mem.dir_scheme != d.dir_scheme) add("--dir-scheme=", to_string(mem.dir_scheme));
+  if (mem.dir_pointers != d.dir_pointers)
+    add("--dir-ptrs=", std::to_string(mem.dir_pointers));
+  if (mem.dir_cluster != d.dir_cluster)
+    add("--dir-cluster=", std::to_string(mem.dir_cluster));
+  if (mem.dir_banks != d.dir_banks) add("--dir-banks=", std::to_string(mem.dir_banks));
+  return out;
 }
 
 OptionsResult parse_options(int argc, const char* const* argv) {
@@ -63,85 +123,61 @@ OptionsResult parse_options(int argc, const char* const* argv) {
   };
 
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
+    std::string v, err;
     if (arg == "--help" || arg == "-h") {
       r.show_help = true;
-    } else if (starts_with(arg, "--model=")) {
-      std::string v = arg.substr(8);
+    } else if (flag_value(arg, "--model", v)) {
       if (v == "SC" || v == "sc") model = ConsistencyModel::kSC;
       else if (v == "PC" || v == "pc") model = ConsistencyModel::kPC;
       else if (v == "WC" || v == "wc") model = ConsistencyModel::kWC;
       else if (v == "RC" || v == "rc") model = ConsistencyModel::kRC;
       else return fail("unknown model: " + v);
-    } else if (starts_with(arg, "--procs=")) {
-      if (!parse_u32(arg.substr(8), procs)) return fail("bad --procs");
     } else if (arg == "--spec") {
       r.config.core.speculative_loads = true;
     } else if (arg == "--no-spec") {
       r.config.core.speculative_loads = false;
     } else if (arg == "--prefetch") {
       r.config.core.prefetch = PrefetchMode::kNonBinding;
-    } else if (starts_with(arg, "--prefetch=")) {
-      std::string v = arg.substr(11);
+    } else if (flag_value(arg, "--prefetch", v)) {
       if (v == "off") r.config.core.prefetch = PrefetchMode::kOff;
       else if (v == "nonbinding") r.config.core.prefetch = PrefetchMode::kNonBinding;
       else if (v == "binding") r.config.core.prefetch = PrefetchMode::kBinding;
       else return fail("unknown prefetch mode: " + v);
-    } else if (starts_with(arg, "--miss=")) {
-      if (!parse_u32(arg.substr(7), miss) || miss < 4) return fail("bad --miss");
-    } else if (starts_with(arg, "--topology=")) {
-      std::string v = arg.substr(11);
-      if (v == "crossbar") r.config.mem.topology = Topology::kCrossbar;
-      else if (v == "ring") r.config.mem.topology = Topology::kRing;
-      else if (v == "mesh2d") r.config.mem.topology = Topology::kMesh2D;
-      else return fail("unknown topology: " + v);
-    } else if (starts_with(arg, "--link-bw=")) {
-      if (!parse_u32(arg.substr(10), r.config.mem.link_bw)) return fail("bad --link-bw");
-    } else if (starts_with(arg, "--link-queue=")) {
-      if (!parse_u32(arg.substr(13), r.config.mem.link_queue))
-        return fail("bad --link-queue");
-    } else if (std::string dir_err; parse_dir_flag(arg, r.config.mem, dir_err)) {
-      if (!dir_err.empty()) return fail(dir_err);
-    } else if (starts_with(arg, "--protocol=")) {
-      std::string v = arg.substr(11);
-      if (v == "inv") r.config.mem.coherence = CoherenceKind::kInvalidation;
-      else if (v == "upd") r.config.mem.coherence = CoherenceKind::kUpdate;
-      else return fail("unknown protocol: " + v);
+    } else if (parse_uint_flag(arg, "--miss", miss, err)) {
+      if (err.empty() && miss < 4) return fail("bad --miss: must be >= 4");
     } else if (arg == "--fastforward") {
       r.config.fastforward = true;
     } else if (arg == "--no-fastforward") {
       r.config.fastforward = false;
     } else if (arg == "--profile") {
       r.config.profile = true;
-    } else if (starts_with(arg, "--profile-top-lines=")) {
-      if (!parse_u32(arg.substr(20), r.config.profile_top_lines))
-        return fail("bad --profile-top-lines");
+    } else if (parse_uint_flag(arg, "--profile-top-lines", r.config.profile_top_lines,
+                               err)) {
       r.config.profile = true;  // asking for the table implies profiling
     } else if (arg == "--ideal") {
       ideal = true;
     } else if (arg == "--realistic") {
       ideal = false;
-    } else if (starts_with(arg, "--rob=")) {
-      if (!parse_u32(arg.substr(6), r.config.core.rob_entries)) return fail("bad --rob");
-    } else if (starts_with(arg, "--mshrs=")) {
-      if (!parse_u32(arg.substr(8), r.config.cache.mshrs)) return fail("bad --mshrs");
-    } else if (starts_with(arg, "--max-cycles=")) {
-      if (!parse_u64(arg.substr(13), r.config.max_cycles)) return fail("bad --max-cycles");
-    } else if (starts_with(arg, "--trace-out=")) {
-      r.trace_out = arg.substr(12);
+    } else if (parse_uint_flag(arg, "--procs", procs, err) ||
+               parse_uint_flag(arg, "--rob", r.config.core.rob_entries, err) ||
+               parse_uint_flag(arg, "--mshrs", r.config.cache.mshrs, err) ||
+               parse_uint_flag(arg, "--max-cycles", r.config.max_cycles, err) ||
+               parse_mem_flag(arg, r.config.mem, err)) {
+      // Value stored, or `err` names the bad one.
+    } else if (flag_value(arg, "--trace-out", r.trace_out)) {
       if (r.trace_out.empty()) return fail("bad --trace-out: empty path");
-    } else if (starts_with(arg, "--trace-dir=")) {
-      r.trace_dir = arg.substr(12);
+    } else if (flag_value(arg, "--trace-dir", r.trace_dir)) {
       if (r.trace_dir.empty()) return fail("bad --trace-dir: empty path");
-    } else if (starts_with(arg, "--trace=")) {
-      std::string v = arg.substr(8);
+    } else if (flag_value(arg, "--trace", v)) {
       if (v.empty()) return fail("bad --trace: empty path");
       r.trace_in.push_back(std::move(v));
-    } else if (starts_with(arg, "--")) {
+    } else if (arg.rfind("--", 0) == 0) {
       return fail("unknown flag: " + arg);
     } else {
       r.positional.push_back(arg);
     }
+    if (!err.empty()) return fail(err);
   }
 
   r.config.num_procs = procs;

@@ -3,7 +3,10 @@
 // SystemConfig, leaving positional arguments to the caller.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -43,11 +46,39 @@ struct OptionsResult {
 ///   --help
 OptionsResult parse_options(int argc, const char* const* argv);
 
-/// Directory-organisation flags (--dir-scheme= / --dir-ptrs= /
-/// --dir-cluster= / --dir-banks=), shared by parse_options and the
-/// benches that build their own configs: returns true when `arg` is one
-/// of them (value applied to `mem`); a malformed value sets `err`.
-bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err);
+/// When `arg` is `name=VALUE`, stores VALUE and returns true.
+bool flag_value(const std::string& arg, std::string_view name, std::string& value);
+
+/// The one reader for numeric flags: when `arg` is `name=VALUE`, reads
+/// VALUE (decimal, 0x-hex or 0-octal) into `out` and returns true. A
+/// sign, trailing text or a value above `max` sets `err` instead.
+bool parse_uint_flag(const std::string& arg, std::string_view name, std::uint64_t max,
+                     std::uint64_t& out, std::string& err);
+
+/// The same, bounded by the range of `out`'s type.
+template <typename T>
+bool parse_uint_flag(const std::string& arg, std::string_view name, T& out,
+                     std::string& err) {
+  std::uint64_t v = out;
+  if (!parse_uint_flag(arg, name, std::numeric_limits<T>::max(), v, err)) return false;
+  out = static_cast<T>(v);
+  return true;
+}
+
+/// The memory-system flags, the only code that turns flag text into a
+/// MemConfig: --topology= --link-bw= --link-queue= --protocol=
+/// --dir-scheme= --dir-ptrs= --dir-cluster= --dir-banks=. Returns true
+/// when `arg` is one of them (value applied to `mem`); a malformed
+/// value sets `err`. parse_options and every bench read them here.
+bool parse_mem_flag(const std::string& arg, MemConfig& mem, std::string& err);
+
+/// The memory-system flags as one usage-line fragment.
+const char* mem_flags_usage();
+
+/// The inverse of parse_mem_flag: the flags, space-separated, that turn
+/// MemConfig{} into `mem` ("" for the default machine). Fields no flag
+/// sets (latencies, deliver_bw, mem_bytes) are not rendered.
+std::string mem_flags(const MemConfig& mem);
 
 /// One-paragraph usage text listing the flags above.
 std::string options_help();

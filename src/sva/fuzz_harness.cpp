@@ -23,10 +23,11 @@ std::string TechniqueKnobs::label() const {
 
 std::string FuzzCell::label() const {
   std::string l = std::string(to_string(model)) + "/" + tech.label();
-  if (topology != Topology::kCrossbar) l += std::string("@") + to_string(topology);
-  if (dir_scheme != DirScheme::kFullMap || dir_banks > 1) {
-    l += std::string("#") + to_string(dir_scheme) + "x" + std::to_string(dir_banks);
+  if (mem.topology != Topology::kCrossbar) l += std::string("@") + to_string(mem.topology);
+  if (mem.dir_scheme != DirScheme::kFullMap || mem.dir_banks > 1) {
+    l += std::string("#") + to_string(mem.dir_scheme) + "x" + std::to_string(mem.dir_banks);
   }
+  if (mem.coherence == CoherenceKind::kUpdate) l += "+upd";
   return l;
 }
 
@@ -56,12 +57,9 @@ SystemConfig config_for(const LitmusProgram& lp, const FuzzCell& cell) {
       static_cast<std::uint32_t>(lp.programs.size()), cell.model);
   cfg.core.prefetch = cell.tech.prefetch;
   cfg.core.speculative_loads = cell.tech.speculative_loads;
-  cfg.mem.topology = cell.topology;
-  cfg.mem.link_bw = cell.link_bw;
-  cfg.mem.dir_scheme = cell.dir_scheme;
-  cfg.mem.dir_banks = cell.dir_banks;
-  cfg.mem.dir_pointers = cell.dir_pointers;
-  cfg.mem.dir_cluster = cell.dir_cluster;
+  // paper_default's latencies (49/2) are MemConfig{}'s, so the cell's
+  // MemConfig replaces the memory system whole.
+  cfg.mem = cell.mem;
   // Litmus programs finish in a few thousand cycles; a tight watchdog
   // turns a deadlock bug into a fast cell failure instead of a hang.
   cfg.max_cycles = 1'000'000;
@@ -83,6 +81,7 @@ CellCheck check_cell_result(const LitmusProgram& lp, const FuzzCell& cell,
                             const CellResult& res, const EnumerationResult* sc) {
   CellCheck out;
   out.outcome = outcome_key(res);
+  out.cycles = res.stats.cycles;
   if (!res.ok()) {
     out.failed = true;
     out.kind = FuzzFailureKind::kCellFailed;
@@ -111,6 +110,18 @@ CellCheck check_cell_result(const LitmusProgram& lp, const FuzzCell& cell,
   return out;
 }
 
+/// The program's SC outcome set: `sc` filled and returned when the
+/// enumeration completes within the budget, else null (inconclusive).
+const EnumerationResult* sc_oracle(const LitmusProgram& lp, std::uint64_t sc_max_states,
+                                   EnumerationResult& sc) {
+  try {
+    sc = enumerate_sc_outcomes(lp.programs, kMemBytes, lp.addrs, sc_max_states);
+  } catch (const std::exception&) {
+    return nullptr;  // backward branches etc.
+  }
+  return sc.complete ? &sc : nullptr;
+}
+
 /// Run and check (lp, cell) on its own, with a fresh SC oracle under
 /// SC. An SC enumeration that throws or goes incomplete reports no
 /// failure, so the shrinker never "reproduces" through an inconclusive
@@ -120,13 +131,8 @@ CellCheck recheck(const LitmusProgram& lp, const FuzzCell& cell,
   EnumerationResult sc;
   const EnumerationResult* scp = nullptr;
   if (cell.model == ConsistencyModel::kSC) {
-    try {
-      sc = enumerate_sc_outcomes(lp.programs, kMemBytes, lp.addrs, sc_max_states);
-    } catch (const std::exception&) {
-      return CellCheck{};
-    }
-    if (!sc.complete) return CellCheck{};
-    scp = &sc;
+    scp = sc_oracle(lp, sc_max_states, sc);
+    if (scp == nullptr) return CellCheck{};
   }
   return verify_litmus_cell(lp, cell, scp);
 }
@@ -160,10 +166,23 @@ Reproducer make_repro(const LitmusProgram& lp, const FuzzCell& cell) {
   r.model = cell.model;
   r.prefetch = cell.tech.prefetch;
   r.speculative_loads = cell.tech.speculative_loads;
+  r.mem = cell.mem;
   return r;
 }
 
 }  // namespace
+
+FuzzCell reproducer_cell(const Reproducer& r) {
+  return {r.model, {r.prefetch, r.speculative_loads}, r.mem};
+}
+
+CellCheck replay_reproducer(const Reproducer& r, std::uint64_t sc_max_states) {
+  const FuzzCell cell = reproducer_cell(r);
+  EnumerationResult sc;
+  return verify_litmus_cell(
+      r.litmus, cell,
+      cell.model == ConsistencyModel::kSC ? sc_oracle(r.litmus, sc_max_states, sc) : nullptr);
+}
 
 CellCheck verify_litmus_cell(const LitmusProgram& lp, const FuzzCell& cell,
                              const EnumerationResult* sc) {
@@ -252,7 +271,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   std::vector<FuzzCell> cells;
   for (ConsistencyModel m : cfg.models) {
     for (const TechniqueKnobs& t : cfg.techniques)
-      cells.push_back({m, t, cfg.topology, cfg.link_bw, cfg.dir_scheme, cfg.dir_banks});
+      cells.push_back({m, t, cfg.mem});
   }
 
   for (std::uint64_t i = 0; i < cfg.programs; ++i) {
@@ -261,14 +280,8 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
     const LitmusProgram lp = generate_litmus(cfg.gen, child);
 
     EnumerationResult sc;
-    bool have_sc = false;
-    try {
-      sc = enumerate_sc_outcomes(lp.programs, kMemBytes, lp.addrs, cfg.sc_max_states);
-      have_sc = true;
-    } catch (const std::exception&) {
-      // Backward branches etc.: no SC oracle for this program.
-    }
-    if (!have_sc || !sc.complete) ++rep.inconclusive_sc;
+    const EnumerationResult* scp = sc_oracle(lp, cfg.sc_max_states, sc);
+    if (scp == nullptr) ++rep.inconclusive_sc;
 
     ExperimentGrid grid("fuzz");
     for (const FuzzCell& c : cells) {
@@ -287,13 +300,11 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
     std::vector<CellCheck> checks(cells.size());
     std::map<int, std::string> base_outcome;
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-      checks[ci] = check_cell_result(lp, cells[ci], results[ci], have_sc ? &sc : nullptr);
+      checks[ci] = check_cell_result(lp, cells[ci], results[ci], scp);
       rep.arcs_checked += checks[ci].arcs_checked;
       rep.reads_checked += checks[ci].reads_checked;
-      if (cells[ci].model == ConsistencyModel::kSC && have_sc && sc.complete &&
-          results[ci].ok()) {
+      if (cells[ci].model == ConsistencyModel::kSC && scp != nullptr && results[ci].ok())
         ++rep.sc_outcomes_checked;
-      }
       const TechniqueKnobs& t = cells[ci].tech;
       if (t.prefetch == PrefetchMode::kOff && !t.speculative_loads && results[ci].ok())
         base_outcome[static_cast<int>(cells[ci].model)] = checks[ci].outcome;
@@ -338,14 +349,6 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
         if (shrunk.failed) shown = std::move(shrunk);
       }
       v.repro.note = std::string(to_string(shown.kind)) + ": " + shown.detail;
-      if (v.cell.topology != Topology::kCrossbar) {
-        v.repro.note += " [topology=" + std::string(to_string(v.cell.topology)) +
-                        " link_bw=" + std::to_string(v.cell.link_bw) + "]";
-      }
-      if (v.cell.dir_scheme != DirScheme::kFullMap || v.cell.dir_banks > 1) {
-        v.repro.note += " [dir_scheme=" + std::string(to_string(v.cell.dir_scheme)) +
-                        " dir_banks=" + std::to_string(v.cell.dir_banks) + "]";
-      }
       v.shrunk_insts = count_insts(v.repro.litmus);
       if (!cfg.repro_dir.empty()) {
         std::error_code ec;  // a failure to create shows as a failed write

@@ -43,23 +43,19 @@ struct TechniqueKnobs {
   std::string label() const;
 };
 
-/// One (model, techniques, topology) grid cell. The topology is part
-/// of the cell so shrinking and reproducers replay a failure under the
-/// exact interconnect timing that exposed it.
+/// One (model, techniques, memory system) grid cell. The memory system
+/// is part of the cell so shrinking and reproducers replay a failure
+/// under the exact interconnect and directory timing that exposed it.
 struct FuzzCell {
   ConsistencyModel model = ConsistencyModel::kSC;
   TechniqueKnobs tech;
-  Topology topology = Topology::kCrossbar;
-  std::uint32_t link_bw = 1;  ///< ring/mesh per-link bandwidth
-  /// Directory organisation. The litmus checkers are oblivious to the
-  /// sharer encoding and banking — a conservative-superset directory
-  /// must preserve every consistency axiom — so banked/inexact cells
-  /// reuse the same oracles as the centralized full-map baseline.
-  DirScheme dir_scheme = DirScheme::kFullMap;
-  std::uint32_t dir_banks = 1;
-  std::uint32_t dir_pointers = 4;  ///< limptr: Dir_i_B's "i"
-  std::uint32_t dir_cluster = 4;   ///< coarse: processors per bit
-  std::string label() const;  ///< "SC/base", "RC/both@mesh2d", "SC/pf#coarsex2", ...
+  /// The litmus checkers are oblivious to the topology, the protocol
+  /// and the directory's sharer encoding and banking — every consistency
+  /// axiom must hold under any memory-system timing — so every machine
+  /// shape reuses the same oracles as the paper's default machine.
+  MemConfig mem{};
+  /// "SC/base", "RC/both@mesh2d", "SC/pf#coarsex2", "WC/sp+upd", ...
+  std::string label() const;
 };
 
 enum class FuzzFailureKind : std::uint8_t {
@@ -101,14 +97,10 @@ struct FuzzConfig {
       {PrefetchMode::kOff, true},
       {PrefetchMode::kNonBinding, true},
   };
-  /// Interconnect every cell runs under. The consistency axioms must
-  /// hold for ANY memory-system timing, so a contended ring/mesh is a
-  /// new adversary for the same checkers, not a different oracle.
-  Topology topology = Topology::kCrossbar;
-  std::uint32_t link_bw = 1;  ///< ring/mesh per-link bandwidth
-  /// Directory organisation every cell runs under (see FuzzCell).
-  DirScheme dir_scheme = DirScheme::kFullMap;
-  std::uint32_t dir_banks = 1;
+  /// Memory system every cell runs under (see FuzzCell). A contended
+  /// ring/mesh or a banked, inexact directory is a new timing adversary
+  /// for the same checkers, not a different oracle.
+  MemConfig mem{};
 };
 
 struct FuzzReport {
@@ -142,6 +134,7 @@ struct CellCheck {
   std::string outcome;  ///< canonical final-state key (for divergence counting)
   std::uint64_t arcs_checked = 0;
   std::uint64_t reads_checked = 0;
+  Cycle cycles = 0;  ///< the run's length
 };
 
 /// Run one cell of the grid synchronously and validate it. `sc` is the
@@ -157,6 +150,14 @@ CellCheck verify_litmus_cell(const LitmusProgram& lp, const FuzzCell& cell,
 /// branches). Returns the reproducer for the minimal program.
 Reproducer shrink_failure(const LitmusProgram& lp, const FuzzCell& cell,
                           std::uint64_t sc_max_states);
+
+/// The cell a reproducer was recorded on.
+FuzzCell reproducer_cell(const Reproducer& r);
+
+/// Re-run a reproducer on its recorded cell — machine included — and
+/// re-check it, against the SC oracle when the cell is SC and the
+/// enumeration completes within `sc_max_states`.
+CellCheck replay_reproducer(const Reproducer& r, std::uint64_t sc_max_states);
 
 /// Non-halt instructions across every thread (the shrink metric).
 std::size_t count_insts(const LitmusProgram& lp);

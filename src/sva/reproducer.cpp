@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "isa/assembler.hpp"
+#include "sim/options.hpp"
 
 namespace mcsim {
 namespace sva {
@@ -166,6 +167,8 @@ std::string to_reproducer_text(const Reproducer& r) {
   os << ";; model " << to_string(r.model) << '\n';
   os << ";; prefetch " << to_string(r.prefetch) << '\n';
   os << ";; spec " << (r.speculative_loads ? "on" : "off") << '\n';
+  if (const std::string flags = mem_flags(r.mem); !flags.empty())
+    os << ";; mem " << flags << '\n';
   if (!r.note.empty()) os << ";; note " << one_line(r.note) << '\n';
   for (Addr a : r.litmus.addrs) os << ";; addr " << hex(a) << '\n';
   for (const auto& [p, a] : r.litmus.preload_shared)
@@ -216,6 +219,12 @@ Reproducer parse_reproducer(const std::string& text) {
       std::string m;
       meta >> m;
       r.speculative_loads = m == "on";
+    } else if (key == "mem") {
+      std::string flag, err;
+      while (meta >> flag) {
+        if (!parse_mem_flag(flag, r.mem, err)) fail("unknown mem flag " + flag);
+        if (!err.empty()) fail(err);
+      }
     } else if (key == "note") {
       std::getline(meta, r.note);
       if (!r.note.empty() && r.note.front() == ' ') r.note.erase(0, 1);

@@ -5,8 +5,10 @@
 // text per thread (isa/assembler grammar, so the file re-assembles
 // byte-for-byte into the failing programs) plus `;;`-prefixed metadata
 // lines carrying everything else needed to replay the cell — the
-// generator seed, the consistency model, the technique knobs, the cache
-// preloads, and the violation that was observed. `;` starts an
+// generator seed, the consistency model, the technique knobs, the
+// memory system (`;; mem` followed by the sim/options flags that build
+// it, written only for a non-default machine), the cache preloads, and
+// the violation that was observed. `;` starts an
 // assembler comment, so the file is also a valid input for each
 // per-thread section in isolation.
 #pragma once
@@ -25,6 +27,7 @@ struct Reproducer {
   ConsistencyModel model = ConsistencyModel::kSC;
   PrefetchMode prefetch = PrefetchMode::kOff;
   bool speculative_loads = false;
+  MemConfig mem{};   ///< the machine's memory system
   std::string note;  ///< one-line description of the observed violation
 };
 

@@ -142,6 +142,79 @@ TEST(Options, DirectorySchemeAndBankingFlags) {
   EXPECT_NE(options_help().find("--dir-banks"), std::string::npos);
 }
 
+TEST(Options, ValuesThatDoNotFitTheirFieldAreRejected) {
+  // A 32-bit field must not wrap: 2^32 is not 0 (unlimited bandwidth),
+  // 2^32 + 1 is not 1 bank, and -1 is not 4294967295.
+  EXPECT_FALSE(parse({"--link-bw=4294967296"}).ok());
+  EXPECT_FALSE(parse({"--dir-banks=4294967297"}).ok());
+  EXPECT_FALSE(parse({"--link-bw=-1"}).ok());
+  EXPECT_FALSE(parse({"--link-bw=abc"}).ok());
+  EXPECT_FALSE(parse({"--link-bw="}).ok());
+  EXPECT_FALSE(parse({"--link-bw= 2"}).ok());
+  EXPECT_FALSE(parse({"--max-cycles=18446744073709551616"}).ok());
+  EXPECT_EQ(parse({"--link-bw=4294967295"}).config.mem.link_bw, 4294967295u);
+  EXPECT_EQ(parse({"--max-cycles=18446744073709551615"}).config.max_cycles,
+            18446744073709551615ull);
+  OptionsResult r = parse({"--link-bw=4294967296"});
+  EXPECT_NE(r.error.find("--link-bw"), std::string::npos) << r.error;
+}
+
+TEST(Options, CheckedValueReaderForBenchFlags) {
+  std::uint32_t procs = 7;
+  std::string err;
+  EXPECT_FALSE(parse_uint_flag(std::string("--procsx=4"), "--procs", procs, err));
+  EXPECT_FALSE(parse_uint_flag(std::string("--procs"), "--procs", procs, err));
+  EXPECT_TRUE(parse_uint_flag(std::string("--procs=0x10"), "--procs", procs, err));
+  EXPECT_EQ(procs, 16u);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_TRUE(parse_uint_flag(std::string("--procs=-4"), "--procs", procs, err));
+  EXPECT_FALSE(err.empty());
+  EXPECT_EQ(procs, 16u);  // a rejected value leaves the field alone
+  unsigned char narrow = 0;
+  err.clear();
+  EXPECT_TRUE(parse_uint_flag(std::string("--n=256"), "--n", narrow, err));
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(Options, MemFlagsRoundTripThroughTheParser) {
+  EXPECT_EQ(mem_flags(MemConfig{}), "");
+  MemConfig mem;
+  mem.topology = Topology::kMesh2D;
+  mem.link_bw = 2;
+  mem.link_queue = 3;
+  mem.coherence = CoherenceKind::kUpdate;
+  mem.dir_scheme = DirScheme::kLimitedPtr;
+  mem.dir_pointers = 2;
+  mem.dir_cluster = 8;
+  mem.dir_banks = 4;
+  const std::string flags = mem_flags(mem);
+  EXPECT_EQ(flags,
+            "--topology=mesh2d --link-bw=2 --link-queue=3 --protocol=upd "
+            "--dir-scheme=limptr --dir-ptrs=2 --dir-cluster=8 --dir-banks=4");
+  MemConfig back;
+  std::string err;
+  std::size_t from = 0;
+  while (from < flags.size()) {
+    std::size_t to = flags.find(' ', from);
+    if (to == std::string::npos) to = flags.size();
+    ASSERT_TRUE(parse_mem_flag(flags.substr(from, to - from), back, err));
+    ASSERT_TRUE(err.empty()) << err;
+    from = to + 1;
+  }
+  EXPECT_EQ(back, mem);
+  EXPECT_FALSE(parse_mem_flag("--procs=4", back, err));
+  EXPECT_TRUE(parse_mem_flag("--protocol=mesi", back, err));
+  EXPECT_NE(err.find("inv|upd"), std::string::npos) << err;
+}
+
+TEST(Options, PresetMachinesUseTheDefaultMemorySystem) {
+  // The fuzzer replaces a preset's MemConfig with a cell's whole, and a
+  // reproducer omits a default one: both rely on the presets' 49/2
+  // latencies being MemConfig{}'s.
+  EXPECT_EQ(SystemConfig::paper_default(2, ConsistencyModel::kSC).mem, MemConfig{});
+  EXPECT_EQ(SystemConfig::realistic(2, ConsistencyModel::kRC).mem, MemConfig{});
+}
+
 TEST(Options, ProcessorCountsBeyondSixtyFourAreAccepted) {
   // The historical uint64_t sharer mask capped machines at 64
   // processors; the SharerSet directory lifts that to kMaxProcs.

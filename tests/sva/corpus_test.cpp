@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,17 @@ void check_corpus(const std::string& name, Fn&& invariant) {
       invariant(model, tech, machine_regs(r.litmus, model, tech));
     }
   }
+}
+
+TEST(Corpus, EveryFileRunsOnTheDefaultMemorySystem) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(MCSIM_CORPUS_DIR)) {
+    if (entry.path().extension() != ".litmus") continue;
+    ++files;
+    EXPECT_EQ(load_reproducer(entry.path().string()).mem, MemConfig{})
+        << entry.path().filename();
+  }
+  EXPECT_GE(files, 7u);
 }
 
 TEST(Corpus, DekkerScForbidsMutualZero) {

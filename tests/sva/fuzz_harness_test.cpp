@@ -71,13 +71,14 @@ TEST_F(FuzzHarness, InjectedFaultIsCaughtAndShrunkSmall) {
 }
 
 /// One injected-fault catch, SC only: the first violation of the run.
-FuzzReport caught_sc_load_fault(const std::string& repro_dir) {
+FuzzReport caught_sc_load_fault(const std::string& repro_dir, const MemConfig& mem = {}) {
   set_policy_fault(PolicyFault::kSCLoadIgnoresStores);
   FuzzConfig cfg = small_config();
   cfg.programs = 30;
   cfg.models = {ConsistencyModel::kSC};
   cfg.max_failures = 1;
   cfg.repro_dir = repro_dir;
+  cfg.mem = mem;
   return run_fuzz(cfg);
 }
 
@@ -110,6 +111,71 @@ TEST_F(FuzzHarness, MissingReproDirIsCreated) {
   EXPECT_EQ(std::filesystem::path(v.repro_path).parent_path(), dir);
   EXPECT_EQ(load_reproducer(v.repro_path).litmus.seed, v.seed);
   std::filesystem::remove_all(root);
+}
+
+TEST_F(FuzzHarness, ReproducerFromAMeshCellReplaysOnTheMesh) {
+  // Shrinking, the written file and replay all keep the cell's machine.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mcsim-fuzz-mesh-repro-test";
+  std::filesystem::remove_all(dir);
+  MemConfig mesh;
+  mesh.topology = Topology::kMesh2D;
+  mesh.dir_banks = 2;
+  FuzzReport rep = caught_sc_load_fault(dir.string(), mesh);
+  ASSERT_FALSE(rep.ok()) << "the fuzzer missed an injected SC hole on the mesh";
+  const FuzzViolation& v = rep.violations.front();
+  EXPECT_EQ(v.cell.mem, mesh);
+  EXPECT_EQ(v.repro.mem, mesh);
+  ASSERT_FALSE(v.repro_path.empty());
+  const Reproducer back = load_reproducer(v.repro_path);
+  EXPECT_EQ(back.mem, mesh);
+  EXPECT_EQ(reproducer_cell(back).label(), "SC/" + v.cell.tech.label() + "@mesh2d#fullmapx2");
+  const CellCheck replayed = replay_reproducer(back, 2'000'000);
+  EXPECT_TRUE(replayed.failed) << "the mesh reproducer no longer reproduces";
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FuzzHarness, ReplayRunsOnTheRecordedMachine) {
+  // A reproducer's `;; mem` line names its machine; replay must run
+  // there, not on the default crossbar with one directory bank.
+  const Reproducer r = parse_reproducer(
+      ";; mcsim-reproducer v1\n"
+      ";; seed 0\n"
+      ";; model SC\n"
+      ";; prefetch non-binding\n"
+      ";; spec on\n"
+      ";; mem --topology=mesh2d --dir-banks=2\n"
+      ";; addr 0x1000\n"
+      ";; addr 0x1040\n"
+      ";; thread 0\n"
+      "  addi r1, r0, 1\n"
+      "  st r1, [0x1000]\n"
+      "  ld r2, [0x1040]\n"
+      "  halt\n"
+      ";; thread 1\n"
+      "  addi r1, r0, 1\n"
+      "  st r1, [0x1040]\n"
+      "  ld r2, [0x1000]\n"
+      "  halt\n");
+  FuzzCell cell{ConsistencyModel::kSC, {PrefetchMode::kNonBinding, true}};
+  cell.mem.topology = Topology::kMesh2D;
+  cell.mem.dir_banks = 2;
+  EXPECT_EQ(reproducer_cell(r).label(), cell.label());
+  EXPECT_EQ(cell.label(), "SC/both@mesh2d#fullmapx2");
+
+  const EnumerationResult sc =
+      enumerate_sc_outcomes(r.litmus.programs, 1u << 20, r.litmus.addrs, 2'000'000);
+  ASSERT_TRUE(sc.complete);
+  const CellCheck direct = verify_litmus_cell(r.litmus, cell, &sc);
+  const CellCheck replayed = replay_reproducer(r, 2'000'000);
+  EXPECT_FALSE(replayed.failed) << replayed.detail;
+  EXPECT_GT(replayed.arcs_checked, 0u);
+  EXPECT_EQ(replayed.cycles, direct.cycles);
+  EXPECT_EQ(replayed.outcome, direct.outcome);
+  // The default machine takes a different number of cycles, so the
+  // equality above shows the machine was honoured.
+  const FuzzCell flat{cell.model, cell.tech};
+  EXPECT_NE(verify_litmus_cell(r.litmus, flat, &sc).cycles, replayed.cycles);
 }
 
 TEST_F(FuzzHarness, PartialScEnumerationIsInconclusiveNotPassing) {
@@ -148,8 +214,8 @@ TEST_F(FuzzHarness, Mesh2dSliceHoldsTheAxiomsUnderContention) {
   // contended 2D mesh with 1-msg/cycle links and assert the same
   // checkers stay green.
   FuzzConfig cfg = small_config();
-  cfg.topology = Topology::kMesh2D;
-  cfg.link_bw = 1;
+  cfg.mem.topology = Topology::kMesh2D;
+  cfg.mem.link_bw = 1;
   cfg.models = {ConsistencyModel::kSC, ConsistencyModel::kRC};
   FuzzReport rep = run_fuzz(cfg);
   EXPECT_TRUE(rep.ok()) << rep.summary();
@@ -160,7 +226,7 @@ TEST_F(FuzzHarness, Mesh2dSliceHoldsTheAxiomsUnderContention) {
 
 TEST_F(FuzzHarness, Mesh2dSliceReportIsWorkerCountInvariant) {
   FuzzConfig cfg = small_config();
-  cfg.topology = Topology::kMesh2D;
+  cfg.mem.topology = Topology::kMesh2D;
   cfg.models = {ConsistencyModel::kSC};
   cfg.workers = 1;
   FuzzReport serial = run_fuzz(cfg);
@@ -193,6 +259,18 @@ TEST_F(FuzzHarness, CellAndTechniqueLabelsAreStable) {
             "RC/sp");
   EXPECT_EQ((FuzzCell{ConsistencyModel::kPC, {PrefetchMode::kNonBinding, true}}).label(),
             "PC/both");
+  // The machine: topology, directory, then a non-default protocol.
+  FuzzCell cell{ConsistencyModel::kRC, {PrefetchMode::kNonBinding, true}};
+  cell.mem.topology = Topology::kMesh2D;
+  EXPECT_EQ(cell.label(), "RC/both@mesh2d");
+  cell.mem.dir_scheme = DirScheme::kCoarseVector;
+  cell.mem.dir_banks = 2;
+  EXPECT_EQ(cell.label(), "RC/both@mesh2d#coarsex2");
+  cell.mem.coherence = CoherenceKind::kUpdate;
+  EXPECT_EQ(cell.label(), "RC/both@mesh2d#coarsex2+upd");
+  // Knobs the label leaves out travel in the cell's MemConfig.
+  cell.mem.link_bw = 2;
+  EXPECT_EQ(cell.label(), "RC/both@mesh2d#coarsex2+upd");
 }
 
 }  // namespace

@@ -62,6 +62,30 @@ TEST(Reproducer, GeneratedLitmusRoundTrips) {
   }
 }
 
+TEST(Reproducer, MemorySystemRoundTrips) {
+  Reproducer r;
+  r.litmus = generate_litmus(sva::LitmusGenConfig{}, 7);
+  r.mem.topology = Topology::kMesh2D;
+  r.mem.link_bw = 2;
+  r.mem.dir_scheme = DirScheme::kLimitedPtr;
+  r.mem.dir_pointers = 2;
+  r.mem.dir_banks = 4;
+  r.mem.coherence = CoherenceKind::kUpdate;
+  const std::string text = to_reproducer_text(r);
+  EXPECT_NE(text.find(";; mem --topology=mesh2d --link-bw=2 --protocol=upd "
+                      "--dir-scheme=limptr --dir-ptrs=2 --dir-banks=4\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(parse_reproducer(text).mem, r.mem);
+}
+
+TEST(Reproducer, DefaultMemorySystemWritesNoMemLine) {
+  Reproducer r;
+  r.litmus = generate_litmus(sva::LitmusGenConfig{}, 7);
+  EXPECT_EQ(to_reproducer_text(r).find(";; mem"), std::string::npos);
+  EXPECT_EQ(parse_reproducer(to_reproducer_text(r)).mem, MemConfig{});
+}
+
 TEST(Reproducer, BranchyProgramRoundTripsThroughLabels) {
   // disassemble() output is for humans; program_to_asm must emit real
   // labels so forward branches survive the trip.
@@ -106,6 +130,10 @@ TEST(Reproducer, MalformedInputThrows) {
                std::runtime_error);
   EXPECT_THROW(parse_reproducer(";; thread 1\n  halt\n"), std::runtime_error);
   EXPECT_THROW(parse_reproducer(";; thread 0\n  not-an-instruction r1\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_reproducer(";; mem --topology=torus\n;; thread 0\n  halt\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_reproducer(";; mem --procs=4\n;; thread 0\n  halt\n"),
                std::runtime_error);
 }
 
