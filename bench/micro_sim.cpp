@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "coherence/cache.hpp"
 #include "coherence/directory.hpp"
@@ -511,6 +512,58 @@ void BM_MachineBarrierTree8(benchmark::State& state) {
   state.SetLabel("items = simulated guest cycles (barrier_tree SC +both)");
 }
 BENCHMARK(BM_MachineBarrierTree8)->Unit(benchmark::kMillisecond);
+
+// A probe's two state passes (Core::probe_state: record S1, then
+// compare S2 against it) on a core spinning in the barrier_tree trace
+// of BM_MachineBarrierTree8: what a spinning core pays, per probe,
+// before it may sleep. Items = probes.
+void BM_PeriodProbe(benchmark::State& state) {
+  WorkloadGenSpec spec;
+  spec.kind = WorkloadKind::kBarrierTree;
+  spec.nprocs = 8;
+  spec.ops = 5000;
+  spec.seed = 1;
+  const Workload w = trace_to_workload(generate_trace(spec));
+  SystemConfig cfg = SystemConfig::realistic(spec.nprocs, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  cfg.core.speculative_loads = true;
+  const std::uint64_t line = cfg.cache.line_bytes;
+  cfg.mem.mem_bytes =
+      std::max<std::uint64_t>(cfg.mem.mem_bytes, (w.min_mem_bytes + line - 1) / line * line);
+  Machine m(cfg, w.programs);
+  constexpr ProcId kSpinner = 1;
+  Core& core = m.core(kSpinner);
+  CoherentCache& cache = m.cache(kSpinner);
+  // Step until the core spins: 64 cycles in which it retires while its
+  // cache handles nothing new.
+  for (;;) {
+    const std::uint64_t activity = cache.activity(), retired = core.instructions_retired();
+    for (int i = 0; i < 64; ++i) m.step();
+    if (cache.activity() == activity && core.instructions_retired() > retired) break;
+    if (core.halted()) {
+      state.SkipWithError("the core halted before it spun");
+      return;
+    }
+  }
+  // The ways the spin probes, logged as a probe logs them.
+  cache.start_touch_log();
+  for (int i = 0; i < 64; ++i) m.step();
+  cache.stop_touch_log();
+  PeriodWalk::Record s1;
+  for (auto _ : state) {
+    const bool matched = core.probe_state(s1);
+    benchmark::DoNotOptimize(matched);
+    benchmark::DoNotOptimize(s1.data.get());
+    benchmark::ClobberMemory();
+    if (!matched) {
+      state.SkipWithError("a state did not match itself");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel("items = probes; " + std::to_string(s1.size) + " values per record");
+}
+BENCHMARK(BM_PeriodProbe);
 
 // One core spinning on a flag that stays in its cache, SC with both
 // techniques: every tick is a live core tick whose load hits, the

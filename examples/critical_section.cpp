@@ -6,18 +6,28 @@
 //
 //   $ ./critical_section [procs] [iterations]
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "sim/machine.hpp"
+#include "sim/options.hpp"
 #include "sim/workloads.hpp"
 
 using namespace mcsim;
 
+/// Each processor's program is unrolled, one critical section per iteration.
+constexpr std::uint64_t kMaxIterations = 1u << 16;
+
 int main(int argc, char** argv) {
-  std::uint32_t procs = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 4;
-  std::uint32_t iters = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 8;
-  std::printf("critical sections: %u processors x %u lock-protected increments\n\n",
-              procs, iters);
+  std::uint64_t procs = 4, iters = 8;
+  std::string err = "too many arguments";
+  if (argc > 3 || (argc > 1 && !parse_uint(argv[1], "procs", 1, kMaxProcs, procs, err)) ||
+      (argc > 2 && !parse_uint(argv[2], "iterations", 0, kMaxIterations, iters, err))) {
+    std::fprintf(stderr, "%s\nusage: critical_section [procs 1..%u] [iterations 0..%llu]\n",
+                 err.c_str(), kMaxProcs, static_cast<unsigned long long>(kMaxIterations));
+    return 1;
+  }
+  std::printf("critical sections: %llu processors x %llu lock-protected increments\n\n",
+              static_cast<unsigned long long>(procs), static_cast<unsigned long long>(iters));
   std::printf("%-6s %-14s %12s %14s %12s\n", "model", "technique", "cycles",
               "counter-total", "rmw-spec");
 

@@ -5,16 +5,27 @@
 //
 //   $ ./producer_consumer [items]
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "sim/machine.hpp"
+#include "sim/options.hpp"
 #include "sim/workloads.hpp"
 
 using namespace mcsim;
 
+/// A pair's buffer is one 4 KiB block of words.
+constexpr std::uint64_t kMaxItems = 1024;
+
 int main(int argc, char** argv) {
-  std::uint32_t items = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 16;
-  std::printf("producer/consumer, 4 processors, %u items per pair\n\n", items);
+  std::uint64_t items = 16;
+  std::string err = "too many arguments";
+  if (argc > 2 || (argc > 1 && !parse_uint(argv[1], "items", 0, kMaxItems, items, err))) {
+    std::fprintf(stderr, "%s\nusage: producer_consumer [items 0..%llu]\n", err.c_str(),
+                 static_cast<unsigned long long>(kMaxItems));
+    return 1;
+  }
+  std::printf("producer/consumer, 4 processors, %llu items per pair\n\n",
+              static_cast<unsigned long long>(items));
   std::printf("%-6s %12s %12s %12s | %10s %10s\n", "model", "baseline", "+prefetch",
               "+both", "useful-pf", "squashes");
 

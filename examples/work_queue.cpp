@@ -6,10 +6,11 @@
 //
 //   $ ./work_queue [workers] [tasks]
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "isa/builder.hpp"
 #include "sim/machine.hpp"
+#include "sim/options.hpp"
 
 using namespace mcsim;
 
@@ -22,6 +23,8 @@ constexpr Addr kDone = 0x1300;       // producer finished flag
 constexpr Addr kItems = 0x2000;      // task payloads
 constexpr Addr kResultLock = 0x3000;
 constexpr Addr kResult = 0x3100;
+/// Task payloads fill [kItems, kResultLock), one word each.
+constexpr std::uint64_t kMaxTasks = (kResultLock - kItems) / 4;
 
 Program producer(std::uint32_t tasks) {
   ProgramBuilder b;
@@ -82,11 +85,19 @@ Program worker() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t workers = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 3;
-  std::uint32_t tasks = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 12;
-  const Word expected = tasks * (tasks + 1) / 2;
-  std::printf("work queue: 1 producer, %u workers, %u tasks (expected sum %u)\n\n",
-              workers, tasks, expected);
+  std::uint64_t workers = 3, tasks = 12;
+  std::string err = "too many arguments";
+  if (argc > 3 ||
+      (argc > 1 && !parse_uint(argv[1], "workers", 1, kMaxProcs - 1, workers, err)) ||
+      (argc > 2 && !parse_uint(argv[2], "tasks", 0, kMaxTasks, tasks, err))) {
+    std::fprintf(stderr, "%s\nusage: work_queue [workers 1..%u] [tasks 0..%llu]\n",
+                 err.c_str(), kMaxProcs - 1, static_cast<unsigned long long>(kMaxTasks));
+    return 1;
+  }
+  const auto expected = static_cast<Word>(tasks * (tasks + 1) / 2);
+  std::printf("work queue: 1 producer, %llu workers, %llu tasks (expected sum %u)\n\n",
+              static_cast<unsigned long long>(workers), static_cast<unsigned long long>(tasks),
+              expected);
   std::printf("%-6s %12s %12s %10s\n", "model", "cycles", "sum", "status");
 
   for (ConsistencyModel model : {ConsistencyModel::kSC, ConsistencyModel::kPC,

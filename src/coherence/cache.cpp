@@ -205,9 +205,8 @@ void CoherentCache::walk(Walk& w) {
   for (std::size_t i = 0; i < responses_.size(); ++i) {
     CacheResponse& r = responses_[i];
     w.token(r.token);
-    w.plain(r.value);
+    w.plain(r.value | std::uint64_t{r.was_hit} << 32);
     w.cycle(r.ready_at);
-    w.plain(r.was_hit);
   }
   w.plain(port_used_valid_);
   w.cycle(port_used_at_);
@@ -217,27 +216,23 @@ void CoherentCache::walk(Walk& w) {
     w.plain(m.valid);
     if (!m.valid) continue;
     w.plain(m.line);
-    w.plain(m.want_ex);
-    w.plain(m.upgrade_after_fill);
-    w.plain(m.prefetch_initiated);
+    w.plain(m.want_ex | m.upgrade_after_fill << 1 | m.prefetch_initiated << 2);
     w.cycle(m.alloc_at);
     w.plain(m.waiters.size());
     for (Waiter& wt : m.waiters) {
       w.token(wt.token);
-      w.plain(wt.op);
       w.plain(wt.addr);
-      w.plain(wt.store_value);
-      w.plain(wt.rmw_op);
-      w.plain(wt.rmw_cmp);
-      w.plain(wt.rmw_src);
+      // Plain fields packed, to keep a record short: Words fit 32 bits.
+      w.plain(wt.store_value | std::uint64_t{wt.rmw_cmp} << 32);
+      w.plain(wt.rmw_src | static_cast<std::uint64_t>(wt.op) << 32 |
+              static_cast<std::uint64_t>(wt.rmw_op) << 40);
     }
   }
   w.plain(touched_.size());
   for (std::uint32_t i : touched_) {
     Way& way = ways_[i];
-    w.plain(i);
-    w.plain(way.state);
-    w.plain(way.prefetched);
+    w.plain(i | static_cast<std::uint64_t>(way.state) << 32 |
+            std::uint64_t{way.prefetched} << 40);
     w.plain(way.line);
     w.cycle(way.last_use);
     w.cycle(way.fill_at);

@@ -141,6 +141,7 @@ class StatSet {
       for (std::uint32_t i = 0; i < counters_.size(); ++i)
         if (counters_[i].touched) touched_ids_.push_back(i);
     }
+    w.plain(touched_ids_.size());
     for (std::uint32_t i : touched_ids_) {
       w.plain(i);
       w.counter(counters_[i].value);

@@ -151,12 +151,10 @@ class SpecLoadBuffer {
       w.seq(e.seq);
       w.plain(e.addr);
       w.plain(e.line);
-      w.plain(e.acq);
-      w.plain(e.done);
+      // Plain fields packed, to keep a record short: a Word fits 32 bits.
+      w.plain(e.value | std::uint64_t{e.acq} << 32 | std::uint64_t{e.done} << 33 |
+              std::uint64_t{e.is_rmw_read} << 34 | std::uint64_t{e.nonspec} << 35);
       w.seq(e.store_tag);
-      w.plain(e.is_rmw_read);
-      w.plain(e.nonspec);
-      w.plain(e.value);
       w.cycle(e.done_at);
     }
   }

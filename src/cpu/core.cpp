@@ -355,6 +355,12 @@ void Core::watch_period(Cycle now) {
   ps.backoff = std::min(2 * ps.backoff, kMaxProbeBackoff);
 }
 
+bool Core::probe_state(PeriodWalk::Record& s1) {
+  walk_state(PeriodWalk::Recorder(s1));
+  PeriodWalk::Shift shift;
+  return walk_state(PeriodWalk::StateComparer(s1, shift.by)).finish(shift);
+}
+
 template <typename Walk>
 Walk& Core::walk_counters(Walk&& w) {
   stats_.walk(w);
@@ -367,6 +373,10 @@ Walk& Core::walk_counters(Walk&& w) {
 
 template <typename Walk>
 Walk& Core::walk_state(Walk&& w) {
+  // The LSU first: a failing probe fails there (on a store's stamps), and
+  // a comparer's walk stops at its first mismatch.
+  lsu_.walk(w);
+  if (w.stopped()) return w;
   w.seq(next_seq_);
   w.cycle(uncharged_from_);
   w.plain(last_cause_);
@@ -380,17 +390,17 @@ Walk& Core::walk_state(Walk&& w) {
     w.seq(e.seq);
     // Plain fields packed, to keep a record short: pc and Words fit 32 bits.
     const std::uint64_t flags = e.executed | e.value_ready << 1 | e.performed << 2 |
-                                e.released << 3 | e.spec_value << 4 | e.predicted_taken << 5;
+                                e.released << 3 | e.spec_value << 4 | e.predicted_taken << 5 |
+                                (e.consumers != kNoNode) << 6;
     w.plain(pc_of(e) | std::uint64_t{e.waiting} << 32 | flags << 40);
     w.plain(e.src[0] | std::uint64_t{e.src[1]} << 32);
     w.plain(e.result);
-    // The consumer chain in chain order; which pool nodes hold it does
-    // not matter.
+    // The consumer chain in chain order, the last node flagged; which
+    // pool nodes hold it does not matter.
     for (std::uint32_t n = e.consumers; n != kNoNode; n = wake_nodes_[n].next) {
-      w.plain(wake_nodes_[n].operand);
+      w.plain(wake_nodes_[n].operand | std::uint64_t{wake_nodes_[n].next == kNoNode} << 8);
       w.seq(wake_nodes_[n].consumer);
     }
-    w.plain(kNoNode);
   }
   w.plain(ready_.size());
   for (std::uint64_t& seq : ready_) w.seq(seq);
@@ -398,13 +408,15 @@ Walk& Core::walk_state(Walk&& w) {
     w.seq(r.seq);
     w.plain(r.value | std::uint64_t{r.ready} << 32);
   }
-  for (Word v : regfile_) w.plain(v);
+  static_assert(kNumArchRegs % 2 == 0);
+  for (std::size_t r = 0; r < kNumArchRegs; r += 2)
+    w.plain(regfile_[r] | std::uint64_t{regfile_[r + 1]} << 32);
   w.plain(fetch_buf_.size());
   for (std::size_t i = 0; i < fetch_buf_.size(); ++i)
     w.plain(fetch_buf_.at(i).pc | std::uint64_t{fetch_buf_.at(i).predicted_taken} << 32);
   w.plain(wake_nodes_.size());
   predictor_.walk(w);
-  lsu_.walk(w);
+  if (w.stopped()) return w;
   cache_.walk(w);
   return w;
 }

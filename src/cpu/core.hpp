@@ -90,6 +90,9 @@ class Core : public LsuHost, public LineEventObserver {
   /// Ticks settled in closed form by periodic sleep (introspection: not
   /// a statistic, so stats reports stay identical to the naive loop's).
   std::uint64_t periodic_ticks_settled() const { return period_ticks_settled_; }
+  /// A probe's two state passes, to time them: record the live state into
+  /// `s1`, then compare it against `s1` moved by no period (true).
+  bool probe_state(PeriodWalk::Record& s1);
 
   bool halted() const { return halted_; }
   /// Halted and every buffered access has performed.

@@ -199,14 +199,12 @@ bool LoadStoreUnit::erase_load(std::uint64_t seq) {
 }
 
 bool LoadStoreUnit::take_token(std::uint64_t token, TokenInfo& out) {
-  for (TokenInfo& t : tokens_) {
-    if (t.token != token) continue;
-    out = t;
-    t = tokens_.back();
-    tokens_.pop_back();
-    return true;
-  }
-  return false;
+  const auto it = std::find_if(tokens_.begin(), tokens_.end(),
+                               [token](const TokenInfo& t) { return t.token == token; });
+  if (it == tokens_.end()) return false;
+  out = *it;
+  tokens_.erase(it);  // keeps the tokens in issue order, as walk() visits them
+  return true;
 }
 
 void LoadStoreUnit::tick_addr_unit(Cycle now) {
@@ -883,22 +881,44 @@ std::uint64_t LoadStoreUnit::occupancy() const {
 }
 
 namespace {
+/// Two operands' values in one plain value (Words fit 32 bits), then the
+/// seq each waits on. The caller visits their ready bits first.
 template <typename Walk>
-void walk_operand(Walk& w, Operand& op) {
-  w.plain(op.value | std::uint64_t{op.ready} << 32);
-  if (!op.ready) w.seq(op.tag);
+void walk_operands(Walk& w, Operand& a, Operand& b) {
+  w.plain(a.value | std::uint64_t{b.value} << 32);
+  if (!a.ready) w.seq(a.tag);
+  if (!b.ready) w.seq(b.tag);
 }
 }  // namespace
 
 template <typename Walk>
 void LoadStoreUnit::walk(Walk& w) {
+  // The store buffer first: a failing probe fails on a store's stamps.
+  w.plain(store_buf_.size());
+  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
+    StoreEntry& e = store_buf_.at(i);
+    w.seq(e.seq);
+    // Plain fields packed, to keep a record short: pc fits 32 bits.
+    const std::uint64_t flags = static_cast<std::uint64_t>(e.sync) | e.is_rmw << 8 |
+                                e.released << 9 | e.issued << 10 | e.offered << 11 |
+                                e.spec_read_issued << 12 | e.data.ready << 13 |
+                                e.cmp.ready << 14;
+    w.plain(e.pc | flags << 32);
+    w.plain(e.addr);
+    walk_operands(w, e.data, e.cmp);
+    w.cycle(e.ready_at);
+    w.cycle(e.released_at);
+  }
+  if (w.stopped()) return;
   w.token(next_token_);
   w.plain(ls_rs_.size());
   for (std::size_t i = 0; i < ls_rs_.size(); ++i) {
     RsEntry& e = ls_rs_.at(i);
     w.seq(e.seq);
-    w.plain(e.pc);
-    for (Operand* op : {&e.base, &e.index, &e.data, &e.cmp}) walk_operand(w, *op);
+    w.plain(e.pc | std::uint64_t{e.base.ready} << 32 | std::uint64_t{e.index.ready} << 33 |
+            std::uint64_t{e.data.ready} << 34 | std::uint64_t{e.cmp.ready} << 35);
+    walk_operands(w, e.base, e.index);
+    walk_operands(w, e.data, e.cmp);
   }
   w.plain(load_q_.size());
   for (std::size_t i = 0; i < load_q_.size(); ++i) {
@@ -912,26 +932,9 @@ void LoadStoreUnit::walk(Walk& w) {
     w.plain(e.gen);
     w.cycle(e.ready_at);
   }
-  w.plain(store_buf_.size());
-  for (std::size_t i = 0; i < store_buf_.size(); ++i) {
-    StoreEntry& e = store_buf_.at(i);
-    w.seq(e.seq);
-    w.plain(e.pc);
-    w.plain(e.addr);
-    walk_operand(w, e.data);
-    walk_operand(w, e.cmp);
-    w.plain(static_cast<std::uint64_t>(e.sync) | e.is_rmw << 8 | e.released << 9 |
-            e.issued << 10 | e.offered << 11 | e.spec_read_issued << 12);
-    w.cycle(e.ready_at);
-    w.cycle(e.released_at);
-  }
   spec_buffer_.walk(w);
   prefetch_.walk(w);
   for (SeqFifo* f : {&sync_, &acquires_, &rmws_, &slb_acquires_}) f->walk(w);
-  if constexpr (Walk::kCompared) {
-    std::sort(tokens_.begin(), tokens_.end(),
-              [](const TokenInfo& a, const TokenInfo& b) { return a.token < b.token; });
-  }
   w.plain(tokens_.size());
   for (TokenInfo& t : tokens_) {
     w.token(t.token);

@@ -139,9 +139,7 @@ class LoadStoreUnit {
   /// spotting a state that may repeat.
   std::uint64_t occupancy() const;
   std::uint64_t next_token() const { return next_token_; }
-  /// Visit every piece of state a tick reads or writes for a
-  /// PeriodWalk. A compared walk sorts the in-flight tokens, whose
-  /// order is never observed, so two periods compare them as a set.
+  /// Visit every piece of state a tick reads or writes for a PeriodWalk.
   template <typename Walk>
   void walk(Walk& w);
 
@@ -332,12 +330,13 @@ class LoadStoreUnit {
   SeqFifo acquires_;
   SeqFifo rmws_;
   SeqFifo slb_acquires_;
-  /// Requests in flight, unordered; a response finds its entry by a
-  /// linear scan. Each request gets exactly one response, so this holds
-  /// only what is outstanding, grows to that high-water mark and then
-  /// allocates nothing. (Tokens are dense, but a miss on a contended
-  /// line can stay outstanding while hundreds of later tokens come and
-  /// go, so a table indexed by token would have to span them all.)
+  /// Requests in flight, in issue (= token) order; a response finds its
+  /// entry by a linear scan. Each request gets exactly one response, so
+  /// this holds only what is outstanding, grows to that high-water mark
+  /// and then allocates nothing. (Tokens are dense, but a miss on a
+  /// contended line can stay outstanding while hundreds of later tokens
+  /// come and go, so a table indexed by token would have to span them
+  /// all.)
   std::vector<TokenInfo> tokens_;
   /// One per forwarded load still in the load queue.
   FixedQueue<LocalCompletion> local_completions_;

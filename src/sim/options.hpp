@@ -49,9 +49,14 @@ OptionsResult parse_options(int argc, const char* const* argv);
 /// When `arg` is `name=VALUE`, stores VALUE and returns true.
 bool flag_value(const std::string& arg, std::string_view name, std::string& value);
 
-/// The one reader for numeric flags: when `arg` is `name=VALUE`, reads
-/// VALUE (decimal, 0x-hex or 0-octal) into `out` and returns true. A
-/// sign, trailing text or a value above `max` sets `err` instead.
+/// The one reader for numbers: reads `text` (decimal, 0x-hex or
+/// 0-octal) into `out`. A sign, trailing text or a value outside
+/// [min, max] returns false and sets `err`, which names `what`.
+bool parse_uint(const std::string& text, std::string_view what, std::uint64_t min,
+                std::uint64_t max, std::uint64_t& out, std::string& err);
+
+/// For numeric flags: when `arg` is `name=VALUE`, reads VALUE with
+/// parse_uint (from 0 to `max`) and returns true.
 bool parse_uint_flag(const std::string& arg, std::string_view name, std::uint64_t max,
                      std::uint64_t& out, std::string& err);
 

@@ -176,6 +176,21 @@ TEST(Options, CheckedValueReaderForBenchFlags) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(Options, CheckedReaderForPositionalCounts) {
+  std::uint64_t n = 7;
+  std::string err;
+  EXPECT_TRUE(parse_uint("12", "items", 0, 1024, n, err));
+  EXPECT_EQ(n, 12u);
+  for (const char* bad : {"abc", "-1", "+1", " 4", "4x", "", "0", "1025",
+                          "18446744073709551616"}) {
+    err.clear();
+    EXPECT_FALSE(parse_uint(bad, "items", 1, 1024, n, err)) << bad;
+    EXPECT_NE(err.find("items"), std::string::npos) << err;
+    EXPECT_NE(err.find("from 1 to 1024"), std::string::npos) << err;
+  }
+  EXPECT_EQ(n, 12u);  // a rejected value leaves the count alone
+}
+
 TEST(Options, MemFlagsRoundTripThroughTheParser) {
   EXPECT_EQ(mem_flags(MemConfig{}), "");
   MemConfig mem;
