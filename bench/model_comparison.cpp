@@ -77,8 +77,8 @@ void print_table(const Workload& w, const std::vector<CellResult>& results,
   // directly (they cannot issue early, only their lines can arrive early).
   std::printf("  [SC] mean access occupancy (addr-ready -> performed), base -> +both:\n");
   std::printf("        loads %.1f -> %.1f cycles, stores %.1f -> %.1f cycles\n",
-              base.load_latency_mean, both.load_latency_mean, base.store_latency_mean,
-              both.store_latency_mean);
+              base.load_latency.mean(), both.load_latency.mean(), base.store_latency.mean(),
+              both.store_latency.mean());
 }
 
 }  // namespace

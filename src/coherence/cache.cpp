@@ -33,15 +33,7 @@ namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
 const StatId load_hit = StatNames::intern("load_hit");
-const StatId load_merged = StatNames::intern("load_merged");
-const StatId load_miss = StatNames::intern("load_miss");
-const StatId loadex_hit = StatNames::intern("loadex_hit");
-const StatId loadex_merged = StatNames::intern("loadex_merged");
-const StatId loadex_miss = StatNames::intern("loadex_miss");
-const StatId mshr_direct_merge = StatNames::intern("mshr_direct_merge");
-const StatId prefetch_dropped = StatNames::intern("prefetch_dropped");
 const StatId prefetch_ex_issued = StatNames::intern("prefetch_ex_issued");
-const StatId prefetch_ex_merged_upgrade = StatNames::intern("prefetch_ex_merged_upgrade");
 const StatId prefetch_read_issued = StatNames::intern("prefetch_read_issued");
 const StatId prefetch_useful_hit = StatNames::intern("prefetch_useful_hit");
 const StatId prefetch_useful_merge = StatNames::intern("prefetch_useful_merge");
@@ -49,28 +41,13 @@ const StatId prefetch_useful_merge = StatNames::intern("prefetch_useful_merge");
 /// lines (useful *hits* only — a demand merged into an in-flight
 /// prefetch arrived before the fill, so it has no such distance).
 const StatId prefetch_to_use = StatNames::intern("prefetch_to_use");
-const StatId replace_clean = StatNames::intern("replace_clean");
-const StatId rmw_hit = StatNames::intern("rmw_hit");
-const StatId rmw_merged = StatNames::intern("rmw_merged");
-const StatId rmw_miss = StatNames::intern("rmw_miss");
-const StatId rmw_update = StatNames::intern("rmw_update");
-const StatId store_hit = StatNames::intern("store_hit");
-const StatId store_hit_update = StatNames::intern("store_hit_update");
-const StatId store_merged = StatNames::intern("store_merged");
-const StatId store_miss = StatNames::intern("store_miss");
-const StatId store_miss_update = StatNames::intern("store_miss_update");
-const StatId store_upgrade_miss = StatNames::intern("store_upgrade_miss");
 const StatId writeback = StatNames::intern("writeback");
-
-/// Per-kind "event.<kind>" ids, resolved on first use.
-StatId event(LineEventKind k) {
-  static const StatId ids[] = {
-      StatNames::intern("event.invalidate"),
-      StatNames::intern("event.update"),
-      StatNames::intern("event.replacement"),
-  };
-  return ids[static_cast<std::size_t>(k)];
-}
+/// "event.<kind>", indexed by LineEventKind.
+const StatId event[] = {
+    StatNames::intern("event.invalidate"),
+    StatNames::intern("event.update"),
+    StatNames::intern("event.replacement"),
+};
 }  // namespace stat
 
 namespace ev {
@@ -253,7 +230,7 @@ void CoherentCache::push_response(std::uint64_t token, Word value, Cycle ready, 
 }
 
 void CoherentCache::notify(LineEventKind kind, Addr line, Cycle now) {
-  stats_.add(stat::event(kind));
+  stats_.add(stat::event[static_cast<std::size_t>(kind)]);
   if (observer_ != nullptr) observer_->on_line_event(kind, line, now);
 }
 
@@ -369,7 +346,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
-        stats_.add(stat::load_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         mshr->waiters.emplace_back(req);
@@ -377,7 +353,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
-      stats_.add(stat::load_miss);
       m->waiters.emplace_back(req);
       net_.send(make_request(MsgType::kReadReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
@@ -385,7 +360,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
 
     case CacheOp::kStore: {
       if (update_proto) {
-        stats_.add(way != nullptr ? stat::store_hit_update : stat::store_miss_update);
         if (way != nullptr) {
           touch(*way, now);
           write_word(*way, req.addr, req.store_value);
@@ -413,14 +387,12 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
           stats_.sample(stat::prefetch_to_use, now - way->fill_at);
         }
         if (profile_) pf_demand_touch(line, now);
-        stats_.add(stat::store_hit);
         write_word(*way, req.addr, req.store_value);
         push_response(req.token, 0, now + 1, true);
         return ProbeResult::kHit;
       }
       Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
-        stats_.add(stat::store_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
@@ -429,7 +401,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
-      stats_.add(way != nullptr ? stat::store_upgrade_miss : stat::store_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
       m->waiters.emplace_back(req);
@@ -444,13 +415,11 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       if (way != nullptr && way->state == LineState::kExclusive) {
         touch(*way, now);
         if (profile_) pf_demand_touch(line, now);
-        stats_.add(stat::loadex_hit);
         push_response(req.token, read_word(*way, req.addr), now + 1, true);
         return ProbeResult::kHit;
       }
       Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
-        stats_.add(stat::loadex_merged);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
         mshr->waiters.emplace_back(req);
@@ -458,7 +427,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
-      stats_.add(stat::loadex_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
       m->waiters.emplace_back(req);
@@ -468,7 +436,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
 
     case CacheOp::kRmw: {
       if (update_proto) {
-        stats_.add(stat::rmw_update);
         if (profile_ && way != nullptr) pf_demand_touch(line, now);
         ++activity_;
         word_ops_[req.token] =
@@ -491,7 +458,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
           stats_.sample(stat::prefetch_to_use, now - way->fill_at);
         }
         if (profile_) pf_demand_touch(line, now);
-        stats_.add(stat::rmw_hit);
         Word old = read_word(*way, req.addr);
         write_word(*way, req.addr, apply_rmw(req.rmw_op, old, req.rmw_cmp, req.rmw_src));
         push_response(req.token, old, now + 1, true);
@@ -499,7 +465,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
-        stats_.add(stat::rmw_merged);
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
@@ -508,7 +473,6 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
-      stats_.add(stat::rmw_miss);
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
       m->waiters.emplace_back(req);
@@ -519,10 +483,7 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
     case CacheOp::kPrefetchShared: {
       // Paper §3.2: "a prefetch request first checks the cache"; if the
       // line is already present (or on its way) the prefetch is discarded.
-      if (way != nullptr || find_mshr(line) != nullptr) {
-        stats_.add(stat::prefetch_dropped);
-        return ProbeResult::kDropped;
-      }
+      if (way != nullptr || find_mshr(line) != nullptr) return ProbeResult::kDropped;
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
       stats_.add(stat::prefetch_read_issued);
@@ -536,18 +497,13 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       // Read-exclusive prefetch requires an invalidation protocol
       // (§3.1); the prefetch engine never issues these under update.
       assert(!update_proto);
-      if (way != nullptr && way->state == LineState::kExclusive) {
-        stats_.add(stat::prefetch_dropped);
-        return ProbeResult::kDropped;
-      }
+      if (way != nullptr && way->state == LineState::kExclusive) return ProbeResult::kDropped;
       Mshr* mshr = merge_target(line);
       if (mshr != nullptr) {
         if (!mshr->want_ex && !mshr->upgrade_after_fill) {
           mshr->upgrade_after_fill = true;
-          stats_.add(stat::prefetch_ex_merged_upgrade);
           return ProbeResult::kMerged;
         }
-        stats_.add(stat::prefetch_dropped);
         return ProbeResult::kDropped;
       }
       Mshr* m = alloc_mshr(line, now);
@@ -578,7 +534,6 @@ bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
       (req.op == CacheOp::kStore || req.op == CacheOp::kRmw || req.op == CacheOp::kLoadEx))
     mshr->upgrade_after_fill = true;
   mshr->waiters.emplace_back(req);
-  stats_.add(stat::mshr_direct_merge);
   return true;
 }
 
@@ -590,7 +545,6 @@ void CoherentCache::evict(Way& way, Cycle now) {
     stats_.add(stat::writeback);
   } else {
     net_.send(make_request(MsgType::kReplaceNotify, id_, dir_for(way.line), way.line), now);
-    stats_.add(stat::replace_clean);
   }
   if (profile_) pf_evict(way.line, now);
   notify(LineEventKind::kReplacement, way.line, now);

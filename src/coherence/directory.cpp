@@ -10,18 +10,6 @@ namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
 const StatId deferred = StatNames::intern("deferred");
-
-/// Per-type "recv.<msg>" ids, resolved on first use.
-StatId recv(MsgType t) {
-  static const std::vector<StatId> ids = [] {
-    std::vector<StatId> v;
-    for (int i = 0; i <= static_cast<int>(MsgType::kRmwReply); ++i)
-      v.push_back(StatNames::intern(std::string("recv.") +
-                                    to_string(static_cast<MsgType>(i))));
-    return v;
-  }();
-  return ids[static_cast<std::size_t>(t)];
-}
 }  // namespace stat
 
 const char* txn_kind_name(int kind) {
@@ -155,7 +143,6 @@ void Directory::reply_read_ex(Entry& e, const Message& req, Cycle now) {
 }
 
 void Directory::handle(const Message& msg, Cycle now) {
-  stats_.add(stat::recv(msg.type));
   const Addr line = msg.line_addr;
   Entry& e = entry(line);
 
@@ -517,13 +504,19 @@ DirectoryGroup::DirectoryGroup(std::uint32_t num_procs, const CacheConfig& cache
 }
 
 Json DirectoryGroup::contended_lines_json(std::size_t n) const {
-  // The ledger's table, with each line's home bank attached.
-  Json arr = ledger_.top_json(n);
   Json out = Json::array();
-  for (const Json& row : arr.items()) {
-    Json j = row;
-    j.set("home_bank",
-          Json::number(static_cast<std::uint64_t>(home_bank(row["line"].as_uint()))));
+  for (const SharingLedger::TopEntry& e : ledger_.top(n)) {
+    Json j = Json::object();
+    j.set("line", Json::number(static_cast<std::uint64_t>(e.line)));
+    j.set("score", Json::number(e.s.contention_score()));
+    j.set("inv_rounds", Json::number(e.s.inv_rounds));
+    j.set("inv_sent", Json::number(e.s.inv_sent));
+    j.set("upd_rounds", Json::number(e.s.upd_rounds));
+    j.set("upd_sent", Json::number(e.s.upd_sent));
+    j.set("ping_pong", Json::number(e.s.ping_pong));
+    j.set("reads", Json::number(e.s.reads));
+    j.set("max_sharers", Json::number(static_cast<std::uint64_t>(e.s.max_sharers)));
+    j.set("home_bank", Json::number(static_cast<std::uint64_t>(home_bank(e.line))));
     out.push_back(std::move(j));
   }
   return out;

@@ -233,8 +233,8 @@ class DirectoryGroup {
 
   const SharingLedger& ledger() const { return ledger_; }
 
-  /// The ledger's contended-lines table with each line's home bank
-  /// attached (post-mortems, bench reports).
+  /// The ledger's contended-lines table, one JSON row per line with its
+  /// home bank: the one renderer for post-mortems and bench profiles.
   Json contended_lines_json(std::size_t n) const;
 
   /// In-flight transactions across all banks (each row carries its

@@ -69,24 +69,6 @@ std::vector<SharingLedger::TopEntry> SharingLedger::top(std::size_t n) const {
   return all;
 }
 
-Json SharingLedger::top_json(std::size_t n) const {
-  Json arr = Json::array();
-  for (const TopEntry& e : top(n)) {
-    Json j = Json::object();
-    j.set("line", Json::number(static_cast<std::uint64_t>(e.line)));
-    j.set("score", Json::number(e.s.contention_score()));
-    j.set("inv_rounds", Json::number(e.s.inv_rounds));
-    j.set("inv_sent", Json::number(e.s.inv_sent));
-    j.set("upd_rounds", Json::number(e.s.upd_rounds));
-    j.set("upd_sent", Json::number(e.s.upd_sent));
-    j.set("ping_pong", Json::number(e.s.ping_pong));
-    j.set("reads", Json::number(e.s.reads));
-    j.set("max_sharers", Json::number(static_cast<std::uint64_t>(e.s.max_sharers)));
-    arr.push_back(std::move(j));
-  }
-  return arr;
-}
-
 std::string SharingLedger::fingerprint() const {
   // Address-sorted full dump: any divergence in any per-line counter
   // between the fast-forward run and the naive twin shows up here.

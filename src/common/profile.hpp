@@ -141,8 +141,6 @@ class SharingLedger {
   /// Top `n` lines by contention_score() (ties broken by address, so
   /// the table is deterministic).
   std::vector<TopEntry> top(std::size_t n) const;
-  /// The same table as a JSON array (post-mortems, bench reports).
-  Json top_json(std::size_t n) const;
 
   /// Deterministic full dump for the MCSIM_FF_AUDIT fingerprint.
   std::string fingerprint() const;
@@ -183,9 +181,8 @@ struct ProfileStats {
   LogHistogram queue_wait;  ///< v8: cycles deferred behind a busy line
   /// v7: the same histograms attributed per home bank.
   std::vector<DirBankProfile> dir_banks;
-  std::vector<SharingLedger::TopEntry> top_lines;
-  /// v7: home bank of top_lines[i] (parallel array).
-  std::vector<std::uint32_t> top_line_banks;
+  /// DirectoryGroup::contended_lines_json rows (v7 adds home_bank).
+  Json top_lines = Json::array();
 };
 
 }  // namespace mcsim

@@ -58,26 +58,6 @@ void StatSet::sample(StatId id, std::uint64_t value) {
   sample_slot(id).record(value);
 }
 
-double StatSet::mean(StatId id) const {
-  const LogHistogram* h = histogram(id);
-  return h != nullptr ? h->mean() : 0.0;
-}
-
-std::uint64_t StatSet::max_of(StatId id) const {
-  const LogHistogram* h = histogram(id);
-  return h != nullptr ? h->max() : 0;
-}
-
-std::uint64_t StatSet::count_of(StatId id) const {
-  const LogHistogram* h = histogram(id);
-  return h != nullptr ? h->count() : 0;
-}
-
-std::uint64_t StatSet::percentile_of(StatId id, double q) const {
-  const LogHistogram* h = histogram(id);
-  return h != nullptr ? h->percentile(q) : 0;
-}
-
 const LogHistogram* StatSet::histogram(StatId id) const {
   for (const Sampled& s : samples_) {
     if (s.id == id.value()) return &s.hist;

@@ -1,12 +1,12 @@
 // Named statistic counters with a registry for report generation.
 //
 // Names are interned process-wide into small-integer StatId handles
-// (StatNames::intern). Components resolve their counter names ONCE —
-// at static-init or construction — and the per-event hot path
+// (StatNames::intern). Components resolve their counter names ONCE, at
+// static init, so a run interns none, and the per-event hot path
 // (StatSet::add(StatId)) is a plain vector increment: no std::string
 // construction, no tree/hash lookup per simulated event. The
-// string-keyed API remains for cold callers (tests, reports, one-off
-// counters); it interns on every call.
+// string-keyed API remains for cold callers (tests, reports); it
+// interns on every call.
 #pragma once
 
 #include <cstdint>
@@ -70,14 +70,6 @@ class StatSet {
       ++touched_;
     }
   }
-  void set(StatId id, std::uint64_t value) {
-    Counter& c = counter_slot(id);
-    c.value = value;
-    if (!c.touched) {
-      c.touched = true;
-      ++touched_;
-    }
-  }
   std::uint64_t get(StatId id) const {
     return id.value() < counters_.size() ? counters_[id.value()].value : 0;
   }
@@ -85,10 +77,6 @@ class StatSet {
   /// Record one latency observation into a log2-bucketed histogram
   /// (exact mean/count/max plus p50/p90/p99 estimates).
   void sample(StatId id, std::uint64_t value);
-  double mean(StatId id) const;
-  std::uint64_t max_of(StatId id) const;
-  std::uint64_t count_of(StatId id) const;
-  std::uint64_t percentile_of(StatId id, double q) const;
   /// The full histogram behind a sampled id; nullptr if never sampled.
   const LogHistogram* histogram(StatId id) const;
 
@@ -96,22 +84,9 @@ class StatSet {
   void add(const std::string& name, std::uint64_t delta = 1) {
     add(StatNames::intern(name), delta);
   }
-  void set(const std::string& name, std::uint64_t value) {
-    set(StatNames::intern(name), value);
-  }
   std::uint64_t get(const std::string& name) const { return get(StatNames::intern(name)); }
   void sample(const std::string& name, std::uint64_t value) {
     sample(StatNames::intern(name), value);
-  }
-  double mean(const std::string& name) const { return mean(StatNames::intern(name)); }
-  std::uint64_t max_of(const std::string& name) const {
-    return max_of(StatNames::intern(name));
-  }
-  std::uint64_t count_of(const std::string& name) const {
-    return count_of(StatNames::intern(name));
-  }
-  std::uint64_t percentile_of(const std::string& name, double q) const {
-    return percentile_of(StatNames::intern(name), q);
   }
   const LogHistogram* histogram(const std::string& name) const {
     return histogram(StatNames::intern(name));
@@ -136,7 +111,7 @@ class StatSet {
   template <typename Walk>
   void walk(Walk& w) {
     if (touched_ids_.size() != touched_) {
-      // Only here, so that add() and set() never allocate.
+      // Only here, so that add() never allocates.
       touched_ids_.clear();
       for (std::uint32_t i = 0; i < counters_.size(); ++i)
         if (counters_[i].touched) touched_ids_.push_back(i);
@@ -159,7 +134,7 @@ class StatSet {
  private:
   struct Counter {
     std::uint64_t value = 0;
-    bool touched = false;  ///< add/set seen; untouched slots stay out of reports
+    bool touched = false;  ///< add seen; untouched slots stay out of reports
   };
 
   Counter& counter_slot(StatId id) {
@@ -183,7 +158,7 @@ class StatSet {
 
   std::string prefix_;
   std::vector<Counter> counters_;  ///< indexed by StatId
-  std::size_t touched_ = 0;        ///< counters add/set has touched
+  std::size_t touched_ = 0;        ///< counters add has touched
   std::vector<std::uint32_t> touched_ids_;  ///< ascending; rebuilt when touched_ moves
   std::vector<Sampled> samples_;   ///< in first-sample order; every count > 0
 };

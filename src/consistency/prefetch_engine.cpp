@@ -5,11 +5,7 @@ namespace mcsim {
 namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
-const StatId prefetch_drained = StatNames::intern("prefetch_drained");
 const StatId prefetch_ex_suppressed_update = StatNames::intern("prefetch_ex_suppressed_update");
-const StatId prefetch_offer_ex = StatNames::intern("prefetch_offer_ex");
-const StatId prefetch_offer_read = StatNames::intern("prefetch_offer_read");
-const StatId prefetch_offer_sw = StatNames::intern("prefetch_offer_sw");
 }  // namespace stat
 }  // namespace
 
@@ -37,9 +33,7 @@ bool PrefetchEngine::offer(Addr line, bool exclusive, bool allowed_now, StatSet&
     stats.add(stat::prefetch_ex_suppressed_update);
     return true;  // permanently not prefetchable; don't re-offer
   }
-  bool queued = enqueue(line, exclusive);
-  if (queued) stats.add(exclusive ? stat::prefetch_offer_ex : stat::prefetch_offer_read);
-  return queued;
+  return enqueue(line, exclusive);
 }
 
 bool PrefetchEngine::offer_software(Addr line, bool exclusive, StatSet& stats) {
@@ -47,12 +41,10 @@ bool PrefetchEngine::offer_software(Addr line, bool exclusive, StatSet& stats) {
     stats.add(stat::prefetch_ex_suppressed_update);
     return true;
   }
-  bool queued = enqueue(line, exclusive);
-  if (queued) stats.add(stat::prefetch_offer_sw);
-  return queued;
+  return enqueue(line, exclusive);
 }
 
-bool PrefetchEngine::drain(CoherentCache& cache, Cycle now, StatSet& stats) {
+bool PrefetchEngine::drain(CoherentCache& cache, Cycle now) {
   if (queue_.empty()) return false;
   Pending p = queue_.front();
   CacheRequest req;
@@ -63,7 +55,6 @@ bool PrefetchEngine::drain(CoherentCache& cache, Cycle now, StatSet& stats) {
   // MSHRs full: keep the prefetch queued, port was burned this cycle.
   if (r == ProbeResult::kRejected) return true;
   queue_.pop_front();
-  stats.add(stat::prefetch_drained);
   return true;
 }
 

@@ -49,7 +49,7 @@ class PrefetchEngine {
 
   /// Retire at most one prefetch into the cache. Call only when the
   /// cache port is free. Returns true if a probe was made.
-  bool drain(CoherentCache& cache, Cycle now, StatSet& stats);
+  bool drain(CoherentCache& cache, Cycle now);
 
   void clear() { queue_.clear(); }
 

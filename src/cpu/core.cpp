@@ -12,9 +12,6 @@ namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
 const StatId branch_mispredicts = StatNames::intern("branch_mispredicts");
-const StatId dispatched = StatNames::intern("dispatched");
-const StatId fetched = StatNames::intern("fetched");
-const StatId halt_cycle = StatNames::intern("halt_cycle");
 const StatId rmw_spec_values = StatNames::intern("rmw_spec_values");
 const StatId rmw_value_mispredicts = StatNames::intern("rmw_value_mispredicts");
 const StatId squashed_instructions = StatNames::intern("squashed_instructions");
@@ -468,7 +465,6 @@ void Core::do_commit(Cycle now) {
       rob_.pop();
       ++retired_;
       note_progress();
-      stats_.set(stat::halt_cycle, now);
       break;
     }
 
@@ -606,7 +602,6 @@ void Core::do_dispatch(Cycle now) {
 
     if (in.op == Opcode::kHalt) dispatch_stopped_ = true;
     if (in.writes_rd() && in.rd != 0) rename_[in.rd] = RenameEntry{e.seq, false, 0};
-    stats_.add(stat::dispatched);
     ++n;
   }
   if (n > 0) note_progress();
@@ -629,7 +624,6 @@ void Core::do_fetch(Cycle now) {
     bool predicted_taken = false;
     if (in.is_branch()) predicted_taken = predictor_.predict(fetch_pc_, in);
     fetch_buf_.push(FetchedInst{fetch_pc_, predicted_taken});
-    stats_.add(stat::fetched);
     if (in.op == Opcode::kHalt) {
       fetch_stopped_ = true;
       break;

@@ -12,21 +12,15 @@ namespace mcsim {
 namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
-const StatId fence_done = StatNames::intern("fence_done");
 const StatId load_forwarded = StatNames::intern("load_forwarded");
-const StatId load_issued = StatNames::intern("load_issued");
 const StatId load_latency = StatNames::intern("load_latency");
 const StatId load_reissued = StatNames::intern("load_reissued");
-const StatId response_dropped = StatNames::intern("response_dropped");
-const StatId rmw_issued = StatNames::intern("rmw_issued");
-const StatId rmw_latency = StatNames::intern("rmw_latency");
 const StatId spec_entries = StatNames::intern("spec_entries");
 const StatId spec_reissue = StatNames::intern("spec_reissue");
 const StatId spec_retired = StatNames::intern("spec_retired");
 const StatId spec_squash = StatNames::intern("spec_squash");
 const StatId spec_squash_after_rmw = StatNames::intern("spec_squash_after_rmw");
 const StatId spec_squash_rmw = StatNames::intern("spec_squash_rmw");
-const StatId store_issued = StatNames::intern("store_issued");
 const StatId store_latency = StatNames::intern("store_latency");
 const StatId store_release_latency = StatNames::intern("store_release_latency");
 }  // namespace stat
@@ -219,7 +213,6 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
     if (load_q_.empty() && store_buf_.empty()) {
       host_.mem_completed(head.seq, 0, now);
       ls_rs_.pop();
-      stats_.add(stat::fence_done);
       note_progress();
     }
     return;
@@ -441,7 +434,7 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
     // invalidation of a hot line (which otherwise reissues it forever).
     spec_buffer_.mark_nonspec(ld.seq);
   }
-  stats_.add(was_reissue ? stat::load_reissued : stat::load_issued);
+  if (was_reissue) stats_.add(stat::load_reissued);
   instant(was_reissue ? ev::lq_reissue : ev::lq_issue, now, {arg::seq, ld.seq},
           {arg::addr, ld.addr});
 }
@@ -476,7 +469,6 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
                               st.is_rmw ? TokenInfo::Kind::kRmw : TokenInfo::Kind::kStore});
   st.issued = true;
   note_progress();
-  stats_.add(st.is_rmw ? stat::rmw_issued : stat::store_issued);
   instant(ev::sb_issue, now, {arg::seq, st.seq}, {arg::addr, st.addr});
 }
 
@@ -578,7 +570,7 @@ void LoadStoreUnit::tick_issue(Cycle now) {
   offer_prefetches(now);
   if (cache_.port_free(now)) {
     const std::size_t queued_before = prefetch_.size();
-    prefetch_.drain(cache_, now, stats_);
+    prefetch_.drain(cache_, now);
     // A rejected drain leaves the queue untouched (pure retry); any
     // pop — issued or dropped — is a state change.
     if (prefetch_.size() != queued_before) note_progress();
@@ -627,10 +619,7 @@ void LoadStoreUnit::drain_responses(Cycle now) {
       case TokenInfo::Kind::kLoad: {
         const std::size_t i = load_index(info.seq);
         const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
-        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) {
-          stats_.add(stat::response_dropped);
-          break;
-        }
+        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) break;
         record(info.seq, e->pc, e->addr, AccessKind::kLoad, e->sync, r.value, now);
         stats_.sample(stat::load_latency, now - e->ready_at);
         if (events_ != nullptr && events_->enabled())
@@ -643,10 +632,7 @@ void LoadStoreUnit::drain_responses(Cycle now) {
       case TokenInfo::Kind::kLoadEx: {
         const std::size_t i = load_index(info.seq);
         const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
-        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) {
-          stats_.add(stat::response_dropped);
-          break;
-        }
+        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) break;
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::rmw_read, static_cast<std::uint16_t>(id_), e->ready_at, now);
         erase_load_at(i);
@@ -673,7 +659,6 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         assert(i < store_buf_.size() && "issued RMWs are never squashed");
         const StoreEntry* s = &store_buf_.at(i);
         record(info.seq, s->pc, s->addr, AccessKind::kRmw, s->sync, r.value, now);
-        stats_.sample(stat::rmw_latency, now - s->ready_at);
         if (s->released) stats_.sample(stat::store_release_latency, now - s->released_at);
         if (events_ != nullptr && events_->enabled())
           events_->complete(ev::rmw, static_cast<std::uint16_t>(id_), s->ready_at, now);

@@ -19,22 +19,8 @@ const StatId msg_hops = StatNames::intern("msg_hops");
 /// Cycles a delivered message spent queued beyond its contention-free
 /// latency (ring/mesh only; 0 on an idle fabric).
 const StatId msg_queuing = StatNames::intern("msg_queuing");
-/// Queue depth observed on each link entry (ring/mesh only).
-const StatId link_occupancy = StatNames::intern("link_occupancy");
 /// Total link traversals started (ring/mesh only).
 const StatId link_forwarded = StatNames::intern("link_forwarded");
-
-/// Per-type "sent.<msg>" ids, resolved on first use.
-StatId sent(MsgType t) {
-  static const std::vector<StatId> ids = [] {
-    std::vector<StatId> v;
-    for (int i = 0; i <= static_cast<int>(MsgType::kRmwReply); ++i)
-      v.push_back(StatNames::intern(std::string("sent.") +
-                                    to_string(static_cast<MsgType>(i))));
-    return v;
-  }();
-  return ids[static_cast<std::size_t>(t)];
-}
 
 /// Per-type trace-event span names, resolved on first use.
 TraceEventSink::NameId span_name(MsgType t) {
@@ -74,12 +60,9 @@ Network::Network(std::uint32_t endpoints, std::uint32_t latency,
 }
 
 void Network::add_link(std::uint32_t from, std::uint32_t to) {
-  Link l;
+  Link& l = links_.emplace_back();
   l.from = from;
   l.to = to;
-  l.fwd_stat = StatNames::intern("link." + std::to_string(from) + "->" +
-                                 std::to_string(to));
-  links_.push_back(std::move(l));
 }
 
 template <typename NextRouterFn>
@@ -162,7 +145,6 @@ void Network::send(Message&& msg, Cycle now, std::uint32_t extra_delay) {
   assert(msg.dst < inboxes_.size());
   assert(msg.src != msg.dst);
   stats_.add(stat::messages_sent);
-  stats_.add(stat::sent(msg.type));
   ++undelivered_;
   const EndpointId src = msg.src, dst = msg.dst;
   const std::uint32_t slot = park(std::move(msg));
@@ -289,10 +271,8 @@ bool Network::enter_link(Cycle now, std::size_t li, Transit& t) {
   t.entered_at = now;
   t.ready_at = now + 1;
   stats_.add(stat::link_forwarded);
-  stats_.add(l.fwd_stat);
   l.q.push_back(std::move(t));
   ++in_links_;
-  stats_.sample(stat::link_occupancy, l.q.size());
   return true;
 }
 

@@ -170,7 +170,6 @@ class Network {
   struct Link {
     std::uint32_t from = 0, to = 0;  ///< router ids
     std::deque<Transit> q;
-    StatId fwd_stat;                 ///< per-link "link.A->B" counter
     std::uint16_t track = 0;         ///< trace-event track (sink set)
   };
 

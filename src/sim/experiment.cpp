@@ -112,8 +112,6 @@ CellResult run_cell(const ExperimentCell& cell) {
     merge_hist(s.net_latency, m.network().stats(), "msg_latency");
     merge_hist(s.net_hops, m.network().stats(), "msg_hops");
     merge_hist(s.net_queuing, m.network().stats(), "msg_queuing");
-    s.load_latency_mean = s.load_latency.mean();
-    s.store_latency_mean = s.store_latency.mean();
 
     if (cfg.profile) {
       ProfileStats& ps = s.profile;
@@ -155,10 +153,7 @@ CellResult run_cell(const ExperimentCell& cell) {
         merge_id(bp.queue_wait, ds, prof::dir_queue_wait);
         ps.dir_banks.push_back(std::move(bp));
       }
-      ps.top_lines = group.ledger().top(cfg.profile_top_lines);
-      ps.top_line_banks.reserve(ps.top_lines.size());
-      for (const SharingLedger::TopEntry& e : ps.top_lines)
-        ps.top_line_banks.push_back(group.home_bank(e.line));
+      ps.top_lines = group.contended_lines_json(cfg.profile_top_lines);
     }
 
     if (cell.record_accesses) {
@@ -318,25 +313,7 @@ Json profile_to_json(const ProfileStats& ps) {
     banks.push_back(std::move(b));
   }
   j.set("dir_banks", std::move(banks));
-  Json top = Json::array();
-  for (std::size_t i = 0; i < ps.top_lines.size(); ++i) {
-    const SharingLedger::TopEntry& e = ps.top_lines[i];
-    Json t = Json::object();
-    t.set("line", Json::number(static_cast<std::uint64_t>(e.line)));
-    t.set("score", Json::number(e.s.contention_score()));
-    t.set("inv_rounds", Json::number(e.s.inv_rounds));
-    t.set("inv_sent", Json::number(e.s.inv_sent));
-    t.set("upd_rounds", Json::number(e.s.upd_rounds));
-    t.set("upd_sent", Json::number(e.s.upd_sent));
-    t.set("ping_pong", Json::number(e.s.ping_pong));
-    t.set("reads", Json::number(e.s.reads));
-    t.set("max_sharers", Json::number(static_cast<std::uint64_t>(e.s.max_sharers)));
-    if (i < ps.top_line_banks.size())
-      t.set("home_bank",
-            Json::number(static_cast<std::uint64_t>(ps.top_line_banks[i])));
-    top.push_back(std::move(t));
-  }
-  j.set("top_lines", std::move(top));
+  j.set("top_lines", ps.top_lines);
   return j;
 }
 
@@ -396,8 +373,8 @@ Json results_to_json(const ExperimentGrid& grid, const std::vector<CellResult>& 
     c.set("reissues", Json::number(r.stats.reissues));
     c.set("prefetches", Json::number(r.stats.prefetches));
     c.set("prefetch_useful", Json::number(r.stats.prefetch_useful));
-    c.set("load_latency_mean", Json::number(r.stats.load_latency_mean));
-    c.set("store_latency_mean", Json::number(r.stats.store_latency_mean));
+    c.set("load_latency_mean", Json::number(r.stats.load_latency.mean()));
+    c.set("store_latency_mean", Json::number(r.stats.store_latency.mean()));
     Json drains = Json::array();
     for (Cycle d : r.stats.drain_cycles) {
       drains.push_back(Json::number(static_cast<std::uint64_t>(d)));

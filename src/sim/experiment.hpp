@@ -41,14 +41,12 @@ struct RunStats {
   std::uint64_t reissues = 0;
   std::uint64_t prefetches = 0;
   std::uint64_t prefetch_useful = 0;
-  double load_latency_mean = 0.0;  ///< observed address-ready -> performed
-  double store_latency_mean = 0.0;
   std::vector<Cycle> drain_cycles;        ///< per-processor completion time
   std::vector<std::uint64_t> retired;     ///< instructions per processor
   std::vector<StallBreakdown> stall;      ///< per-processor cycles by cause
   // Latency distributions, merged across processors (net_latency is
   // machine-wide already). Empty (count()==0) when never sampled.
-  LogHistogram load_latency;
+  LogHistogram load_latency;   ///< observed address-ready -> performed
   LogHistogram store_latency;
   LogHistogram store_release_latency;
   LogHistogram prefetch_to_use;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/parse_uint.hpp"
 
 namespace mcsim {
 
@@ -48,12 +49,6 @@ OptionsResult parse_options(int argc, const char* const* argv);
 
 /// When `arg` is `name=VALUE`, stores VALUE and returns true.
 bool flag_value(const std::string& arg, std::string_view name, std::string& value);
-
-/// The one reader for numbers: reads `text` (decimal, 0x-hex or
-/// 0-octal) into `out`. A sign, trailing text or a value outside
-/// [min, max] returns false and sets `err`, which names `what`.
-bool parse_uint(const std::string& text, std::string_view what, std::uint64_t min,
-                std::uint64_t max, std::uint64_t& out, std::string& err);
 
 /// For numeric flags: when `arg` is `name=VALUE`, reads VALUE with
 /// parse_uint (from 0 to `max`) and returns true.

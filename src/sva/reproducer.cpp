@@ -1,6 +1,7 @@
 #include "sva/reproducer.hpp"
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -189,6 +190,15 @@ Reproducer parse_reproducer(const std::string& text) {
   auto fail = [&](const std::string& what) {
     throw std::runtime_error("reproducer line " + std::to_string(line_no) + ": " + what);
   };
+  // The next word of `meta`, read as an integer from 0 to `max`.
+  auto number = [&](std::istringstream& meta, const char* what, std::uint64_t max) {
+    std::string tok, err;
+    std::uint64_t v = 0;
+    meta >> tok;
+    if (!parse_uint(tok, what, 0, max, v, err)) fail(err);
+    return v;
+  };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
   while (std::getline(in, line)) {
     ++line_no;
     if (line.rfind(";;", 0) != 0) {
@@ -199,7 +209,7 @@ Reproducer parse_reproducer(const std::string& text) {
     std::string key;
     meta >> key;
     if (key == "seed") {
-      meta >> r.litmus.seed;
+      r.litmus.seed = number(meta, "seed", kAny);
     } else if (key == "model") {
       std::string m;
       meta >> m;
@@ -229,25 +239,25 @@ Reproducer parse_reproducer(const std::string& text) {
       std::getline(meta, r.note);
       if (!r.note.empty() && r.note.front() == ' ') r.note.erase(0, 1);
     } else if (key == "addr") {
-      std::string a;
-      meta >> a;
-      r.litmus.addrs.push_back(static_cast<Addr>(std::stoull(a, nullptr, 0)));
+      r.litmus.addrs.push_back(number(meta, "addr", kAny));
     } else if (key == "preload") {
-      std::uint32_t p = 0;
-      std::string a;
-      meta >> p >> a;
-      r.litmus.preload_shared.push_back(
-          {static_cast<ProcId>(p), static_cast<Addr>(std::stoull(a, nullptr, 0))});
+      const auto p = static_cast<ProcId>(
+          number(meta, "preload processor", std::numeric_limits<ProcId>::max()));
+      r.litmus.preload_shared.push_back({p, number(meta, "preload address", kAny)});
     } else if (key == "thread") {
-      std::size_t t = 0;
-      meta >> t;
-      if (t != sections.size()) fail("thread sections out of order");
+      if (number(meta, "thread", kAny) != sections.size()) fail("thread sections out of order");
       sections.emplace_back();
     }
     // Unknown ";;" keys (including the version banner) are ignored so
     // the format can grow without breaking old readers.
   }
   if (sections.empty()) throw std::runtime_error("reproducer: no thread sections");
+  for (const auto& pre : r.litmus.preload_shared) {
+    if (pre.first >= sections.size())
+      throw std::runtime_error("reproducer: preload processor " + std::to_string(pre.first) +
+                               " is not below the thread count " +
+                               std::to_string(sections.size()));
+  }
   for (std::size_t t = 0; t < sections.size(); ++t) {
     try {
       r.litmus.programs.push_back(assemble(sections[t]));

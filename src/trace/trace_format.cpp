@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+
+#include "common/parse_uint.hpp"
 
 namespace mcsim {
 
@@ -74,21 +76,15 @@ struct BinReader {
   }
 };
 
-bool parse_number(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(tok.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-std::uint64_t number_or_fail(const std::string& tok, std::size_t line,
-                             const char* what) {
+/// Reads `tok` as an integer in [min, max] or fails naming the line.
+template <typename T = std::uint64_t>
+T number_or_fail(const std::string& tok, std::size_t line, const char* what,
+                 std::uint64_t min = 0, std::uint64_t max = std::numeric_limits<T>::max()) {
   std::uint64_t v = 0;
-  if (!parse_number(tok, v))
-    fail("line " + std::to_string(line) + ": bad " + what + " '" + tok + "'");
-  return v;
+  std::string err;
+  if (!parse_uint(tok, what, min, max, v, err))
+    fail("line " + std::to_string(line) + ": " + err);
+  return static_cast<T>(v);
 }
 
 std::string hex(Addr a) {
@@ -119,7 +115,7 @@ void TraceFile::validate() const {
       if (op.addr % kWordBytes != 0)
         fail("proc " + std::to_string(p) + " op " + std::to_string(i) +
              ": unaligned address " + hex(op.addr));
-      if (mem_bytes != 0 && op.addr + kWordBytes > mem_bytes)
+      if (mem_bytes != 0 && (mem_bytes < kWordBytes || op.addr > mem_bytes - kWordBytes))
         fail("proc " + std::to_string(p) + " op " + std::to_string(i) + ": address " +
              hex(op.addr) + " outside mem_bytes " + std::to_string(mem_bytes));
     }
@@ -265,10 +261,7 @@ TraceFile parse_trace_text(const std::string& text) {
     }
     if (tok[0] == "procs") {
       if (tok.size() != 2) fail("line " + std::to_string(lineno) + ": procs <N>");
-      std::uint64_t n = number_or_fail(tok[1], lineno, "processor count");
-      if (n == 0 || n > 4096)
-        fail("line " + std::to_string(lineno) + ": bad processor count " + tok[1]);
-      t.ops.resize(n);
+      t.ops.resize(number_or_fail(tok[1], lineno, "processor count", 1, 4096));
       procs_seen = true;
       continue;
     }
@@ -290,15 +283,17 @@ TraceFile parse_trace_text(const std::string& text) {
     if (tok[0] == "init" || tok[0] == "expect") {
       if (tok.size() != 3)
         fail("line " + std::to_string(lineno) + ": " + tok[0] + " <addr> <value>");
-      Addr a = number_or_fail(tok[1], lineno, "address");
-      auto v = static_cast<Word>(number_or_fail(tok[2], lineno, "value"));
+      Addr a = number_or_fail<Addr>(tok[1], lineno, "address");
+      Word v = number_or_fail<Word>(tok[2], lineno, "value");
       (tok[0] == "init" ? t.init : t.expect).emplace_back(a, v);
       continue;
     }
 
     // Op line: <proc> <mnemonic> [<addr>] [<value>] [+<delay>]
     std::uint64_t proc = 0;
-    if (!parse_number(tok[0], proc))
+    std::string err;
+    if (!parse_uint(tok[0], "processor id", 0, std::numeric_limits<std::uint64_t>::max(),
+                    proc, err))
       fail("line " + std::to_string(lineno) + ": unknown directive '" + tok[0] + "'");
     if (!procs_seen) fail("line " + std::to_string(lineno) + ": op before 'procs' line");
     if (proc >= t.ops.size())
@@ -319,15 +314,14 @@ TraceFile parse_trace_text(const std::string& text) {
     std::size_t next = 2;
     if (op.has_addr()) {
       if (next >= tok.size()) fail("line " + std::to_string(lineno) + ": missing address");
-      op.addr = number_or_fail(tok[next++], lineno, "address");
+      op.addr = number_or_fail<Addr>(tok[next++], lineno, "address");
     }
     if (op.has_value()) {
       if (next >= tok.size()) fail("line " + std::to_string(lineno) + ": missing value");
-      op.value = static_cast<Word>(number_or_fail(tok[next++], lineno, "value"));
+      op.value = number_or_fail<Word>(tok[next++], lineno, "value");
     }
     if (next < tok.size() && tok[next][0] == '+') {
-      op.delay = static_cast<std::uint32_t>(
-          number_or_fail(tok[next].substr(1), lineno, "delay"));
+      op.delay = number_or_fail<std::uint32_t>(tok[next].substr(1), lineno, "delay");
       ++next;
     }
     if (next != tok.size())

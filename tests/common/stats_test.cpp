@@ -19,22 +19,17 @@ TEST(StatSet, AddAccumulates) {
   EXPECT_EQ(s.get("hits"), 5u);
 }
 
-TEST(StatSet, SetOverwrites) {
-  StatSet s("x");
-  s.add("v", 10);
-  s.set("v", 3);
-  EXPECT_EQ(s.get("v"), 3u);
-}
-
 TEST(StatSet, SamplesTrackMeanCountMax) {
   StatSet s("x");
   s.sample("lat", 10);
   s.sample("lat", 20);
   s.sample("lat", 90);
-  EXPECT_DOUBLE_EQ(s.mean("lat"), 40.0);
-  EXPECT_EQ(s.count_of("lat"), 3u);
-  EXPECT_EQ(s.max_of("lat"), 90u);
-  EXPECT_DOUBLE_EQ(s.mean("absent"), 0.0);
+  const LogHistogram* h = s.histogram("lat");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->mean(), 40.0);
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_EQ(h->max(), 90u);
+  EXPECT_EQ(s.histogram("absent"), nullptr);
 }
 
 TEST(StatSet, ReportContainsPrefixAndValues) {
@@ -50,7 +45,7 @@ TEST(StatSet, ClearRemovesEverything) {
   s.sample("b", 1);
   s.clear();
   EXPECT_EQ(s.get("a"), 0u);
-  EXPECT_EQ(s.count_of("b"), 0u);
+  EXPECT_EQ(s.histogram("b"), nullptr);
 }
 
 TEST(StatNames, InternIsStableAndDense) {
@@ -72,11 +67,6 @@ TEST(StatSet, IdAndStringPathsAgree) {
   s.add("hits", 4);        // string path hits the same slot
   EXPECT_EQ(s.get(hits), 5u);
   EXPECT_EQ(s.get("hits"), 5u);
-
-  s.set("v", 10);
-  StatId v = StatNames::intern("v");
-  s.set(v, 3);
-  EXPECT_EQ(s.get("v"), 3u);
 }
 
 TEST(StatSet, IdAndStringSamplePathsAgree) {
@@ -85,10 +75,12 @@ TEST(StatSet, IdAndStringSamplePathsAgree) {
   s.sample(lat, 10);
   s.sample("lat", 20);
   s.sample(lat, 90);
-  EXPECT_DOUBLE_EQ(s.mean("lat"), 40.0);
-  EXPECT_DOUBLE_EQ(s.mean(lat), 40.0);
-  EXPECT_EQ(s.count_of(lat), 3u);
-  EXPECT_EQ(s.max_of(lat), 90u);
+  const LogHistogram* h = s.histogram(lat);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(s.histogram("lat"), h);
+  EXPECT_DOUBLE_EQ(h->mean(), 40.0);
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_EQ(h->max(), 90u);
 }
 
 TEST(StatSet, ReportUnchangedByInterning) {
@@ -97,7 +89,7 @@ TEST(StatSet, ReportUnchangedByInterning) {
   StatSet s("core0");
   s.add("zeta", 1);
   s.add("alpha", 2);
-  s.set("explicit_zero", 0);  // set() makes a counter reportable even at 0
+  s.add("explicit_zero", 0);  // a touch makes a counter reportable even at 0
   s.sample("lat", 10);
   s.sample("lat", 30);
   EXPECT_EQ(s.report(),
@@ -112,13 +104,14 @@ TEST(StatSet, SamplesExposePercentilesAndHistogram) {
   s.sample("lat", 10);
   s.sample("lat", 20);
   s.sample("lat", 90);
+  const LogHistogram* h = s.histogram("lat");
+  ASSERT_NE(h, nullptr);
   // p50: 2nd of 3 obs lands in bucket [16,31] -> upper bound 31.
-  EXPECT_EQ(s.percentile_of("lat", 0.50), 31u);
+  EXPECT_EQ(h->percentile(0.50), 31u);
   // p90/p99: 3rd obs, bucket [64,127], clamped to the exact max.
-  EXPECT_EQ(s.percentile_of("lat", 0.90), 90u);
-  EXPECT_EQ(s.percentile_of("lat", 0.99), 90u);
-  ASSERT_NE(s.histogram("lat"), nullptr);
-  EXPECT_EQ(s.histogram("lat")->count(), 3u);
+  EXPECT_EQ(h->percentile(0.90), 90u);
+  EXPECT_EQ(h->percentile(0.99), 90u);
+  EXPECT_EQ(h->count(), 3u);
   EXPECT_EQ(s.histogram("never_sampled"), nullptr);
 }
 

@@ -35,7 +35,7 @@ TEST_F(PrefetchEngineTest, DedupMergesAndUpgradesExclusivity) {
   e.offer(0x100, false, false, stats_);
   e.offer(0x100, true, false, stats_);  // same line, now exclusive
   EXPECT_EQ(e.size(), 1u);
-  ASSERT_TRUE(e.drain(cache_, 0, stats_));
+  ASSERT_TRUE(e.drain(cache_, 0));
   // The single drained prefetch was exclusive.
   EXPECT_EQ(cache_.stats().get("prefetch_ex_issued"), 1u);
 }
@@ -71,11 +71,11 @@ TEST_F(PrefetchEngineTest, DrainIssuesOnePerCall) {
   PrefetchEngine e(PrefetchMode::kNonBinding, CoherenceKind::kInvalidation, 8);
   e.offer(0x100, false, false, stats_);
   e.offer(0x200, false, false, stats_);
-  EXPECT_TRUE(e.drain(cache_, 0, stats_));
+  EXPECT_TRUE(e.drain(cache_, 0));
   EXPECT_EQ(e.size(), 1u);
-  EXPECT_TRUE(e.drain(cache_, 1, stats_));
+  EXPECT_TRUE(e.drain(cache_, 1));
   EXPECT_TRUE(e.empty());
-  EXPECT_FALSE(e.drain(cache_, 2, stats_));
+  EXPECT_FALSE(e.drain(cache_, 2));
 }
 
 TEST_F(PrefetchEngineTest, SoftwareOffersBypassModeButNotProtocol) {

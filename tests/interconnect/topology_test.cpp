@@ -138,11 +138,15 @@ TEST(TopologyTest, HopAndQueuingStats) {
   Message m;
   Cycle at = 0;
   for (std::uint64_t i = 0; i < 4; ++i) at = deliver_until_recv(net, 8, m, at + 1);
-  EXPECT_EQ(net.stats().count_of("msg_hops"), 4u);
-  EXPECT_EQ(net.stats().mean("msg_hops"), 4.0);
-  EXPECT_EQ(net.stats().count_of("msg_queuing"), 4u);
+  const LogHistogram* hops = net.stats().histogram("msg_hops");
+  const LogHistogram* queuing = net.stats().histogram("msg_queuing");
+  ASSERT_NE(hops, nullptr);
+  ASSERT_NE(queuing, nullptr);
+  EXPECT_EQ(hops->count(), 4u);
+  EXPECT_EQ(hops->mean(), 4.0);
+  EXPECT_EQ(queuing->count(), 4u);
   // First message is uncontended; the last queued behind three others.
-  EXPECT_EQ(net.stats().max_of("msg_queuing"), 3u);
+  EXPECT_EQ(queuing->max(), 3u);
   EXPECT_EQ(net.stats().get("messages_delivered"), 4u);
   EXPECT_GT(net.stats().get("link_forwarded"), 0u);
 }

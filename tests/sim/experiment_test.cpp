@@ -30,8 +30,8 @@ void expect_identical(const CellResult& a, const CellResult& b, std::size_t i) {
   EXPECT_EQ(a.stats.reissues, b.stats.reissues) << "cell " << i;
   EXPECT_EQ(a.stats.prefetches, b.stats.prefetches) << "cell " << i;
   EXPECT_EQ(a.stats.prefetch_useful, b.stats.prefetch_useful) << "cell " << i;
-  EXPECT_EQ(a.stats.load_latency_mean, b.stats.load_latency_mean) << "cell " << i;
-  EXPECT_EQ(a.stats.store_latency_mean, b.stats.store_latency_mean) << "cell " << i;
+  EXPECT_EQ(a.stats.load_latency.mean(), b.stats.load_latency.mean()) << "cell " << i;
+  EXPECT_EQ(a.stats.store_latency.mean(), b.stats.store_latency.mean()) << "cell " << i;
   EXPECT_EQ(a.stats.drain_cycles, b.stats.drain_cycles) << "cell " << i;
   EXPECT_EQ(a.stats.retired, b.stats.retired) << "cell " << i;
 }

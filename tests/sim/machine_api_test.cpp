@@ -85,6 +85,9 @@ TEST(MachineApi, StepAdvancesOneCycle) {
 
 TEST(MachineApi, StatsReportMentionsEveryComponent) {
   SystemConfig cfg = SystemConfig::paper_default(2, ConsistencyModel::kSC);
+  // The directory's statistics are the profiler's fan-out histograms
+  // (and the rare `deferred`), so only a profiled run gives it lines.
+  cfg.profile = true;
   Machine m(cfg, {trivial(), trivial()});
   m.run();
   std::string rep = m.stats_report();

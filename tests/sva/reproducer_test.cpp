@@ -137,6 +137,35 @@ TEST(Reproducer, MalformedInputThrows) {
                std::runtime_error);
 }
 
+// A malformed number must fail to parse, and the error must name its
+// line or key: replaying it would otherwise run a different program.
+TEST(Reproducer, MalformedNumbersNameTheirLineOrKey) {
+  const struct {
+    const char* text;
+    const char* needle;
+  } cases[] = {
+      {";; addr zz\n;; thread 0\n  halt\n", "line 1: bad addr: 'zz'"},
+      {";; addr 0x1000zz\n;; thread 0\n  halt\n", "line 1: bad addr: '0x1000zz'"},
+      {";; addr\n;; thread 0\n  halt\n", "line 1: bad addr"},
+      {";; seed -3\n;; thread 0\n  halt\n", "line 1: bad seed"},
+      {";; preload -1 0x1040\n;; thread 0\n  halt\n",
+       "line 1: bad preload processor: '-1'"},
+      {";; preload 0 0x10x\n;; thread 0\n  halt\n", "line 1: bad preload address"},
+      {";; preload 1 0x1040\n;; thread 0\n  halt\n",
+       "preload processor 1 is not below the thread count 1"},
+      {";; thread zero\n  halt\n", "line 1: bad thread"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_reproducer(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+          << c.text << " -> " << e.what();
+    }
+  }
+}
+
 TEST(Reproducer, WriteAndLoadFile) {
   Reproducer r;
   r.litmus = generate_litmus(sva::LitmusGenConfig{}, 5);

@@ -111,6 +111,41 @@ TEST(TraceReader, RejectsUnalignedAndOutOfBoundsAddresses) {
       "address beyond mem_bytes");
 }
 
+TEST(TraceReader, RejectsSignedAndTooWideNumbers) {
+  const std::string head = "mcsim-trace v1\nprocs 1\n";
+  // Each would otherwise wrap or truncate into a different trace.
+  expect_error_containing(head + "0 st 0x40 -1\n", "line 3: bad value: '-1'",
+                          "negative value");
+  expect_error_containing(head + "0 st 0x40 4294967297\n",
+                          "line 3: bad value: '4294967297'", "value wider than a word");
+  expect_error_containing(head + "0 st 0x40 1 +-4294967295\n",
+                          "line 3: bad delay: '-4294967295'", "negative delay");
+  expect_error_containing(head + "0 st 0x40 1 +4294967296\n", "line 3: bad delay",
+                          "delay wider than 32 bits");
+  expect_error_containing(head + "0 ld -4\n", "line 3: bad address: '-4'",
+                          "negative address");
+  expect_error_containing(head + "init 0x40 -2\n0 ld 0x40\n", "line 3: bad value",
+                          "negative init value");
+  expect_error_containing("mcsim-trace v1\nprocs +2\n0 ld 0x40\n",
+                          "line 2: bad processor count", "signed processor count");
+  expect_error_containing("mcsim-trace v1\nprocs 4097\n0 ld 0x40\n",
+                          "line 2: bad processor count", "too many processors");
+  // The largest values each field holds still parse.
+  const TraceFile t = parse_trace(head + "0 st 0x40 4294967295 +4294967295\n");
+  EXPECT_EQ(t.ops[0][0].value, 4294967295u);
+  EXPECT_EQ(t.ops[0][0].delay, 4294967295u);
+}
+
+TEST(TraceReader, AddressCheckDoesNotWrapAround) {
+  // 0xfffffffffffffffc + 4 wraps to 0, which is below any mem_bytes.
+  expect_error_containing(
+      "mcsim-trace v1\nprocs 1\nmem 0x1000\n0 ld 0xfffffffffffffffc\n", "outside mem_bytes",
+      "address at the top of the address space");
+  TraceFile t = tiny_trace();
+  t.mem_bytes = 2;  // smaller than one word
+  EXPECT_THROW(t.validate(), TraceError);
+}
+
 TEST(TraceReader, ReadTraceNamesTheFileOnIoError) {
   try {
     read_trace("/nonexistent/definitely/missing.mct");
