@@ -16,6 +16,9 @@
 #include "sim/machine.hpp"
 #include "sim/sched.hpp"
 #include "sim/workloads.hpp"
+#include "sva/fuzz_harness.hpp"
+#include "sva/litmus_gen.hpp"
+#include "sva/model_checker.hpp"
 #include "trace/trace_core.hpp"
 #include "trace/workload_gen.hpp"
 
@@ -388,6 +391,41 @@ void BM_MachineLifecycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MachineLifecycle)->Arg(2)->Arg(256);
+
+// The fuzz campaign's unit of work: the 16 model x technique cells of
+// one litmus program (the first of fuzz_models' default campaign), each
+// built, run, checked by the model checker and destroyed. Items = cells.
+void BM_LitmusCell(benchmark::State& state) {
+  const sva::LitmusProgram lp =
+      sva::generate_litmus(sva::LitmusGenConfig{}, derive_child_seed(1, 0));
+  const sva::FuzzConfig campaign;
+  std::vector<SystemConfig> configs;
+  for (ConsistencyModel model : campaign.models) {
+    for (const sva::TechniqueKnobs& tech : campaign.techniques) {
+      SystemConfig cfg = SystemConfig::paper_default(
+          static_cast<std::uint32_t>(lp.programs.size()), model);
+      cfg.core.prefetch = tech.prefetch;
+      cfg.core.speculative_loads = tech.speculative_loads;
+      cfg.max_cycles = 1'000'000;
+      cfg.record_accesses = true;
+      configs.push_back(cfg);
+    }
+  }
+  std::uint64_t arcs = 0;
+  for (auto _ : state) {
+    for (const SystemConfig& cfg : configs) {
+      Machine m(cfg, lp.programs);
+      for (const auto& [proc, addr] : lp.preload_shared) m.preload_shared(proc, addr);
+      const RunResult r = m.run();
+      benchmark::DoNotOptimize(r.cycles);
+      arcs += sva::check_execution(cfg.model, lp.programs, m.access_logs()).arcs_checked;
+    }
+  }
+  benchmark::DoNotOptimize(arcs);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(configs.size()));
+  state.SetLabel("items = litmus cells");
+}
+BENCHMARK(BM_LitmusCell);
 
 // ISSUE 10's target shape end to end: P processors, 4 of which do real
 // work (a contended RMW line plus private strides) while P-4 halt

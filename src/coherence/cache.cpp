@@ -69,16 +69,26 @@ CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig&
       dir_banks_(mem_cfg.dir_banks),
       words_per_line_(cfg.line_bytes / kWordBytes),
       line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
-      ways_(std::make_unique_for_overwrite<Way[]>(static_cast<std::size_t>(cfg.num_sets) *
-                                                   cfg.ways)),
-      data_(std::make_unique_for_overwrite<Word[]>(static_cast<std::size_t>(cfg.num_sets) *
-                                                   cfg.ways * words_per_line_)),
-      filled_(cfg.num_sets, 0),
-      mshrs_(cfg.mshrs),
+      slab_(slab_bytes(cfg)),
+      filled_(slab_.take<std::uint32_t>(cfg.num_sets)),
+      mshrs_(cfg.mshrs, slab_),
+      waiters_(cfg.mshrs, slab_),
+      ways_(slab_.take<Way>(std::size_t{cfg.num_sets} * cfg.ways)),
+      data_(slab_.take<Word>(std::size_t{cfg.num_sets} * cfg.ways * words_per_line_)),
       stats_("cache" + std::to_string(id)) {
   assert(cfg.line_bytes <= kMaxLineBytes && "a line must fit a message payload");
   assert(std::has_single_bit(cfg.line_bytes) && "a line is a power of two bytes");
-  word_ops_.reserve(2 * cfg.mshrs);
+  assert(slab_.full());
+  std::fill_n(filled_, cfg.num_sets, 0);
+  mshrs_.assign(cfg.mshrs, Mshr{});
+  if (protocol_ == CoherenceKind::kUpdate) word_ops_.reserve(2 * cfg.mshrs);
+}
+
+std::size_t CoherentCache::slab_bytes(const CacheConfig& c) {
+  const std::size_t ways = std::size_t{c.num_sets} * c.ways;
+  return Slab::bytes<Way>(ways) + Slab::bytes<Word>(ways * (c.line_bytes / kWordBytes)) +
+         Slab::bytes<std::uint32_t>(c.num_sets) + Slab::bytes<Mshr>(c.mshrs) +
+         Slab::bytes<WaiterNode>(c.mshrs);
 }
 
 CoherentCache::Way* CoherentCache::find_way(Addr line) {
@@ -127,7 +137,6 @@ CoherentCache::Mshr* CoherentCache::alloc_mshr(Addr line, Cycle now) {
       m.upgrade_after_fill = false;
       m.prefetch_initiated = false;
       m.alloc_at = now;
-      m.waiters.clear();
       busy_inc();
       return &m;
     }
@@ -143,7 +152,38 @@ void CoherentCache::close_mshr(Mshr& m, Cycle now) {
     events_->complete(name, track_, m.alloc_at, now);
   }
   m.valid = false;
+  free_waiters(m);
   busy_dec();
+}
+
+void CoherentCache::add_waiter(Mshr& m, const CacheRequest& req) {
+  std::uint32_t n = free_waiter_;
+  if (n != kNoWaiter) {
+    free_waiter_ = waiters_[n].next;
+    waiters_[n].w = Waiter(req);
+  } else {
+    n = static_cast<std::uint32_t>(waiters_.size());
+    waiters_.push_back(WaiterNode{Waiter(req)});
+  }
+  link_waiter(m, n);
+}
+
+void CoherentCache::link_waiter(Mshr& m, std::uint32_t n) {
+  waiters_[n].next = kNoWaiter;
+  if (m.first == kNoWaiter)
+    m.first = n;
+  else
+    waiters_[m.last].next = n;
+  m.last = n;
+  ++m.waiters;
+}
+
+void CoherentCache::free_waiters(Mshr& m) {
+  if (m.first == kNoWaiter) return;
+  waiters_[m.last].next = free_waiter_;
+  free_waiter_ = m.first;
+  m.first = m.last = kNoWaiter;
+  m.waiters = 0;
 }
 
 void CoherentCache::busy_inc() {
@@ -172,7 +212,7 @@ void CoherentCache::use_port(Cycle now) {
 }
 
 void CoherentCache::log_touch(const Way& way) {
-  const auto i = static_cast<std::uint32_t>(&way - ways_.get());
+  const auto i = static_cast<std::uint32_t>(&way - ways_);
   if (std::find(touched_.begin(), touched_.end(), i) == touched_.end()) touched_.push_back(i);
 }
 
@@ -195,8 +235,9 @@ void CoherentCache::walk(Walk& w) {
     w.plain(m.line);
     w.plain(m.want_ex | m.upgrade_after_fill << 1 | m.prefetch_initiated << 2);
     w.cycle(m.alloc_at);
-    w.plain(m.waiters.size());
-    for (Waiter& wt : m.waiters) {
+    w.plain(m.waiters);
+    for (std::uint32_t n = m.first; n != kNoWaiter; n = waiters_[n].next) {
+      Waiter& wt = waiters_[n].w;
       w.token(wt.token);
       w.plain(wt.addr);
       // Plain fields packed, to keep a record short: Words fit 32 bits.
@@ -348,12 +389,12 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       if (mshr != nullptr) {
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
-        mshr->waiters.emplace_back(req);
+        add_waiter(*mshr, req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
-      m->waiters.emplace_back(req);
+      add_waiter(*m, req);
       net_.send(make_request(MsgType::kReadReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -396,14 +437,14 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.emplace_back(req);
+        add_waiter(*mshr, req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.emplace_back(req);
+      add_waiter(*m, req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -422,14 +463,14 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       if (mshr != nullptr) {
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.emplace_back(req);
+        add_waiter(*mshr, req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.emplace_back(req);
+      add_waiter(*m, req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -468,14 +509,14 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
         if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
         if (profile_) pf_demand_touch(line, now);
         if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        mshr->waiters.emplace_back(req);
+        add_waiter(*mshr, req);
         return ProbeResult::kMerged;
       }
       Mshr* m = alloc_mshr(line, now);
       if (m == nullptr) return ProbeResult::kRejected;
       if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
       m->want_ex = true;
-      m->waiters.emplace_back(req);
+      add_waiter(*m, req);
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
@@ -533,7 +574,7 @@ bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
   if (!mshr->want_ex &&
       (req.op == CacheOp::kStore || req.op == CacheOp::kRmw || req.op == CacheOp::kLoadEx))
     mshr->upgrade_after_fill = true;
-  mshr->waiters.emplace_back(req);
+  add_waiter(*mshr, req);
   return true;
 }
 
@@ -557,7 +598,7 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word
   const std::size_t set_idx = set_index(line);
   const std::span<Way> filled = filled_ways(set_idx);
   const auto install = [&](Way& way) {
-    std::copy_n(data, words_per_line_, data_.get() + word_base(way));
+    std::copy_n(data, words_per_line_, data_ + word_base(way));
   };
   // Existing copy (upgrade path): overwrite in place.
   for (Way& way : filled) {
@@ -620,16 +661,22 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       if (profile_) pf_fill(msg.line_addr, now);
       // Loads complete off the shared copy; store/RMW waiters forced an
       // upgrade and keep waiting for the exclusive reply.
-      std::vector<Waiter>& waiters = m->waiters;
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < waiters.size(); ++i) {
-        if (waiters[i].op == CacheOp::kLoad)
-          push_response(waiters[i].token, read_word(*way, waiters[i].addr), now, false);
-        else
-          waiters[kept++] = waiters[i];
+      std::uint32_t n = m->first;
+      m->first = m->last = kNoWaiter;
+      m->waiters = 0;
+      while (n != kNoWaiter) {
+        WaiterNode& node = waiters_[n];
+        const std::uint32_t next = node.next;
+        if (node.w.op == CacheOp::kLoad) {
+          push_response(node.w.token, read_word(*way, node.w.addr), now, false);
+          node.next = free_waiter_;
+          free_waiter_ = n;
+        } else {
+          link_waiter(*m, n);
+        }
+        n = next;
       }
-      waiters.resize(kept);
-      if (m->upgrade_after_fill || !m->waiters.empty()) {
+      if (m->upgrade_after_fill || m->waiters != 0) {
         m->upgrade_after_fill = false;
         m->want_ex = true;
         net_.send(make_request(MsgType::kReadExReq, id_, dir_for(msg.line_addr), msg.line_addr), now);
@@ -652,7 +699,8 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       if (profile_) pf_fill(msg.line_addr, now);
       // All invalidations were acknowledged before the directory sent
       // this reply, so stores applied here are performed at `now`.
-      for (const Waiter& w : m->waiters) {
+      for (std::uint32_t n = m->first; n != kNoWaiter; n = waiters_[n].next) {
+        const Waiter& w = waiters_[n].w;
         switch (w.op) {
           case CacheOp::kLoad:
           case CacheOp::kLoadEx:
@@ -672,8 +720,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
             break;
         }
       }
-      if (m->prefetch_initiated && m->waiters.empty()) way->prefetched = true;
-      m->waiters.clear();
+      if (m->prefetch_initiated && m->waiters == 0) way->prefetched = true;
       close_mshr(*m, now);
       break;
     }
@@ -754,12 +801,12 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
 
 void CoherentCache::tick(Cycle now) {
   if (!retry_fills_.empty()) {
-    std::deque<Message> retry;
-    retry.swap(retry_fills_);
-    for (const Message& m : retry) {
+    std::swap(retrying_, retry_fills_);
+    for (std::size_t i = 0; i < retrying_.size(); ++i) {
       busy_dec();  // re-handled; a still-blocked fill re-queues (busy_inc)
-      handle_message(m, now);
+      handle_message(retrying_[i], now);
     }
+    retrying_.clear();
   }
   Message msg;
   while (net_.recv(id_, msg)) handle_message(msg, now);
@@ -811,7 +858,7 @@ Json CoherentCache::snapshot_json() const {
     j.set("upgrade_after_fill", Json::boolean(m.upgrade_after_fill));
     j.set("prefetch_initiated", Json::boolean(m.prefetch_initiated));
     j.set("alloc_at", Json::number(static_cast<std::uint64_t>(m.alloc_at)));
-    j.set("waiters", Json::number(static_cast<std::uint64_t>(m.waiters.size())));
+    j.set("waiters", Json::number(static_cast<std::uint64_t>(m.waiters)));
     mshrs.push_back(std::move(j));
   }
   out.set("mshrs", std::move(mshrs));

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -25,6 +24,7 @@
 #include "common/json.hpp"
 #include "common/period.hpp"
 #include "common/ring_fifo.hpp"
+#include "common/slab.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -187,6 +187,14 @@ class CoherentCache {
   };
   static_assert(sizeof(Waiter) == 32);
 
+  static constexpr std::uint32_t kNoWaiter = ~0u;
+  /// A waiter in the cache's pool, linked into its MSHR's list or the
+  /// free list.
+  struct WaiterNode {
+    Waiter w;
+    std::uint32_t next = kNoWaiter;
+  };
+
   struct Mshr {
     bool valid = false;
     Addr line = 0;
@@ -194,7 +202,9 @@ class CoherentCache {
     bool upgrade_after_fill = false;///< issue ReadExReq once the read fill lands
     bool prefetch_initiated = false;
     Cycle alloc_at = 0;             ///< miss start, for duration events
-    std::vector<Waiter> waiters;
+    /// Merged accesses, oldest first: a list through waiters_.
+    std::uint32_t first = kNoWaiter, last = kNoWaiter;
+    std::uint32_t waiters = 0;
   };
 
   /// Update-protocol word-granular operations in flight (stores, RMWs).
@@ -213,10 +223,10 @@ class CoherentCache {
   /// The ways of `set` ever filled: a prefix of its `ways` consecutive
   /// entries in ways_. Every way past it is invalid and uninitialised.
   std::span<Way> filled_ways(std::size_t set) {
-    return {ways_.get() + set * cfg_.ways, filled_[set]};
+    return {ways_ + set * cfg_.ways, filled_[set]};
   }
   std::span<const Way> filled_ways(std::size_t set) const {
-    return {ways_.get() + set * cfg_.ways, filled_[set]};
+    return {ways_ + set * cfg_.ways, filled_[set]};
   }
   Way* find_way(Addr line);
   const Way* find_way(Addr line) const;
@@ -225,7 +235,16 @@ class CoherentCache {
   Mshr* alloc_mshr(Addr line, Cycle now);
   /// find_mshr for a probe that may join the MSHR (counts as activity).
   Mshr* merge_target(Addr line);
+  /// Bytes of slab_ for a cache configured `c`.
+  static std::size_t slab_bytes(const CacheConfig& c);
+  /// Close `m`, returning any waiters left on it to the pool.
   void close_mshr(Mshr& m, Cycle now);
+  /// Append a waiter for `req` to `m`'s list.
+  void add_waiter(Mshr& m, const CacheRequest& req);
+  /// Append pool node `n` to `m`'s list.
+  void link_waiter(Mshr& m, std::uint32_t n);
+  /// Return `m`'s whole list to the pool.
+  void free_waiters(Mshr& m);
 
   void use_port(Cycle now);
   /// A demand hit on `way`: stamp it for LRU and log it if logging.
@@ -250,10 +269,10 @@ class CoherentCache {
 
   /// `way`'s words in the data_ arena.
   std::size_t word_base(const Way& way) const {
-    return static_cast<std::size_t>(&way - ways_.get()) * words_per_line_;
+    return static_cast<std::size_t>(&way - ways_) * words_per_line_;
   }
   std::span<const Word> line_words(const Way& way) const {
-    return {data_.get() + word_base(way), words_per_line_};
+    return {data_ + word_base(way), words_per_line_};
   }
   Word read_word(const Way& way, Addr addr) const;
   void write_word(Way& way, Addr addr, Word v);
@@ -301,19 +320,28 @@ class CoherentCache {
   std::size_t words_per_line_;
   /// log2(line_bytes): a line number is a shift, not a division.
   std::uint32_t line_shift_;
-  /// Tag array: num_sets x ways entries, set-major. Allocated without
-  /// being initialised, so a cache costs O(lines filled), not O(capacity).
-  std::unique_ptr<Way[]> ways_;
-  /// Line words, words_per_line_ per way, in ways_ order; uninitialised
-  /// like ways_.
-  std::unique_ptr<Word[]> data_;
+  /// The fill counts, the MSHR file and the waiter pool's first buffer,
+  /// then the tag and data arrays: what a new cache writes comes first,
+  /// and the arrays stay untouched until lines fill.
+  Slab slab_;
   /// Per set, how many ways have ever been filled. A fill takes the
   /// first invalid way in index order, so the filled ways are a prefix.
-  std::vector<std::uint32_t> filled_;
-  std::vector<Mshr> mshrs_;
+  std::uint32_t* filled_;
+  SlabVector<Mshr> mshrs_;
+  /// Waiter pool shared by the MSHRs, with room for one waiter per MSHR;
+  /// it grows only to the high-water mark of merged accesses.
+  SlabVector<WaiterNode> waiters_;
+  std::uint32_t free_waiter_ = kNoWaiter;  ///< head of the free list
+  /// Tag array: num_sets x ways entries, set-major. Left uninitialised,
+  /// so a cache costs O(lines filled), not O(capacity).
+  Way* ways_;
+  /// Line words, words_per_line_ per way, in ways_ order; uninitialised
+  /// like ways_.
+  Word* data_;
   std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
   RingFifo<CacheResponse> responses_;  ///< ready_at non-decreasing
-  std::deque<Message> retry_fills_;
+  RingFifo<Message> retry_fills_;
+  RingFifo<Message> retrying_;  ///< tick()'s scratch: the fills it retries
 
   bool port_used_valid_ = false;
   Cycle port_used_at_ = 0;

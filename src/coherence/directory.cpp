@@ -58,6 +58,7 @@ Directory::Directory(std::uint32_t num_procs, std::uint32_t bank,
       stats_(bank_stat_prefix(bank, num_banks)) {
   assert(bank < num_banks);
   entries_.reserve(1024);
+  txns_.reserve(num_procs / num_banks + 1);
 }
 
 Directory::Entry& Directory::entry(Addr line) {
@@ -189,13 +190,12 @@ void Directory::handle(const Message& msg, Cycle now) {
 
 Directory::Txn& Directory::open_txn(Entry& e, Txn::Kind kind, const Message& req,
                                     Cycle now) {
-  std::uint32_t id;
-  if (free_txns_.empty()) {
+  std::uint32_t id = free_txn_;
+  if (id == kNoTxn) {
     id = static_cast<std::uint32_t>(txns_.size());
     txns_.emplace_back();
   } else {
-    id = free_txns_.back();
-    free_txns_.pop_back();
+    free_txn_ = txns_[id].next_free;
   }
   Txn& txn = txns_[id];
   assert(!txn.open && txn.deferred.empty());
@@ -454,7 +454,8 @@ void Directory::finish_txn(Entry& e, Cycle now) {
   txn.open = false;
   e.txn = kNoTxn;
   --open_txns_;
-  free_txns_.push_back(id);
+  txn.next_free = free_txn_;
+  free_txn_ = id;
   std::swap(replay_, txn.deferred);
 
   // Replay deferred requests in arrival order until one re-busies the
@@ -495,12 +496,10 @@ Json Directory::snapshot_json() const {
 
 DirectoryGroup::DirectoryGroup(std::uint32_t num_procs, const CacheConfig& cache_cfg,
                                const MemConfig& mem_cfg, Network& net)
-    : line_bytes_(cache_cfg.line_bytes), mem_(mem_cfg.mem_bytes) {
-  banks_.reserve(mem_cfg.dir_banks);
+    : line_bytes_(cache_cfg.line_bytes), mem_(mem_cfg.mem_bytes), banks_(mem_cfg.dir_banks) {
   for (std::uint32_t b = 0; b < mem_cfg.dir_banks; ++b)
-    banks_.push_back(std::make_unique<Directory>(num_procs, b, mem_cfg.dir_banks,
-                                                 cache_cfg, mem_cfg, net, mem_,
-                                                 ledger_));
+    banks_.emplace_back(num_procs, b, mem_cfg.dir_banks, cache_cfg, mem_cfg, net, mem_,
+                        ledger_);
 }
 
 Json DirectoryGroup::contended_lines_json(std::size_t n) const {
@@ -524,10 +523,10 @@ Json DirectoryGroup::contended_lines_json(std::size_t n) const {
 
 Json DirectoryGroup::snapshot_json() const {
   Json out = Json::array();
-  for (const auto& b : banks_) {
+  for (const Directory& b : banks_) {
     // Bind the snapshot: items() is a reference into it, and iterating
     // a temporary's items() is a use-after-scope.
-    const Json bank_rows = b->snapshot_json();
+    const Json bank_rows = b.snapshot_json();
     for (const Json& row : bank_rows.items()) out.push_back(row);
   }
   return out;

@@ -33,6 +33,7 @@
 #include "common/json.hpp"
 #include "common/profile.hpp"
 #include "common/ring_fifo.hpp"
+#include "common/slab.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -123,7 +124,8 @@ class Directory {
       kGatherUpdateAcks,  ///< update protocol: fanning out a new value
     };
     Kind kind = Kind::kGatherInvAcks;
-    bool open = false;         ///< false: the slot is on free_txns_
+    bool open = false;         ///< false: the slot is on the free list
+    std::uint32_t next_free = kNoTxn;  ///< the free list's next slot
     Message request;           ///< the original requester message
     std::uint32_t acks_left = 0;
     Cycle started_at = 0;      ///< for transaction-duration trace events
@@ -166,10 +168,12 @@ class Directory {
   // front so the per-message hot path does not rehash. One lookup per
   // message finds both the line's state and its open transaction.
   std::unordered_map<Addr, Entry> entries_;
-  /// Transaction slots, reused through free_txns_ together with their
-  /// wait-queue buffers, so a steady-state transaction allocates nothing.
+  /// Transaction slots, reused through a free list (a stack, from
+  /// free_txn_) together with their wait-queue buffers, so a
+  /// steady-state transaction allocates nothing. Reserved for one open
+  /// transaction per processor homed here.
   std::vector<Txn> txns_;
-  std::vector<std::uint32_t> free_txns_;
+  std::uint32_t free_txn_ = kNoTxn;
   std::uint32_t open_txns_ = 0;
   /// The wait queue being replayed by finish_txn (its buffer swaps with
   /// the closing slot's, so it is reused too).
@@ -195,15 +199,15 @@ class DirectoryGroup {
                  const MemConfig& mem_cfg, Network& net);
 
   void tick(Cycle now) {
-    for (auto& b : banks_) b->tick(now);
+    for (Directory& b : banks_) b.tick(now);
   }
 
   FlatMemory& memory() { return mem_; }
   const FlatMemory& memory() const { return mem_; }
 
   bool idle() const {
-    for (const auto& b : banks_)
-      if (!b->idle()) return false;
+    for (const Directory& b : banks_)
+      if (!b.idle()) return false;
     return true;
   }
 
@@ -211,8 +215,8 @@ class DirectoryGroup {
   Cycle next_event(Cycle /*now*/) const { return kCycleNever; }
 
   std::uint32_t num_banks() const { return static_cast<std::uint32_t>(banks_.size()); }
-  Directory& bank(std::uint32_t b) { return *banks_.at(b); }
-  const Directory& bank(std::uint32_t b) const { return *banks_.at(b); }
+  Directory& bank(std::uint32_t b) { return banks_[b]; }
+  const Directory& bank(std::uint32_t b) const { return banks_[b]; }
 
   /// Home bank of the line containing `a` (see home_bank_of_line for
   /// why this is a splitmix64 hash, not a plain modulo).
@@ -224,11 +228,11 @@ class DirectoryGroup {
   /// Per-bank timeline tracks: bank b renders on `first_track` + b.
   void set_event_sink(TraceEventSink* sink, std::uint16_t first_track) {
     for (std::uint32_t b = 0; b < num_banks(); ++b)
-      banks_[b]->set_event_sink(sink, static_cast<std::uint16_t>(first_track + b));
+      banks_[b].set_event_sink(sink, static_cast<std::uint16_t>(first_track + b));
   }
 
   void set_profiling(bool on) {
-    for (auto& b : banks_) b->set_profiling(on);
+    for (Directory& b : banks_) b.set_profiling(on);
   }
 
   const SharingLedger& ledger() const { return ledger_; }
@@ -250,13 +254,13 @@ class DirectoryGroup {
   bool line_busy(Addr line) const { return home(line).line_busy(line); }
 
  private:
-  Directory& home(Addr a) { return *banks_[home_bank(a)]; }
-  const Directory& home(Addr a) const { return *banks_[home_bank(a)]; }
+  Directory& home(Addr a) { return banks_[home_bank(a)]; }
+  const Directory& home(Addr a) const { return banks_[home_bank(a)]; }
 
   std::uint32_t line_bytes_;
   FlatMemory mem_;
   SharingLedger ledger_;
-  std::vector<std::unique_ptr<Directory>> banks_;
+  SlabVector<Directory> banks_;
 };
 
 }  // namespace mcsim

@@ -13,7 +13,7 @@ SharerSet::SharerSet(const SharerSetParams& p)
   switch (scheme_) {
     case DirScheme::kFullMap:
       cluster_ = 1;
-      bits_.resize(words_for(num_procs_), 0);
+      nwords_ = static_cast<std::uint32_t>(words_for(num_procs_));
       break;
     case DirScheme::kLimitedPtr:
       cluster_ = 1;
@@ -22,9 +22,10 @@ SharerSet::SharerSet(const SharerSetParams& p)
       break;
     case DirScheme::kCoarseVector:
       cluster_ = p.cluster == 0 ? 1 : p.cluster;
-      bits_.resize(words_for((num_procs_ + cluster_ - 1) / cluster_), 0);
+      nwords_ = static_cast<std::uint32_t>(words_for((num_procs_ + cluster_ - 1) / cluster_));
       break;
   }
+  if (nwords_ > 1) wide_.resize(nwords_, 0);
 }
 
 std::uint32_t SharerSet::cluster_procs(std::uint32_t c) const {
@@ -33,7 +34,7 @@ std::uint32_t SharerSet::cluster_procs(std::uint32_t c) const {
 }
 
 bool SharerSet::any_bit() const {
-  for (std::uint64_t w : bits_)
+  for (std::uint64_t w : words())
     if (w != 0) return true;
   return false;
 }
@@ -42,7 +43,7 @@ void SharerSet::add(ProcId proc) {
   assert(proc < num_procs_ && "sharer id out of range");
   switch (scheme_) {
     case DirScheme::kFullMap:
-      bits_[proc / 64] |= std::uint64_t{1} << (proc % 64);
+      words()[proc / 64] |= std::uint64_t{1} << (proc % 64);
       break;
     case DirScheme::kLimitedPtr: {
       if (broadcast_) return;
@@ -60,7 +61,7 @@ void SharerSet::add(ProcId proc) {
     }
     case DirScheme::kCoarseVector: {
       const std::uint32_t c = cluster_of(proc);
-      bits_[c / 64] |= std::uint64_t{1} << (c % 64);
+      words()[c / 64] |= std::uint64_t{1} << (c % 64);
       break;
     }
   }
@@ -70,7 +71,7 @@ void SharerSet::remove(ProcId proc) {
   assert(proc < num_procs_ && "sharer id out of range");
   switch (scheme_) {
     case DirScheme::kFullMap:
-      bits_[proc / 64] &= ~(std::uint64_t{1} << (proc % 64));
+      words()[proc / 64] &= ~(std::uint64_t{1} << (proc % 64));
       break;
     case DirScheme::kLimitedPtr: {
       if (broadcast_) return;  // conservative: keep every candidate
@@ -88,19 +89,19 @@ void SharerSet::remove(ProcId proc) {
 void SharerSet::clear() {
   broadcast_ = false;
   ptrs_.clear();
-  std::fill(bits_.begin(), bits_.end(), 0);
+  for (std::uint64_t& w : words()) w = 0;
 }
 
 bool SharerSet::test(ProcId proc) const {
   if (proc >= num_procs_) return false;
   switch (scheme_) {
     case DirScheme::kFullMap:
-      return (bits_[proc / 64] >> (proc % 64)) & 1u;
+      return (words()[proc / 64] >> (proc % 64)) & 1u;
     case DirScheme::kLimitedPtr:
       return broadcast_ || std::binary_search(ptrs_.begin(), ptrs_.end(), proc);
     case DirScheme::kCoarseVector: {
       const std::uint32_t c = cluster_of(proc);
-      return (bits_[c / 64] >> (c % 64)) & 1u;
+      return (words()[c / 64] >> (c % 64)) & 1u;
     }
   }
   return false;
@@ -115,15 +116,16 @@ std::uint32_t SharerSet::count() const {
   switch (scheme_) {
     case DirScheme::kFullMap: {
       std::uint32_t n = 0;
-      for (std::uint64_t w : bits_) n += static_cast<std::uint32_t>(std::popcount(w));
+      for (std::uint64_t w : words()) n += static_cast<std::uint32_t>(std::popcount(w));
       return n;
     }
     case DirScheme::kLimitedPtr:
       return broadcast_ ? num_procs_ : static_cast<std::uint32_t>(ptrs_.size());
     case DirScheme::kCoarseVector: {
       std::uint32_t n = 0;
-      for (std::size_t w = 0; w < bits_.size(); ++w) {
-        std::uint64_t word = bits_[w];
+      const std::span<const std::uint64_t> bits = words();
+      for (std::size_t w = 0; w < bits.size(); ++w) {
+        std::uint64_t word = bits[w];
         while (word != 0) {
           const std::uint32_t c = static_cast<std::uint32_t>(w * 64) +
                                   static_cast<std::uint32_t>(std::countr_zero(word));

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/config.hpp"
@@ -95,6 +96,14 @@ class SharerSet {
  private:
   template <typename Fn>
   void visit(ProcId skip, Fn&& fn) const;
+  /// The bit words; up to 64 bits live inline, so a small machine's
+  /// entry allocates nothing.
+  std::span<std::uint64_t> words() {
+    return nwords_ <= 1 ? std::span<std::uint64_t>(&word_, nwords_) : std::span(wide_);
+  }
+  std::span<const std::uint64_t> words() const {
+    return nwords_ <= 1 ? std::span<const std::uint64_t>(&word_, nwords_) : std::span(wide_);
+  }
   std::uint32_t cluster_of(ProcId p) const { return p / cluster_; }
   std::uint32_t cluster_procs(std::uint32_t c) const;
   bool any_bit() const;
@@ -105,8 +114,11 @@ class SharerSet {
   std::uint32_t max_ptrs_ = 0;
   bool broadcast_ = false;
   /// Full-map: one bit per processor. Coarse: one bit per cluster.
-  /// Unused (empty) for limited-ptr.
-  std::vector<std::uint64_t> bits_;
+  /// None for limited-ptr. In word_ when one word holds them all, else
+  /// in wide_.
+  std::uint32_t nwords_ = 0;
+  std::uint64_t word_ = 0;
+  std::vector<std::uint64_t> wide_;
   /// Limited-ptr: sorted sharer ids (ascending), size <= max_ptrs_.
   std::vector<ProcId> ptrs_;
 };
@@ -123,9 +135,10 @@ void SharerSet::visit(ProcId skip, Fn&& fn) const {
     }
     return;
   }
+  const std::span<const std::uint64_t> bits = words();
   if (scheme_ == DirScheme::kCoarseVector) {
-    for (std::size_t w = 0; w < bits_.size(); ++w) {
-      std::uint64_t word = bits_[w];
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+      std::uint64_t word = bits[w];
       while (word != 0) {
         const std::uint32_t c = static_cast<std::uint32_t>(w * 64) +
                                 static_cast<std::uint32_t>(std::countr_zero(word));
@@ -138,8 +151,8 @@ void SharerSet::visit(ProcId skip, Fn&& fn) const {
     }
     return;
   }
-  for (std::size_t w = 0; w < bits_.size(); ++w) {
-    std::uint64_t word = bits_[w];
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    std::uint64_t word = bits[w];
     while (word != 0) {
       const ProcId p = static_cast<ProcId>(w * 64) +
                        static_cast<ProcId>(std::countr_zero(word));

@@ -1,6 +1,6 @@
 #include "common/config.hpp"
 
-#include <sstream>
+#include <string>
 
 namespace mcsim {
 
@@ -86,52 +86,53 @@ SystemConfig SystemConfig::realistic(std::uint32_t nprocs, ConsistencyModel m) {
 namespace {
 bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
-void validate_core(const CoreConfig& core, std::ostringstream& err) {
+void validate_core(const CoreConfig& core, std::string& err) {
   if (core.rob_entries == 0 || core.ls_rs_entries == 0 || core.store_buffer_entries == 0)
-    err << "core buffer sizes must be >= 1; ";
+    err += "core buffer sizes must be >= 1; ";
   if (core.speculative_loads && core.spec_load_buffer_entries == 0)
-    err << "speculative loads need spec_load_buffer_entries >= 1; ";
+    err += "speculative loads need spec_load_buffer_entries >= 1; ";
   if (core.fetch_width == 0 || core.decode_width == 0 || core.commit_width == 0)
-    err << "pipeline widths must be >= 1; ";
-  if (core.num_alus == 0) err << "core.num_alus must be >= 1; ";
+    err += "pipeline widths must be >= 1; ";
+  if (core.num_alus == 0) err += "core.num_alus must be >= 1; ";
   if (core.prefetch != PrefetchMode::kOff && core.prefetch_buffer_entries == 0)
-    err << "prefetching needs prefetch_buffer_entries >= 1; ";
+    err += "prefetching needs prefetch_buffer_entries >= 1; ";
 }
 }  // namespace
 
 std::string SystemConfig::validate() const {
-  std::ostringstream err;
-  if (num_procs == 0) err << "num_procs must be >= 1; ";
+  // Built only when something is wrong: a valid config allocates nothing.
+  std::string err;
+  if (num_procs == 0) err += "num_procs must be >= 1; ";
   if (num_procs > kMaxProcs)
-    err << "num_procs must be <= " << kMaxProcs
-        << " (trace formats and endpoint ids cap the machine size); ";
-  if (mem.dir_banks == 0) err << "mem.dir_banks must be >= 1; ";
+    err += "num_procs must be <= " + std::to_string(kMaxProcs) +
+           " (trace formats and endpoint ids cap the machine size); ";
+  if (mem.dir_banks == 0) err += "mem.dir_banks must be >= 1; ";
   if (mem.dir_banks > kMaxProcs)
-    err << "mem.dir_banks must be <= " << kMaxProcs << "; ";
+    err += "mem.dir_banks must be <= " + std::to_string(kMaxProcs) + "; ";
   if (mem.dir_scheme == DirScheme::kLimitedPtr && mem.dir_pointers == 0)
-    err << "limited-pointer directory needs mem.dir_pointers >= 1; ";
+    err += "limited-pointer directory needs mem.dir_pointers >= 1; ";
   if (mem.dir_scheme == DirScheme::kCoarseVector && mem.dir_cluster == 0)
-    err << "coarse-vector directory needs mem.dir_cluster >= 1; ";
+    err += "coarse-vector directory needs mem.dir_cluster >= 1; ";
   if (!is_pow2(cache.line_bytes) || cache.line_bytes < kWordBytes)
-    err << "cache.line_bytes must be a power of two >= word size; ";
+    err += "cache.line_bytes must be a power of two >= word size; ";
   if (cache.line_bytes > kMaxLineBytes)
-    err << "cache.line_bytes must be <= " << kMaxLineBytes
-        << " (coherence messages carry the line inline); ";
-  if (!is_pow2(cache.num_sets)) err << "cache.num_sets must be a power of two; ";
-  if (cache.ways == 0) err << "cache.ways must be >= 1; ";
-  if (cache.mshrs == 0) err << "cache.mshrs must be >= 1; ";
+    err += "cache.line_bytes must be <= " + std::to_string(kMaxLineBytes) +
+           " (coherence messages carry the line inline); ";
+  if (!is_pow2(cache.num_sets)) err += "cache.num_sets must be a power of two; ";
+  if (cache.ways == 0) err += "cache.ways must be >= 1; ";
+  if (cache.mshrs == 0) err += "cache.mshrs must be >= 1; ";
   // Every core's pipeline buffers are sized once, at construction, so
   // a per-core override gets the same checks as the machine default.
   validate_core(core, err);
   for (const CoreConfig& c : per_core) validate_core(c, err);
-  if (mem.net_latency == 0) err << "net_latency must be >= 1; ";
+  if (mem.net_latency == 0) err += "net_latency must be >= 1; ";
   if (mem.topology != Topology::kCrossbar && mem.link_queue == 0)
-    err << "ring/mesh topologies need link_queue >= 1; ";
+    err += "ring/mesh topologies need link_queue >= 1; ";
   if (mem.mem_bytes % cache.line_bytes != 0)
-    err << "mem_bytes must be a multiple of the cache line size; ";
+    err += "mem_bytes must be a multiple of the cache line size; ";
   if (!per_core.empty() && per_core.size() != num_procs)
-    err << "per_core must be empty or have exactly num_procs entries; ";
-  return err.str();
+    err += "per_core must be empty or have exactly num_procs entries; ";
+  return err;
 }
 
 }  // namespace mcsim

@@ -3,7 +3,8 @@
 // Hardware structures in the simulator (reorder buffer, store buffer,
 // speculative-load buffer, MSHR files...) are fixed-capacity FIFOs that
 // are also scanned associatively; this container supports both uses.
-// All storage is allocated once, at construction; a slot's element is
+// Its storage is taken once, at construction: a block of its own, or a
+// part of its owner's slab (common/slab.hpp). A slot's element is
 // constructed the first time the ring reaches it, so capacity that is
 // never used costs no construction time and its memory stays untouched.
 #pragma once
@@ -11,17 +12,16 @@
 #include <cassert>
 #include <cstddef>
 #include <utility>
-#include <vector>
+
+#include "common/slab.hpp"
 
 namespace mcsim {
 
 template <typename T>
 class FixedQueue {
  public:
-  explicit FixedQueue(std::size_t capacity) : capacity_(capacity) {
-    assert(capacity > 0);
-    slots_.reserve(capacity);
-  }
+  explicit FixedQueue(std::size_t capacity) : capacity_(capacity), slots_(capacity) {}
+  FixedQueue(std::size_t capacity, Slab& slab) : capacity_(capacity), slots_(capacity, slab) {}
 
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == capacity_; }
@@ -36,13 +36,7 @@ class FixedQueue {
     const std::size_t pos = wrap(head_ + size_);
     assert(pos <= slots_.size());
     ++size_;
-    if (pos == slots_.size()) {
-      // Reserved at construction: this never reallocates. Saying so
-      // also keeps GCC from analysing a reallocation path that cannot
-      // run (its -O3 -Warray-bounds false positive on an empty buffer).
-      if (slots_.size() == slots_.capacity()) __builtin_unreachable();
-      return slots_.emplace_back(std::move(value));
-    }
+    if (pos == slots_.size()) return slots_.emplace_back(std::move(value));
     return slots_[pos] = std::move(value);
   }
 
@@ -114,7 +108,7 @@ class FixedQueue {
   std::size_t wrap(std::size_t p) const { return p < capacity_ ? p : p - capacity_; }
 
   std::size_t capacity_;
-  std::vector<T> slots_;  ///< reserved to capacity_; never reallocates
+  SlabVector<T> slots_;  ///< never fills past capacity_, so never moves
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

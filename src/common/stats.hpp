@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "common/slab.hpp"
 
 namespace mcsim {
 
@@ -53,13 +54,13 @@ class StatNames {
 /// one simulated machine per worker thread) never contend.
 class StatSet {
  public:
-  explicit StatSet(std::string prefix) : prefix_(std::move(prefix)) {
-    // Pre-size to every name interned so far (components intern at
-    // static init, well before any StatSet exists), so the steady-state
-    // add(StatId) below never takes the resize branch. Histograms are
-    // kept only for the ids actually sampled.
-    counters_.resize(StatNames::count());
-  }
+  /// Counters for every name interned so far (components intern at
+  /// static init, well before any StatSet exists), so the steady-state
+  /// add(StatId) below never takes the resize branch, and histograms for
+  /// the `sampled` distinct ids the owner samples on every run: one
+  /// allocation. Histograms are kept only for the ids actually sampled.
+  explicit StatSet(std::string prefix, std::size_t sampled = 0)
+      : StatSet(std::move(prefix), StatNames::count(), sampled) {}
 
   // --- hot path: pre-interned handles --------------------------------
   void add(StatId id, std::uint64_t delta = 1) {
@@ -137,10 +138,18 @@ class StatSet {
     bool touched = false;  ///< add seen; untouched slots stay out of reports
   };
 
+  StatSet(std::string prefix, std::size_t slots, std::size_t sampled)
+      : prefix_(std::move(prefix)),
+        slab_(Slab::bytes<Counter>(slots) + Slab::bytes<Sampled>(sampled)),
+        counters_(slots, slab_),
+        samples_(sampled, slab_) {
+    counters_.assign(slots, Counter{});
+  }
+
   Counter& counter_slot(StatId id) {
     // Growth branch kept only for names interned AFTER this set was
     // constructed (string-keyed one-offs); pre-interned ids never hit it.
-    if (id.value() >= counters_.size()) counters_.resize(id.value() + 1);
+    while (id.value() >= counters_.size()) counters_.emplace_back();
     return counters_[id.value()];
   }
   /// One sampled id's histogram. A set samples a handful of ids, so a
@@ -157,10 +166,11 @@ class StatSet {
   }
 
   std::string prefix_;
-  std::vector<Counter> counters_;  ///< indexed by StatId
+  Slab slab_;
+  SlabVector<Counter> counters_;  ///< indexed by StatId
   std::size_t touched_ = 0;        ///< counters add has touched
   std::vector<std::uint32_t> touched_ids_;  ///< ascending; rebuilt when touched_ moves
-  std::vector<Sampled> samples_;   ///< in first-sample order; every count > 0
+  SlabVector<Sampled> samples_;   ///< in first-sample order; every count > 0
 };
 
 }  // namespace mcsim

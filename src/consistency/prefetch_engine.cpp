@@ -10,14 +10,15 @@ const StatId prefetch_ex_suppressed_update = StatNames::intern("prefetch_ex_supp
 }  // namespace
 
 bool PrefetchEngine::enqueue(Addr line, bool exclusive) {
-  for (Pending& p : queue_) {
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    Pending& p = queue_.at(i);
     if (p.line == line) {
       p.exclusive = p.exclusive || exclusive;
       return true;  // already queued; caller should not offer again
     }
   }
-  if (queue_.size() >= capacity_) return false;
-  queue_.push_back(Pending{line, exclusive});
+  if (queue_.full()) return false;
+  queue_.push(Pending{line, exclusive});
   return true;
 }
 
@@ -54,7 +55,7 @@ bool PrefetchEngine::drain(CoherentCache& cache, Cycle now) {
   ProbeResult r = cache.probe(req, now);
   // MSHRs full: keep the prefetch queued, port was burned this cycle.
   if (r == ProbeResult::kRejected) return true;
-  queue_.pop_front();
+  queue_.pop();
   return true;
 }
 

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/config.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "coherence/cache.hpp"
@@ -29,7 +29,13 @@ namespace mcsim {
 class PrefetchEngine {
  public:
   PrefetchEngine(PrefetchMode mode, CoherenceKind protocol, std::size_t capacity)
-      : mode_(mode), protocol_(protocol), capacity_(capacity) {}
+      : mode_(mode), protocol_(protocol), queue_(capacity) {}
+  /// Storage from the owner's slab, slab_bytes(capacity) of it.
+  PrefetchEngine(PrefetchMode mode, CoherenceKind protocol, std::size_t capacity, Slab& slab)
+      : mode_(mode), protocol_(protocol), queue_(capacity, slab) {}
+  static std::size_t slab_bytes(std::size_t capacity) {
+    return Slab::bytes<Pending>(capacity);
+  }
 
   PrefetchMode mode() const { return mode_; }
   bool enabled() const { return mode_ != PrefetchMode::kOff; }
@@ -57,9 +63,9 @@ class PrefetchEngine {
   template <typename Walk>
   void walk(Walk& w) const {
     w.plain(queue_.size());
-    for (const Pending& p : queue_) {
-      w.plain(p.line);
-      w.plain(p.exclusive);
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      w.plain(queue_.at(i).line);
+      w.plain(queue_.at(i).exclusive);
     }
   }
 
@@ -73,8 +79,9 @@ class PrefetchEngine {
 
   PrefetchMode mode_;
   CoherenceKind protocol_;
-  std::size_t capacity_;
-  std::deque<Pending> queue_;
+  /// The §3.2 prefetch buffer. Software prefetches queue here even with
+  /// the hardware engine off, so it exists in every mode.
+  FixedQueue<Pending> queue_;
 };
 
 }  // namespace mcsim

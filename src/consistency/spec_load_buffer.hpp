@@ -49,8 +49,12 @@ class SpecLoadBuffer {
     Cycle done_at = 0;            ///< cycle the value bound (profiling: wasted work)
   };
 
-  explicit SpecLoadBuffer(std::size_t capacity) : entries_(capacity) {
-    reissue_.reserve(capacity);
+  explicit SpecLoadBuffer(std::size_t capacity) : entries_(capacity), reissue_(capacity) {}
+  /// Storage from the owner's slab, slab_bytes(capacity) of it.
+  SpecLoadBuffer(std::size_t capacity, Slab& slab)
+      : entries_(capacity, slab), reissue_(capacity, slab) {}
+  static std::size_t slab_bytes(std::size_t capacity) {
+    return Slab::bytes<Entry>(capacity) + Slab::bytes<std::uint64_t>(capacity);
   }
 
   bool full() const { return entries_.full(); }
@@ -166,7 +170,7 @@ class SpecLoadBuffer {
 
  private:
   FixedQueue<Entry> entries_;
-  std::vector<std::uint64_t> reissue_;  ///< on_line_event's result, reserved to capacity
+  SlabVector<std::uint64_t> reissue_;  ///< on_line_event's result
 };
 
 }  // namespace mcsim

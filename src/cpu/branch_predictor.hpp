@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 
@@ -15,6 +15,11 @@ namespace mcsim {
 class BranchPredictor {
  public:
   explicit BranchPredictor(std::uint32_t entries);
+  /// Counters in the owner's slab, slab_bytes(entries) of it.
+  BranchPredictor(std::uint32_t entries, Slab& slab);
+  static std::size_t slab_bytes(std::uint32_t entries) {
+    return Slab::bytes<std::uint8_t>(table_size(entries));
+  }
 
   /// Predicted direction for the conditional branch at static index `pc`.
   bool predict(std::size_t pc, const Instruction& inst) const;
@@ -35,8 +40,9 @@ class BranchPredictor {
   }
 
  private:
+  static std::size_t table_size(std::uint32_t entries) { return entries == 0 ? 1 : entries; }
   std::size_t index(std::size_t pc) const { return pc % counters_.size(); }
-  std::vector<std::uint8_t> counters_;  ///< 2-bit: 0,1 = not taken; 2,3 = taken
+  SlabVector<std::uint8_t> counters_;  ///< 2-bit: 0,1 = not taken; 2,3 = taken
 };
 
 }  // namespace mcsim

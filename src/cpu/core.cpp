@@ -63,6 +63,14 @@ constexpr Cycle kMinProbeBackoff = 16;
 constexpr Cycle kMaxProbeBackoff = 16384;
 }  // namespace
 
+std::size_t Core::slab_bytes(const CoreConfig& c) {
+  return Slab::bytes<RobEntry>(c.rob_entries) + Slab::bytes<std::uint64_t>(c.rob_entries) +
+         Slab::bytes<WakeNode>(2 * std::size_t{c.rob_entries}) +
+         Slab::bytes<std::pair<RobEntry*, Word>>(c.num_alus) +
+         BranchPredictor::slab_bytes(c.btb_entries) +
+         Slab::bytes<FetchedInst>(fetch_buffer_cap(c));
+}
+
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
            CoherentCache& cache, TraceEventSink* events)
     : id_(id),
@@ -70,11 +78,16 @@ Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
       program_(program),
       cache_(cache),
       events_(events),
-      rob_(cfg_.core.rob_entries),
-      predictor_(cfg_.core.btb_entries),
-      lsu_(id, cfg_, cache, *this, events),
-      fetch_buf_(fetch_buffer_cap(cfg_.core)),
-      stats_("core" + std::to_string(id)) {
+      slab_(slab_bytes(cfg_.core)),
+      predictor_(cfg_.core.btb_entries, slab_),
+      fetch_buf_(fetch_buffer_cap(cfg_.core), slab_),
+      rob_(cfg_.core.rob_entries, slab_),
+      ready_(cfg_.core.rob_entries, slab_),
+      wake_nodes_(2 * std::size_t{cfg_.core.rob_entries}, slab_),
+      results_(cfg_.core.num_alus, slab_),
+      lsu_(id, cfg_, program.size(), cache, *this, events),
+      stats_("core" + std::to_string(id), cfg_.profile ? 1 : 0) {  // rb_squash_depth
+  assert(slab_.full());
   cache.set_observer(this);
   if (cfg_.core.ideal_frontend) {
     // The paper's walkthroughs assume the program is already decoded
@@ -555,7 +568,7 @@ void Core::do_execute(Cycle now) {
       break;
     }
   }
-  ready_.erase(ready_.begin(), ready_.begin() + static_cast<std::ptrdiff_t>(used));
+  ready_.erase(ready_.begin(), ready_.begin() + used);
   if (used > 0) note_progress();
   // Results become visible at the end of the cycle (1-cycle ALU latency).
   // All of them are older than any mispredicted branch, so they survived

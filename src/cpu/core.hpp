@@ -220,6 +220,8 @@ class Core : public LsuHost, public LineEventObserver {
   void writeback(const RobEntry& e);
   /// Wake every operand in e's consumer chain, then free the chain.
   void broadcast(RobEntry& e, Word value);
+  /// Bytes of slab_ for a core configured `c`.
+  static std::size_t slab_bytes(const CoreConfig& c);
   /// Mark an in-tick state mutation (see next_event()).
   void note_progress() { progress_ = true; }
 
@@ -271,30 +273,36 @@ class Core : public LsuHost, public LineEventObserver {
   CoherentCache& cache_;
   TraceEventSink* events_;
 
+  /// The predictor table and fetch buffer (first: a new core writes
+  /// them), the ROB, ready list, wake-chain nodes and result list in one
+  /// block (the LSU keeps its own).
+  Slab slab_;
+  BranchPredictor predictor_;
+  FixedQueue<FetchedInst> fetch_buf_;
   /// Head first, seqs ascending. Seqs are never reused, so they have
   /// gaps after a squash. Slots never move, so an entry is a stable
   /// home for its consumer chain.
   FixedQueue<RobEntry> rob_;
   /// Seqs of the unexecuted ALU/branch entries whose operands are both
   /// ready, ascending: execute takes the oldest num_alus.
-  std::vector<std::uint64_t> ready_;
+  SlabVector<std::uint64_t> ready_;
   /// Node pool of the consumer chains: every tagged operand of a ROB
   /// entry, the LSU's included. A chain is freed whole when its producer
   /// broadcasts or is squashed. A node whose consumer was squashed stays
   /// in its surviving producer's chain and is skipped at the broadcast
-  /// (seqs are never reused, so the consumer is simply gone).
-  std::vector<WakeNode> wake_nodes_;
+  /// (seqs are never reused, so the consumer is simply gone). Room for
+  /// two operands per ROB entry; squashes can strand more, and then it
+  /// grows to that high-water mark.
+  SlabVector<WakeNode> wake_nodes_;
   std::uint32_t wake_free_ = kNoNode;  ///< head of the free list
   /// This cycle's ALU results, applied at the end of execute. The
   /// entries are ROB slots, which stay put while they are in the ROB.
-  std::vector<std::pair<RobEntry*, Word>> results_;
+  SlabVector<std::pair<RobEntry*, Word>> results_;
   std::array<Word, kNumArchRegs> regfile_{};
   std::array<RenameEntry, kNumArchRegs> rename_{};
 
-  BranchPredictor predictor_;
   LoadStoreUnit lsu_;
 
-  FixedQueue<FetchedInst> fetch_buf_;
   std::size_t fetch_pc_ = 0;
   bool fetch_stopped_ = false;   ///< fetched past a halt
   bool dispatch_stopped_ = false;///< dispatched a halt

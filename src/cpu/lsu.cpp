@@ -54,24 +54,42 @@ const TraceEventSink::NameId count = TraceEventSink::name_id("count");
 }  // namespace arg
 }  // namespace
 
-LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache,
-                             LsuHost& host, TraceEventSink* events)
+std::size_t LoadStoreUnit::slab_bytes(const CoreConfig& c, std::size_t records) {
+  const std::size_t rs = c.ls_rs_entries, sb = c.store_buffer_entries,
+                    slb = c.spec_load_buffer_entries;
+  return Slab::bytes<RsEntry>(rs) + Slab::bytes<LoadEntry>(rs) +
+         Slab::bytes<StoreEntry>(sb) + SpecLoadBuffer::slab_bytes(slb) +
+         PrefetchEngine::slab_bytes(c.prefetch_buffer_entries) +
+         2 * Slab::bytes<std::uint64_t>(rs + sb) + Slab::bytes<std::uint64_t>(sb) +
+         Slab::bytes<std::uint64_t>(slb) + Slab::bytes<TokenInfo>(rs) +
+         Slab::bytes<LocalCompletion>(rs) + Slab::bytes<AccessRecord>(records);
+}
+
+LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, std::size_t program_size,
+                             CoherentCache& cache, LsuHost& host, TraceEventSink* events)
     : id_(id),
       cfg_(cfg),
       cache_(cache),
       host_(host),
       events_(events),
-      ls_rs_(cfg.core.ls_rs_entries),
-      load_q_(cfg.core.ls_rs_entries),
-      store_buf_(cfg.core.store_buffer_entries),
-      spec_buffer_(cfg.core.spec_load_buffer_entries),
-      prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries),
-      sync_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries),
-      acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries),
-      rmws_(cfg.core.store_buffer_entries),
-      slb_acquires_(cfg.core.spec_load_buffer_entries),
-      local_completions_(cfg.core.ls_rs_entries),
-      stats_("lsu" + std::to_string(id)) {}
+      slab_(slab_bytes(cfg.core, cfg.record_accesses ? program_size : 0)),
+      ls_rs_(cfg.core.ls_rs_entries, slab_),
+      load_q_(cfg.core.ls_rs_entries, slab_),
+      store_buf_(cfg.core.store_buffer_entries, slab_),
+      spec_buffer_(cfg.core.spec_load_buffer_entries, slab_),
+      prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries, slab_),
+      sync_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, slab_),
+      acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, slab_),
+      rmws_(cfg.core.store_buffer_entries, slab_),
+      slb_acquires_(cfg.core.spec_load_buffer_entries, slab_),
+      tokens_(cfg.core.ls_rs_entries, slab_),
+      local_completions_(cfg.core.ls_rs_entries, slab_),
+      records_(cfg.record_accesses ? program_size : 0, slab_),
+      // load_latency, store_latency, store_release_latency; rb_wasted
+      // when profiling.
+      stats_("lsu" + std::to_string(id), cfg.profile ? 4 : 3) {
+  assert(slab_.full());
+}
 
 void LoadStoreUnit::SeqFifo::erase(std::uint64_t seq) {
   for (std::size_t i = 0; i < q_.size(); ++i) {
@@ -197,7 +215,7 @@ bool LoadStoreUnit::take_token(std::uint64_t token, TokenInfo& out) {
                                [token](const TokenInfo& t) { return t.token == token; });
   if (it == tokens_.end()) return false;
   out = *it;
-  tokens_.erase(it);  // keeps the tokens in issue order, as walk() visits them
+  tokens_.erase(it, it + 1);  // keeps the tokens in issue order, as walk() visits them
   return true;
 }
 
@@ -592,7 +610,7 @@ void LoadStoreUnit::record(std::uint64_t seq, std::size_t pc, Addr addr, AccessK
 }
 
 std::vector<AccessRecord> LoadStoreUnit::access_log() const {
-  std::vector<AccessRecord> out = records_;
+  std::vector<AccessRecord> out(records_.begin(), records_.end());
   std::sort(out.begin(), out.end(),
             [](const AccessRecord& a, const AccessRecord& b) { return a.seq < b.seq; });
   return out;
@@ -783,12 +801,9 @@ void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
     if (local_completions_.at(i).seq >= seq) local_completions_.erase_at(i);
   }
   // Completed-but-squashed speculative loads are architecturally void.
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->seq >= seq)
-      it = records_.erase(it);
-    else
-      ++it;
-  }
+  records_.erase(std::remove_if(records_.begin(), records_.end(),
+                                [seq](const AccessRecord& r) { return r.seq >= seq; }),
+                 records_.end());
 }
 
 StallCause LoadStoreUnit::classify_mem_wait(Addr addr) const {

@@ -57,8 +57,11 @@ enum class SquashOrigin : std::uint8_t { kPipeline, kCoherence };
 
 class LoadStoreUnit {
  public:
-  LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache, LsuHost& host,
-                TraceEventSink* events = nullptr);
+  /// With cfg.record_accesses the access log is reserved to
+  /// `program_size` records: a program without loops performs at most
+  /// one access per instruction.
+  LoadStoreUnit(ProcId id, const SystemConfig& cfg, std::size_t program_size,
+                CoherentCache& cache, LsuHost& host, TraceEventSink* events = nullptr);
 
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
@@ -239,7 +242,7 @@ class LoadStoreUnit {
   /// squash drops a suffix.
   class SeqFifo {
    public:
-    explicit SeqFifo(std::size_t capacity) : q_(capacity) {}
+    SeqFifo(std::size_t capacity, Slab& slab) : q_(capacity, slab) {}
     void push(std::uint64_t seq) {
       assert((q_.empty() || q_.back() <= seq) && "class members arrive in seq order");
       q_.push(seq);
@@ -261,6 +264,9 @@ class LoadStoreUnit {
     FixedQueue<std::uint64_t> q_;
   };
 
+  /// Bytes of slab_ for a core configured `c` whose access log is
+  /// reserved for `records` accesses.
+  static std::size_t slab_bytes(const CoreConfig& c, std::size_t records);
   StallCause classify_mem_wait(Addr addr) const;
   /// Index of `seq` in load_q_ / store_buf_, or the queue's size if absent.
   std::size_t load_index(std::uint64_t seq) const;
@@ -316,6 +322,8 @@ class LoadStoreUnit {
   LsuHost& host_;
   TraceEventSink* events_;
 
+  /// Every buffer below whose size the config fixes, in one block.
+  Slab slab_;
   FixedQueue<RsEntry> ls_rs_;
   FixedQueue<LoadEntry> load_q_;      ///< seqs ascending
   FixedQueue<StoreEntry> store_buf_;  ///< seqs ascending
@@ -332,17 +340,20 @@ class LoadStoreUnit {
   SeqFifo slb_acquires_;
   /// Requests in flight, in issue (= token) order; a response finds its
   /// entry by a linear scan. Each request gets exactly one response, so
-  /// this holds only what is outstanding, grows to that high-water mark
-  /// and then allocates nothing. (Tokens are dense, but a miss on a
+  /// this holds only what is outstanding. It is reserved for a full
+  /// reservation station; squashed and reissued loads can keep more in
+  /// flight, and then it grows to that high-water mark and allocates
+  /// nothing more. (Tokens are dense, but a miss on a
   /// contended line can stay outstanding while hundreds of later tokens
   /// come and go, so a table indexed by token would have to span them
   /// all.)
-  std::vector<TokenInfo> tokens_;
+  SlabVector<TokenInfo> tokens_;
   /// One per forwarded load still in the load queue.
   FixedQueue<LocalCompletion> local_completions_;
   std::uint64_t next_token_ = 1;
   bool progress_ = true;  ///< state mutated this tick (starts armed)
-  std::vector<AccessRecord> records_;
+  /// Reserved in slab_ when cfg.record_accesses (see the constructor).
+  SlabVector<AccessRecord> records_;
 
   StatSet stats_;
 };

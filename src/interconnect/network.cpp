@@ -43,12 +43,19 @@ Network::Network(std::uint32_t endpoints, std::uint32_t latency,
       topology_(topology),
       link_bw_(link_bw),
       link_queue_(link_queue),
-      inboxes_(endpoints),
-      stats_("net") {
+      slab_(Slab::bytes<Slot>(2 * std::size_t{endpoints}) + Slab::bytes<Inbox>(endpoints)),
+      pool_(2 * std::size_t{endpoints}, slab_),
+      inboxes_(endpoints, slab_),
+      // msg_latency; msg_hops and msg_queuing on a routed fabric.
+      stats_("net", topology == Topology::kCrossbar ? 1 : 3) {
   assert(endpoints >= 2);
   assert(latency >= 1);
+  assert(slab_.full());
+  inboxes_.assign(endpoints, Inbox{});
   if (topology_ == Topology::kCrossbar) {
-    stalled_.resize(endpoints);
+    // Caches send with no extra delay, directory banks with theirs.
+    lanes_.reserve(2);
+    if (deliver_bw_ != 0) stalled_.resize(endpoints);
   } else {
     assert(link_queue_ >= 1);
     if (topology_ == Topology::kRing) build_ring(endpoints);
@@ -56,7 +63,7 @@ Network::Network(std::uint32_t endpoints, std::uint32_t latency,
     inject_.resize(num_routers_);
     link_used_.resize(links_.size());
   }
-  delivered_.resize(endpoints);
+  if (deliver_bw_ != 0 || topology_ != Topology::kCrossbar) delivered_.resize(endpoints);
 }
 
 void Network::add_link(std::uint32_t from, std::uint32_t to) {
@@ -134,11 +141,13 @@ std::uint32_t Network::route_hops(EndpointId src, EndpointId dst) const {
 
 void Network::set_event_sink(TraceEventSink* sink, std::uint16_t first_track) {
   events_ = sink;
-  for (std::size_t i = 0; i < links_.size(); ++i) {
+  for (std::size_t i = 0; i < links_.size(); ++i)
     links_[i].track = static_cast<std::uint16_t>(first_track + i);
-    sink->set_track(links_[i].track, "link " + std::to_string(links_[i].from) +
-                                         "->" + std::to_string(links_[i].to));
-  }
+}
+
+void Network::name_tracks() {
+  for (const Link& l : links_)
+    events_->set_track(l.track, "link " + std::to_string(l.from) + "->" + std::to_string(l.to));
 }
 
 void Network::send(Message&& msg, Cycle now, std::uint32_t extra_delay) {
@@ -187,21 +196,28 @@ void Network::deliver(Cycle now) {
 
 void Network::deliver_to_inbox(Cycle now, Cycle sent_at, std::uint32_t slot) {
   stats_.sample(stat::msg_latency, now - sent_at);
-  const EndpointId dst = pool_[slot].dst;
-  ++delivered_[dst];
-  inboxes_[dst].slots.push_back(slot);
+  const EndpointId dst = pool_[slot].msg.dst;
+  if (!delivered_.empty()) ++delivered_[dst];
+  Inbox& box = inboxes_[dst];
+  pool_[slot].next = kNoSlot;
+  if (box.first == kNoSlot)
+    box.first = slot;
+  else
+    pool_[box.last].next = slot;
+  box.last = slot;
+  ++box.count;
   stats_.add(stat::messages_delivered);
   if (delivery_hook_) delivery_hook_(dst);
 }
 
 std::uint32_t Network::park(Message&& msg) {
-  if (free_slots_.empty()) {
-    pool_.push_back(std::move(msg));
+  if (free_slot_ == kNoSlot) {
+    pool_.push_back(Slot{std::move(msg)});
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  pool_[slot] = std::move(msg);
+  const std::uint32_t slot = free_slot_;
+  free_slot_ = pool_[slot].next;
+  pool_[slot].msg = std::move(msg);
   return slot;
 }
 
@@ -252,7 +268,7 @@ void Network::deliver_crossbar(Cycle now) {
   }
   InFlight f;
   while (pop_due(now, f)) {
-    const EndpointId dst = pool_[f.slot].dst;
+    const EndpointId dst = pool_[f.slot].msg.dst;
     if (delivered_[dst] >= deliver_bw_) {
       ++stalled_total_;
       stalled_[dst].push_back(f);
@@ -285,7 +301,7 @@ bool Network::advance_head(Cycle now, std::size_t li) {
     // bandwidth applies; a capped endpoint back-pressures this link).
     if (deliver_bw_ != 0 && delivered_[t.dst_router] >= deliver_bw_) return false;
     if (events_ != nullptr && events_->enabled())
-      events_->complete(stat::span_name(pool_[t.slot].type), l.track, t.entered_at, now);
+      events_->complete(stat::span_name(pool_[t.slot].msg.type), l.track, t.entered_at, now);
     stats_.sample(stat::msg_hops, t.hops);
     stats_.sample(stat::msg_queuing, (now - t.sent_at) - (t.base_delay + t.hops));
     deliver_to_inbox(now, t.sent_at, t.slot);
@@ -299,7 +315,7 @@ bool Network::advance_head(Cycle now, std::size_t li) {
   const Cycle entered = moved.entered_at;
   if (!enter_link(now, nl, moved)) return false;  // blocked: head untouched
   if (events_ != nullptr && events_->enabled())
-    events_->complete(stat::span_name(pool_[moved.slot].type), l.track, entered, now);
+    events_->complete(stat::span_name(pool_[moved.slot].msg.type), l.track, entered, now);
   l.q.pop_front();
   --in_links_;
   return true;
@@ -332,15 +348,14 @@ void Network::deliver_routed(Cycle now) {
 }
 
 bool Network::recv(EndpointId ep, Message& out) {
-  Inbox& box = inboxes_.at(ep);
-  if (box.size() == 0) return false;
-  const std::uint32_t slot = box.slots[box.head++];
-  if (box.size() == 0) {
-    box.slots.clear();
-    box.head = 0;
-  }
-  out = std::move(pool_[slot]);
-  free_slots_.push_back(slot);
+  Inbox& box = inboxes_[ep];
+  if (box.count == 0) return false;
+  const std::uint32_t slot = box.first;
+  box.first = pool_[slot].next;
+  if (--box.count == 0) box.last = kNoSlot;
+  out = std::move(pool_[slot].msg);
+  pool_[slot].next = free_slot_;
+  free_slot_ = slot;
   --undelivered_;
   return true;
 }
@@ -348,7 +363,7 @@ bool Network::recv(EndpointId ep, Message& out) {
 std::uint64_t Network::debug_scan_undelivered() const {
   std::uint64_t n = stalled_total_ + in_fabric_;
   for (const Lane& l : lanes_) n += l.q.size();
-  for (const auto& box : inboxes_) n += box.size();
+  for (const Inbox& box : inboxes_) n += box.count;
   return n;
 }
 
@@ -411,7 +426,7 @@ Json Network::snapshot_json() const {
     }
     if (best == lanes_.size()) break;
     const InFlight& f = lanes_[best].q[cursor[best]++];
-    const Message& msg = pool_[f.slot];
+    const Message& msg = pool_[f.slot].msg;
     Json j = Json::object();
     j.set("type", Json::string(to_string(msg.type)));
     j.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
@@ -424,7 +439,7 @@ Json Network::snapshot_json() const {
   for (const auto& q : stalled_) {
     for (std::size_t i = 0; i < q.size(); ++i) {
       const InFlight& f = q[i];
-      const Message& msg = pool_[f.slot];
+      const Message& msg = pool_[f.slot].msg;
       Json j = Json::object();
       j.set("type", Json::string(to_string(msg.type)));
       j.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
@@ -447,7 +462,7 @@ Json Network::snapshot_json() const {
       Json msgs = Json::array();
       for (const Transit& t : l.q) {
         Json m = Json::object();
-        const Message& msg = pool_[t.slot];
+        const Message& msg = pool_[t.slot].msg;
         m.set("type", Json::string(to_string(msg.type)));
         m.set("src", Json::number(static_cast<std::uint64_t>(msg.src)));
         m.set("dst", Json::number(static_cast<std::uint64_t>(msg.dst)));
@@ -465,8 +480,8 @@ Json Network::snapshot_json() const {
     out.set("inject_depths", std::move(inj));
   }
   Json boxes = Json::array();
-  for (const auto& box : inboxes_)
-    boxes.push_back(Json::number(static_cast<std::uint64_t>(box.size())));
+  for (const Inbox& box : inboxes_)
+    boxes.push_back(Json::number(static_cast<std::uint64_t>(box.count)));
   out.set("inbox_depths", std::move(boxes));
   return out;
 }

@@ -30,6 +30,7 @@
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/ring_fifo.hpp"
+#include "common/slab.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -78,7 +79,7 @@ class Network {
 
   /// Undrained messages sitting in `ep`'s inbox (active-set scheduler
   /// start-up: an endpoint with inboxed traffic must tick immediately).
-  bool inbox_empty(EndpointId ep) const { return inboxes_.at(ep).size() == 0; }
+  bool inbox_empty(EndpointId ep) const { return inboxes_[ep].count == 0; }
 
   /// Active-set scheduler: called with the destination endpoint every
   /// time deliver() lands a message in an inbox, so the machine can
@@ -121,8 +122,9 @@ class Network {
 
   /// Per-link trace-event spans (one complete event per message per
   /// link residence) on tracks `first_track .. first_track+num_links-1`.
-  /// Track names are registered on the sink immediately.
   void set_event_sink(TraceEventSink* sink, std::uint16_t first_track);
+  /// Register the link tracks' names ("link A->B") on the sink.
+  void name_tracks();
 
   /// In-flight and undelivered messages, for deadlock post-mortems.
   Json snapshot_json() const;
@@ -213,12 +215,22 @@ class Network {
   /// Messages inside the network or an inbox; send ++, recv --.
   std::uint64_t undelivered_ = 0;
 
-  /// Every message between send() and recv(), by slot: the lanes, the
-  /// stall and link queues and the inboxes hold slot numbers. recv()
-  /// releases the slot onto free_slots_ for reuse, so steady traffic
-  /// allocates nothing.
-  std::vector<Message> pool_;
-  std::vector<std::uint32_t> free_slots_;
+  static constexpr std::uint32_t kNoSlot = ~0u;
+  /// A pool slot: a message, and the next slot of the inbox or free
+  /// list it is on.
+  struct Slot {
+    Message msg;
+    std::uint32_t next = kNoSlot;
+  };
+  /// Every message between send() and recv(), by slot: the lanes and the
+  /// stall and link queues hold slot numbers, and the inboxes are lists
+  /// through the slots. recv() releases the slot onto the free list (a
+  /// stack, from free_slot_) for reuse. Room for two messages per
+  /// endpoint; it grows only to the high-water mark of messages in the
+  /// network, so steady traffic allocates nothing.
+  Slab slab_;  ///< the inboxes and the pool's first buffer
+  SlabVector<Slot> pool_;
+  std::uint32_t free_slot_ = kNoSlot;
 
   // --- crossbar state ------------------------------------------------
   /// One lane per distinct extra_delay, created on first use: caches
@@ -241,15 +253,14 @@ class Network {
   std::vector<std::uint32_t> link_used_;        ///< per-cycle entries, scratch
 
   std::vector<std::uint32_t> delivered_;        ///< per-endpoint scratch
-  /// Pool slots delivered to one endpoint, received from `head` on.
-  /// The vector is cleared (capacity kept) whenever the endpoint drains
-  /// it, as caches and banks do every tick.
+  /// Pool slots delivered to one endpoint and not yet received, in
+  /// delivery order: a list from `first` to `last`.
   struct Inbox {
-    std::vector<std::uint32_t> slots;
-    std::size_t head = 0;
-    std::size_t size() const { return slots.size() - head; }
+    std::uint32_t first = kNoSlot;
+    std::uint32_t last = kNoSlot;
+    std::uint32_t count = 0;
   };
-  std::vector<Inbox> inboxes_;
+  SlabVector<Inbox> inboxes_;
   std::function<void(EndpointId)> delivery_hook_;
   TraceEventSink* events_ = nullptr;
   StatSet stats_;

@@ -11,60 +11,45 @@
 
 namespace mcsim {
 
+namespace {
+const SystemConfig& validated(const SystemConfig& cfg) {
+  std::string err = cfg.validate();
+  if (!err.empty()) throw std::invalid_argument("invalid SystemConfig: " + err);
+  return cfg;
+}
+}  // namespace
+
 Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       programs_(std::move(programs)),
       net_(cfg.num_procs + std::max<std::uint32_t>(cfg.mem.dir_banks, 1),
            cfg.mem.net_latency, cfg.mem.deliver_bw, cfg.mem.topology,
            cfg.mem.link_bw, cfg.mem.link_queue),
       dir_(cfg.num_procs, cfg.cache, cfg.mem, net_),
-      drain_cycle_(cfg.num_procs, 0),
-      drained_(cfg.num_procs, false),
-      undrained_cores_(cfg.num_procs) {
-  std::string err = cfg_.validate();
-  if (!err.empty()) throw std::invalid_argument("invalid SystemConfig: " + err);
+      undrained_cores_(cfg.num_procs),
+      sched_(1 + dir_.num_banks() + 2ull * cfg.num_procs) {
   if (programs_.size() != cfg_.num_procs)
     throw std::invalid_argument("need exactly one program per processor");
 
   for (const Program& p : programs_) {
     for (const DataInit& d : p.data()) dir_.memory().write(d.addr, d.value);
   }
-  caches_.reserve(cfg_.num_procs);
-  cores_.reserve(cfg_.num_procs);
+  procs_.reserve(cfg_.num_procs);
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    caches_.push_back(
-        std::make_unique<CoherentCache>(p, cfg_.cache, cfg_.mem, net_, cfg_.num_procs));
-    caches_.back()->set_quiescence_counter(&busy_caches_);
+    procs_.push_back(std::make_unique<Proc>(p, cfg_, programs_[p], net_, &events_));
+    procs_[p]->cache.set_quiescence_counter(&busy_caches_);
+    procs_[p]->cache.set_profiling(cfg_.profile);
   }
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    cores_.push_back(
-        std::make_unique<Core>(p, cfg_, programs_[p], *caches_[p], &events_));
-  }
-  if (cfg_.profile) {
-    for (auto& c : caches_) c->set_profiling(true);
-    dir_.set_profiling(true);
-  }
+  dir_.set_profiling(cfg_.profile);
 
   // Trace-event tracks: tid 0..P-1 cores, P..2P-1 caches, then one
-  // track per directory bank at 2P..2P+B-1 (the single-bank machine
-  // keeps the historical "directory" name).
+  // track per directory bank at 2P..2P+B-1, then the ring/mesh links
+  // (the crossbar has none). run() names them when tracing is on.
   const std::uint16_t procs = static_cast<std::uint16_t>(cfg_.num_procs);
-  for (std::uint16_t p = 0; p < procs; ++p) {
-    events_.set_track(p, "core" + std::to_string(p));
-    events_.set_track(static_cast<std::uint16_t>(procs + p),
-                      "cache" + std::to_string(p));
-    caches_[p]->set_event_sink(&events_, static_cast<std::uint16_t>(procs + p));
-  }
-  const std::uint32_t banks = dir_.num_banks();
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    events_.set_track(static_cast<std::uint16_t>(2 * procs + b),
-                      banks == 1 ? std::string("directory") : "dir" + std::to_string(b));
-  }
+  for (std::uint16_t p = 0; p < procs; ++p)
+    procs_[p]->cache.set_event_sink(&events_, static_cast<std::uint16_t>(procs + p));
   dir_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs));
-  // Ring/mesh link tracks follow the directory banks (2P+B ..); the
-  // crossbar has no links, so this only registers tracks for routed
-  // topologies.
-  net_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs + banks));
+  net_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs + dir_.num_banks()));
 
   // Active-set scheduler hook; a no-op until init_scheduler() marks
   // the scheduler live (so the naive loop, manual step() use, and the
@@ -73,15 +58,30 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
   net_.set_delivery_hook([this](EndpointId ep) { on_delivery(ep); });
 }
 
+void Machine::name_tracks() {
+  // The single-bank machine keeps the historical "directory" name.
+  const std::uint16_t procs = static_cast<std::uint16_t>(cfg_.num_procs);
+  for (std::uint16_t p = 0; p < procs; ++p) {
+    events_.set_track(p, "core" + std::to_string(p));
+    events_.set_track(static_cast<std::uint16_t>(procs + p), "cache" + std::to_string(p));
+  }
+  const std::uint32_t banks = dir_.num_banks();
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    events_.set_track(static_cast<std::uint16_t>(2 * procs + b),
+                      banks == 1 ? std::string("directory") : "dir" + std::to_string(b));
+  }
+  net_.name_tracks();
+}
+
 void Machine::step() {
   net_.deliver(cycle_);
   dir_.tick(cycle_);
-  for (auto& c : caches_) c->tick(cycle_);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    cores_[p]->tick(cycle_);
-    if (!drained_[p] && cores_[p]->drained()) {
-      drained_[p] = true;
-      drain_cycle_[p] = cycle_;
+  for (auto& proc : procs_) proc->cache.tick(cycle_);
+  for (auto& proc : procs_) {
+    proc->core.tick(cycle_);
+    if (!proc->drained && proc->core.drained()) {
+      proc->drained = true;
+      proc->drain_cycle = cycle_;
       --undrained_cores_;
     }
   }
@@ -103,12 +103,9 @@ bool Machine::done() const {
 }
 
 bool Machine::done_scan() const {
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    if (!drained_[p]) return false;
-  }
   if (!net_.idle() || !dir_.idle()) return false;
-  for (const auto& c : caches_) {
-    if (!c->idle()) return false;
+  for (const auto& proc : procs_) {
+    if (!proc->drained || !proc->cache.idle()) return false;
   }
   return true;
 }
@@ -133,14 +130,14 @@ Cycle Machine::next_event_cycle() const {
   // just drained still reports its final tick as progress, and must
   // tick once more before it may be treated as asleep.)
   if (busy_caches_ != 0) {
-    for (const auto& c : caches_) {
-      t = c->next_event(cycle_);
+    for (const auto& proc : procs_) {
+      t = proc->cache.next_event(cycle_);
       if (t < ne) ne = t;
       if (ne <= cycle_) return ne;
     }
   }
-  for (const auto& c : cores_) {
-    t = c->next_event(cycle_);
+  for (const auto& proc : procs_) {
+    t = proc->core.next_event(cycle_);
     if (t < ne) ne = t;
     if (ne <= cycle_) return ne;
   }
@@ -149,7 +146,7 @@ Cycle Machine::next_event_cycle() const {
 
 void Machine::init_scheduler() {
   const std::uint32_t banks = dir_.num_banks();
-  sched_.reset(1 + banks + 2ull * cfg_.num_procs);
+  sched_.clear();
   sched_live_ = true;
   // Arm for whatever state the machine is in (fresh, or mid-flight
   // after manual step() calls): the network from its own earliest
@@ -163,7 +160,7 @@ void Machine::init_scheduler() {
       sched_.arm(bank_comp(b), cycle_);
   }
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    Cycle cache_at = caches_[p]->next_event(cycle_);
+    Cycle cache_at = procs_[p]->cache.next_event(cycle_);
     if (!net_.inbox_empty(p) || cache_at < cycle_) cache_at = cycle_;
     sched_.arm(cache_comp(p), cache_at);
     sched_.arm(core_comp(p), cycle_);
@@ -188,8 +185,8 @@ void Machine::step_active() {
       // The core's sleep ends here: its stall cause was frozen up to
       // this cache tick. Settling first is what lets Core::settle assert
       // that; the charge itself would be the same after the tick.
-      cores_[p]->settle(c);
-      caches_[p]->tick(c);
+      procs_[p]->core.settle(c);
+      procs_[p]->cache.tick(c);
       // A cache that acted means its core must tick live this cycle
       // (fills queue responses, invalidations squash — the naive loop
       // ticked it too); tick_core_live then re-arms the cache if a fill
@@ -208,27 +205,28 @@ void Machine::step_active() {
 
 void Machine::tick_core_live(ProcId p) {
   const Cycle c = cycle_;
-  cores_[p]->tick(c);  // charges any span it slept through first
-  if (!drained_[p] && cores_[p]->drained()) {
-    drained_[p] = true;
-    drain_cycle_[p] = c;
+  Proc& proc = *procs_[p];
+  proc.core.tick(c);  // charges any span it slept through first
+  if (!proc.drained && proc.core.drained()) {
+    proc.drained = true;
+    proc.drain_cycle = c;
     --undrained_cores_;
   }
   // Progress: the pipeline is live, tick again next cycle. Frozen:
   // timed local events (store-to-load forwarding) arm the core
   // directly; external wake-ups arrive via this cache's tick, which
   // re-arms it. kCycleNever leaves it unarmed.
-  const Cycle ne = cores_[p]->next_event(c);
+  const Cycle ne = proc.core.next_event(c);
   sched_.arm(core_comp(p), ne <= c ? c + 1 : ne);
   // The cache acts on its own only to retry a deferred fill. A queued
   // response needs no cache tick: this core drains it, and is armed
   // already — by its own progress after a hit probe, or by the cache
   // tick that queued a fill.
-  if (caches_[p]->retry_pending()) sched_.arm(cache_comp(p), c + 1);
+  if (proc.cache.retry_pending()) sched_.arm(cache_comp(p), c + 1);
 }
 
 void Machine::settle_cores() {
-  for (auto& core : cores_) core->settle(cycle_);
+  for (auto& proc : procs_) proc->core.settle(cycle_);
 }
 
 void Machine::on_delivery(EndpointId ep) {
@@ -245,10 +243,11 @@ std::string Machine::audit_fingerprint() const {
   std::ostringstream os;
   os << "cycle=" << cycle_ << '\n';
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    os << "core" << p << " retired=" << cores_[p]->instructions_retired()
-       << " halted=" << cores_[p]->halted() << " drained=" << (drained_[p] ? 1 : 0)
-       << " drain_cycle=" << drain_cycle_[p] << " regs=";
-    for (RegId r = 0; r < kNumArchRegs; ++r) os << cores_[p]->reg(r) << ',';
+    const Proc& proc = *procs_[p];
+    os << "core" << p << " retired=" << proc.core.instructions_retired()
+       << " halted=" << proc.core.halted() << " drained=" << (proc.drained ? 1 : 0)
+       << " drain_cycle=" << proc.drain_cycle << " regs=";
+    for (RegId r = 0; r < kNumArchRegs; ++r) os << proc.core.reg(r) << ',';
     os << '\n';
   }
   if (cfg_.profile) {
@@ -256,7 +255,7 @@ std::string Machine::audit_fingerprint() const {
     // and the unresolved-prefetch tag counts are the profiler state
     // outside any StatSet, so fingerprint them explicitly.
     for (ProcId p = 0; p < cfg_.num_procs; ++p)
-      os << "cache" << p << ".pf_pending " << caches_[p]->profile_pending() << '\n';
+      os << "cache" << p << ".pf_pending " << procs_[p]->cache.profile_pending() << '\n';
     os << dir_.ledger().fingerprint();
   }
   os << stats_report();
@@ -297,6 +296,7 @@ RunResult Machine::run() {
   };
 #endif
   wedged_at_ = kCycleNever;
+  if (events_.enabled()) name_tracks();
   if (cfg_.fastforward) {
     // Active-set loop: the heap top is the O(1) answer to "earliest
     // cycle anything can act" — a jump past quiescent cycles costs
@@ -307,7 +307,7 @@ RunResult Machine::run() {
     // something observes its individual ticks.
     const bool periodic = !events_.enabled() && !cfg_.profile && !cfg_.record_accesses;
     if (periodic) {
-      for (auto& core : cores_) core->allow_periodic_sleep(&period_records_);
+      for (auto& proc : procs_) proc->core.allow_periodic_sleep(&period_records_);
     }
     init_scheduler();
     while (!done() && cycle_ < cfg_.max_cycles) {
@@ -328,7 +328,7 @@ RunResult Machine::run() {
     }
     settle_cores();
     if (periodic) {
-      for (auto& core : cores_) core->allow_periodic_sleep(nullptr);
+      for (auto& proc : procs_) proc->core.allow_periodic_sleep(nullptr);
     }
     sched_live_ = false;
   } else {
@@ -341,13 +341,16 @@ RunResult Machine::run() {
   RunResult r;
   r.deadlocked = !done();
   r.wedged_at = wedged_at_;
-  r.drain_cycle = drain_cycle_;
   r.ticks = cycle_;
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    cores_[p]->flush_stall_episode(cycle_);
-    r.retired.push_back(cores_[p]->instructions_retired());
-    r.stall.push_back(cores_[p]->stall_cycles());
-    if (drain_cycle_[p] > r.cycles) r.cycles = drain_cycle_[p];
+  r.drain_cycle.reserve(cfg_.num_procs);
+  r.retired.reserve(cfg_.num_procs);
+  r.stall.reserve(cfg_.num_procs);
+  for (auto& proc : procs_) {
+    proc->core.flush_stall_episode(cycle_);
+    r.drain_cycle.push_back(proc->drain_cycle);
+    r.retired.push_back(proc->core.instructions_retired());
+    r.stall.push_back(proc->core.stall_cycles());
+    if (proc->drain_cycle > r.cycles) r.cycles = proc->drain_cycle;
   }
   if (r.deadlocked) r.cycles = cycle_;
   return r;
@@ -364,26 +367,30 @@ std::span<const Word> line_from_memory(const FlatMemory& mem, Addr line, std::ui
 }  // namespace
 
 void Machine::preload_shared(ProcId p, Addr a) {
+#ifdef MCSIM_FF_AUDIT
   preload_log_.push_back(PreloadRecord{true, p, a});
-  Addr line = caches_.at(p)->line_of(a);
+#endif
+  Addr line = cache(p).line_of(a);
   Message::LineData buf;
-  caches_[p]->preload_line(line, LineState::kShared,
+  procs_[p]->cache.preload_line(line, LineState::kShared,
                            line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kShared, p);
 }
 
 void Machine::preload_exclusive(ProcId p, Addr a) {
+#ifdef MCSIM_FF_AUDIT
   preload_log_.push_back(PreloadRecord{false, p, a});
-  Addr line = caches_.at(p)->line_of(a);
+#endif
+  Addr line = cache(p).line_of(a);
   Message::LineData buf;
-  caches_[p]->preload_line(line, LineState::kExclusive,
+  procs_[p]->cache.preload_line(line, LineState::kExclusive,
                            line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kDirty, p);
 }
 
 Word Machine::read_word(Addr a) const {
-  for (const auto& c : caches_) {
-    if (c->line_state(a) == LineState::kExclusive) return *c->peek_word(a);
+  for (const auto& proc : procs_) {
+    if (proc->cache.line_state(a) == LineState::kExclusive) return *proc->cache.peek_word(a);
   }
   return dir_.memory().read(a);
 }
@@ -391,15 +398,16 @@ Word Machine::read_word(Addr a) const {
 std::string Machine::stats_report() const {
   std::ostringstream os;
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    os << cores_[p]->stats().report();
-    const StallBreakdown& stall = cores_[p]->stall_cycles();
+    const Proc& proc = *procs_[p];
+    os << proc.core.stats().report();
+    const StallBreakdown& stall = proc.core.stall_cycles();
     for (std::size_t c = 0; c < kNumStallCauses; ++c) {
       if (stall[c] == 0) continue;
       os << "core" << p << ".stall." << to_string(static_cast<StallCause>(c)) << ' '
          << stall[c] << '\n';
     }
-    os << cores_[p]->lsu().stats().report();
-    os << caches_[p]->stats().report();
+    os << proc.core.lsu().stats().report();
+    os << proc.cache.stats().report();
   }
   for (std::uint32_t b = 0; b < dir_.num_banks(); ++b)
     os << dir_.bank(b).stats().report();
@@ -413,10 +421,10 @@ Json Machine::post_mortem() const {
   if (wedged_at_ != kCycleNever)
     out.set("wedged_at", Json::number(static_cast<std::uint64_t>(wedged_at_)));
   Json cores = Json::array();
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) cores.push_back(cores_[p]->snapshot_json());
+  for (const auto& proc : procs_) cores.push_back(proc->core.snapshot_json());
   out.set("cores", std::move(cores));
   Json caches = Json::array();
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) caches.push_back(caches_[p]->snapshot_json());
+  for (const auto& proc : procs_) caches.push_back(proc->cache.snapshot_json());
   out.set("caches", std::move(caches));
   out.set("network", net_.snapshot_json());
   out.set("directory", dir_.snapshot_json());
@@ -428,7 +436,7 @@ Json Machine::post_mortem() const {
 std::vector<std::vector<AccessRecord>> Machine::access_logs() const {
   std::vector<std::vector<AccessRecord>> logs;
   logs.reserve(cfg_.num_procs);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) logs.push_back(cores_[p]->lsu().access_log());
+  for (const auto& proc : procs_) logs.push_back(proc->core.lsu().access_log());
   return logs;
 }
 

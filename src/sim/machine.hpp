@@ -79,14 +79,15 @@ class Machine {
   /// scan under MCSIM_FF_AUDIT.
   bool done() const;
 
-  Core& core(ProcId p) { return *cores_.at(p); }
-  const Core& core(ProcId p) const { return *cores_.at(p); }
-  CoherentCache& cache(ProcId p) { return *caches_.at(p); }
-  const CoherentCache& cache(ProcId p) const { return *caches_.at(p); }
+  Core& core(ProcId p) { return procs_.at(p)->core; }
+  const Core& core(ProcId p) const { return procs_.at(p)->core; }
+  CoherentCache& cache(ProcId p) { return procs_.at(p)->cache; }
+  const CoherentCache& cache(ProcId p) const { return procs_.at(p)->cache; }
   DirectoryGroup& directory() { return dir_; }
   const DirectoryGroup& directory() const { return dir_; }
   Network& network() { return net_; }
   /// Chrome trace-event timeline; call .enable() before run() to record.
+  /// run() names the tracks when the sink is enabled.
   TraceEventSink& trace_events() { return events_; }
   const TraceEventSink& trace_events() const { return events_; }
   const SystemConfig& config() const { return cfg_; }
@@ -136,6 +137,8 @@ class Machine {
     return 1 + dir_.num_banks() + cfg_.num_procs + p;
   }
 
+  /// Register every track's name on events_.
+  void name_tracks();
   /// Arm every component for the current machine state and mark the
   /// scheduler live (run()'s fast-forward loop entry).
   void init_scheduler();
@@ -162,12 +165,21 @@ class Machine {
   std::vector<Program> programs_;
   Network net_;
   DirectoryGroup dir_;
-  std::vector<std::unique_ptr<CoherentCache>> caches_;
-  std::vector<std::unique_ptr<Core>> cores_;
-  std::vector<Cycle> drain_cycle_;
-  std::vector<bool> drained_;
-  std::vector<PreloadRecord> preload_log_;
-  std::uint64_t undrained_cores_ = 0;  ///< cores with drained_[p] false
+  /// One processor: its cache and core in one allocation, and whether
+  /// and when the core drained.
+  struct Proc {
+    Proc(ProcId p, const SystemConfig& cfg, const Program& program, Network& net,
+         TraceEventSink* events)
+        : cache(p, cfg.cache, cfg.mem, net, cfg.num_procs),
+          core(p, cfg, program, cache, events) {}
+    CoherentCache cache;
+    Core core;
+    bool drained = false;
+    Cycle drain_cycle = 0;
+  };
+  std::vector<std::unique_ptr<Proc>> procs_;
+  std::vector<PreloadRecord> preload_log_;  ///< kept by MCSIM_FF_AUDIT builds only
+  std::uint64_t undrained_cores_ = 0;  ///< cores not drained
   std::uint64_t busy_caches_ = 0;      ///< caches with pending work
   Cycle cycle_ = 0;
 

@@ -11,7 +11,7 @@ bool Scheduler::validate() const {
   // every armed component outside the heap has exactly its own wheel
   // bit, inside [base, base + kWheelSlots).
   std::size_t in_heap = 0, in_wheel = 0;
-  for (CompId c = 0; c < pos_.size(); ++c) {
+  for (CompId c = 0; c < universe_; ++c) {
     const std::uint64_t mask = std::uint64_t{1} << (c % 64);
     std::uint32_t bits_set = 0;
     for (std::uint32_t s = 0; s < kWheelSlots; ++s) {

@@ -35,8 +35,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
+#include "common/slab.hpp"
 #include "common/types.hpp"
 
 namespace mcsim {
@@ -46,16 +46,26 @@ class Scheduler {
   using CompId = std::uint32_t;
   static constexpr std::uint32_t kWheelSlots = 64;
 
-  explicit Scheduler(std::size_t universe = 0) { reset(universe); }
+  /// Every table is sized for `universe` components here, in one block.
+  explicit Scheduler(std::size_t universe)
+      : universe_(universe),
+        words_((universe + 63) / 64),
+        slab_(Slab::bytes<Slot>(universe) + Slab::bytes<std::uint32_t>(universe) +
+              Slab::bytes<Cycle>(universe) + Slab::bytes<std::uint64_t>(words_ * kWheelSlots)),
+        heap_(universe, slab_),
+        pos_(slab_.take<std::uint32_t>(universe)),
+        when_(slab_.take<Cycle>(universe)),
+        bits_(slab_.take<std::uint64_t>(words_ * kWheelSlots)) {
+    assert(slab_.full());
+    clear();
+  }
 
-  /// Drop every arming and resize the component universe.
-  void reset(std::size_t universe) {
+  /// Drop every arming.
+  void clear() {
     heap_.clear();
-    heap_.reserve(universe);
-    pos_.assign(universe, kNotArmed);
-    when_.assign(universe, kCycleNever);
-    words_ = (universe + 63) / 64;
-    bits_.assign(words_ * kWheelSlots, 0);
+    std::fill_n(pos_, universe_, kNotArmed);
+    std::fill_n(when_, universe_, kCycleNever);
+    std::fill_n(bits_, words_ * kWheelSlots, 0);
     count_.fill(0);
     first_word_.fill(0);
     occupied_ = 0;
@@ -63,7 +73,7 @@ class Scheduler {
     base_ = 0;
   }
 
-  std::size_t universe() const { return pos_.size(); }
+  std::size_t universe() const { return universe_; }
   std::size_t armed_count() const { return heap_.size() + in_wheel_; }
   bool empty() const { return heap_.empty() && in_wheel_ == 0; }
 
@@ -71,7 +81,7 @@ class Scheduler {
   /// one; `at == kCycleNever` cancels the arming. Re-arming to the
   /// value already held is a no-op.
   void arm(CompId c, Cycle at) {
-    assert(c < pos_.size());
+    assert(c < universe_);
     const Cycle prev = when_[c];
     if (prev == at) return;
     when_[c] = at;
@@ -104,7 +114,7 @@ class Scheduler {
 
   /// The cycle `c` is armed for; kCycleNever when unarmed.
   Cycle armed_at(CompId c) const {
-    assert(c < when_.size());
+    assert(c < universe_);
     return when_[c];
   }
 
@@ -170,10 +180,8 @@ class Scheduler {
   static std::uint32_t slot_of(Cycle at) {
     return static_cast<std::uint32_t>(at & (kWheelSlots - 1));
   }
-  std::uint64_t* slot_bits(std::uint32_t s) { return bits_.data() + s * words_; }
-  const std::uint64_t* slot_bits(std::uint32_t s) const {
-    return bits_.data() + s * words_;
-  }
+  std::uint64_t* slot_bits(std::uint32_t s) { return bits_ + s * words_; }
+  const std::uint64_t* slot_bits(std::uint32_t s) const { return bits_ + s * words_; }
 
   /// Earliest occupied wheel cycle. Wheel must be non-empty.
   Cycle wheel_next() const {
@@ -254,14 +262,17 @@ class Scheduler {
     else sift_down(i);
   }
 
+  std::size_t universe_;
+  std::size_t words_;                ///< 64-bit words per slot bitset
+  Slab slab_;                        ///< the four tables below
+
   // --- overflow heap -------------------------------------------------
-  std::vector<Slot> heap_;
-  std::vector<std::uint32_t> pos_;   ///< comp -> heap index, kNotArmed
-  std::vector<Cycle> when_;          ///< comp -> armed cycle, kCycleNever
+  SlabVector<Slot> heap_;
+  std::uint32_t* pos_;               ///< comp -> heap index, kNotArmed
+  Cycle* when_;                      ///< comp -> armed cycle, kCycleNever
 
   // --- calendar wheel ------------------------------------------------
-  std::size_t words_ = 0;            ///< 64-bit words per slot bitset
-  std::vector<std::uint64_t> bits_;  ///< kWheelSlots bitsets, slot-major
+  std::uint64_t* bits_;              ///< kWheelSlots bitsets, slot-major
   std::array<std::uint32_t, kWheelSlots> count_{};  ///< armings per slot
   /// Per slot, a word index at or below its lowest non-zero word.
   mutable std::array<std::uint32_t, kWheelSlots> first_word_{};

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <set>
 #include <sstream>
 
 namespace mcsim {
@@ -28,22 +26,22 @@ std::string CheckResult::describe() const {
   return os.str();
 }
 
-std::vector<AccessClass> classes_of(AccessKind kind, SyncKind sync) {
+AccessClasses classes_of(AccessKind kind, SyncKind sync) {
   switch (kind) {
     case AccessKind::kLoad:
-      return {sync == SyncKind::kAcquire ? AccessClass::kAcquire : AccessClass::kLoad};
+      return {{sync == SyncKind::kAcquire ? AccessClass::kAcquire : AccessClass::kLoad}, 1};
     case AccessKind::kStore:
-      return {sync == SyncKind::kRelease ? AccessClass::kRelease : AccessClass::kStore};
+      return {{sync == SyncKind::kRelease ? AccessClass::kRelease : AccessClass::kStore}, 1};
     case AccessKind::kRmw: {
       // An RMW is a read and a write performing atomically: its read
       // side is an acquire when so flavored, its write side a release
       // when so flavored (plain otherwise).
       AccessClass rd = sync == SyncKind::kAcquire ? AccessClass::kAcquire : AccessClass::kLoad;
       AccessClass wr = sync == SyncKind::kRelease ? AccessClass::kRelease : AccessClass::kStore;
-      return {rd, wr};
+      return {{rd, wr}, 2};
     }
   }
-  return {AccessClass::kLoad};
+  return {{AccessClass::kLoad}, 1};
 }
 
 namespace {
@@ -56,9 +54,12 @@ struct Checker {
   CheckResult out;
 
   /// Write value of each record (store value, or the RMW's new value
-  /// reconstructed by the replay). Aligned with logs; loads unused.
-  std::vector<std::vector<Word>> write_values;
+  /// reconstructed by the replay), processor by processor: processor
+  /// p's record i is at p's base plus i. Loads unused.
+  std::vector<Word> write_values;
   bool replay_ok = true;
+  /// check_reads' per-read scratch, reused: the values a read may return.
+  std::vector<Word> candidates;
 
   bool full() const { return out.violations.size() >= max_violations; }
 
@@ -75,7 +76,7 @@ struct Checker {
   // wrong store value, an access the program cannot produce — is a
   // core/LSU bug, and it also voids the RMW write values the
   // reads-from check needs, so a failed replay skips that check.
-  void replay(ProcId p) {
+  void replay(ProcId p, std::size_t base) {
     const Program& prog = programs[p];
     const std::vector<AccessRecord>& log = logs[p];
     std::array<Word, kNumArchRegs> regs{};
@@ -129,7 +130,7 @@ struct Checker {
           if (r.value != regs[inst.rs2])
             return mismatch("store wrote " + std::to_string(r.value) + ", semantics say " +
                             std::to_string(regs[inst.rs2]));
-          write_values[p][li] = r.value;
+          write_values[base + li] = r.value;
           ++li;
           break;
         }
@@ -142,7 +143,8 @@ struct Checker {
           if (r.kind != AccessKind::kRmw || r.addr != ea || r.sync != inst.sync)
             return mismatch("rmw record disagrees (addr/kind/sync)");
           const Word old = r.value;
-          write_values[p][li] = eval_rmw_new_value(inst, old, regs[inst.rs1], regs[inst.rs2]);
+          write_values[base + li] =
+              eval_rmw_new_value(inst, old, regs[inst.rs1], regs[inst.rs2]);
           regs[inst.rd] = old;
           ++li;
           break;
@@ -177,9 +179,9 @@ struct Checker {
   void check_arcs(ProcId p) {
     const std::vector<AccessRecord>& log = logs[p];
     for (std::size_t j = 1; j < log.size() && !full(); ++j) {
-      const std::vector<AccessClass> cj = classes_of(log[j].kind, log[j].sync);
+      const AccessClasses cj = classes_of(log[j].kind, log[j].sync);
       for (std::size_t i = 0; i < j && !full(); ++i) {
-        const std::vector<AccessClass> ci = classes_of(log[i].kind, log[i].sync);
+        const AccessClasses ci = classes_of(log[i].kind, log[i].sync);
         bool required = false;
         for (AccessClass a : ci) {
           for (AccessClass b : cj) required = required || requires_delay(model, a, b);
@@ -201,22 +203,32 @@ struct Checker {
   struct Event {
     Cycle at;
     ProcId proc;
-    std::size_t idx;  ///< index into logs[proc]
+    std::size_t idx;   ///< index into logs[proc]
+    std::size_t flat;  ///< index into write_values
   };
 
-  void check_reads() {
-    // Initial memory image: later programs' data inits override (the
-    // Machine applies them in program order at construction).
-    std::map<Addr, Word> init;
+  /// Initial memory image: later programs' data inits override (the
+  /// Machine applies them in program order at construction).
+  Word initial_value(Addr word) const {
+    Word v = 0;
     for (const Program& prog : programs) {
       for (const DataInit& d : prog.data())
-        init[d.addr & ~static_cast<Addr>(kWordBytes - 1)] = d.value;
+        if ((d.addr & ~static_cast<Addr>(kWordBytes - 1)) == word) v = d.value;
     }
+    return v;
+  }
 
+  void candidate(Word v) {
+    if (std::find(candidates.begin(), candidates.end(), v) == candidates.end())
+      candidates.push_back(v);
+  }
+
+  void check_reads() {
     std::vector<Event> events;
+    events.reserve(write_values.size());
     for (ProcId p = 0; p < logs.size(); ++p) {
       for (std::size_t i = 0; i < logs[p].size(); ++i)
-        events.push_back({logs[p][i].performed_at, p, i});
+        events.push_back({logs[p][i].performed_at, p, i, events.size()});
     }
     std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
       if (a.at != b.at) return a.at < b.at;
@@ -231,7 +243,7 @@ struct Checker {
       ++out.reads_checked;
 
       // Collect every value the global perform order could justify.
-      std::set<Word> candidates;
+      candidates.clear();
       Cycle best = 0;
       bool have_store = false;
       for (const Event& w : events) {
@@ -248,34 +260,32 @@ struct Checker {
         if (wr.kind == AccessKind::kLoad || wr.addr != r.addr) continue;
         if (w.proc == e.proc && wr.seq == r.seq) continue;
         // The latest performed write(s) before the read.
-        if (w.at < e.at && have_store && w.at == best)
-          candidates.insert(write_values[w.proc][w.idx]);
+        if (w.at < e.at && have_store && w.at == best) candidate(write_values[w.flat]);
         // Writes performing the same cycle: intra-cycle order is not
         // observable, so either side of the race is legal — except this
         // processor's own program-order-later accesses.
         if (w.at == e.at && !(w.proc == e.proc && wr.seq > r.seq))
-          candidates.insert(write_values[w.proc][w.idx]);
+          candidate(write_values[w.flat]);
       }
-      if (!have_store) {
-        auto it = init.find(r.addr & ~static_cast<Addr>(kWordBytes - 1));
-        candidates.insert(it == init.end() ? 0 : it->second);
-      }
+      if (!have_store) candidate(initial_value(r.addr & ~static_cast<Addr>(kWordBytes - 1)));
       // Store-to-load forwarding: a plain program-order-earlier store of
       // this processor may supply the value before it performs globally
       // (the LSU only forwards when the model lets the load perform, so
       // the ordering side is already covered by the arc check).
       if (r.kind == AccessKind::kLoad) {
         const std::vector<AccessRecord>& mylog = logs[e.proc];
+        const std::size_t base = e.flat - e.idx;
         for (std::size_t i = e.idx; i-- > 0;) {
           const AccessRecord& wr = mylog[i];
           if (wr.addr != r.addr || wr.kind == AccessKind::kLoad) continue;
           if (wr.kind == AccessKind::kStore && wr.performed_at >= r.performed_at)
-            candidates.insert(write_values[e.proc][i]);
+            candidate(write_values[base + i]);
           break;  // only the nearest earlier same-address write can forward
         }
       }
 
-      if (candidates.count(r.value) == 0) {
+      if (std::find(candidates.begin(), candidates.end(), r.value) == candidates.end()) {
+        std::sort(candidates.begin(), candidates.end());
         std::ostringstream os;
         os << (r.kind == AccessKind::kRmw ? "rmw read" : "load") << " pc=" << r.pc
            << " addr=0x" << std::hex << r.addr << std::dec << " @" << r.performed_at
@@ -292,16 +302,21 @@ struct Checker {
 CheckResult check_execution(ConsistencyModel m, const std::vector<Program>& programs,
                             const std::vector<std::vector<AccessRecord>>& logs,
                             std::size_t max_violations) {
-  Checker c{m, programs, logs, max_violations, {}, {}, true};
-  c.write_values.resize(logs.size());
-  for (std::size_t p = 0; p < logs.size(); ++p) c.write_values[p].resize(logs[p].size(), 0);
+  Checker c{m, programs, logs, max_violations, {}, {}, true, {}};
   if (programs.size() != logs.size()) {
     c.flag(CheckViolation::Kind::kReplayMismatch, 0, 0,
            "log has " + std::to_string(logs.size()) + " processors, program set " +
                std::to_string(programs.size()));
     return std::move(c.out);
   }
-  for (ProcId p = 0; p < programs.size() && !c.full(); ++p) c.replay(p);
+  std::size_t records = 0;
+  for (const std::vector<AccessRecord>& log : logs) records += log.size();
+  c.write_values.assign(records, 0);
+  std::size_t base = 0;
+  for (ProcId p = 0; p < programs.size() && !c.full(); ++p) {
+    c.replay(p, base);
+    base += logs[p].size();
+  }
   for (ProcId p = 0; p < programs.size() && !c.full(); ++p) c.check_arcs(p);
   if (c.replay_ok && !c.full()) c.check_reads();
   return std::move(c.out);

@@ -29,6 +29,7 @@
 // executions checkable at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -71,10 +72,19 @@ CheckResult check_execution(ConsistencyModel m, const std::vector<Program>& prog
                             const std::vector<std::vector<AccessRecord>>& logs,
                             std::size_t max_violations = 8);
 
+/// The Figure-1 classes one access occupies: one, or two for an RMW.
+struct AccessClasses {
+  std::array<AccessClass, 2> c{};
+  std::uint8_t n = 0;
+  const AccessClass* begin() const { return c.data(); }
+  const AccessClass* end() const { return c.data() + n; }
+  AccessClass front() const { return c[0]; }
+};
+
 /// The Figure-1 access classes an architectural access occupies: a
 /// plain load is {kLoad}, an acquire RMW is {kAcquire, kStore}, etc.
 /// Exposed for the property tests.
-std::vector<AccessClass> classes_of(AccessKind kind, SyncKind sync);
+AccessClasses classes_of(AccessKind kind, SyncKind sync);
 
 }  // namespace sva
 }  // namespace mcsim

@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "common/config.hpp"
 #include "common/parse_uint.hpp"
 
 namespace mcsim {
@@ -21,7 +23,11 @@ const char* kMnemonics[kNumTraceOpKinds] = {
     "fence",
 };
 
-[[noreturn]] void fail(const std::string& what) { throw TraceError("trace: " + what); }
+constexpr std::string_view kErrorPrefix = "trace: ";
+
+[[noreturn]] void fail(const std::string& what) {
+  throw TraceError(std::string(kErrorPrefix) + what);
+}
 
 // ---- little-endian primitives -----------------------------------------
 
@@ -104,6 +110,9 @@ void TraceFile::validate() const {
   if (ops.empty()) fail("no processors");
   if (ops.size() > 4096) fail("implausible processor count " + std::to_string(ops.size()));
   if (total_ops() == 0) fail("zero-op trace (no processor has any operation)");
+  // Without a `mem` line the trace runs on the default memory, which no
+  // flag changes.
+  const std::uint64_t bound = mem_bytes != 0 ? mem_bytes : MemConfig{}.mem_bytes;
   for (std::uint32_t p = 0; p < num_procs(); ++p) {
     for (std::size_t i = 0; i < ops[p].size(); ++i) {
       const TraceOp& op = ops[p][i];
@@ -115,9 +124,9 @@ void TraceFile::validate() const {
       if (op.addr % kWordBytes != 0)
         fail("proc " + std::to_string(p) + " op " + std::to_string(i) +
              ": unaligned address " + hex(op.addr));
-      if (mem_bytes != 0 && (mem_bytes < kWordBytes || op.addr > mem_bytes - kWordBytes))
+      if (bound < kWordBytes || op.addr > bound - kWordBytes)
         fail("proc " + std::to_string(p) + " op " + std::to_string(i) + ": address " +
-             hex(op.addr) + " outside mem_bytes " + std::to_string(mem_bytes));
+             hex(op.addr) + " outside mem_bytes " + std::to_string(bound));
     }
   }
 }
@@ -356,7 +365,10 @@ TraceFile read_trace(const std::string& path) {
   try {
     return parse_trace(bytes);
   } catch (const TraceError& e) {
-    fail("'" + path + "': " + e.what());
+    // Name the file after the prefix the message already carries.
+    std::string_view what = e.what();
+    if (what.starts_with(kErrorPrefix)) what.remove_prefix(kErrorPrefix.size());
+    fail("'" + path + "': " + std::string(what));
   }
 }
 

@@ -117,7 +117,8 @@ struct TraceFile {
 
   /// Structural validation shared by both decoders and the generators:
   /// at least one processor, at least one op in total, every address
-  /// word-aligned and inside mem_bytes (when set). Throws TraceError.
+  /// word-aligned and inside mem_bytes (MemConfig{}.mem_bytes when
+  /// unset: the memory such a trace runs on). Throws TraceError.
   void validate() const;
 };
 

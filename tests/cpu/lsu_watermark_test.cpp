@@ -58,7 +58,7 @@ class Harness : public LsuHost, public LineEventObserver {
     net_ = std::make_unique<Network>(2, cfg_.mem.net_latency);
     dir_ = std::make_unique<DirectoryGroup>(1, cfg_.cache, cfg_.mem, *net_);
     cache_ = std::make_unique<CoherentCache>(0, cfg_.cache, cfg_.mem, *net_, 1);
-    lsu_ = std::make_unique<LoadStoreUnit>(0, cfg_, *cache_, *this, nullptr);
+    lsu_ = std::make_unique<LoadStoreUnit>(0, cfg_, 0, *cache_, *this, nullptr);
     cache_->set_observer(this);
     for (Opcode op : {Opcode::kLoad, Opcode::kStore, Opcode::kRmw}) {
       for (SyncKind k : {SyncKind::kNone, SyncKind::kAcquire, SyncKind::kRelease}) {

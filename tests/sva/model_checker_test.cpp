@@ -205,20 +205,23 @@ TEST(ModelChecker, ProcessorCountMismatchIsRejected) {
 }
 
 TEST(ModelChecker, ClassesOfCoversTheFigure1Alphabet) {
-  using sva::classes_of;
-  EXPECT_EQ(classes_of(AccessKind::kLoad, SyncKind::kNone),
+  auto classes = [](AccessKind k, SyncKind s) {
+    const sva::AccessClasses c = classes_of(k, s);
+    return std::vector<AccessClass>(c.begin(), c.end());
+  };
+  EXPECT_EQ(classes(AccessKind::kLoad, SyncKind::kNone),
             (std::vector<AccessClass>{AccessClass::kLoad}));
-  EXPECT_EQ(classes_of(AccessKind::kLoad, SyncKind::kAcquire),
+  EXPECT_EQ(classes(AccessKind::kLoad, SyncKind::kAcquire),
             (std::vector<AccessClass>{AccessClass::kAcquire}));
-  EXPECT_EQ(classes_of(AccessKind::kStore, SyncKind::kNone),
+  EXPECT_EQ(classes(AccessKind::kStore, SyncKind::kNone),
             (std::vector<AccessClass>{AccessClass::kStore}));
-  EXPECT_EQ(classes_of(AccessKind::kStore, SyncKind::kRelease),
+  EXPECT_EQ(classes(AccessKind::kStore, SyncKind::kRelease),
             (std::vector<AccessClass>{AccessClass::kRelease}));
-  EXPECT_EQ(classes_of(AccessKind::kRmw, SyncKind::kNone),
+  EXPECT_EQ(classes(AccessKind::kRmw, SyncKind::kNone),
             (std::vector<AccessClass>{AccessClass::kLoad, AccessClass::kStore}));
-  EXPECT_EQ(classes_of(AccessKind::kRmw, SyncKind::kAcquire),
+  EXPECT_EQ(classes(AccessKind::kRmw, SyncKind::kAcquire),
             (std::vector<AccessClass>{AccessClass::kAcquire, AccessClass::kStore}));
-  EXPECT_EQ(classes_of(AccessKind::kRmw, SyncKind::kRelease),
+  EXPECT_EQ(classes(AccessKind::kRmw, SyncKind::kRelease),
             (std::vector<AccessClass>{AccessClass::kLoad, AccessClass::kRelease}));
 }
 

@@ -155,6 +155,41 @@ TEST(TraceReader, ReadTraceNamesTheFileOnIoError) {
   }
 }
 
+/// The message read_trace throws for `path`, or "" when it accepts it.
+std::string read_error(const std::string& path) {
+  try {
+    read_trace(path);
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceReader, ReadTraceNamesTheFileAfterOnePrefix) {
+  const std::string text = temp_path("prefix_once.mct");
+  write_file(text, "mcsim-trace v1\nprocs 1\n0 ld 0x40 +x\n");
+  EXPECT_EQ(read_error(text),
+            "trace: '" + text + "': line 3: bad delay: 'x' (expected an integer from 0 to "
+            "4294967295)");
+  const std::string binary = temp_path("prefix_once.mctb");
+  write_file(binary, write_trace_binary(tiny_trace()).substr(0, 10));
+  EXPECT_EQ(read_error(binary), "trace: '" + binary +
+                                    "': truncated binary trace (reading processor count at offset 8)");
+}
+
+TEST(TraceReader, AddressesWithoutAMemLineStayInTheDefaultMemory) {
+  // No `mem` line: the trace runs on MemConfig{}'s 1 MiB, so an address
+  // past it fails here, naming its op, and not in every cell at run time.
+  const std::string head = "mcsim-trace v1\nprocs 1\n";
+  expect_error_containing(head + "0 ld 0xfffffffffffffffc\n",
+                          "proc 0 op 0: address 0xfffffffffffffffc outside mem_bytes 1048576",
+                          "address at the top of the address space");
+  expect_error_containing(head + "0 ld 0x40\n0 st 0x100000 1\n",
+                          "proc 0 op 1: address 0x100000 outside mem_bytes 1048576",
+                          "address one past the default memory");
+  EXPECT_EQ(parse_trace(head + "0 ld 0xffffc\n").ops[0][0].addr, 0xffffcu);
+}
+
 // ---- per-cell error behavior through the ExperimentRunner -------------
 
 CellResult run_trace_cell(const std::string& path) {
