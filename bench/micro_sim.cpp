@@ -2,6 +2,7 @@
 // host machine simulates the guest, for the hot paths a user of the
 // library cares about when scaling experiments up.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <memory>
@@ -754,5 +755,16 @@ BENCHMARK(BM_CoreTickStallAccounting);
 
 }  // namespace
 }  // namespace mcsim
+
+// glibc serves a big block (a P=256 machine's arena) with mmap and
+// hands a freed heap top back to the OS, so a loop that builds and
+// destroys machines faults every page back in on each pass and the
+// machine rows time page faults more than the code. Keep freed memory in
+// the heap for the whole run, before anything is timed.
+[[maybe_unused]] const bool kHeapPinned = [] {
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);  // glibc's largest: every arena comes from the heap
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  return true;
+}();
 
 BENCHMARK_MAIN();

@@ -60,7 +60,8 @@ const TraceEventSink::NameId pf_pending = TraceEventSink::name_id("pf-pending");
 }  // namespace
 
 CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig& mem_cfg,
-                             Network& net, std::uint32_t num_procs)
+                             Network& net, std::uint32_t num_procs,
+                             std::pmr::memory_resource* arena)
     : id_(id),
       cfg_(cfg),
       protocol_(mem_cfg.coherence),
@@ -69,26 +70,22 @@ CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig&
       dir_banks_(mem_cfg.dir_banks),
       words_per_line_(cfg.line_bytes / kWordBytes),
       line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
-      slab_(slab_bytes(cfg)),
-      filled_(slab_.take<std::uint32_t>(cfg.num_sets)),
-      mshrs_(cfg.mshrs, slab_),
-      waiters_(cfg.mshrs, slab_),
-      ways_(slab_.take<Way>(std::size_t{cfg.num_sets} * cfg.ways)),
-      data_(slab_.take<Word>(std::size_t{cfg.num_sets} * cfg.ways * words_per_line_)),
-      stats_("cache" + std::to_string(id)) {
+      filled_(cfg.num_sets, 0, arena),
+      mshrs_(cfg.mshrs, arena),
+      waiters_(arena),
+      responses_(0, arena),
+      retry_fills_(0, arena),
+      retrying_(0, arena),
+      stats_("cache" + std::to_string(id), 0, arena) {
   assert(cfg.line_bytes <= kMaxLineBytes && "a line must fit a message payload");
   assert(std::has_single_bit(cfg.line_bytes) && "a line is a power of two bytes");
-  assert(slab_.full());
-  std::fill_n(filled_, cfg.num_sets, 0);
-  mshrs_.assign(cfg.mshrs, Mshr{});
+  waiters_.reserve(cfg.mshrs);
+  const std::size_t lines = std::size_t{cfg.num_sets} * cfg.ways;
+  const std::size_t bytes = lines * (sizeof(Way) + cfg.line_bytes);
+  arrays_ = {static_cast<std::byte*>(arena->allocate(bytes)), ArenaFree{arena, bytes}};
+  ways_ = reinterpret_cast<Way*>(arrays_.get());
+  data_ = reinterpret_cast<Word*>(arrays_.get() + lines * sizeof(Way));
   if (protocol_ == CoherenceKind::kUpdate) word_ops_.reserve(2 * cfg.mshrs);
-}
-
-std::size_t CoherentCache::slab_bytes(const CacheConfig& c) {
-  const std::size_t ways = std::size_t{c.num_sets} * c.ways;
-  return Slab::bytes<Way>(ways) + Slab::bytes<Word>(ways * (c.line_bytes / kWordBytes)) +
-         Slab::bytes<std::uint32_t>(c.num_sets) + Slab::bytes<Mshr>(c.mshrs) +
-         Slab::bytes<WaiterNode>(c.mshrs);
 }
 
 CoherentCache::Way* CoherentCache::find_way(Addr line) {
@@ -220,7 +217,7 @@ template <typename Walk>
 void CoherentCache::walk(Walk& w) {
   w.plain(responses_.size());
   for (std::size_t i = 0; i < responses_.size(); ++i) {
-    CacheResponse& r = responses_[i];
+    CacheResponse& r = responses_.at(i);
     w.token(r.token);
     w.plain(r.value | std::uint64_t{r.was_hit} << 32);
     w.cycle(r.ready_at);
@@ -266,7 +263,7 @@ void CoherentCache::push_response(std::uint64_t token, Word value, Cycle ready, 
   if (token == 0) return;  // prefetch: nobody waits for a reply
   assert((responses_.empty() || responses_.back().ready_at <= ready) &&
          "responses queue in ready order: the cache ticks before its core");
-  responses_.push_back(CacheResponse{token, value, ready, hit});
+  responses_.push(CacheResponse{token, value, ready, hit});
   busy_inc();
 }
 
@@ -652,7 +649,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       assert(m != nullptr && "read fill without MSHR");
       Way* way = fill_line(msg.line_addr, LineState::kShared, msg.data.data(), now);
       if (way == nullptr) {
-        retry_fills_.push_back(msg);
+        retry_fills_.push(msg);
         busy_inc();
         return;
       }
@@ -692,7 +689,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       assert(m != nullptr && "exclusive fill without MSHR");
       Way* way = fill_line(msg.line_addr, LineState::kExclusive, msg.data.data(), now);
       if (way == nullptr) {
-        retry_fills_.push_back(msg);
+        retry_fills_.push(msg);
         busy_inc();
         return;
       }
@@ -801,10 +798,10 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
 
 void CoherentCache::tick(Cycle now) {
   if (!retry_fills_.empty()) {
-    std::swap(retrying_, retry_fills_);
+    retrying_.swap(retry_fills_);
     for (std::size_t i = 0; i < retrying_.size(); ++i) {
       busy_dec();  // re-handled; a still-blocked fill re-queues (busy_inc)
-      handle_message(retrying_[i], now);
+      handle_message(retrying_.at(i), now);
     }
     retrying_.clear();
   }
@@ -814,8 +811,7 @@ void CoherentCache::tick(Cycle now) {
 
 bool CoherentCache::pop_response(Cycle now, CacheResponse& out) {
   if (responses_.empty() || responses_.front().ready_at > now) return false;
-  out = responses_.front();
-  responses_.pop_front();
+  out = responses_.pop();
   busy_dec();
   return true;
 }

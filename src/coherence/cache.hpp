@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -23,8 +24,7 @@
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/period.hpp"
-#include "common/ring_fifo.hpp"
-#include "common/slab.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -35,8 +35,10 @@ namespace mcsim {
 
 class CoherentCache {
  public:
+  /// Every config-sized buffer comes from `arena`.
   CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig& mem_cfg,
-                Network& net, std::uint32_t num_procs);
+                Network& net, std::uint32_t num_procs,
+                std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   ProcId id() const { return id_; }
   CoherenceKind protocol() const { return protocol_; }
@@ -235,8 +237,6 @@ class CoherentCache {
   Mshr* alloc_mshr(Addr line, Cycle now);
   /// find_mshr for a probe that may join the MSHR (counts as activity).
   Mshr* merge_target(Addr line);
-  /// Bytes of slab_ for a cache configured `c`.
-  static std::size_t slab_bytes(const CacheConfig& c);
   /// Close `m`, returning any waiters left on it to the pool.
   void close_mshr(Mshr& m, Cycle now);
   /// Append a waiter for `req` to `m`'s list.
@@ -320,28 +320,31 @@ class CoherentCache {
   std::size_t words_per_line_;
   /// log2(line_bytes): a line number is a shift, not a division.
   std::uint32_t line_shift_;
-  /// The fill counts, the MSHR file and the waiter pool's first buffer,
-  /// then the tag and data arrays: what a new cache writes comes first,
-  /// and the arrays stay untouched until lines fill.
-  Slab slab_;
   /// Per set, how many ways have ever been filled. A fill takes the
   /// first invalid way in index order, so the filled ways are a prefix.
-  std::uint32_t* filled_;
-  SlabVector<Mshr> mshrs_;
+  std::pmr::vector<std::uint32_t> filled_;
+  std::pmr::vector<Mshr> mshrs_;
   /// Waiter pool shared by the MSHRs, with room for one waiter per MSHR;
   /// it grows only to the high-water mark of merged accesses.
-  SlabVector<WaiterNode> waiters_;
+  std::pmr::vector<WaiterNode> waiters_;
   std::uint32_t free_waiter_ = kNoWaiter;  ///< head of the free list
-  /// Tag array: num_sets x ways entries, set-major. Left uninitialised,
-  /// so a cache costs O(lines filled), not O(capacity).
+  /// Hands the tag and data arrays back to the arena they came from.
+  struct ArenaFree {
+    std::pmr::memory_resource* arena;
+    std::size_t bytes;
+    void operator()(std::byte* p) const { arena->deallocate(p, bytes); }
+  };
+  /// The tag array, then the data array, in one uninitialised block, so
+  /// a cache costs O(lines filled), not O(capacity).
+  std::unique_ptr<std::byte[], ArenaFree> arrays_;
+  /// Tag array: num_sets x ways entries, set-major.
   Way* ways_;
-  /// Line words, words_per_line_ per way, in ways_ order; uninitialised
-  /// like ways_.
+  /// Line words, words_per_line_ per way, in ways_ order.
   Word* data_;
   std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
-  RingFifo<CacheResponse> responses_;  ///< ready_at non-decreasing
-  RingFifo<Message> retry_fills_;
-  RingFifo<Message> retrying_;  ///< tick()'s scratch: the fills it retries
+  FixedQueue<CacheResponse> responses_;  ///< ready_at non-decreasing
+  FixedQueue<Message> retry_fills_;
+  FixedQueue<Message> retrying_;  ///< tick()'s scratch: the fills it retries
 
   bool port_used_valid_ = false;
   Cycle port_used_at_ = 0;

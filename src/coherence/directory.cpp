@@ -44,7 +44,7 @@ std::string bank_stat_prefix(std::uint32_t bank, std::uint32_t num_banks) {
 Directory::Directory(std::uint32_t num_procs, std::uint32_t bank,
                      std::uint32_t num_banks, const CacheConfig& cache_cfg,
                      const MemConfig& mem_cfg, Network& net, FlatMemory& mem,
-                     SharingLedger& ledger)
+                     SharingLedger& ledger, std::pmr::memory_resource* arena)
     : num_procs_(num_procs),
       bank_(bank),
       num_banks_(num_banks),
@@ -55,9 +55,10 @@ Directory::Directory(std::uint32_t num_procs, std::uint32_t bank,
       net_(net),
       mem_(mem),
       ledger_(ledger),
-      stats_(bank_stat_prefix(bank, num_banks)) {
+      txns_(arena),
+      replay_(0, arena),
+      stats_(bank_stat_prefix(bank, num_banks), 0, arena) {
   assert(bank < num_banks);
-  entries_.reserve(1024);
   txns_.reserve(num_procs / num_banks + 1);
 }
 
@@ -180,7 +181,7 @@ void Directory::handle(const Message& msg, Cycle now) {
         return;
       default:
         // New request for a busy line: defer in arrival order.
-        txn.deferred.push_back(Deferred{msg, now});
+        txn.deferred.push(Deferred{msg, now});
         stats_.add(stat::deferred);
         return;
     }
@@ -193,7 +194,7 @@ Directory::Txn& Directory::open_txn(Entry& e, Txn::Kind kind, const Message& req
   std::uint32_t id = free_txn_;
   if (id == kNoTxn) {
     id = static_cast<std::uint32_t>(txns_.size());
-    txns_.emplace_back();
+    txns_.emplace_back(txns_.get_allocator().resource());
   } else {
     free_txn_ = txns_[id].next_free;
   }
@@ -456,20 +457,19 @@ void Directory::finish_txn(Entry& e, Cycle now) {
   --open_txns_;
   txn.next_free = free_txn_;
   free_txn_ = id;
-  std::swap(replay_, txn.deferred);
+  replay_.swap(txn.deferred);
 
   // Replay deferred requests in arrival order until one re-busies the
   // line, then hand the rest, first arrival cycles intact, to the new
   // transaction in one move.
   while (!replay_.empty()) {
-    const Deferred& d = replay_.front();
+    const Deferred d = replay_.pop();
     if (profile_) stats_.sample(prof::dir_queue_wait, now - d.arrived);
     handle_request(e, d.msg, now);
-    replay_.pop_front();
     if (e.txn != kNoTxn) {
-      RingFifo<Deferred>& next = txns_[e.txn].deferred;
+      FixedQueue<Deferred>& next = txns_[e.txn].deferred;
       assert(next.empty() && "handle_request deferred a replayed request");
-      std::swap(next, replay_);
+      next.swap(replay_);
       return;
     }
   }
@@ -495,11 +495,13 @@ Json Directory::snapshot_json() const {
 // --- DirectoryGroup --------------------------------------------------
 
 DirectoryGroup::DirectoryGroup(std::uint32_t num_procs, const CacheConfig& cache_cfg,
-                               const MemConfig& mem_cfg, Network& net)
-    : line_bytes_(cache_cfg.line_bytes), mem_(mem_cfg.mem_bytes), banks_(mem_cfg.dir_banks) {
+                               const MemConfig& mem_cfg, Network& net,
+                               std::pmr::memory_resource* arena)
+    : line_bytes_(cache_cfg.line_bytes), mem_(mem_cfg.mem_bytes), banks_(arena) {
+  banks_.reserve(mem_cfg.dir_banks);
   for (std::uint32_t b = 0; b < mem_cfg.dir_banks; ++b)
     banks_.emplace_back(num_procs, b, mem_cfg.dir_banks, cache_cfg, mem_cfg, net, mem_,
-                        ledger_);
+                        ledger_, arena);
 }
 
 Json DirectoryGroup::contended_lines_json(std::size_t n) const {

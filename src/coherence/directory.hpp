@@ -24,16 +24,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/flat_memory.hpp"
 #include "common/json.hpp"
 #include "common/profile.hpp"
-#include "common/ring_fifo.hpp"
-#include "common/slab.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -48,9 +48,11 @@ namespace mcsim {
 /// is for unit tests only.
 class Directory {
  public:
+  /// Its transactions, wait queues and statistics come from `arena`.
   Directory(std::uint32_t num_procs, std::uint32_t bank, std::uint32_t num_banks,
             const CacheConfig& cache_cfg, const MemConfig& mem_cfg, Network& net,
-            FlatMemory& mem, SharingLedger& ledger);
+            FlatMemory& mem, SharingLedger& ledger,
+            std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   /// Service every message that arrived this cycle.
   void tick(Cycle now);
@@ -117,6 +119,7 @@ class Directory {
 
   /// One in-progress multi-step transaction.
   struct Txn {
+    explicit Txn(std::pmr::memory_resource* arena) : deferred(0, arena) {}
     enum class Kind : std::uint8_t {
       kGatherInvAcks,     ///< invalidating sharers for a ReadExReq
       kRecallForRead,     ///< recalling dirty data to answer a ReadReq
@@ -132,7 +135,7 @@ class Directory {
     /// Requests for this line that arrived while it was busy, in
     /// arrival order. The queue outlives the transaction: when a replay
     /// re-busies the line, the rest moves to the next one whole.
-    RingFifo<Deferred> deferred;
+    FixedQueue<Deferred> deferred;
   };
 
   Addr align(Addr a) const { return a & ~static_cast<Addr>(line_bytes_ - 1); }
@@ -164,20 +167,20 @@ class Directory {
   Network& net_;
   FlatMemory& mem_;
   SharingLedger& ledger_;
-  // Never iterated, so unordered lookup is safe and cheap; reserved up
-  // front so the per-message hot path does not rehash. One lookup per
-  // message finds both the line's state and its open transaction.
+  // Never iterated, so unordered lookup is safe and cheap. One lookup
+  // per message finds both the line's state and its open transaction.
   std::unordered_map<Addr, Entry> entries_;
   /// Transaction slots, reused through a free list (a stack, from
   /// free_txn_) together with their wait-queue buffers, so a
   /// steady-state transaction allocates nothing. Reserved for one open
-  /// transaction per processor homed here.
-  std::vector<Txn> txns_;
+  /// transaction per processor homed here. Every wait queue, replay_'s
+  /// too, draws from the same arena, so their buffers can swap.
+  std::pmr::vector<Txn> txns_;
   std::uint32_t free_txn_ = kNoTxn;
   std::uint32_t open_txns_ = 0;
   /// The wait queue being replayed by finish_txn (its buffer swaps with
   /// the closing slot's, so it is reused too).
-  RingFifo<Deferred> replay_;
+  FixedQueue<Deferred> replay_;
   TraceEventSink* events_ = nullptr;
   std::uint16_t track_ = 0;
   bool profile_ = false;
@@ -195,8 +198,10 @@ class Directory {
 /// ledger emissions.
 class DirectoryGroup {
  public:
+  /// The banks come from `arena`.
   DirectoryGroup(std::uint32_t num_procs, const CacheConfig& cache_cfg,
-                 const MemConfig& mem_cfg, Network& net);
+                 const MemConfig& mem_cfg, Network& net,
+                 std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   void tick(Cycle now) {
     for (Directory& b : banks_) b.tick(now);
@@ -260,7 +265,7 @@ class DirectoryGroup {
   std::uint32_t line_bytes_;
   FlatMemory mem_;
   SharingLedger ledger_;
-  SlabVector<Directory> banks_;
+  std::pmr::vector<Directory> banks_;  ///< reserved: the banks never move
 };
 
 }  // namespace mcsim

@@ -11,12 +11,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory_resource>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/histogram.hpp"
-#include "common/slab.hpp"
 
 namespace mcsim {
 
@@ -57,10 +57,13 @@ class StatSet {
   /// Counters for every name interned so far (components intern at
   /// static init, well before any StatSet exists), so the steady-state
   /// add(StatId) below never takes the resize branch, and histograms for
-  /// the `sampled` distinct ids the owner samples on every run: one
-  /// allocation. Histograms are kept only for the ids actually sampled.
-  explicit StatSet(std::string prefix, std::size_t sampled = 0)
-      : StatSet(std::move(prefix), StatNames::count(), sampled) {}
+  /// the `sampled` distinct ids the owner samples on every run, from
+  /// `arena`. Histograms are kept only for the ids actually sampled.
+  explicit StatSet(std::string prefix, std::size_t sampled = 0,
+                   std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+      : prefix_(std::move(prefix)), counters_(StatNames::count(), arena), samples_(arena) {
+    samples_.reserve(sampled);
+  }
 
   // --- hot path: pre-interned handles --------------------------------
   void add(StatId id, std::uint64_t delta = 1) {
@@ -138,14 +141,6 @@ class StatSet {
     bool touched = false;  ///< add seen; untouched slots stay out of reports
   };
 
-  StatSet(std::string prefix, std::size_t slots, std::size_t sampled)
-      : prefix_(std::move(prefix)),
-        slab_(Slab::bytes<Counter>(slots) + Slab::bytes<Sampled>(sampled)),
-        counters_(slots, slab_),
-        samples_(sampled, slab_) {
-    counters_.assign(slots, Counter{});
-  }
-
   Counter& counter_slot(StatId id) {
     // Growth branch kept only for names interned AFTER this set was
     // constructed (string-keyed one-offs); pre-interned ids never hit it.
@@ -166,11 +161,10 @@ class StatSet {
   }
 
   std::string prefix_;
-  Slab slab_;
-  SlabVector<Counter> counters_;  ///< indexed by StatId
+  std::pmr::vector<Counter> counters_;  ///< indexed by StatId
   std::size_t touched_ = 0;        ///< counters add has touched
   std::vector<std::uint32_t> touched_ids_;  ///< ascending; rebuilt when touched_ moves
-  SlabVector<Sampled> samples_;   ///< in first-sample order; every count > 0
+  std::pmr::vector<Sampled> samples_;   ///< in first-sample order; every count > 0
 };
 
 }  // namespace mcsim

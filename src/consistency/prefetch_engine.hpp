@@ -28,14 +28,10 @@ namespace mcsim {
 
 class PrefetchEngine {
  public:
-  PrefetchEngine(PrefetchMode mode, CoherenceKind protocol, std::size_t capacity)
-      : mode_(mode), protocol_(protocol), queue_(capacity) {}
-  /// Storage from the owner's slab, slab_bytes(capacity) of it.
-  PrefetchEngine(PrefetchMode mode, CoherenceKind protocol, std::size_t capacity, Slab& slab)
-      : mode_(mode), protocol_(protocol), queue_(capacity, slab) {}
-  static std::size_t slab_bytes(std::size_t capacity) {
-    return Slab::bytes<Pending>(capacity);
-  }
+  /// The buffer from `arena`.
+  PrefetchEngine(PrefetchMode mode, CoherenceKind protocol, std::size_t capacity,
+                 std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+      : mode_(mode), protocol_(protocol), queue_(capacity, arena) {}
 
   PrefetchMode mode() const { return mode_; }
   bool enabled() const { return mode_ != PrefetchMode::kOff; }

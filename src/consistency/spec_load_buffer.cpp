@@ -45,7 +45,7 @@ SpecLoadBuffer::MatchResult SpecLoadBuffer::on_line_event(LineEventKind /*kind*/
     // load reissued; instructions after it have consumed nothing.
     reissue_.push_back(e.seq);
   }
-  r.reissue = {reissue_.begin(), reissue_.size()};
+  r.reissue = {reissue_.data(), reissue_.size()};
   return r;
 }
 

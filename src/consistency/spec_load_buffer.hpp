@@ -49,12 +49,11 @@ class SpecLoadBuffer {
     Cycle done_at = 0;            ///< cycle the value bound (profiling: wasted work)
   };
 
-  explicit SpecLoadBuffer(std::size_t capacity) : entries_(capacity), reissue_(capacity) {}
-  /// Storage from the owner's slab, slab_bytes(capacity) of it.
-  SpecLoadBuffer(std::size_t capacity, Slab& slab)
-      : entries_(capacity, slab), reissue_(capacity, slab) {}
-  static std::size_t slab_bytes(std::size_t capacity) {
-    return Slab::bytes<Entry>(capacity) + Slab::bytes<std::uint64_t>(capacity);
+  /// Storage from `arena`.
+  explicit SpecLoadBuffer(std::size_t capacity,
+                          std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+      : entries_(capacity, arena), reissue_(arena) {
+    reissue_.reserve(capacity);
   }
 
   bool full() const { return entries_.full(); }
@@ -170,7 +169,7 @@ class SpecLoadBuffer {
 
  private:
   FixedQueue<Entry> entries_;
-  SlabVector<std::uint64_t> reissue_;  ///< on_line_event's result
+  std::pmr::vector<std::uint64_t> reissue_;  ///< on_line_event's result
 };
 
 }  // namespace mcsim

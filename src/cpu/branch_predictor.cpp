@@ -2,15 +2,6 @@
 
 namespace mcsim {
 
-BranchPredictor::BranchPredictor(std::uint32_t entries) : counters_(table_size(entries)) {
-  counters_.assign(table_size(entries), 1);
-}
-
-BranchPredictor::BranchPredictor(std::uint32_t entries, Slab& slab)
-    : counters_(table_size(entries), slab) {
-  counters_.assign(table_size(entries), 1);
-}
-
 bool BranchPredictor::predict(std::size_t pc, const Instruction& inst) const {
   if (inst.op == Opcode::kJmp) return true;
   if (inst.hint == BranchHint::kTaken) return true;

@@ -5,8 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
+#include <vector>
 
-#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 
@@ -14,12 +15,10 @@ namespace mcsim {
 
 class BranchPredictor {
  public:
-  explicit BranchPredictor(std::uint32_t entries);
-  /// Counters in the owner's slab, slab_bytes(entries) of it.
-  BranchPredictor(std::uint32_t entries, Slab& slab);
-  static std::size_t slab_bytes(std::uint32_t entries) {
-    return Slab::bytes<std::uint8_t>(table_size(entries));
-  }
+  /// Counters from `arena`.
+  explicit BranchPredictor(std::uint32_t entries,
+                           std::pmr::memory_resource* arena = std::pmr::get_default_resource())
+      : counters_(table_size(entries), 1, arena) {}
 
   /// Predicted direction for the conditional branch at static index `pc`.
   bool predict(std::size_t pc, const Instruction& inst) const;
@@ -42,7 +41,7 @@ class BranchPredictor {
  private:
   static std::size_t table_size(std::uint32_t entries) { return entries == 0 ? 1 : entries; }
   std::size_t index(std::size_t pc) const { return pc % counters_.size(); }
-  SlabVector<std::uint8_t> counters_;  ///< 2-bit: 0,1 = not taken; 2,3 = taken
+  std::pmr::vector<std::uint8_t> counters_;  ///< 2-bit: 0,1 = not taken; 2,3 = taken
 };
 
 }  // namespace mcsim

@@ -63,31 +63,24 @@ constexpr Cycle kMinProbeBackoff = 16;
 constexpr Cycle kMaxProbeBackoff = 16384;
 }  // namespace
 
-std::size_t Core::slab_bytes(const CoreConfig& c) {
-  return Slab::bytes<RobEntry>(c.rob_entries) + Slab::bytes<std::uint64_t>(c.rob_entries) +
-         Slab::bytes<WakeNode>(2 * std::size_t{c.rob_entries}) +
-         Slab::bytes<std::pair<RobEntry*, Word>>(c.num_alus) +
-         BranchPredictor::slab_bytes(c.btb_entries) +
-         Slab::bytes<FetchedInst>(fetch_buffer_cap(c));
-}
-
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
-           CoherentCache& cache, TraceEventSink* events)
+           CoherentCache& cache, TraceEventSink* events, std::pmr::memory_resource* arena)
     : id_(id),
       cfg_(resolve_for(cfg, id)),
       program_(program),
       cache_(cache),
       events_(events),
-      slab_(slab_bytes(cfg_.core)),
-      predictor_(cfg_.core.btb_entries, slab_),
-      fetch_buf_(fetch_buffer_cap(cfg_.core), slab_),
-      rob_(cfg_.core.rob_entries, slab_),
-      ready_(cfg_.core.rob_entries, slab_),
-      wake_nodes_(2 * std::size_t{cfg_.core.rob_entries}, slab_),
-      results_(cfg_.core.num_alus, slab_),
-      lsu_(id, cfg_, program.size(), cache, *this, events),
-      stats_("core" + std::to_string(id), cfg_.profile ? 1 : 0) {  // rb_squash_depth
-  assert(slab_.full());
+      predictor_(cfg_.core.btb_entries, arena),
+      fetch_buf_(fetch_buffer_cap(cfg_.core), arena),
+      rob_(cfg_.core.rob_entries, arena),
+      ready_(arena),
+      wake_nodes_(arena),
+      results_(arena),
+      lsu_(id, cfg_, program.size(), cache, *this, events, arena),
+      stats_("core" + std::to_string(id), cfg_.profile ? 1 : 0, arena) {  // rb_squash_depth
+  ready_.reserve(cfg_.core.rob_entries);
+  wake_nodes_.reserve(2 * std::size_t{cfg_.core.rob_entries});
+  results_.reserve(cfg_.core.num_alus);
   cache.set_observer(this);
   if (cfg_.core.ideal_frontend) {
     // The paper's walkthroughs assume the program is already decoded

@@ -37,8 +37,10 @@ namespace mcsim {
 
 class Core : public LsuHost, public LineEventObserver {
  public:
+  /// Every config-sized buffer, the LSU's included, comes from `arena`.
   Core(ProcId id, const SystemConfig& cfg, const Program& program, CoherentCache& cache,
-       TraceEventSink* events = nullptr);
+       TraceEventSink* events = nullptr,
+       std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   /// Advance one cycle. The cache must have ticked already. Any cycles
   /// skipped since the previous tick are settled first, and a core
@@ -220,8 +222,6 @@ class Core : public LsuHost, public LineEventObserver {
   void writeback(const RobEntry& e);
   /// Wake every operand in e's consumer chain, then free the chain.
   void broadcast(RobEntry& e, Word value);
-  /// Bytes of slab_ for a core configured `c`.
-  static std::size_t slab_bytes(const CoreConfig& c);
   /// Mark an in-tick state mutation (see next_event()).
   void note_progress() { progress_ = true; }
 
@@ -273,10 +273,6 @@ class Core : public LsuHost, public LineEventObserver {
   CoherentCache& cache_;
   TraceEventSink* events_;
 
-  /// The predictor table and fetch buffer (first: a new core writes
-  /// them), the ROB, ready list, wake-chain nodes and result list in one
-  /// block (the LSU keeps its own).
-  Slab slab_;
   BranchPredictor predictor_;
   FixedQueue<FetchedInst> fetch_buf_;
   /// Head first, seqs ascending. Seqs are never reused, so they have
@@ -285,7 +281,7 @@ class Core : public LsuHost, public LineEventObserver {
   FixedQueue<RobEntry> rob_;
   /// Seqs of the unexecuted ALU/branch entries whose operands are both
   /// ready, ascending: execute takes the oldest num_alus.
-  SlabVector<std::uint64_t> ready_;
+  std::pmr::vector<std::uint64_t> ready_;
   /// Node pool of the consumer chains: every tagged operand of a ROB
   /// entry, the LSU's included. A chain is freed whole when its producer
   /// broadcasts or is squashed. A node whose consumer was squashed stays
@@ -293,11 +289,11 @@ class Core : public LsuHost, public LineEventObserver {
   /// (seqs are never reused, so the consumer is simply gone). Room for
   /// two operands per ROB entry; squashes can strand more, and then it
   /// grows to that high-water mark.
-  SlabVector<WakeNode> wake_nodes_;
+  std::pmr::vector<WakeNode> wake_nodes_;
   std::uint32_t wake_free_ = kNoNode;  ///< head of the free list
   /// This cycle's ALU results, applied at the end of execute. The
   /// entries are ROB slots, which stay put while they are in the ROB.
-  SlabVector<std::pair<RobEntry*, Word>> results_;
+  std::pmr::vector<std::pair<RobEntry*, Word>> results_;
   std::array<Word, kNumArchRegs> regfile_{};
   std::array<RenameEntry, kNumArchRegs> rename_{};
 

@@ -54,41 +54,31 @@ const TraceEventSink::NameId count = TraceEventSink::name_id("count");
 }  // namespace arg
 }  // namespace
 
-std::size_t LoadStoreUnit::slab_bytes(const CoreConfig& c, std::size_t records) {
-  const std::size_t rs = c.ls_rs_entries, sb = c.store_buffer_entries,
-                    slb = c.spec_load_buffer_entries;
-  return Slab::bytes<RsEntry>(rs) + Slab::bytes<LoadEntry>(rs) +
-         Slab::bytes<StoreEntry>(sb) + SpecLoadBuffer::slab_bytes(slb) +
-         PrefetchEngine::slab_bytes(c.prefetch_buffer_entries) +
-         2 * Slab::bytes<std::uint64_t>(rs + sb) + Slab::bytes<std::uint64_t>(sb) +
-         Slab::bytes<std::uint64_t>(slb) + Slab::bytes<TokenInfo>(rs) +
-         Slab::bytes<LocalCompletion>(rs) + Slab::bytes<AccessRecord>(records);
-}
-
 LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, std::size_t program_size,
-                             CoherentCache& cache, LsuHost& host, TraceEventSink* events)
+                             CoherentCache& cache, LsuHost& host, TraceEventSink* events,
+                             std::pmr::memory_resource* arena)
     : id_(id),
       cfg_(cfg),
       cache_(cache),
       host_(host),
       events_(events),
-      slab_(slab_bytes(cfg.core, cfg.record_accesses ? program_size : 0)),
-      ls_rs_(cfg.core.ls_rs_entries, slab_),
-      load_q_(cfg.core.ls_rs_entries, slab_),
-      store_buf_(cfg.core.store_buffer_entries, slab_),
-      spec_buffer_(cfg.core.spec_load_buffer_entries, slab_),
-      prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries, slab_),
-      sync_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, slab_),
-      acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, slab_),
-      rmws_(cfg.core.store_buffer_entries, slab_),
-      slb_acquires_(cfg.core.spec_load_buffer_entries, slab_),
-      tokens_(cfg.core.ls_rs_entries, slab_),
-      local_completions_(cfg.core.ls_rs_entries, slab_),
-      records_(cfg.record_accesses ? program_size : 0, slab_),
+      ls_rs_(cfg.core.ls_rs_entries, arena),
+      load_q_(cfg.core.ls_rs_entries, arena),
+      store_buf_(cfg.core.store_buffer_entries, arena),
+      spec_buffer_(cfg.core.spec_load_buffer_entries, arena),
+      prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries, arena),
+      sync_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, arena),
+      acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, arena),
+      rmws_(cfg.core.store_buffer_entries, arena),
+      slb_acquires_(cfg.core.spec_load_buffer_entries, arena),
+      tokens_(arena),
+      local_completions_(cfg.core.ls_rs_entries, arena),
+      records_(arena),
       // load_latency, store_latency, store_release_latency; rb_wasted
       // when profiling.
-      stats_("lsu" + std::to_string(id), cfg.profile ? 4 : 3) {
-  assert(slab_.full());
+      stats_("lsu" + std::to_string(id), cfg.profile ? 4 : 3, arena) {
+  tokens_.reserve(cfg.core.ls_rs_entries);
+  if (cfg.record_accesses) records_.reserve(program_size);
 }
 
 void LoadStoreUnit::SeqFifo::erase(std::uint64_t seq) {

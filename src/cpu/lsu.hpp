@@ -60,8 +60,10 @@ class LoadStoreUnit {
   /// With cfg.record_accesses the access log is reserved to
   /// `program_size` records: a program without loops performs at most
   /// one access per instruction.
+  /// Every config-sized buffer comes from `arena`.
   LoadStoreUnit(ProcId id, const SystemConfig& cfg, std::size_t program_size,
-                CoherentCache& cache, LsuHost& host, TraceEventSink* events = nullptr);
+                CoherentCache& cache, LsuHost& host, TraceEventSink* events = nullptr,
+                std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
@@ -242,7 +244,7 @@ class LoadStoreUnit {
   /// squash drops a suffix.
   class SeqFifo {
    public:
-    SeqFifo(std::size_t capacity, Slab& slab) : q_(capacity, slab) {}
+    SeqFifo(std::size_t capacity, std::pmr::memory_resource* arena) : q_(capacity, arena) {}
     void push(std::uint64_t seq) {
       assert((q_.empty() || q_.back() <= seq) && "class members arrive in seq order");
       q_.push(seq);
@@ -264,9 +266,6 @@ class LoadStoreUnit {
     FixedQueue<std::uint64_t> q_;
   };
 
-  /// Bytes of slab_ for a core configured `c` whose access log is
-  /// reserved for `records` accesses.
-  static std::size_t slab_bytes(const CoreConfig& c, std::size_t records);
   StallCause classify_mem_wait(Addr addr) const;
   /// Index of `seq` in load_q_ / store_buf_, or the queue's size if absent.
   std::size_t load_index(std::uint64_t seq) const;
@@ -322,8 +321,6 @@ class LoadStoreUnit {
   LsuHost& host_;
   TraceEventSink* events_;
 
-  /// Every buffer below whose size the config fixes, in one block.
-  Slab slab_;
   FixedQueue<RsEntry> ls_rs_;
   FixedQueue<LoadEntry> load_q_;      ///< seqs ascending
   FixedQueue<StoreEntry> store_buf_;  ///< seqs ascending
@@ -347,13 +344,13 @@ class LoadStoreUnit {
   /// contended line can stay outstanding while hundreds of later tokens
   /// come and go, so a table indexed by token would have to span them
   /// all.)
-  SlabVector<TokenInfo> tokens_;
+  std::pmr::vector<TokenInfo> tokens_;
   /// One per forwarded load still in the load queue.
   FixedQueue<LocalCompletion> local_completions_;
   std::uint64_t next_token_ = 1;
   bool progress_ = true;  ///< state mutated this tick (starts armed)
-  /// Reserved in slab_ when cfg.record_accesses (see the constructor).
-  SlabVector<AccessRecord> records_;
+  /// Reserved when cfg.record_accesses (see the constructor).
+  std::pmr::vector<AccessRecord> records_;
 
   StatSet stats_;
 };

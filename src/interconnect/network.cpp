@@ -37,25 +37,28 @@ TraceEventSink::NameId span_name(MsgType t) {
 
 Network::Network(std::uint32_t endpoints, std::uint32_t latency,
                  std::uint32_t deliver_bw, Topology topology, std::uint32_t link_bw,
-                 std::uint32_t link_queue)
+                 std::uint32_t link_queue, std::pmr::memory_resource* arena)
     : latency_(latency),
       deliver_bw_(deliver_bw),
       topology_(topology),
       link_bw_(link_bw),
       link_queue_(link_queue),
-      slab_(Slab::bytes<Slot>(2 * std::size_t{endpoints}) + Slab::bytes<Inbox>(endpoints)),
-      pool_(2 * std::size_t{endpoints}, slab_),
-      inboxes_(endpoints, slab_),
+      pool_(arena),
+      lanes_(arena),
+      stalled_(arena),
+      inboxes_(endpoints, arena),
       // msg_latency; msg_hops and msg_queuing on a routed fabric.
-      stats_("net", topology == Topology::kCrossbar ? 1 : 3) {
+      stats_("net", topology == Topology::kCrossbar ? 1 : 3, arena) {
   assert(endpoints >= 2);
   assert(latency >= 1);
-  assert(slab_.full());
-  inboxes_.assign(endpoints, Inbox{});
+  pool_.reserve(2 * std::size_t{endpoints});
   if (topology_ == Topology::kCrossbar) {
     // Caches send with no extra delay, directory banks with theirs.
     lanes_.reserve(2);
-    if (deliver_bw_ != 0) stalled_.resize(endpoints);
+    if (deliver_bw_ != 0) {
+      stalled_.reserve(endpoints);
+      for (std::uint32_t ep = 0; ep < endpoints; ++ep) stalled_.emplace_back(0, arena);
+    }
   } else {
     assert(link_queue_ >= 1);
     if (topology_ == Topology::kRing) build_ring(endpoints);
@@ -162,14 +165,12 @@ void Network::send(Message&& msg, Cycle now, std::uint32_t extra_delay) {
     for (Lane& l : lanes_) {
       if (l.extra_delay == extra_delay) lane = &l;
     }
-    if (lane == nullptr) {
-      lane = &lanes_.emplace_back();
-      lane->extra_delay = extra_delay;
-    }
+    if (lane == nullptr)
+      lane = &lanes_.emplace_back(extra_delay, lanes_.get_allocator().resource());
     const InFlight f{now + latency_ + extra_delay, next_seq_++, now, slot};
     assert((lane->q.empty() || lane->q.back().before(f)) &&
            "crossbar send cycle went backwards");
-    lane->q.push_back(f);
+    lane->q.push(f);
     ++in_lanes_;
     return;
   }
@@ -234,8 +235,7 @@ std::size_t Network::next_lane() const {
 bool Network::pop_due(Cycle now, InFlight& out) {
   const std::size_t li = next_lane();
   if (li == lanes_.size() || lanes_[li].q.front().deliver_at > now) return false;
-  out = lanes_[li].q.front();
-  lanes_[li].q.pop_front();
+  out = lanes_[li].q.pop();
   --in_lanes_;
   return true;
 }
@@ -259,8 +259,7 @@ void Network::deliver_crossbar(Cycle now) {
     for (EndpointId ep = 0; ep < stalled_.size(); ++ep) {
       auto& q = stalled_[ep];
       while (!q.empty() && delivered_[ep] < deliver_bw_) {
-        const InFlight f = q.front();
-        q.pop_front();
+        const InFlight f = q.pop();
         --stalled_total_;
         deliver_to_inbox(now, f.sent_at, f.slot);
       }
@@ -271,7 +270,7 @@ void Network::deliver_crossbar(Cycle now) {
     const EndpointId dst = pool_[f.slot].msg.dst;
     if (delivered_[dst] >= deliver_bw_) {
       ++stalled_total_;
-      stalled_[dst].push_back(f);
+      stalled_[dst].push(f);
       continue;
     }
     deliver_to_inbox(now, f.sent_at, f.slot);
@@ -421,11 +420,11 @@ Json Network::snapshot_json() const {
     for (std::size_t li = 0; li < lanes_.size(); ++li) {
       if (cursor[li] == lanes_[li].q.size()) continue;
       if (best == lanes_.size() ||
-          lanes_[li].q[cursor[li]].before(lanes_[best].q[cursor[best]]))
+          lanes_[li].q.at(cursor[li]).before(lanes_[best].q.at(cursor[best])))
         best = li;
     }
     if (best == lanes_.size()) break;
-    const InFlight& f = lanes_[best].q[cursor[best]++];
+    const InFlight& f = lanes_[best].q.at(cursor[best]++);
     const Message& msg = pool_[f.slot].msg;
     Json j = Json::object();
     j.set("type", Json::string(to_string(msg.type)));
@@ -438,7 +437,7 @@ Json Network::snapshot_json() const {
   }
   for (const auto& q : stalled_) {
     for (std::size_t i = 0; i < q.size(); ++i) {
-      const InFlight& f = q[i];
+      const InFlight& f = q.at(i);
       const Message& msg = pool_[f.slot].msg;
       Json j = Json::object();
       j.set("type", Json::string(to_string(msg.type)));

@@ -25,12 +25,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory_resource>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/fixed_queue.hpp"
 #include "common/json.hpp"
-#include "common/ring_fifo.hpp"
-#include "common/slab.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
@@ -44,9 +44,12 @@ class Network {
   /// `deliver_bw` caps messages delivered per endpoint per cycle
   /// (0 = unlimited, the paper's assumption). `link_bw`/`link_queue`
   /// only apply to the ring/mesh topologies (see MemConfig).
+  /// The message pool, the inboxes and the crossbar's queues come from
+  /// `arena`.
   Network(std::uint32_t endpoints, std::uint32_t latency, std::uint32_t deliver_bw = 0,
           Topology topology = Topology::kCrossbar, std::uint32_t link_bw = 1,
-          std::uint32_t link_queue = 8);
+          std::uint32_t link_queue = 8,
+          std::pmr::memory_resource* arena = std::pmr::get_default_resource());
 
   /// Endpoint id of directory bank `bank` (banks follow the processors,
   /// so on a ring/mesh each bank is its own home node).
@@ -150,8 +153,9 @@ class Network {
   /// extra_delay, and the send cycle never decreases, so send order is
   /// already (deliver_at, seq) order: the lane is a plain FIFO.
   struct Lane {
-    std::uint32_t extra_delay = 0;
-    RingFifo<InFlight> q;
+    Lane(std::uint32_t delay, std::pmr::memory_resource* arena) : extra_delay(delay), q(0, arena) {}
+    std::uint32_t extra_delay;
+    FixedQueue<InFlight> q;
   };
 
   /// A message inside the routed (ring/mesh) fabric: in a router's
@@ -228,18 +232,17 @@ class Network {
   /// stack, from free_slot_) for reuse. Room for two messages per
   /// endpoint; it grows only to the high-water mark of messages in the
   /// network, so steady traffic allocates nothing.
-  Slab slab_;  ///< the inboxes and the pool's first buffer
-  SlabVector<Slot> pool_;
+  std::pmr::vector<Slot> pool_;
   std::uint32_t free_slot_ = kNoSlot;
 
   // --- crossbar state ------------------------------------------------
   /// One lane per distinct extra_delay, created on first use: caches
   /// send with 0 and directory banks with dir_latency.
-  std::vector<Lane> lanes_;
+  std::pmr::vector<Lane> lanes_;
   std::uint64_t in_lanes_ = 0;  ///< messages across all lanes
   /// Bandwidth-deferred messages parked per endpoint in delivery order
   /// ((deliver_at, seq)), re-tried before the lanes next cycle.
-  std::vector<RingFifo<InFlight>> stalled_;
+  std::pmr::vector<FixedQueue<InFlight>> stalled_;
   std::uint64_t stalled_total_ = 0;
 
   // --- ring/mesh state ----------------------------------------------
@@ -260,7 +263,7 @@ class Network {
     std::uint32_t last = kNoSlot;
     std::uint32_t count = 0;
   };
-  SlabVector<Inbox> inboxes_;
+  std::pmr::vector<Inbox> inboxes_;
   std::function<void(EndpointId)> delivery_hook_;
   TraceEventSink* events_ = nullptr;
   StatSet stats_;

@@ -17,17 +17,25 @@ const SystemConfig& validated(const SystemConfig& cfg) {
   if (!err.empty()) throw std::invalid_argument("invalid SystemConfig: " + err);
   return cfg;
 }
+
+// The arena's first chunk, per processor: a paper-default processor
+// (core, LSU, cache, their statistics and its share of the network and
+// directory) fits in it, so a small machine takes one block; a machine
+// that needs more grows the arena.
+constexpr std::size_t kArenaBytesPerProc = 96 * 1024;
 }  // namespace
 
 Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
-    : cfg_(validated(cfg)),
+    : arena_(std::max<std::size_t>(cfg.num_procs, 1) * kArenaBytesPerProc),
+      cfg_(validated(cfg)),
       programs_(std::move(programs)),
       net_(cfg.num_procs + std::max<std::uint32_t>(cfg.mem.dir_banks, 1),
            cfg.mem.net_latency, cfg.mem.deliver_bw, cfg.mem.topology,
-           cfg.mem.link_bw, cfg.mem.link_queue),
-      dir_(cfg.num_procs, cfg.cache, cfg.mem, net_),
+           cfg.mem.link_bw, cfg.mem.link_queue, &arena_),
+      dir_(cfg.num_procs, cfg.cache, cfg.mem, net_, &arena_),
+      procs_(&arena_),
       undrained_cores_(cfg.num_procs),
-      sched_(1 + dir_.num_banks() + 2ull * cfg.num_procs) {
+      sched_(1 + dir_.num_banks() + 2ull * cfg.num_procs, &arena_) {
   if (programs_.size() != cfg_.num_procs)
     throw std::invalid_argument("need exactly one program per processor");
 
@@ -36,9 +44,9 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
   }
   procs_.reserve(cfg_.num_procs);
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    procs_.push_back(std::make_unique<Proc>(p, cfg_, programs_[p], net_, &events_));
-    procs_[p]->cache.set_quiescence_counter(&busy_caches_);
-    procs_[p]->cache.set_profiling(cfg_.profile);
+    procs_.emplace_back(p, cfg_, programs_[p], net_, &events_, &arena_);
+    procs_[p].cache.set_quiescence_counter(&busy_caches_);
+    procs_[p].cache.set_profiling(cfg_.profile);
   }
   dir_.set_profiling(cfg_.profile);
 
@@ -47,7 +55,7 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
   // (the crossbar has none). run() names them when tracing is on.
   const std::uint16_t procs = static_cast<std::uint16_t>(cfg_.num_procs);
   for (std::uint16_t p = 0; p < procs; ++p)
-    procs_[p]->cache.set_event_sink(&events_, static_cast<std::uint16_t>(procs + p));
+    procs_[p].cache.set_event_sink(&events_, static_cast<std::uint16_t>(procs + p));
   dir_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs));
   net_.set_event_sink(&events_, static_cast<std::uint16_t>(2 * procs + dir_.num_banks()));
 
@@ -76,12 +84,12 @@ void Machine::name_tracks() {
 void Machine::step() {
   net_.deliver(cycle_);
   dir_.tick(cycle_);
-  for (auto& proc : procs_) proc->cache.tick(cycle_);
+  for (auto& proc : procs_) proc.cache.tick(cycle_);
   for (auto& proc : procs_) {
-    proc->core.tick(cycle_);
-    if (!proc->drained && proc->core.drained()) {
-      proc->drained = true;
-      proc->drain_cycle = cycle_;
+    proc.core.tick(cycle_);
+    if (!proc.drained && proc.core.drained()) {
+      proc.drained = true;
+      proc.drain_cycle = cycle_;
       --undrained_cores_;
     }
   }
@@ -105,7 +113,7 @@ bool Machine::done() const {
 bool Machine::done_scan() const {
   if (!net_.idle() || !dir_.idle()) return false;
   for (const auto& proc : procs_) {
-    if (!proc->drained || !proc->cache.idle()) return false;
+    if (!proc.drained || !proc.cache.idle()) return false;
   }
   return true;
 }
@@ -131,13 +139,13 @@ Cycle Machine::next_event_cycle() const {
   // tick once more before it may be treated as asleep.)
   if (busy_caches_ != 0) {
     for (const auto& proc : procs_) {
-      t = proc->cache.next_event(cycle_);
+      t = proc.cache.next_event(cycle_);
       if (t < ne) ne = t;
       if (ne <= cycle_) return ne;
     }
   }
   for (const auto& proc : procs_) {
-    t = proc->core.next_event(cycle_);
+    t = proc.core.next_event(cycle_);
     if (t < ne) ne = t;
     if (ne <= cycle_) return ne;
   }
@@ -160,7 +168,7 @@ void Machine::init_scheduler() {
       sched_.arm(bank_comp(b), cycle_);
   }
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    Cycle cache_at = procs_[p]->cache.next_event(cycle_);
+    Cycle cache_at = procs_[p].cache.next_event(cycle_);
     if (!net_.inbox_empty(p) || cache_at < cycle_) cache_at = cycle_;
     sched_.arm(cache_comp(p), cache_at);
     sched_.arm(core_comp(p), cycle_);
@@ -185,8 +193,8 @@ void Machine::step_active() {
       // The core's sleep ends here: its stall cause was frozen up to
       // this cache tick. Settling first is what lets Core::settle assert
       // that; the charge itself would be the same after the tick.
-      procs_[p]->core.settle(c);
-      procs_[p]->cache.tick(c);
+      procs_[p].core.settle(c);
+      procs_[p].cache.tick(c);
       // A cache that acted means its core must tick live this cycle
       // (fills queue responses, invalidations squash — the naive loop
       // ticked it too); tick_core_live then re-arms the cache if a fill
@@ -205,7 +213,7 @@ void Machine::step_active() {
 
 void Machine::tick_core_live(ProcId p) {
   const Cycle c = cycle_;
-  Proc& proc = *procs_[p];
+  Proc& proc = procs_[p];
   proc.core.tick(c);  // charges any span it slept through first
   if (!proc.drained && proc.core.drained()) {
     proc.drained = true;
@@ -226,7 +234,7 @@ void Machine::tick_core_live(ProcId p) {
 }
 
 void Machine::settle_cores() {
-  for (auto& proc : procs_) proc->core.settle(cycle_);
+  for (auto& proc : procs_) proc.core.settle(cycle_);
 }
 
 void Machine::on_delivery(EndpointId ep) {
@@ -243,7 +251,7 @@ std::string Machine::audit_fingerprint() const {
   std::ostringstream os;
   os << "cycle=" << cycle_ << '\n';
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    const Proc& proc = *procs_[p];
+    const Proc& proc = procs_[p];
     os << "core" << p << " retired=" << proc.core.instructions_retired()
        << " halted=" << proc.core.halted() << " drained=" << (proc.drained ? 1 : 0)
        << " drain_cycle=" << proc.drain_cycle << " regs=";
@@ -255,7 +263,7 @@ std::string Machine::audit_fingerprint() const {
     // and the unresolved-prefetch tag counts are the profiler state
     // outside any StatSet, so fingerprint them explicitly.
     for (ProcId p = 0; p < cfg_.num_procs; ++p)
-      os << "cache" << p << ".pf_pending " << procs_[p]->cache.profile_pending() << '\n';
+      os << "cache" << p << ".pf_pending " << procs_[p].cache.profile_pending() << '\n';
     os << dir_.ledger().fingerprint();
   }
   os << stats_report();
@@ -307,7 +315,7 @@ RunResult Machine::run() {
     // something observes its individual ticks.
     const bool periodic = !events_.enabled() && !cfg_.profile && !cfg_.record_accesses;
     if (periodic) {
-      for (auto& proc : procs_) proc->core.allow_periodic_sleep(&period_records_);
+      for (auto& proc : procs_) proc.core.allow_periodic_sleep(&period_records_);
     }
     init_scheduler();
     while (!done() && cycle_ < cfg_.max_cycles) {
@@ -328,7 +336,7 @@ RunResult Machine::run() {
     }
     settle_cores();
     if (periodic) {
-      for (auto& proc : procs_) proc->core.allow_periodic_sleep(nullptr);
+      for (auto& proc : procs_) proc.core.allow_periodic_sleep(nullptr);
     }
     sched_live_ = false;
   } else {
@@ -346,11 +354,11 @@ RunResult Machine::run() {
   r.retired.reserve(cfg_.num_procs);
   r.stall.reserve(cfg_.num_procs);
   for (auto& proc : procs_) {
-    proc->core.flush_stall_episode(cycle_);
-    r.drain_cycle.push_back(proc->drain_cycle);
-    r.retired.push_back(proc->core.instructions_retired());
-    r.stall.push_back(proc->core.stall_cycles());
-    if (proc->drain_cycle > r.cycles) r.cycles = proc->drain_cycle;
+    proc.core.flush_stall_episode(cycle_);
+    r.drain_cycle.push_back(proc.drain_cycle);
+    r.retired.push_back(proc.core.instructions_retired());
+    r.stall.push_back(proc.core.stall_cycles());
+    if (proc.drain_cycle > r.cycles) r.cycles = proc.drain_cycle;
   }
   if (r.deadlocked) r.cycles = cycle_;
   return r;
@@ -372,7 +380,7 @@ void Machine::preload_shared(ProcId p, Addr a) {
 #endif
   Addr line = cache(p).line_of(a);
   Message::LineData buf;
-  procs_[p]->cache.preload_line(line, LineState::kShared,
+  procs_[p].cache.preload_line(line, LineState::kShared,
                            line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kShared, p);
 }
@@ -383,14 +391,14 @@ void Machine::preload_exclusive(ProcId p, Addr a) {
 #endif
   Addr line = cache(p).line_of(a);
   Message::LineData buf;
-  procs_[p]->cache.preload_line(line, LineState::kExclusive,
+  procs_[p].cache.preload_line(line, LineState::kExclusive,
                            line_from_memory(dir_.memory(), line, cfg_.cache.line_bytes, buf));
   dir_.preload(line, Directory::State::kDirty, p);
 }
 
 Word Machine::read_word(Addr a) const {
   for (const auto& proc : procs_) {
-    if (proc->cache.line_state(a) == LineState::kExclusive) return *proc->cache.peek_word(a);
+    if (proc.cache.line_state(a) == LineState::kExclusive) return *proc.cache.peek_word(a);
   }
   return dir_.memory().read(a);
 }
@@ -398,7 +406,7 @@ Word Machine::read_word(Addr a) const {
 std::string Machine::stats_report() const {
   std::ostringstream os;
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    const Proc& proc = *procs_[p];
+    const Proc& proc = procs_[p];
     os << proc.core.stats().report();
     const StallBreakdown& stall = proc.core.stall_cycles();
     for (std::size_t c = 0; c < kNumStallCauses; ++c) {
@@ -421,10 +429,10 @@ Json Machine::post_mortem() const {
   if (wedged_at_ != kCycleNever)
     out.set("wedged_at", Json::number(static_cast<std::uint64_t>(wedged_at_)));
   Json cores = Json::array();
-  for (const auto& proc : procs_) cores.push_back(proc->core.snapshot_json());
+  for (const auto& proc : procs_) cores.push_back(proc.core.snapshot_json());
   out.set("cores", std::move(cores));
   Json caches = Json::array();
-  for (const auto& proc : procs_) caches.push_back(proc->cache.snapshot_json());
+  for (const auto& proc : procs_) caches.push_back(proc.cache.snapshot_json());
   out.set("caches", std::move(caches));
   out.set("network", net_.snapshot_json());
   out.set("directory", dir_.snapshot_json());
@@ -436,7 +444,7 @@ Json Machine::post_mortem() const {
 std::vector<std::vector<AccessRecord>> Machine::access_logs() const {
   std::vector<std::vector<AccessRecord>> logs;
   logs.reserve(cfg_.num_procs);
-  for (const auto& proc : procs_) logs.push_back(proc->core.lsu().access_log());
+  for (const auto& proc : procs_) logs.push_back(proc.core.lsu().access_log());
   return logs;
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -79,10 +80,10 @@ class Machine {
   /// scan under MCSIM_FF_AUDIT.
   bool done() const;
 
-  Core& core(ProcId p) { return procs_.at(p)->core; }
-  const Core& core(ProcId p) const { return procs_.at(p)->core; }
-  CoherentCache& cache(ProcId p) { return procs_.at(p)->cache; }
-  const CoherentCache& cache(ProcId p) const { return procs_.at(p)->cache; }
+  Core& core(ProcId p) { return procs_.at(p).core; }
+  const Core& core(ProcId p) const { return procs_.at(p).core; }
+  CoherentCache& cache(ProcId p) { return procs_.at(p).cache; }
+  const CoherentCache& cache(ProcId p) const { return procs_.at(p).cache; }
   DirectoryGroup& directory() { return dir_; }
   const DirectoryGroup& directory() const { return dir_; }
   Network& network() { return net_; }
@@ -160,24 +161,28 @@ class Machine {
   std::string audit_fingerprint() const;
 #endif
 
+  /// Every component's config-sized storage, and what its queues grow
+  /// into: one monotonic arena, released whole with the machine. First,
+  /// so it outlives every member that draws from it.
+  std::pmr::monotonic_buffer_resource arena_;
   SystemConfig cfg_;
   TraceEventSink events_;
   std::vector<Program> programs_;
   Network net_;
   DirectoryGroup dir_;
-  /// One processor: its cache and core in one allocation, and whether
-  /// and when the core drained.
+  /// One processor: its cache and core, and whether and when the core
+  /// drained.
   struct Proc {
     Proc(ProcId p, const SystemConfig& cfg, const Program& program, Network& net,
-         TraceEventSink* events)
-        : cache(p, cfg.cache, cfg.mem, net, cfg.num_procs),
-          core(p, cfg, program, cache, events) {}
+         TraceEventSink* events, std::pmr::memory_resource* arena)
+        : cache(p, cfg.cache, cfg.mem, net, cfg.num_procs, arena),
+          core(p, cfg, program, cache, events, arena) {}
     CoherentCache cache;
     Core core;
     bool drained = false;
     Cycle drain_cycle = 0;
   };
-  std::vector<std::unique_ptr<Proc>> procs_;
+  std::pmr::vector<Proc> procs_;  ///< reserved: a processor never moves
   std::vector<PreloadRecord> preload_log_;  ///< kept by MCSIM_FF_AUDIT builds only
   std::uint64_t undrained_cores_ = 0;  ///< cores not drained
   std::uint64_t busy_caches_ = 0;      ///< caches with pending work

@@ -31,12 +31,14 @@
 // cycles ahead), which makes arm and pop O(1).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory_resource>
+#include <vector>
 
-#include "common/slab.hpp"
 #include "common/types.hpp"
 
 namespace mcsim {
@@ -46,26 +48,24 @@ class Scheduler {
   using CompId = std::uint32_t;
   static constexpr std::uint32_t kWheelSlots = 64;
 
-  /// Every table is sized for `universe` components here, in one block.
-  explicit Scheduler(std::size_t universe)
+  /// Every table is sized for `universe` components here, from `arena`.
+  explicit Scheduler(std::size_t universe,
+                     std::pmr::memory_resource* arena = std::pmr::get_default_resource())
       : universe_(universe),
         words_((universe + 63) / 64),
-        slab_(Slab::bytes<Slot>(universe) + Slab::bytes<std::uint32_t>(universe) +
-              Slab::bytes<Cycle>(universe) + Slab::bytes<std::uint64_t>(words_ * kWheelSlots)),
-        heap_(universe, slab_),
-        pos_(slab_.take<std::uint32_t>(universe)),
-        when_(slab_.take<Cycle>(universe)),
-        bits_(slab_.take<std::uint64_t>(words_ * kWheelSlots)) {
-    assert(slab_.full());
-    clear();
+        heap_(arena),
+        pos_(universe, kNotArmed, arena),
+        when_(universe, kCycleNever, arena),
+        bits_(words_ * kWheelSlots, 0, arena) {
+    heap_.reserve(universe);
   }
 
   /// Drop every arming.
   void clear() {
     heap_.clear();
-    std::fill_n(pos_, universe_, kNotArmed);
-    std::fill_n(when_, universe_, kCycleNever);
-    std::fill_n(bits_, words_ * kWheelSlots, 0);
+    std::fill(pos_.begin(), pos_.end(), kNotArmed);
+    std::fill(when_.begin(), when_.end(), kCycleNever);
+    std::fill(bits_.begin(), bits_.end(), 0);
     count_.fill(0);
     first_word_.fill(0);
     occupied_ = 0;
@@ -180,8 +180,8 @@ class Scheduler {
   static std::uint32_t slot_of(Cycle at) {
     return static_cast<std::uint32_t>(at & (kWheelSlots - 1));
   }
-  std::uint64_t* slot_bits(std::uint32_t s) { return bits_ + s * words_; }
-  const std::uint64_t* slot_bits(std::uint32_t s) const { return bits_ + s * words_; }
+  std::uint64_t* slot_bits(std::uint32_t s) { return bits_.data() + s * words_; }
+  const std::uint64_t* slot_bits(std::uint32_t s) const { return bits_.data() + s * words_; }
 
   /// Earliest occupied wheel cycle. Wheel must be non-empty.
   Cycle wheel_next() const {
@@ -264,15 +264,14 @@ class Scheduler {
 
   std::size_t universe_;
   std::size_t words_;                ///< 64-bit words per slot bitset
-  Slab slab_;                        ///< the four tables below
 
   // --- overflow heap -------------------------------------------------
-  SlabVector<Slot> heap_;
-  std::uint32_t* pos_;               ///< comp -> heap index, kNotArmed
-  Cycle* when_;                      ///< comp -> armed cycle, kCycleNever
+  std::pmr::vector<Slot> heap_;      ///< reserved for every component
+  std::pmr::vector<std::uint32_t> pos_;  ///< comp -> heap index, kNotArmed
+  std::pmr::vector<Cycle> when_;     ///< comp -> armed cycle, kCycleNever
 
   // --- calendar wheel ------------------------------------------------
-  std::uint64_t* bits_;              ///< kWheelSlots bitsets, slot-major
+  std::pmr::vector<std::uint64_t> bits_;  ///< kWheelSlots bitsets, slot-major
   std::array<std::uint32_t, kWheelSlots> count_{};  ///< armings per slot
   /// Per slot, a word index at or below its lowest non-zero word.
   mutable std::array<std::uint32_t, kWheelSlots> first_word_{};

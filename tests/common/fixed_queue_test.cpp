@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,108 @@ TEST(FixedQueue, EraseHeadBeforeTheRingFillsKeepsPushing) {
   EXPECT_EQ(q.pop(), "b");
   EXPECT_EQ(q.pop(), "c");
   EXPECT_EQ(q.pop(), "d");
+}
+
+/// Counts the buffers a ring takes, over the default resource.
+class CountingResource : public std::pmr::memory_resource {
+ public:
+  std::size_t allocations = 0;
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    ++allocations;
+    return std::pmr::get_default_resource()->allocate(bytes, align);
+  }
+  void do_deallocate(void* p, std::size_t bytes, std::size_t align) override {
+    std::pmr::get_default_resource()->deallocate(p, bytes, align);
+  }
+  bool do_is_equal(const std::pmr::memory_resource& o) const noexcept override {
+    return this == &o;
+  }
+};
+
+TEST(FixedQueue, GrowsAcrossTheWrapKeepingFifoOrder) {
+  FixedQueue<int> q(4);
+  for (int i = 0; i < 4; ++i) q.push(i);
+  q.pop();
+  q.pop();
+  q.push(4);
+  q.push(5);  // slots: [4 5 2 3], head at slot 2
+  ASSERT_TRUE(q.full());
+  q.push(6);  // full: moves to a bigger buffer, oldest first
+  EXPECT_EQ(q.capacity(), 16u);
+  EXPECT_EQ(contents(q), (std::vector<int>{2, 3, 4, 5, 6}));
+  EXPECT_EQ(q.front(), 2);
+  EXPECT_EQ(q.back(), 6);
+  EXPECT_EQ(q.at(2), 4);
+  for (int i = 2; i < 5; ++i) EXPECT_EQ(q.pop(), i);
+  for (int i = 7; i < 21; ++i) q.push(i);  // head at slot 3, the tail wraps to slot 2
+  ASSERT_TRUE(q.full());
+  EXPECT_EQ(q.capacity(), 16u);
+  q.push(21);
+  EXPECT_EQ(q.capacity(), 32u);
+  EXPECT_EQ(q.front(), 5);
+  EXPECT_EQ(q.back(), 21);
+  for (int i = 5; i < 22; ++i) EXPECT_EQ(q.pop(), i);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FixedQueue, AnUnsizedRingGrowsOnItsFirstPush) {
+  CountingResource arena;
+  FixedQueue<std::string> q(0, &arena);
+  EXPECT_EQ(arena.allocations, 0u);
+  q.push("a");
+  EXPECT_EQ(arena.allocations, 1u);  // the growth draws from the ring's resource
+  EXPECT_EQ(q.capacity(), 16u);
+  for (int i = 0; i < 16; ++i) q.push(std::to_string(i));
+  EXPECT_EQ(arena.allocations, 2u);
+  EXPECT_EQ(q.front(), "a");
+  EXPECT_EQ(q.back(), "15");
+  EXPECT_EQ(q.at(16), "15");
+  q.erase_at(1);
+  EXPECT_EQ(q.at(1), "1");
+}
+
+TEST(FixedQueue, ClearKeepsTheGrownCapacity) {
+  CountingResource arena;
+  FixedQueue<int> q(0, &arena);
+  for (int i = 0; i < 20; ++i) q.push(i);
+  ASSERT_EQ(q.capacity(), 32u);
+  const std::size_t taken = arena.allocations;
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 32u);
+  for (int i = 0; i < 32; ++i) q.push(i);
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(arena.allocations, taken);
+}
+
+TEST(FixedQueue, ABoundedRingWhoseCallerChecksFullNeverReallocates) {
+  CountingResource arena;
+  FixedQueue<int> q(5, &arena);
+  EXPECT_EQ(arena.allocations, 1u);
+  int next = 0, expect = 0;
+  for (int round = 0; round < 1000; ++round) {
+    if (!q.full()) q.push(next++);
+    if (round % 3 == 2) {
+      EXPECT_EQ(q.pop(), expect++);
+    }
+  }
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(q.capacity(), 5u);
+  EXPECT_EQ(arena.allocations, 1u);
+}
+
+TEST(FixedQueue, SwapExchangesBuffersOfOneResource) {
+  CountingResource arena;
+  FixedQueue<int> a(0, &arena), b(0, &arena);
+  for (int i = 0; i < 3; ++i) a.push(i);
+  a.swap(b);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(contents(b), (std::vector<int>{0, 1, 2}));
+  a.push(7);  // a now has b's old, empty buffer: it grows on its own
+  EXPECT_EQ(arena.allocations, 2u);
+  EXPECT_EQ(contents(a), (std::vector<int>{7}));
 }
 
 }  // namespace
