@@ -43,7 +43,7 @@ Network::Network(std::uint32_t endpoints, std::uint32_t latency,
       topology_(topology),
       link_bw_(link_bw),
       link_queue_(link_queue),
-      pool_(arena),
+      pool_(std::pmr::get_default_resource()),
       lanes_(arena),
       stalled_(arena),
       inboxes_(endpoints, arena),

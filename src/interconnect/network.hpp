@@ -231,7 +231,8 @@ class Network {
   /// through the slots. recv() releases the slot onto the free list (a
   /// stack, from free_slot_) for reuse. Room for two messages per
   /// endpoint; it grows only to the high-water mark of messages in the
-  /// network, so steady traffic allocates nothing.
+  /// network, so steady traffic allocates nothing. It lives on the heap,
+  /// not in the arena, so that each outgrown copy is freed.
   std::pmr::vector<Slot> pool_;
   std::uint32_t free_slot_ = kNoSlot;
 

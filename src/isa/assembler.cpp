@@ -1,8 +1,9 @@
 #include "isa/assembler.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <initializer_list>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "isa/builder.hpp"
@@ -10,10 +11,6 @@
 namespace mcsim {
 
 namespace {
-
-struct Token {
-  std::string text;
-};
 
 std::string strip(const std::string& s) {
   std::size_t b = s.find_first_not_of(" \t\r");
@@ -223,134 +220,119 @@ class Assembler {
 
   void emit(const std::string& mn_full, const std::vector<std::string>& ops,
             std::size_t line) {
-    // Split optional suffixes: ld.acq, st.rel, beq.t, bne.nt ...
-    std::string mn = mn_full, suffix;
-    std::size_t dot = mn_full.find('.');
-    if (dot != std::string::npos) {
-      mn = mn_full.substr(0, dot);
-      suffix = mn_full.substr(dot + 1);
-    }
-    auto hint = [&]() {
-      if (suffix == "t") return BranchHint::kTaken;
-      if (suffix == "nt") return BranchHint::kNotTaken;
-      if (!suffix.empty()) throw AsmError(line, "bad branch suffix ." + suffix);
-      return BranchHint::kNone;
+    // Split an optional suffix: ld.acq, st.rel, tas.rel, beq.t, bne.nt.
+    const std::size_t dot = mn_full.find('.');
+    const std::string mn = mn_full.substr(0, dot);
+    const std::string suffix = dot == std::string::npos ? "" : mn_full.substr(dot + 1);
+    // An RMW's flavour: .acq, .rel, or `plain` without a suffix.
+    auto rmw_sync = [&](SyncKind plain) {
+      return suffix == "acq"   ? SyncKind::kAcquire
+             : suffix == "rel" ? SyncKind::kRelease
+                               : plain;
     };
+    // Reject a suffix not in `suffixes`, then a wrong operand count.
+    auto operands = [&](std::size_t n, std::initializer_list<const char*> suffixes) {
+      if (!suffix.empty() &&
+          std::none_of(suffixes.begin(), suffixes.end(),
+                       [&](const char* s) { return suffix == s; }))
+        throw AsmError(line, mn + " takes no suffix ." + suffix);
+      need(ops, n, line, mn);
+    };
+    auto reg = [&](std::size_t i) { return parse_reg(ops[i], line); };
+    auto mem = [&](std::size_t i) { return parse_mem(ops[i], line); };
 
-    if (mn == "nop") { builder_.nop(); return; }
-    if (mn == "halt") { builder_.halt(); return; }
-    if (mn == "fence") { builder_.fence(); return; }
-
+    if (mn == "nop" || mn == "halt" || mn == "fence") {
+      operands(0, {});
+      if (mn == "nop") builder_.nop();
+      if (mn == "halt") builder_.halt();
+      if (mn == "fence") builder_.fence();
+      return;
+    }
     if (mn == "li") {
-      need(ops, 2, line, mn);
-      builder_.addi(parse_reg(ops[0], line), 0, parse_number(ops[1], line));
+      operands(2, {});
+      builder_.addi(reg(0), 0, parse_number(ops[1], line));
       return;
     }
     if (mn == "mov") {
-      need(ops, 2, line, mn);
-      builder_.mov(parse_reg(ops[0], line), parse_reg(ops[1], line));
-      return;
-    }
-    if (mn == "addi" || mn == "andi" || mn == "ori" || mn == "xori" || mn == "slti") {
-      need(ops, 3, line, mn);
-      Instruction i;
-      i.op = mn == "addi"   ? Opcode::kAddi
-             : mn == "andi" ? Opcode::kAndi
-             : mn == "ori"  ? Opcode::kOri
-             : mn == "xori" ? Opcode::kXori
-                            : Opcode::kSlti;
-      // Route through the builder to keep a single emission path.
-      if (i.op == Opcode::kAddi) {
-        builder_.addi(parse_reg(ops[0], line), parse_reg(ops[1], line),
-                      parse_number(ops[2], line));
-      } else {
-        Instruction raw;
-        raw.op = i.op;
-        raw.rd = parse_reg(ops[0], line);
-        raw.rs1 = parse_reg(ops[1], line);
-        raw.imm = parse_number(ops[2], line);
-        builder_.raw(raw);
-      }
+      operands(2, {});
+      builder_.mov(reg(0), reg(1));
       return;
     }
 
-    static const std::map<std::string, Opcode> kRRR = {
-        {"add", Opcode::kAdd}, {"sub", Opcode::kSub}, {"and", Opcode::kAnd},
-        {"or", Opcode::kOr},   {"xor", Opcode::kXor}, {"slt", Opcode::kSlt},
-        {"sltu", Opcode::kSltu}, {"mul", Opcode::kMul}, {"shl", Opcode::kShl},
-        {"shr", Opcode::kShr}};
-    if (auto it = kRRR.find(mn); it != kRRR.end()) {
-      need(ops, 3, line, mn);
+    static const std::map<std::string, Opcode> kAlu = {
+        {"add", Opcode::kAdd},   {"sub", Opcode::kSub},   {"and", Opcode::kAnd},
+        {"or", Opcode::kOr},     {"xor", Opcode::kXor},   {"slt", Opcode::kSlt},
+        {"sltu", Opcode::kSltu}, {"mul", Opcode::kMul},   {"shl", Opcode::kShl},
+        {"shr", Opcode::kShr},   {"addi", Opcode::kAddi}, {"andi", Opcode::kAndi},
+        {"ori", Opcode::kOri},   {"xori", Opcode::kXori}, {"slti", Opcode::kSlti}};
+    if (auto it = kAlu.find(mn); it != kAlu.end()) {
+      operands(3, {});
       Instruction raw;
       raw.op = it->second;
-      raw.rd = parse_reg(ops[0], line);
-      raw.rs1 = parse_reg(ops[1], line);
-      raw.rs2 = parse_reg(ops[2], line);
+      raw.rd = reg(0);
+      raw.rs1 = reg(1);
+      if (raw.has_imm_operand())
+        raw.imm = parse_number(ops[2], line);
+      else
+        raw.rs2 = reg(2);
       builder_.raw(raw);
       return;
     }
 
     if (mn == "ld") {
-      need(ops, 2, line, mn);
-      if (suffix == "acq")
-        builder_.load_acq(parse_reg(ops[0], line), parse_mem(ops[1], line));
-      else if (suffix.empty())
-        builder_.load(parse_reg(ops[0], line), parse_mem(ops[1], line));
+      operands(2, {"acq"});
+      if (suffix.empty())
+        builder_.load(reg(0), mem(1));
       else
-        throw AsmError(line, "bad load suffix ." + suffix);
+        builder_.load_acq(reg(0), mem(1));
       return;
     }
     if (mn == "st") {
-      need(ops, 2, line, mn);
-      if (suffix == "rel")
-        builder_.store_rel(parse_reg(ops[0], line), parse_mem(ops[1], line));
-      else if (suffix.empty())
-        builder_.store(parse_reg(ops[0], line), parse_mem(ops[1], line));
+      operands(2, {"rel"});
+      if (suffix.empty())
+        builder_.store(reg(0), mem(1));
       else
-        throw AsmError(line, "bad store suffix ." + suffix);
+        builder_.store_rel(reg(0), mem(1));
       return;
     }
-    if (mn == "tas") {
-      need(ops, 2, line, mn);
-      builder_.tas(parse_reg(ops[0], line), parse_mem(ops[1], line));
+    if (mn == "tas") {  // plain tas is acquire, the lock idiom
+      operands(2, {"acq", "rel"});
+      builder_.tas(reg(0), mem(1), rmw_sync(SyncKind::kAcquire));
       return;
     }
     if (mn == "fadd") {
-      need(ops, 3, line, mn);
-      builder_.fetch_add(parse_reg(ops[0], line), parse_mem(ops[1], line),
-                         parse_reg(ops[2], line));
+      operands(3, {"acq", "rel"});
+      builder_.fetch_add(reg(0), mem(1), reg(2), rmw_sync(SyncKind::kNone));
       return;
     }
     if (mn == "swap") {
-      need(ops, 3, line, mn);
-      builder_.swap(parse_reg(ops[0], line), parse_mem(ops[1], line),
-                    parse_reg(ops[2], line));
+      operands(3, {"acq", "rel"});
+      builder_.swap(reg(0), mem(1), reg(2), rmw_sync(SyncKind::kNone));
       return;
     }
     if (mn == "cas") {
-      need(ops, 4, line, mn);
-      builder_.cas(parse_reg(ops[0], line), parse_mem(ops[1], line),
-                   parse_reg(ops[2], line), parse_reg(ops[3], line));
+      operands(4, {"acq", "rel"});
+      builder_.cas(reg(0), mem(1), reg(2), reg(3), rmw_sync(SyncKind::kNone));
       return;
     }
-    if (mn == "pf") {
-      need(ops, 1, line, mn);
-      builder_.prefetch(parse_mem(ops[0], line));
-      return;
-    }
-    if (mn == "pfx") {
-      need(ops, 1, line, mn);
-      builder_.prefetch_ex(parse_mem(ops[0], line));
+    if (mn == "pf" || mn == "pfx") {
+      operands(1, {});
+      if (mn == "pf")
+        builder_.prefetch(mem(0));
+      else
+        builder_.prefetch_ex(mem(0));
       return;
     }
 
     if (mn == "beq" || mn == "bne" || mn == "blt" || mn == "bge") {
-      need(ops, 3, line, mn);
-      RegId a = parse_reg(ops[0], line);
-      RegId b = parse_reg(ops[1], line);
+      operands(3, {"t", "nt"});
+      RegId a = reg(0);
+      RegId b = reg(1);
       const std::string& target = ops[2];
       if (!is_identifier(target)) throw AsmError(line, "branch target must be a label");
-      BranchHint h = hint();
+      const BranchHint h = suffix == "t"    ? BranchHint::kTaken
+                           : suffix == "nt" ? BranchHint::kNotTaken
+                                            : BranchHint::kNone;
       if (mn == "beq") builder_.beq(a, b, target, h);
       if (mn == "bne") builder_.bne(a, b, target, h);
       if (mn == "blt") builder_.blt(a, b, target, h);
@@ -358,7 +340,7 @@ class Assembler {
       return;
     }
     if (mn == "jmp") {
-      need(ops, 1, line, mn);
+      operands(1, {});
       if (!is_identifier(ops[0])) throw AsmError(line, "jmp target must be a label");
       builder_.jmp(ops[0]);
       return;

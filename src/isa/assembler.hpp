@@ -19,8 +19,10 @@
 //   .data ADDR VAL  initial memory contents
 //   mnemonics:      nop halt fence | add sub and or xor slt sltu mul shl shr
 //                   | addi andi ori xori slti li mov
-//                   | ld ld.acq st st.rel tas fadd swap cas pf pfx
+//                   | ld ld.acq st st.rel pf pfx
+//                   | tas fadd swap cas (suffix .acq/.rel; plain tas is .acq)
 //                   | beq bne blt bge jmp (suffix .t/.nt for hints)
+//                   A suffix the mnemonic does not take is an error.
 //   operands:       rN | immediate (dec, hex 0x..., negative) | symbol
 //   memory operand: [BASE? (+ rIDX (<< K)?)? (+ DISP)?] in any sane order:
 //                   [0x100], [r3], [r3+8], [sym], [r3+r4<<2+16], [r4<<2+sym]

@@ -50,16 +50,30 @@ const char* to_string(RmwOp op) {
 
 namespace {
 
-std::string mem_str(const MemOperand& m) {
-  std::ostringstream os;
-  os << "[r" << unsigned(m.base);
-  if (m.index != 0) {
-    os << "+r" << unsigned(m.index);
+struct Reg {
+  RegId id;
+};
+std::ostream& operator<<(std::ostream& os, Reg r) { return os << 'r' << unsigned(r.id); }
+
+/// `[base+index<<scale+disp]`, leaving out what is zero. An index or a
+/// scale is written after a base (`r0` if none), where the assembler
+/// reads it as the index.
+std::ostream& operator<<(std::ostream& os, const MemOperand& m) {
+  const bool indexed = m.index != 0 || m.scale_log2 != 0;
+  const bool regs = m.base != 0 || indexed;
+  os << '[';
+  if (regs) os << Reg{m.base};
+  if (indexed) {
+    os << '+' << Reg{m.index};
     if (m.scale_log2 != 0) os << "<<" << unsigned(m.scale_log2);
   }
-  if (m.disp != 0) os << (m.disp > 0 ? "+" : "") << m.disp;
-  os << "]";
-  return os.str();
+  if (m.disp == 0 && regs) return os << ']';
+  if (regs) os << '+';
+  if (m.disp < 0)
+    os << m.disp;
+  else
+    os << "0x" << std::hex << m.disp << std::dec;
+  return os << ']';
 }
 
 const char* sync_suffix(SyncKind s) {
@@ -75,51 +89,43 @@ const char* sync_suffix(SyncKind s) {
 
 std::string disassemble(const Instruction& inst) {
   std::ostringstream os;
+  os << (inst.is_rmw() ? to_string(inst.rmw) : to_string(inst.op));
+  if (inst.is_load() || inst.is_store() || inst.is_rmw()) os << sync_suffix(inst.sync);
+  if (inst.hint == BranchHint::kTaken) os << ".t";
+  if (inst.hint == BranchHint::kNotTaken) os << ".nt";
   switch (inst.op) {
     case Opcode::kNop:
     case Opcode::kHalt:
     case Opcode::kFence:
-      os << to_string(inst.op);
       break;
     case Opcode::kLoad:
-      os << "ld" << sync_suffix(inst.sync) << " r" << unsigned(inst.rd) << ", "
-         << mem_str(inst.mem);
+      os << ' ' << Reg{inst.rd} << ", " << inst.mem;
       break;
     case Opcode::kStore:
-      os << "st" << sync_suffix(inst.sync) << " r" << unsigned(inst.rs2) << ", "
-         << mem_str(inst.mem);
+      os << ' ' << Reg{inst.rs2} << ", " << inst.mem;
       break;
     case Opcode::kRmw:
-      os << to_string(inst.rmw) << sync_suffix(inst.sync) << " r" << unsigned(inst.rd)
-         << ", " << mem_str(inst.mem);
-      if (inst.rmw == RmwOp::kCompareSwap)
-        os << ", cmp=r" << unsigned(inst.rs1) << ", new=r" << unsigned(inst.rs2);
-      else if (inst.rmw != RmwOp::kTestAndSet)
-        os << ", r" << unsigned(inst.rs2);
+      os << ' ' << Reg{inst.rd} << ", " << inst.mem;
+      if (inst.rmw == RmwOp::kCompareSwap) os << ", " << Reg{inst.rs1};
+      if (inst.rmw != RmwOp::kTestAndSet) os << ", " << Reg{inst.rs2};
       break;
     case Opcode::kPrefetch:
     case Opcode::kPrefetchEx:
-      os << to_string(inst.op) << " " << mem_str(inst.mem);
-      break;
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-      os << to_string(inst.op) << " r" << unsigned(inst.rs1) << ", r"
-         << unsigned(inst.rs2) << ", @" << inst.imm;
-      if (inst.hint == BranchHint::kTaken) os << " (hint:T)";
-      if (inst.hint == BranchHint::kNotTaken) os << " (hint:NT)";
+      os << ' ' << inst.mem;
       break;
     case Opcode::kJmp:
-      os << "jmp @" << inst.imm;
+      os << " L" << inst.imm;
       break;
     default:
-      os << to_string(inst.op) << " r" << unsigned(inst.rd) << ", r"
-         << unsigned(inst.rs1);
+      if (inst.is_cond_branch()) {
+        os << ' ' << Reg{inst.rs1} << ", " << Reg{inst.rs2} << ", L" << inst.imm;
+        break;
+      }
+      os << ' ' << Reg{inst.rd} << ", " << Reg{inst.rs1} << ", ";  // ALU
       if (inst.has_imm_operand())
-        os << ", " << inst.imm;
+        os << inst.imm;
       else
-        os << ", r" << unsigned(inst.rs2);
+        os << Reg{inst.rs2};
       break;
   }
   return os.str();
@@ -161,10 +167,6 @@ Word apply_rmw(RmwOp op, Word old, Word cmp, Word src) {
     case RmwOp::kCompareSwap: return old == cmp ? src : old;
   }
   return old;
-}
-
-Word eval_rmw_new_value(const Instruction& inst, Word old, Word rs1_val, Word rs2_val) {
-  return apply_rmw(inst.rmw, old, rs1_val, rs2_val);
 }
 
 }  // namespace mcsim

@@ -58,6 +58,8 @@ struct MemOperand {
   RegId index = 0;        ///< r0 (always zero) disables indexing
   std::uint8_t scale_log2 = 0;
   std::int64_t disp = 0;
+
+  bool operator==(const MemOperand&) const = default;
 };
 
 struct Instruction {
@@ -71,6 +73,7 @@ struct Instruction {
   RmwOp rmw = RmwOp::kTestAndSet;
   BranchHint hint = BranchHint::kNone;
 
+  bool operator==(const Instruction&) const = default;
   bool is_mem() const {
     return op == Opcode::kLoad || op == Opcode::kStore || op == Opcode::kRmw ||
            op == Opcode::kPrefetch || op == Opcode::kPrefetchEx;
@@ -118,7 +121,10 @@ struct Instruction {
 const char* to_string(Opcode op);
 const char* to_string(RmwOp op);
 
-/// One-line human-readable rendering, e.g. "ld.acq r3, [r1+r2<<2+16]".
+/// One line of assembler source (isa/assembler), e.g.
+/// "ld.acq r3, [r1+r2<<2+0x10]"; a branch target is the label `L<n>` of
+/// instruction n. The assembler reads it back as the same instruction,
+/// except a `tas` with no flavour, which it reads as `tas.acq`.
 std::string disassemble(const Instruction& inst);
 
 /// Evaluate a pure ALU operation (shared by the core's execute stage
@@ -130,6 +136,5 @@ bool eval_branch(Opcode op, Word a, Word b);
 
 /// Apply an RMW's write function to the old memory value.
 Word apply_rmw(RmwOp op, Word old, Word cmp, Word src);
-Word eval_rmw_new_value(const Instruction& inst, Word old, Word rs1_val, Word rs2_val);
 
 }  // namespace mcsim

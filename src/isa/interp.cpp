@@ -4,56 +4,25 @@ namespace mcsim {
 
 namespace {
 
-Addr effective_address(const Instruction& inst, const std::array<Word, kNumArchRegs>& regs) {
-  return static_cast<Addr>(regs[inst.mem.base]) +
-         (static_cast<Addr>(regs[inst.mem.index]) << inst.mem.scale_log2) +
-         static_cast<Addr>(inst.mem.disp);
-}
+struct FlatPort {
+  FlatMemory& mem;
+  Word load(const Instruction&, Addr ea) { return mem.read(ea); }
+  void store(const Instruction&, Addr ea, Word v) { mem.write(ea, v); }
+  Word rmw(const Instruction& inst, Addr ea, Word rs1, Word rs2) {
+    const Word old = mem.read(ea);
+    mem.write(ea, apply_rmw(inst.rmw, old, rs1, rs2));
+    return old;
+  }
+};
 
 }  // namespace
 
 void InterpThread::step() {
   if (done()) return;
   const Instruction& inst = prog_->at(pc_);
-  std::size_t next_pc = pc_ + 1;
-  switch (inst.op) {
-    case Opcode::kHalt:
-      halted_ = true;
-      break;
-    case Opcode::kNop:
-    case Opcode::kFence:
-    case Opcode::kPrefetch:
-    case Opcode::kPrefetchEx:
-      break;
-    case Opcode::kLoad:
-      regs_[inst.rd] = mem_->read(effective_address(inst, regs_));
-      break;
-    case Opcode::kStore:
-      mem_->write(effective_address(inst, regs_), regs_[inst.rs2]);
-      break;
-    case Opcode::kRmw: {
-      Addr ea = effective_address(inst, regs_);
-      Word old = mem_->read(ea);
-      mem_->write(ea, eval_rmw_new_value(inst, old, regs_[inst.rs1], regs_[inst.rs2]));
-      regs_[inst.rd] = old;
-      break;
-    }
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kJmp:
-      if (eval_branch(inst.op, regs_[inst.rs1], regs_[inst.rs2]))
-        next_pc = static_cast<std::size_t>(inst.imm);
-      break;
-    default: {  // ALU
-      Word b = inst.has_imm_operand() ? static_cast<Word>(inst.imm) : regs_[inst.rs2];
-      regs_[inst.rd] = eval_alu(inst, regs_[inst.rs1], b);
-      break;
-    }
-  }
-  regs_[0] = 0;  // r0 is hardwired to zero
-  if (!halted_) pc_ = next_pc;
+  FlatPort port{*mem_};
+  halted_ = inst.op == Opcode::kHalt;
+  pc_ = execute(inst, pc_, regs_, port);
 }
 
 InterpResult interpret(const Program& prog, FlatMemory& mem, std::uint64_t max_steps) {

@@ -15,6 +15,8 @@ namespace mcsim {
 struct DataInit {
   Addr addr = 0;
   Word value = 0;
+
+  bool operator==(const DataInit&) const = default;
 };
 
 class Program {

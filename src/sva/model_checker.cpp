@@ -4,6 +4,8 @@
 #include <array>
 #include <sstream>
 
+#include "isa/interp.hpp"
+
 namespace mcsim {
 namespace sva {
 
@@ -70,103 +72,85 @@ struct Checker {
 
   // ---- 1. uniprocessor replay ---------------------------------------
   //
-  // Drive the reference instruction semantics (the same eval_* helpers
-  // the core and the interpreter share), taking every load/RMW-read
-  // value from the log. Any divergence — wrong address, wrong kind,
-  // wrong store value, an access the program cannot produce — is a
-  // core/LSU bug, and it also voids the RMW write values the
-  // reads-from check needs, so a failed replay skips that check.
+  // Step the program through the ISA's semantics (isa/interp's
+  // execute(), which the interpreter and the SC enumerator share)
+  // against a port that takes every load/RMW-read value from the log.
+  // Any divergence — wrong address, wrong kind, wrong store value, an
+  // access the program cannot produce — is a core/LSU bug, and it also
+  // voids the RMW write values the reads-from check needs, so a failed
+  // replay skips that check.
+  struct LogPort {
+    Checker& c;
+    ProcId p;
+    const std::vector<AccessRecord>& log;
+    Word* write_values;  ///< p's slice of Checker::write_values
+    std::size_t pc = 0;
+    std::size_t li = 0;  ///< next unconsumed log record
+    bool failed = false;
+
+    void mismatch(const std::string& what) {
+      c.flag(CheckViolation::Kind::kReplayMismatch, p, li < log.size() ? log[li].seq : li,
+             what + " at pc=" + std::to_string(pc));
+      c.replay_ok = false;
+      failed = true;
+    }
+    /// The record `inst` must match next, or null after a mismatch.
+    const AccessRecord* next(const Instruction& inst, AccessKind kind, const char* what,
+                             Addr ea) {
+      if (li >= log.size()) {
+        mismatch(std::string(what) + " has no log record");
+        return nullptr;
+      }
+      const AccessRecord& r = log[li];
+      if (r.kind != kind || r.addr != ea || r.sync != inst.sync) {
+        mismatch(std::string(what) + " record disagrees (addr/kind/sync)");
+        return nullptr;
+      }
+      return &r;
+    }
+    Word load(const Instruction& inst, Addr ea) {
+      const AccessRecord* r = next(inst, AccessKind::kLoad, "load", ea);
+      if (r == nullptr) return 0;
+      ++li;
+      return r->value;
+    }
+    void store(const Instruction& inst, Addr ea, Word v) {
+      const AccessRecord* r = next(inst, AccessKind::kStore, "store", ea);
+      if (r == nullptr) return;
+      if (r->value != v)
+        return mismatch("store wrote " + std::to_string(r->value) + ", semantics say " +
+                        std::to_string(v));
+      write_values[li++] = v;
+    }
+    Word rmw(const Instruction& inst, Addr ea, Word rs1, Word rs2) {
+      const AccessRecord* r = next(inst, AccessKind::kRmw, "rmw", ea);
+      if (r == nullptr) return 0;
+      write_values[li++] = apply_rmw(inst.rmw, r->value, rs1, rs2);
+      return r->value;
+    }
+  };
+
   void replay(ProcId p, std::size_t base) {
     const Program& prog = programs[p];
-    const std::vector<AccessRecord>& log = logs[p];
-    std::array<Word, kNumArchRegs> regs{};
-    std::size_t pc = 0;
-    std::size_t li = 0;  // next unconsumed log record
+    LogPort port{*this, p, logs[p], write_values.data() + base};
+    RegFile regs{};
     // Generous budget: every logged access plus slack for ALU/branch
     // instructions (spin loops consume log records, so this bounds).
-    std::uint64_t budget = 64 * (log.size() + prog.size() + 16);
-
-    auto mismatch = [&](const std::string& what) {
-      flag(CheckViolation::Kind::kReplayMismatch, p, li < log.size() ? log[li].seq : li,
-           what + " at pc=" + std::to_string(pc));
-      replay_ok = false;
-    };
-
-    while (pc < prog.size()) {
-      if (budget-- == 0) return mismatch("replay did not terminate (budget exhausted)");
-      const Instruction& inst = prog.at(pc);
-      std::size_t next_pc = pc + 1;
-      switch (inst.op) {
-        case Opcode::kHalt:
-          if (li != log.size())
-            return mismatch("program halted with " + std::to_string(log.size() - li) +
-                            " unexplained log records");
-          return;
-        case Opcode::kNop:
-        case Opcode::kFence:
-        case Opcode::kPrefetch:
-        case Opcode::kPrefetchEx:
-          break;
-        case Opcode::kLoad: {
-          if (li >= log.size()) return mismatch("load has no log record");
-          const AccessRecord& r = log[li];
-          Addr ea = static_cast<Addr>(regs[inst.mem.base]) +
-                    (static_cast<Addr>(regs[inst.mem.index]) << inst.mem.scale_log2) +
-                    static_cast<Addr>(inst.mem.disp);
-          if (r.kind != AccessKind::kLoad || r.addr != ea || r.sync != inst.sync)
-            return mismatch("load record disagrees (addr/kind/sync)");
-          regs[inst.rd] = r.value;
-          ++li;
-          break;
-        }
-        case Opcode::kStore: {
-          if (li >= log.size()) return mismatch("store has no log record");
-          const AccessRecord& r = log[li];
-          Addr ea = static_cast<Addr>(regs[inst.mem.base]) +
-                    (static_cast<Addr>(regs[inst.mem.index]) << inst.mem.scale_log2) +
-                    static_cast<Addr>(inst.mem.disp);
-          if (r.kind != AccessKind::kStore || r.addr != ea || r.sync != inst.sync)
-            return mismatch("store record disagrees (addr/kind/sync)");
-          if (r.value != regs[inst.rs2])
-            return mismatch("store wrote " + std::to_string(r.value) + ", semantics say " +
-                            std::to_string(regs[inst.rs2]));
-          write_values[base + li] = r.value;
-          ++li;
-          break;
-        }
-        case Opcode::kRmw: {
-          if (li >= log.size()) return mismatch("rmw has no log record");
-          const AccessRecord& r = log[li];
-          Addr ea = static_cast<Addr>(regs[inst.mem.base]) +
-                    (static_cast<Addr>(regs[inst.mem.index]) << inst.mem.scale_log2) +
-                    static_cast<Addr>(inst.mem.disp);
-          if (r.kind != AccessKind::kRmw || r.addr != ea || r.sync != inst.sync)
-            return mismatch("rmw record disagrees (addr/kind/sync)");
-          const Word old = r.value;
-          write_values[base + li] =
-              eval_rmw_new_value(inst, old, regs[inst.rs1], regs[inst.rs2]);
-          regs[inst.rd] = old;
-          ++li;
-          break;
-        }
-        case Opcode::kBeq:
-        case Opcode::kBne:
-        case Opcode::kBlt:
-        case Opcode::kBge:
-        case Opcode::kJmp:
-          if (eval_branch(inst.op, regs[inst.rs1], regs[inst.rs2]))
-            next_pc = static_cast<std::size_t>(inst.imm);
-          break;
-        default: {  // ALU
-          Word b = inst.has_imm_operand() ? static_cast<Word>(inst.imm) : regs[inst.rs2];
-          regs[inst.rd] = eval_alu(inst, regs[inst.rs1], b);
-          break;
-        }
+    std::uint64_t budget = 64 * (port.log.size() + prog.size() + 16);
+    while (port.pc < prog.size()) {
+      if (budget-- == 0) return port.mismatch("replay did not terminate (budget exhausted)");
+      const Instruction& inst = prog.at(port.pc);
+      if (inst.op == Opcode::kHalt) {
+        if (port.li != port.log.size())
+          port.mismatch("program halted with " + std::to_string(port.log.size() - port.li) +
+                        " unexplained log records");
+        return;
       }
-      regs[0] = 0;
-      pc = next_pc;
+      const std::size_t next_pc = execute(inst, port.pc, regs, port);
+      if (port.failed) return;
+      port.pc = next_pc;
     }
-    if (li != log.size()) mismatch("program ended with unexplained log records");
+    if (port.li != port.log.size()) port.mismatch("program ended with unexplained log records");
   }
 
   // ---- 2. delay arcs -------------------------------------------------

@@ -20,120 +20,6 @@ std::string hex(std::uint64_t v) {
   return os.str();
 }
 
-std::string reg(RegId r) {
-  // Appended rather than built with operator+, which GCC 12 at -O3
-  // flags with a false-positive -Wrestrict.
-  std::string s("r");
-  s += std::to_string(r);
-  return s;
-}
-
-std::string asm_mem(const MemOperand& m) {
-  std::string s = "[";
-  bool first = true;
-  if (m.base != 0) {
-    s += reg(m.base);
-    first = false;
-  }
-  if (m.index != 0) {
-    if (!first) s += "+";
-    s += reg(m.index);
-    if (m.scale_log2 != 0) s += "<<" + std::to_string(m.scale_log2);
-    first = false;
-  }
-  if (m.disp != 0 || first) {
-    if (!first) s += "+";
-    s += m.disp < 0 ? std::to_string(m.disp) : hex(static_cast<std::uint64_t>(m.disp));
-  }
-  return s + "]";
-}
-
-const char* alu_mnemonic(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd: return "add";
-    case Opcode::kSub: return "sub";
-    case Opcode::kAnd: return "and";
-    case Opcode::kOr: return "or";
-    case Opcode::kXor: return "xor";
-    case Opcode::kSlt: return "slt";
-    case Opcode::kSltu: return "sltu";
-    case Opcode::kMul: return "mul";
-    case Opcode::kShl: return "shl";
-    case Opcode::kShr: return "shr";
-    case Opcode::kAddi: return "addi";
-    case Opcode::kAndi: return "andi";
-    case Opcode::kOri: return "ori";
-    case Opcode::kXori: return "xori";
-    case Opcode::kSlti: return "slti";
-    default: return nullptr;
-  }
-}
-
-std::string asm_inst(const Instruction& i) {
-  std::ostringstream os;
-  switch (i.op) {
-    case Opcode::kNop: return "nop";
-    case Opcode::kHalt: return "halt";
-    case Opcode::kFence: return "fence";
-    case Opcode::kLoad:
-      os << (i.sync == SyncKind::kAcquire ? "ld.acq " : "ld ") << reg(i.rd) << ", "
-         << asm_mem(i.mem);
-      return os.str();
-    case Opcode::kStore:
-      os << (i.sync == SyncKind::kRelease ? "st.rel " : "st ") << reg(i.rs2) << ", "
-         << asm_mem(i.mem);
-      return os.str();
-    case Opcode::kRmw:
-      switch (i.rmw) {
-        case RmwOp::kTestAndSet:
-          os << "tas " << reg(i.rd) << ", " << asm_mem(i.mem);
-          break;
-        case RmwOp::kFetchAdd:
-          os << "fadd " << reg(i.rd) << ", " << asm_mem(i.mem) << ", " << reg(i.rs2);
-          break;
-        case RmwOp::kSwap:
-          os << "swap " << reg(i.rd) << ", " << asm_mem(i.mem) << ", " << reg(i.rs2);
-          break;
-        case RmwOp::kCompareSwap:
-          os << "cas " << reg(i.rd) << ", " << asm_mem(i.mem) << ", " << reg(i.rs1)
-             << ", " << reg(i.rs2);
-          break;
-      }
-      return os.str();
-    case Opcode::kPrefetch: return "pf " + asm_mem(i.mem);
-    case Opcode::kPrefetchEx: return "pfx " + asm_mem(i.mem);
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge: {
-      const char* mn = i.op == Opcode::kBeq   ? "beq"
-                       : i.op == Opcode::kBne ? "bne"
-                       : i.op == Opcode::kBlt ? "blt"
-                                              : "bge";
-      os << mn;
-      if (i.hint == BranchHint::kTaken) os << ".t";
-      if (i.hint == BranchHint::kNotTaken) os << ".nt";
-      os << ' ' << reg(i.rs1) << ", " << reg(i.rs2) << ", L" << i.imm;
-      return os.str();
-    }
-    case Opcode::kJmp:
-      os << "jmp L" << i.imm;
-      return os.str();
-    default:
-      if (const char* mn = alu_mnemonic(i.op)) {
-        os << mn << ' ' << reg(i.rd) << ", " << reg(i.rs1) << ", ";
-        if (i.has_imm_operand())
-          os << i.imm;
-        else
-          os << reg(i.rs2);
-        return os.str();
-      }
-      throw std::runtime_error("reproducer: instruction not expressible in assembler: " +
-                               disassemble(i));
-  }
-  return os.str();
-}
-
 std::string one_line(std::string s) {
   for (char& c : s) {
     if (c == '\n' || c == '\r') c = '|';
@@ -149,15 +35,18 @@ std::string program_to_asm(const Program& prog) {
     os << ".data " << hex(d.addr) << ' ' << d.value << '\n';
   std::set<std::int64_t> targets;
   for (const Instruction& i : prog.instructions()) {
+    // The assembler reads a flavourless tas as tas.acq.
+    if (i.is_rmw() && i.rmw == RmwOp::kTestAndSet && i.sync == SyncKind::kNone)
+      throw std::runtime_error("reproducer: instruction not expressible in assembler: " +
+                               disassemble(i));
     if (i.is_branch()) targets.insert(i.imm);
   }
   for (std::size_t pc = 0; pc < prog.size(); ++pc) {
     if (targets.count(static_cast<std::int64_t>(pc))) os << 'L' << pc << ":\n";
-    os << "  " << asm_inst(prog.at(pc)) << '\n';
+    os << "  " << disassemble(prog.at(pc)) << '\n';
   }
   // A branch may target one past the last instruction.
-  if (targets.count(static_cast<std::int64_t>(prog.size())))
-    os << 'L' << prog.size() << ":\n  nop\n";
+  if (targets.count(static_cast<std::int64_t>(prog.size()))) os << 'L' << prog.size() << ":\n";
   return os.str();
 }
 

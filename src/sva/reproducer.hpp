@@ -31,10 +31,11 @@ struct Reproducer {
   std::string note;  ///< one-line description of the observed violation
 };
 
-/// Render one program back into isa/assembler-accepted text (the
-/// disassembler's listing is for humans and does not round-trip).
-/// Branch targets become `Lk:` labels; `.data` lines carry the
-/// program's initial-memory image.
+/// Render one program as isa/assembler text: disassemble() per
+/// instruction, an `Lk:` label before each branch target, and `.data`
+/// lines for the program's initial-memory image. Throws
+/// std::runtime_error on a `tas` with no flavour, which the assembler
+/// would read back as `tas.acq`.
 std::string program_to_asm(const Program& prog);
 
 /// Full reproducer file text / its inverse. parse throws

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "isa/instruction.hpp"
+#include "isa/interp.hpp"
 
 namespace mcsim {
 namespace sva {
@@ -14,7 +14,7 @@ namespace {
 struct ThreadState {
   std::size_t pc = 0;
   bool halted = false;
-  std::array<Word, kNumArchRegs> regs{};
+  RegFile regs{};
 };
 
 struct MachineState {
@@ -35,66 +35,29 @@ struct MachineState {
     }
     return s;
   }
+
+  Word read(Addr a) const {
+    auto it = memory.find(a & ~static_cast<Addr>(kWordBytes - 1));
+    return it == memory.end() ? 0 : it->second;
+  }
+  void write(Addr a, Word v) { memory[a & ~static_cast<Addr>(kWordBytes - 1)] = v; }
+
+  // The memory port execute() steps a thread through.
+  Word load(const Instruction&, Addr a) const { return read(a); }
+  void store(const Instruction&, Addr a, Word v) { write(a, v); }
+  Word rmw(const Instruction& inst, Addr a, Word rs1, Word rs2) {
+    const Word old = read(a);
+    write(a, apply_rmw(inst.rmw, old, rs1, rs2));
+    return old;
+  }
 };
-
-Word mem_read(const MachineState& st, Addr a) {
-  auto it = st.memory.find(a & ~static_cast<Addr>(kWordBytes - 1));
-  return it == st.memory.end() ? 0 : it->second;
-}
-
-void mem_write(MachineState& st, Addr a, Word v) {
-  st.memory[a & ~static_cast<Addr>(kWordBytes - 1)] = v;
-}
-
-Addr effective_address(const Instruction& inst, const ThreadState& t) {
-  return static_cast<Addr>(t.regs[inst.mem.base]) +
-         (static_cast<Addr>(t.regs[inst.mem.index]) << inst.mem.scale_log2) +
-         static_cast<Addr>(inst.mem.disp);
-}
 
 /// Execute one instruction of thread `p` (SC: one atomic global step).
 void step(MachineState& st, const Program& prog, std::size_t p) {
   ThreadState& t = st.threads[p];
   const Instruction& inst = prog.at(t.pc);
-  std::size_t next_pc = t.pc + 1;
-  switch (inst.op) {
-    case Opcode::kHalt:
-      t.halted = true;
-      return;
-    case Opcode::kNop:
-    case Opcode::kFence:
-    case Opcode::kPrefetch:
-    case Opcode::kPrefetchEx:
-      break;
-    case Opcode::kLoad:
-      t.regs[inst.rd] = mem_read(st, effective_address(inst, t));
-      break;
-    case Opcode::kStore:
-      mem_write(st, effective_address(inst, t), t.regs[inst.rs2]);
-      break;
-    case Opcode::kRmw: {
-      Addr ea = effective_address(inst, t);
-      Word old = mem_read(st, ea);
-      mem_write(st, ea, apply_rmw(inst.rmw, old, t.regs[inst.rs1], t.regs[inst.rs2]));
-      t.regs[inst.rd] = old;
-      break;
-    }
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kJmp:
-      if (eval_branch(inst.op, t.regs[inst.rs1], t.regs[inst.rs2]))
-        next_pc = static_cast<std::size_t>(inst.imm);
-      break;
-    default: {  // ALU
-      Word b = inst.has_imm_operand() ? static_cast<Word>(inst.imm) : t.regs[inst.rs2];
-      t.regs[inst.rd] = eval_alu(inst, t.regs[inst.rs1], b);
-      break;
-    }
-  }
-  t.regs[0] = 0;
-  t.pc = next_pc;
+  t.halted = inst.op == Opcode::kHalt;
+  t.pc = execute(inst, t.pc, t.regs, st);
 }
 
 }  // namespace
@@ -115,7 +78,7 @@ EnumerationResult enumerate_sc_outcomes(const std::vector<Program>& programs,
   MachineState init;
   init.threads.resize(programs.size());
   for (const Program& p : programs) {
-    for (const DataInit& d : p.data()) mem_write(init, d.addr, d.value);
+    for (const DataInit& d : p.data()) init.write(d.addr, d.value);
   }
 
   EnumerationResult result;
@@ -143,7 +106,7 @@ EnumerationResult enumerate_sc_outcomes(const std::vector<Program>& programs,
     if (!any_runnable) {
       ScOutcome out;
       for (const ThreadState& t : st.threads) out.regs.push_back(t.regs);
-      for (Addr a : watch) out.memory.push_back(mem_read(st, a));
+      for (Addr a : watch) out.memory.push_back(st.read(a));
       result.outcomes.insert(std::move(out));
     }
   }

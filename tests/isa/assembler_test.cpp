@@ -121,6 +121,45 @@ TEST(Assembler, ErrorCases) {
   EXPECT_THROW(assemble("x: nop\nx: nop\n"), AsmError);     // duplicate label
   EXPECT_THROW(assemble("li r1, zzz\n"), AsmError);         // unknown symbol
   EXPECT_THROW(assemble("ld.foo r1, [0]\n"), AsmError);     // bad suffix
+  EXPECT_THROW(assemble("nop r1\n"), AsmError);            // operand on nop
+}
+
+TEST(Assembler, RmwsTakeEitherFlavour) {
+  Program p = assemble(R"(
+    fadd.acq r1, [0x100], r2
+    swap.rel r1, [0x100], r2
+    cas.acq  r1, [0x100], r2, r3
+    tas.rel  r1, [0x100]
+    tas.acq  r1, [0x100]
+    tas      r1, [0x100]
+    fadd     r1, [0x100], r2
+  )");
+  EXPECT_EQ(p.at(0).sync, SyncKind::kAcquire);
+  EXPECT_EQ(p.at(1).sync, SyncKind::kRelease);
+  EXPECT_EQ(p.at(2).sync, SyncKind::kAcquire);
+  EXPECT_EQ(p.at(3).sync, SyncKind::kRelease);
+  EXPECT_EQ(p.at(4).sync, SyncKind::kAcquire);
+  EXPECT_EQ(p.at(5).sync, SyncKind::kAcquire);  // plain tas is the lock idiom
+  EXPECT_EQ(p.at(6).sync, SyncKind::kNone);
+}
+
+// A suffix the mnemonic does not take would otherwise vanish and leave
+// a different program than the text says.
+TEST(Assembler, SuffixesAMnemonicDoesNotTakeAreErrors) {
+  for (const char* text : {"nop.bogus", "halt.acq", "fence.rel", "pf.acq [0x100]",
+                           "pfx.t [0x100]", "ld.rel r1, [0x100]", "st.acq r1, [0x100]",
+                           "tas.t r1, [0x100]", "fadd.nt r1, [0x100], r2",
+                           "beq.acq r1, r2, x", "jmp.t x", "add.acq r1, r2, r3",
+                           "addi.rel r1, r2, 1", "li.acq r1, 1", "mov.t r1, r2"}) {
+    try {
+      assemble(std::string("x: nop\n") + text + "\nhalt\n");
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.line(), 2u) << text;
+      EXPECT_NE(std::string(e.what()).find("takes no suffix"), std::string::npos)
+          << text << " -> " << e.what();
+    }
+  }
 }
 
 TEST(Assembler, AssembledProgramRunsOnTheMachine) {
@@ -141,17 +180,37 @@ TEST(Assembler, AssembledProgramRunsOnTheMachine) {
   EXPECT_EQ(r.cycles, 301u);  // Figure 2 / Example 1 baseline, from assembly
 }
 
+// disassemble() writes what the assembler reads: every line below comes
+// back unchanged. Line n is labelled Ln, the branch target syntax.
 TEST(Assembler, RoundTripThroughDisassembler) {
-  Program p = assemble(R"(
-    li r1, 3
-    ld.acq r2, [r1 + 0x40]
-    st.rel r2, [0x80]
-    fadd r3, [0x90], r1
-    halt
-  )");
-  EXPECT_NE(disassemble(p.at(1)).find("ld.acq"), std::string::npos);
-  EXPECT_NE(disassemble(p.at(2)).find("st.rel"), std::string::npos);
-  EXPECT_NE(disassemble(p.at(3)).find("fadd"), std::string::npos);
+  const char* lines[] = {"addi r1, r0, 3",
+                         "ld.acq r2, [r1+0x40]",
+                         "st.rel r2, [0x80]",
+                         "fadd r3, [0x90], r1",
+                         "fadd.acq r3, [0x0], r1",
+                         "swap.rel r4, [r1+-4], r2",
+                         "cas r5, [r1+r2], r3, r4",
+                         "tas.acq r6, [r0+r2<<2+0x10]",
+                         "tas.rel r6, [r1+r2<<1]",
+                         "pf [0x100]",
+                         "pfx [r3]",
+                         "beq.t r1, r2, L14",
+                         "bne.nt r1, r0, L14",
+                         "jmp L14",
+                         "sltu r7, r1, r2",
+                         "slti r7, r1, -9",
+                         "halt"};
+  std::string text;
+  for (std::size_t pc = 0; pc < std::size(lines); ++pc) {
+    text += "L";
+    text += std::to_string(pc);
+    text += ": ";
+    text += lines[pc];
+    text += "\n";
+  }
+  Program p = assemble(text);
+  ASSERT_EQ(p.size(), std::size(lines));
+  for (std::size_t pc = 0; pc < p.size(); ++pc) EXPECT_EQ(disassemble(p.at(pc)), lines[pc]);
 }
 
 }  // namespace

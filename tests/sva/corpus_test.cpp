@@ -83,6 +83,23 @@ TEST(Corpus, EveryFileRunsOnTheDefaultMemorySystem) {
   EXPECT_GE(files, 7u);
 }
 
+// Written back out, every corpus file reads as the same programs:
+// program_to_asm is the assembler's inverse on everything the corpus says.
+TEST(Corpus, EveryFileRerendersToTheSamePrograms) {
+  for (const auto& entry : std::filesystem::directory_iterator(MCSIM_CORPUS_DIR)) {
+    if (entry.path().extension() != ".litmus") continue;
+    const Reproducer r = load_reproducer(entry.path().string());
+    const Reproducer back = parse_reproducer(to_reproducer_text(r));
+    ASSERT_EQ(back.litmus.programs.size(), r.litmus.programs.size()) << entry.path();
+    for (std::size_t t = 0; t < r.litmus.programs.size(); ++t) {
+      const Program& p = r.litmus.programs[t];
+      EXPECT_TRUE(back.litmus.programs[t].instructions() == p.instructions())
+          << entry.path() << " thread " << t << ":\n" << program_to_asm(p);
+      EXPECT_TRUE(back.litmus.programs[t].data() == p.data()) << entry.path();
+    }
+  }
+}
+
 TEST(Corpus, DekkerScForbidsMutualZero) {
   Reproducer r = corpus("dekker.litmus");
   auto sc = enumerate_sc_outcomes(r.litmus.programs, 1u << 20, r.litmus.addrs);

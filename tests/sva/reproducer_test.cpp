@@ -29,8 +29,10 @@ void expect_same_program(const Program& a, const Program& b) {
     EXPECT_EQ(x.imm, y.imm) << "pc " << pc;
     EXPECT_EQ(x.sync, y.sync) << "pc " << pc;
     EXPECT_EQ(x.rmw, y.rmw) << "pc " << pc;
+    EXPECT_EQ(x.hint, y.hint) << "pc " << pc;
     EXPECT_EQ(x.mem.base, y.mem.base) << "pc " << pc;
     EXPECT_EQ(x.mem.index, y.mem.index) << "pc " << pc;
+    EXPECT_EQ(x.mem.scale_log2, y.mem.scale_log2) << "pc " << pc;
     EXPECT_EQ(x.mem.disp, y.mem.disp) << "pc " << pc;
   }
   ASSERT_EQ(a.data().size(), b.data().size());
@@ -87,8 +89,6 @@ TEST(Reproducer, DefaultMemorySystemWritesNoMemLine) {
 }
 
 TEST(Reproducer, BranchyProgramRoundTripsThroughLabels) {
-  // disassemble() output is for humans; program_to_asm must emit real
-  // labels so forward branches survive the trip.
   ProgramBuilder b;
   b.li(1, 3);
   b.label("top");
@@ -106,22 +106,59 @@ TEST(Reproducer, BranchyProgramRoundTripsThroughLabels) {
   Reproducer back = parse_reproducer(to_reproducer_text(r));
   ASSERT_EQ(back.litmus.programs.size(), 1u);
   expect_same_program(p, back.litmus.programs[0]);
+
+  // A branch past the last instruction keeps the program's length.
+  ProgramBuilder past;
+  past.beq(1, 0, "out");
+  past.li(1, 1);
+  past.label("out");
+  r.litmus.programs = {past.build()};
+  back = parse_reproducer(to_reproducer_text(r));
+  expect_same_program(r.litmus.programs[0], back.litmus.programs[0]);
 }
 
+// Every RMW op in every flavour, load/store flavours, branch hints and
+// every addressing form replay as the program that failed. A tas with
+// no flavour is the one instruction the text cannot say (the assembler
+// reads plain `tas` as `tas.acq`), so writing it is refused.
 TEST(Reproducer, SyncAndRmwFlavorsSurvive) {
+  const MemOperand m = ProgramBuilder::indexed(0x10, 2, 2);
   ProgramBuilder b;
   b.load_acq(1, ProgramBuilder::abs(0x10));
   b.store_rel(1, ProgramBuilder::abs(0x14));
-  b.tas(2, ProgramBuilder::abs(0x18), SyncKind::kAcquire);
-  b.fetch_add(3, ProgramBuilder::abs(0x10), 1);
-  b.swap(4, ProgramBuilder::abs(0x14), 2);
-  b.cas(5, ProgramBuilder::abs(0x18), 1, 2);
+  b.load(1, ProgramBuilder::based(3, -4));
+  b.store(1, MemOperand{3, 2, 1, 8});
+  b.prefetch(MemOperand{0, 2, 0, 0});
+  b.load(1, ProgramBuilder::indexed(0x40, 0));  // a scale on r0
+  b.prefetch_ex(MemOperand{3, 0, 0, 0});
+  for (SyncKind sync : {SyncKind::kNone, SyncKind::kAcquire, SyncKind::kRelease}) {
+    if (sync != SyncKind::kNone) b.tas(2, m, sync);
+    b.fetch_add(3, m, 1, sync);
+    b.swap(4, m, 2, sync);
+    b.cas(5, m, 1, 2, sync);
+  }
+  b.beq(1, 2, "end", BranchHint::kTaken);
+  b.bne(1, 2, "end", BranchHint::kNotTaken);
+  b.blt(1, 2, "end");
+  b.bge(1, 2, "end", BranchHint::kTaken);
+  b.label("end");
   b.halt();
   Program p = b.build();
   Reproducer r;
   r.litmus.programs = {p};
   Reproducer back = parse_reproducer(to_reproducer_text(r));
   expect_same_program(p, back.litmus.programs[0]);
+
+  ProgramBuilder plain;
+  plain.tas(1, ProgramBuilder::abs(0x10), SyncKind::kNone);
+  try {
+    program_to_asm(plain.build());
+    ADD_FAILURE() << "a flavourless tas was written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not expressible in assembler: tas r1, [0x10]"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Reproducer, MalformedInputThrows) {
