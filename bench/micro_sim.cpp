@@ -5,6 +5,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -25,6 +26,18 @@
 
 namespace mcsim {
 namespace {
+
+// Runs `m` and reports the time of run() alone as the iteration's time,
+// for rows registered with UseManualTime(): building and destroying the
+// machine stay untimed without a PauseTiming / ResumeTiming pair around
+// every run.
+RunResult timed_run(benchmark::State& state, Machine& m) {
+  const auto start = std::chrono::steady_clock::now();
+  RunResult r = m.run();
+  state.SetIterationTime(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+  return r;
+}
 
 void BM_CacheHitProbe(benchmark::State& state) {
   CacheConfig cfg;
@@ -441,7 +454,6 @@ void BM_MachineSparseActivity(benchmark::State& state) {
   for (auto _ : state) {
     // Construction and teardown of a 256-core machine cost more than
     // simulating this whole cell; time ONLY the run loop under test.
-    state.PauseTiming();
     std::vector<Program> programs;
     programs.reserve(procs);
     for (std::uint32_t p = 0; p < procs; ++p) {
@@ -463,19 +475,15 @@ void BM_MachineSparseActivity(benchmark::State& state) {
     cfg.mem.dir_scheme = DirScheme::kCoarseVector;
     cfg.mem.dir_cluster = 8;
     cfg.mem.dir_banks = 4;
-    auto m = std::make_unique<Machine>(cfg, std::move(programs));
-    state.ResumeTiming();
-    RunResult r = m->run();
+    Machine m(cfg, std::move(programs));
+    const RunResult r = timed_run(state, m);
     guest_cycles += r.ticks;
     benchmark::DoNotOptimize(r.cycles);
-    state.PauseTiming();
-    m.reset();
-    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(guest_cycles));
   state.SetLabel("items = simulated guest cycles (4 active cores)");
 }
-BENCHMARK(BM_MachineSparseActivity)->Arg(64)->Arg(256);
+BENCHMARK(BM_MachineSparseActivity)->Arg(64)->Arg(256)->UseManualTime();
 
 // The contended shape: a P-processor zipfian trace (32 ops per
 // processor, seed 1, workload_sweep --scale's cell at P=256) under SC
@@ -499,20 +507,19 @@ void BM_MachineContendedSleepers(benchmark::State& state) {
   cfg.mem.mem_bytes = std::max<std::uint64_t>(cfg.mem.mem_bytes, w.min_mem_bytes);
   std::uint64_t guest_cycles = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto m = std::make_unique<Machine>(cfg, w.programs);
-    state.ResumeTiming();
-    RunResult r = m->run();
+    Machine m(cfg, w.programs);
+    const RunResult r = timed_run(state, m);
     guest_cycles += r.ticks;
     benchmark::DoNotOptimize(r.cycles);
-    state.PauseTiming();
-    m.reset();
-    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(guest_cycles));
   state.SetLabel("items = simulated guest cycles (zipfian SC +both)");
 }
-BENCHMARK(BM_MachineContendedSleepers)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MachineContendedSleepers)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime();
 
 // The live-pipeline shape: an 8-processor barrier_tree trace (5000 ops,
 // seed 1) under SC with prefetching and speculative loads. Cores spin
@@ -537,20 +544,15 @@ void BM_MachineBarrierTree8(benchmark::State& state) {
       std::max<std::uint64_t>(cfg.mem.mem_bytes, (w.min_mem_bytes + line - 1) / line * line);
   std::uint64_t guest_cycles = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto m = std::make_unique<Machine>(cfg, w.programs);
-    state.ResumeTiming();
-    RunResult r = m->run();
+    Machine m(cfg, w.programs);
+    const RunResult r = timed_run(state, m);
     guest_cycles += r.ticks;
     benchmark::DoNotOptimize(r.cycles);
-    state.PauseTiming();
-    m.reset();
-    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(guest_cycles));
   state.SetLabel("items = simulated guest cycles (barrier_tree SC +both)");
 }
-BENCHMARK(BM_MachineBarrierTree8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MachineBarrierTree8)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // A probe's two state passes (Core::probe_state: record S1, then
 // compare S2 against it) on a core spinning in the barrier_tree trace
@@ -625,21 +627,16 @@ void BM_CoreSpinOnHit(benchmark::State& state) {
   cfg.core.speculative_loads = true;
   std::uint64_t ticks = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto m = std::make_unique<Machine>(cfg, std::vector<Program>{p});
-    m->preload_shared(0, kFlag);
-    state.ResumeTiming();
-    RunResult r = m->run();
+    Machine m(cfg, std::vector<Program>{p});
+    m.preload_shared(0, kFlag);
+    const RunResult r = timed_run(state, m);
     ticks += r.ticks;
     benchmark::DoNotOptimize(r.cycles);
-    state.PauseTiming();
-    m.reset();
-    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
   state.SetLabel("items = core ticks");
 }
-BENCHMARK(BM_CoreSpinOnHit);
+BENCHMARK(BM_CoreSpinOnHit)->UseManualTime();
 
 // Seven cores spin on a flag that one core stores after a long counted
 // delay: the spinners' periodic spans are what periodic sleep settles in
@@ -663,20 +660,15 @@ void BM_MachineFlagSpin(benchmark::State& state) {
   const SystemConfig cfg = SystemConfig::realistic(kProcs, ConsistencyModel::kSC);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto m = std::make_unique<Machine>(cfg, programs);
-    state.ResumeTiming();
-    RunResult r = m->run();
+    Machine m(cfg, programs);
+    const RunResult r = timed_run(state, m);
     cycles += r.ticks;
     benchmark::DoNotOptimize(r.cycles);
-    state.PauseTiming();
-    m.reset();
-    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   state.SetLabel("items = guest cycles");
 }
-BENCHMARK(BM_MachineFlagSpin);
+BENCHMARK(BM_MachineFlagSpin)->UseManualTime();
 
 void BM_SpecLoadBufferScan(benchmark::State& state) {
   SpecLoadBuffer buf(16);

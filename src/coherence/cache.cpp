@@ -79,6 +79,7 @@ CoherentCache::CoherentCache(ProcId id, const CacheConfig& cfg, const MemConfig&
       stats_("cache" + std::to_string(id), 0, arena) {
   assert(cfg.line_bytes <= kMaxLineBytes && "a line must fit a message payload");
   assert(std::has_single_bit(cfg.line_bytes) && "a line is a power of two bytes");
+  assert(cfg.ways <= CacheConfig::kMaxWays && cfg.num_sets <= CacheConfig::kMaxSets);
   waiters_.reserve(cfg.mshrs);
   const std::size_t lines = std::size_t{cfg.num_sets} * cfg.ways;
   const std::size_t bytes = lines * (sizeof(Way) + cfg.line_bytes);
@@ -617,8 +618,8 @@ CoherentCache::Way* CoherentCache::fill_line(Addr line, LineState st, const Word
     }
   }
   if (victim == nullptr && filled.size() < cfg_.ways) {
-    victim = filled.data() + filled.size();
-    ++filled_[set_idx];
+    if (filled.empty()) filled_[set_idx] = blocks_used_++ << kFillBits;
+    victim = ways_ + (filled_[set_idx]++ >> kFillBits) * cfg_.ways + filled.size();
   }
   if (victim == nullptr) {
     // Every way is valid. LRU among lines that have no in-flight

@@ -222,13 +222,14 @@ class CoherentCache {
   std::size_t set_index(Addr line) const {
     return static_cast<std::size_t>((line >> line_shift_) & (cfg_.num_sets - 1));
   }
-  /// The ways of `set` ever filled: a prefix of its `ways` consecutive
-  /// entries in ways_. Every way past it is invalid and uninitialised.
+  /// The ways of `set` ever filled: a prefix of its block of `ways`
+  /// consecutive entries in ways_. Every way past it is invalid and
+  /// uninitialised; a set never filled has no block and an empty span.
   std::span<Way> filled_ways(std::size_t set) {
-    return {ways_ + set * cfg_.ways, filled_[set]};
+    return {ways_ + (filled_[set] >> kFillBits) * cfg_.ways, filled_[set] & kFillMask};
   }
   std::span<const Way> filled_ways(std::size_t set) const {
-    return {ways_ + set * cfg_.ways, filled_[set]};
+    return {ways_ + (filled_[set] >> kFillBits) * cfg_.ways, filled_[set] & kFillMask};
   }
   Way* find_way(Addr line);
   const Way* find_way(Addr line) const;
@@ -320,9 +321,15 @@ class CoherentCache {
   std::size_t words_per_line_;
   /// log2(line_bytes): a line number is a shift, not a division.
   std::uint32_t line_shift_;
-  /// Per set, how many ways have ever been filled. A fill takes the
-  /// first invalid way in index order, so the filled ways are a prefix.
+  /// Per set, its block number above kFillBits bits of how many ways
+  /// have ever been filled. A fill takes the first invalid way in index
+  /// order, so the filled ways are a prefix; a set's first fill gives it
+  /// the next unused block of ways_, so blocks follow first-fill order.
   std::pmr::vector<std::uint32_t> filled_;
+  static constexpr std::uint32_t kFillBits = 8, kFillMask = (1u << kFillBits) - 1;
+  static_assert(CacheConfig::kMaxWays <= kFillMask &&
+                CacheConfig::kMaxSets - 1 <= ~0u >> kFillBits);
+  std::uint32_t blocks_used_ = 0;  ///< blocks handed out so far
   std::pmr::vector<Mshr> mshrs_;
   /// Waiter pool shared by the MSHRs, with room for one waiter per MSHR;
   /// it grows only to the high-water mark of merged accesses.
@@ -337,7 +344,8 @@ class CoherentCache {
   /// The tag array, then the data array, in one uninitialised block, so
   /// a cache costs O(lines filled), not O(capacity).
   std::unique_ptr<std::byte[], ArenaFree> arrays_;
-  /// Tag array: num_sets x ways entries, set-major.
+  /// Tag array: num_sets blocks of `ways` entries, in first-fill order,
+  /// so a cache touches pages for the sets it uses, not for num_sets.
   Way* ways_;
   /// Line words, words_per_line_ per way, in ways_ order.
   Word* data_;

@@ -119,7 +119,9 @@ std::string SystemConfig::validate() const {
     err += "cache.line_bytes must be <= " + std::to_string(kMaxLineBytes) +
            " (coherence messages carry the line inline); ";
   if (!is_pow2(cache.num_sets)) err += "cache.num_sets must be a power of two; ";
-  if (cache.ways == 0) err += "cache.ways must be >= 1; ";
+  if (cache.num_sets > CacheConfig::kMaxSets) err += "cache.num_sets must be <= 2^24; ";
+  if (cache.ways == 0 || cache.ways > CacheConfig::kMaxWays)
+    err += "cache.ways must be in [1, 255]; ";
   if (cache.mshrs == 0) err += "cache.mshrs must be >= 1; ";
   // Every core's pipeline buffers are sized once, at construction, so
   // a per-core override gets the same checks as the machine default.

@@ -103,6 +103,8 @@ struct CacheConfig {
   std::uint32_t num_sets = 256;
   std::uint32_t ways = 4;
   std::uint32_t mshrs = 16;
+  /// A set's fill count and block number share one 32-bit word.
+  static constexpr std::uint32_t kMaxWays = 255, kMaxSets = 1u << 24;
 };
 
 /// Directory/memory and interconnect timing.

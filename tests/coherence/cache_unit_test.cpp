@@ -300,5 +300,42 @@ TEST(CacheUnit, EvictionWritesBackTheVictimsOwnWords) {
   }
 }
 
+// Which sets a cache fills, and in what order, must not show: filling
+// sets out of index order leaves the visit order set-major, the victim
+// choice per set, and each line's words its own.
+TEST(CacheUnit, SetsFilledOutOfOrderKeepSetMajorOrderVictimsAndWords) {
+  Rig r(/*sets=*/256, /*ways=*/2);
+  constexpr Addr kSetStride = 256 * 16;  // lines this far apart share a set
+  const auto in_set = [&](Addr set, Addr k) { return set * 16 + k * kSetStride; };
+  const Addr a = in_set(200, 0), b = in_set(3, 0), c = in_set(77, 0), d = in_set(3, 1);
+  const Addr e = in_set(3, 2), f = in_set(3, 3), g = in_set(200, 1);
+  for (Addr line : {a, b, c, d, e, f, g})
+    for (Addr i = 0; i < 4; ++i) r.dir->memory().write(line + 4 * i, static_cast<Word>(line + i));
+  const auto expect_own_words = [&](Addr line) {
+    for (Addr i = 0; i < 4; ++i) {
+      const std::optional<Word> w = r.cache->peek_word(line + 4 * i);
+      ASSERT_TRUE(w.has_value()) << "line " << line;
+      EXPECT_EQ(*w, line + i) << "line " << line << " word " << i;
+    }
+  };
+  for (Addr line : {a, b, c, d}) r.demand_load(line);  // sets 200, 3, 77, then 3's way 1
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{b, d, c, a}));
+  for (Addr line : {a, b, c, d}) expect_own_words(line);
+
+  r.demand_load(b);  // d is now set 3's LRU way
+  r.demand_load(e);  // and e replaces it in way 1
+  EXPECT_EQ(r.cache->line_state(d), LineState::kInvalid);
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{b, e, c, a}));
+  for (Addr line : {a, b, c, e}) expect_own_words(line);
+
+  r.demand_load(g);  // set 200's second way
+  invalidate(r, b);  // a hole in set 3's way 0
+  const std::vector<Word> f_words{static_cast<Word>(f), static_cast<Word>(f + 1),
+                                  static_cast<Word>(f + 2), static_cast<Word>(f + 3)};
+  r.cache->preload_line(f, LineState::kShared, f_words);  // refills the hole
+  EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{f, e, c, a, g}));
+  for (Addr line : {a, c, e, f, g}) expect_own_words(line);
+}
+
 }  // namespace
 }  // namespace mcsim

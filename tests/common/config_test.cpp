@@ -32,6 +32,17 @@ TEST(SystemConfig, ValidateCatchesBadGeometry) {
   cfg.cache.num_sets = 3;
   EXPECT_FALSE(cfg.validate().empty());
 
+  // A set's block number and fill count share one 32-bit word.
+  cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
+  cfg.cache.ways = CacheConfig::kMaxWays + 1;
+  EXPECT_NE(cfg.validate().find("cache.ways"), std::string::npos) << cfg.validate();
+  cfg.cache.ways = CacheConfig::kMaxWays;
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
+
+  cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
+  cfg.cache.num_sets = CacheConfig::kMaxSets * 2;
+  EXPECT_NE(cfg.validate().find("cache.num_sets"), std::string::npos) << cfg.validate();
+
   cfg = SystemConfig::paper_default(1, ConsistencyModel::kRC);
   cfg.num_procs = 0;
   EXPECT_FALSE(cfg.validate().empty());
