@@ -8,27 +8,6 @@
 
 namespace mcsim {
 
-const char* to_string(LineState s) {
-  switch (s) {
-    case LineState::kInvalid: return "I";
-    case LineState::kShared: return "S";
-    case LineState::kExclusive: return "E";
-  }
-  return "?";
-}
-
-const char* to_string(CacheOp op) {
-  switch (op) {
-    case CacheOp::kLoad: return "load";
-    case CacheOp::kLoadEx: return "loadx";
-    case CacheOp::kStore: return "store";
-    case CacheOp::kRmw: return "rmw";
-    case CacheOp::kPrefetchShared: return "pf";
-    case CacheOp::kPrefetchEx: return "pfx";
-  }
-  return "?";
-}
-
 namespace {
 // Stat names interned once at static-init; hot paths use the ids.
 namespace stat {
@@ -363,162 +342,13 @@ Message make_request(MsgType type, ProcId src, EndpointId dst, Addr line) {
 ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
   assert(port_free(now));
   const Addr line = line_of(req.addr);
-  // Every case tests the way before any MSHR, so the MSHR scan runs
-  // only once the hit check has failed.
+  // The way is tested before any MSHR, so the MSHR scan runs only once
+  // the hit check has failed.
   Way* way = find_way(line);
   const bool update_proto = protocol_ == CoherenceKind::kUpdate;
   use_port(now);
 
   switch (req.op) {
-    case CacheOp::kLoad: {
-      if (way != nullptr) {
-        touch(*way, now);
-        if (way->prefetched) {
-          way->prefetched = false;
-          stats_.add(stat::prefetch_useful_hit);
-          stats_.sample(stat::prefetch_to_use, now - way->fill_at);
-        }
-        if (profile_) pf_demand_touch(line, now);
-        stats_.add(stat::load_hit);
-        push_response(req.token, read_word(*way, req.addr), now + 1, true);
-        return ProbeResult::kHit;
-      }
-      Mshr* mshr = merge_target(line);
-      if (mshr != nullptr) {
-        if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
-        if (profile_) pf_demand_touch(line, now);
-        add_waiter(*mshr, req);
-        return ProbeResult::kMerged;
-      }
-      Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) return ProbeResult::kRejected;
-      add_waiter(*m, req);
-      net_.send(make_request(MsgType::kReadReq, id_, dir_for(line), line), now);
-      return ProbeResult::kMiss;
-    }
-
-    case CacheOp::kStore: {
-      if (update_proto) {
-        if (way != nullptr) {
-          touch(*way, now);
-          write_word(*way, req.addr, req.store_value);
-          if (profile_) pf_demand_touch(line, now);
-        }
-        // The store performs only when the directory confirms every
-        // sharer saw the new value (paper §3.1: an update protocol
-        // cannot partially service a write).
-        ++activity_;
-        word_ops_[req.token] =
-            WordOp{req.token, false, RmwOp::kTestAndSet, 0, 0, req.addr};
-        busy_inc();
-        Message msg = make_request(MsgType::kUpdateReq, id_, dir_for(line), line);
-        msg.word_addr = req.addr;
-        msg.word_value = req.store_value;
-        msg.txn = req.token;
-        net_.send(std::move(msg), now);
-        return ProbeResult::kMiss;
-      }
-      if (way != nullptr && way->state == LineState::kExclusive) {
-        touch(*way, now);
-        if (way->prefetched) {
-          way->prefetched = false;
-          stats_.add(stat::prefetch_useful_hit);
-          stats_.sample(stat::prefetch_to_use, now - way->fill_at);
-        }
-        if (profile_) pf_demand_touch(line, now);
-        write_word(*way, req.addr, req.store_value);
-        push_response(req.token, 0, now + 1, true);
-        return ProbeResult::kHit;
-      }
-      Mshr* mshr = merge_target(line);
-      if (mshr != nullptr) {
-        if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
-        if (profile_) pf_demand_touch(line, now);
-        if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        add_waiter(*mshr, req);
-        return ProbeResult::kMerged;
-      }
-      Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) return ProbeResult::kRejected;
-      if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
-      m->want_ex = true;
-      add_waiter(*m, req);
-      net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
-      return ProbeResult::kMiss;
-    }
-
-    case CacheOp::kLoadEx: {
-      // Speculative read-exclusive load for an RMW (Appendix A): binds
-      // a value AND acquires ownership. Only used under invalidation.
-      assert(!update_proto);
-      if (way != nullptr && way->state == LineState::kExclusive) {
-        touch(*way, now);
-        if (profile_) pf_demand_touch(line, now);
-        push_response(req.token, read_word(*way, req.addr), now + 1, true);
-        return ProbeResult::kHit;
-      }
-      Mshr* mshr = merge_target(line);
-      if (mshr != nullptr) {
-        if (profile_) pf_demand_touch(line, now);
-        if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        add_waiter(*mshr, req);
-        return ProbeResult::kMerged;
-      }
-      Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) return ProbeResult::kRejected;
-      if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
-      m->want_ex = true;
-      add_waiter(*m, req);
-      net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
-      return ProbeResult::kMiss;
-    }
-
-    case CacheOp::kRmw: {
-      if (update_proto) {
-        if (profile_ && way != nullptr) pf_demand_touch(line, now);
-        ++activity_;
-        word_ops_[req.token] =
-            WordOp{req.token, true, req.rmw_op, req.rmw_cmp, req.rmw_src, req.addr};
-        busy_inc();
-        Message msg = make_request(MsgType::kRmwReq, id_, dir_for(line), line);
-        msg.word_addr = req.addr;
-        msg.rmw_op = static_cast<std::uint8_t>(req.rmw_op);
-        msg.rmw_cmp = req.rmw_cmp;
-        msg.rmw_src = req.rmw_src;
-        msg.txn = req.token;
-        net_.send(std::move(msg), now);
-        return ProbeResult::kMiss;
-      }
-      if (way != nullptr && way->state == LineState::kExclusive) {
-        touch(*way, now);
-        if (way->prefetched) {
-          way->prefetched = false;
-          stats_.add(stat::prefetch_useful_hit);
-          stats_.sample(stat::prefetch_to_use, now - way->fill_at);
-        }
-        if (profile_) pf_demand_touch(line, now);
-        Word old = read_word(*way, req.addr);
-        write_word(*way, req.addr, apply_rmw(req.rmw_op, old, req.rmw_cmp, req.rmw_src));
-        push_response(req.token, old, now + 1, true);
-        return ProbeResult::kHit;
-      }
-      Mshr* mshr = merge_target(line);
-      if (mshr != nullptr) {
-        if (mshr->prefetch_initiated) stats_.add(stat::prefetch_useful_merge);
-        if (profile_) pf_demand_touch(line, now);
-        if (!mshr->want_ex) mshr->upgrade_after_fill = true;
-        add_waiter(*mshr, req);
-        return ProbeResult::kMerged;
-      }
-      Mshr* m = alloc_mshr(line, now);
-      if (m == nullptr) return ProbeResult::kRejected;
-      if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
-      m->want_ex = true;
-      add_waiter(*m, req);
-      net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
-      return ProbeResult::kMiss;
-    }
-
     case CacheOp::kPrefetchShared: {
       // Paper §3.2: "a prefetch request first checks the cache"; if the
       // line is already present (or on its way) the prefetch is discarded.
@@ -554,8 +384,80 @@ ProbeResult CoherentCache::probe(const CacheRequest& req, Cycle now) {
       net_.send(make_request(MsgType::kReadExReq, id_, dir_for(line), line), now);
       return ProbeResult::kMiss;
     }
+
+    default:
+      break;
   }
-  return ProbeResult::kRejected;
+
+  // A demand access. Every op but a load needs the line exclusive, or,
+  // under update, goes to the directory as a word op. A kLoadEx is the
+  // read half of an RMW (Appendix A, invalidation only): it leaves a
+  // prefetch's use to be counted by the RMW itself.
+  const bool ex = req.op != CacheOp::kLoad;
+  const bool counts_use = req.op != CacheOp::kLoadEx;
+  if (ex && update_proto) {
+    // A store or RMW performs only when the directory confirms every
+    // sharer saw the new value (paper §3.1: an update protocol cannot
+    // partially service a write). A store writes its own copy now; an
+    // RMW's copy takes the directory's result.
+    assert(req.op != CacheOp::kLoadEx);
+    const bool rmw = req.op == CacheOp::kRmw;
+    if (way != nullptr) {
+      if (!rmw) {
+        touch(*way, now);
+        write_word(*way, req.addr, req.store_value);
+      }
+      if (profile_) pf_demand_touch(line, now);
+    }
+    ++activity_;
+    word_ops_[req.token] = WordOp{rmw, req.rmw_op, req.rmw_cmp, req.rmw_src, req.addr};
+    busy_inc();
+    Message msg =
+        make_request(rmw ? MsgType::kRmwReq : MsgType::kUpdateReq, id_, dir_for(line), line);
+    msg.word_addr = req.addr;
+    msg.txn = req.token;
+    if (rmw) {
+      msg.rmw_op = static_cast<std::uint8_t>(req.rmw_op);
+      msg.rmw_cmp = req.rmw_cmp;
+      msg.rmw_src = req.rmw_src;
+    } else {
+      msg.word_value = req.store_value;
+    }
+    net_.send(std::move(msg), now);
+    return ProbeResult::kMiss;
+  }
+
+  if (way != nullptr && (!ex || way->state == LineState::kExclusive)) {
+    touch(*way, now);
+    if (way->prefetched && counts_use) {
+      way->prefetched = false;
+      stats_.add(stat::prefetch_useful_hit);
+      stats_.sample(stat::prefetch_to_use, now - way->fill_at);
+    }
+    if (profile_) pf_demand_touch(line, now);
+    if (ex) {
+      push_response(req.token, perform(*way, req), now + 1, true);
+    } else {
+      stats_.add(stat::load_hit);
+      push_response(req.token, read_word(*way, req.addr), now + 1, true);
+    }
+    return ProbeResult::kHit;
+  }
+  if (const Mshr* mshr = merge(req, line)) {
+    if (mshr->prefetch_initiated && counts_use) stats_.add(stat::prefetch_useful_merge);
+    if (profile_) pf_demand_touch(line, now);
+    return ProbeResult::kMerged;
+  }
+  Mshr* m = alloc_mshr(line, now);
+  if (m == nullptr) return ProbeResult::kRejected;
+  if (ex) {
+    if (profile_) pf_demand_touch(line, now);  // upgrade of a prefetched copy
+    m->want_ex = true;
+  }
+  add_waiter(*m, req);
+  net_.send(make_request(ex ? MsgType::kReadExReq : MsgType::kReadReq, id_, dir_for(line), line),
+            now);
+  return ProbeResult::kMiss;
 }
 
 void CoherentCache::preload_line(Addr line, LineState st, std::span<const Word> data) {
@@ -566,14 +468,31 @@ void CoherentCache::preload_line(Addr line, LineState st, std::span<const Word> 
   (void)way;
 }
 
+CoherentCache::Mshr* CoherentCache::merge(const CacheRequest& req, Addr line) {
+  Mshr* m = merge_target(line);
+  if (m == nullptr) return nullptr;
+  if (!m->want_ex && req.op != CacheOp::kLoad) m->upgrade_after_fill = true;
+  add_waiter(*m, req);
+  return m;
+}
+
 bool CoherentCache::merge_into_mshr(const CacheRequest& req) {
-  Mshr* mshr = merge_target(line_of(req.addr));
-  if (mshr == nullptr) return false;
-  if (!mshr->want_ex &&
-      (req.op == CacheOp::kStore || req.op == CacheOp::kRmw || req.op == CacheOp::kLoadEx))
-    mshr->upgrade_after_fill = true;
-  add_waiter(*mshr, req);
-  return true;
+  return merge(req, line_of(req.addr)) != nullptr;
+}
+
+template <typename Access>
+Word CoherentCache::perform(Way& way, const Access& a) {
+  const Word old = read_word(way, a.addr);
+  switch (a.op) {
+    case CacheOp::kStore:
+      write_word(way, a.addr, a.store_value);
+      return 0;
+    case CacheOp::kRmw:
+      write_word(way, a.addr, apply_rmw(a.rmw_op, old, a.rmw_cmp, a.rmw_src));
+      return old;
+    default:  // kLoad, kLoadEx
+      return old;
+  }
 }
 
 void CoherentCache::evict(Way& way, Cycle now) {
@@ -699,24 +618,7 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       // this reply, so stores applied here are performed at `now`.
       for (std::uint32_t n = m->first; n != kNoWaiter; n = waiters_[n].next) {
         const Waiter& w = waiters_[n].w;
-        switch (w.op) {
-          case CacheOp::kLoad:
-          case CacheOp::kLoadEx:
-            push_response(w.token, read_word(*way, w.addr), now, false);
-            break;
-          case CacheOp::kStore:
-            write_word(*way, w.addr, w.store_value);
-            push_response(w.token, 0, now, false);
-            break;
-          case CacheOp::kRmw: {
-            Word old = read_word(*way, w.addr);
-            write_word(*way, w.addr, apply_rmw(w.rmw_op, old, w.rmw_cmp, w.rmw_src));
-            push_response(w.token, old, now, false);
-            break;
-          }
-          default:
-            break;
-        }
+        push_response(w.token, perform(*way, w), now, false);
       }
       if (m->prefetch_initiated && m->waiters == 0) way->prefetched = true;
       close_mshr(*m, now);
@@ -767,25 +669,19 @@ void CoherentCache::handle_message(const Message& msg, Cycle now) {
       break;
     }
 
-    case MsgType::kUpdateDone: {
-      auto it = word_ops_.find(msg.txn);
-      assert(it != word_ops_.end() && "UpdateDone without pending store");
-      push_response(it->second.token, 0, now, false);
-      word_ops_.erase(it);
-      busy_dec();
-      break;
-    }
-
+    case MsgType::kUpdateDone:
     case MsgType::kRmwReply: {
       auto it = word_ops_.find(msg.txn);
-      assert(it != word_ops_.end() && "RmwReply without pending RMW");
+      assert(it != word_ops_.end() && "word-op reply without a pending store or RMW");
       const WordOp& op = it->second;
-      Way* way = find_way(msg.line_addr);
-      if (way != nullptr) {
-        Word newval = apply_rmw(op.rmw_op, msg.word_value, op.rmw_cmp, op.rmw_src);
-        write_word(*way, op.word_addr, newval);
+      Word value = 0;  // a store's response carries none
+      if (op.is_rmw) {
+        value = msg.word_value;  // the old value, from memory
+        Way* way = find_way(msg.line_addr);
+        if (way != nullptr)
+          write_word(*way, op.word_addr, apply_rmw(op.rmw_op, value, op.rmw_cmp, op.rmw_src));
       }
-      push_response(op.token, msg.word_value, now, false);
+      push_response(it->first, value, now, false);
       word_ops_.erase(it);
       busy_dec();
       break;

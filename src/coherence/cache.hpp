@@ -211,7 +211,6 @@ class CoherentCache {
 
   /// Update-protocol word-granular operations in flight (stores, RMWs).
   struct WordOp {
-    std::uint64_t token = 0;
     bool is_rmw = false;
     RmwOp rmw_op = RmwOp::kTestAndSet;
     Word rmw_cmp = 0;
@@ -238,6 +237,14 @@ class CoherentCache {
   Mshr* alloc_mshr(Addr line, Cycle now);
   /// find_mshr for a probe that may join the MSHR (counts as activity).
   Mshr* merge_target(Addr line);
+  /// Join demand access `req` to `line`'s outstanding MSHR, if any; a
+  /// store, LoadEx or RMW on a read MSHR asks for the upgrade after its
+  /// fill. Returns the MSHR, or nullptr when there is none.
+  Mshr* merge(const CacheRequest& req, Addr line);
+  /// Apply a demand load, LoadEx, store or RMW (a CacheRequest or a
+  /// Waiter) to resident `way`; returns the response value.
+  template <typename Access>
+  Word perform(Way& way, const Access& a);
   /// Close `m`, returning any waiters left on it to the pool.
   void close_mshr(Mshr& m, Cycle now);
   /// Append a waiter for `req` to `m`'s list.
@@ -349,7 +356,7 @@ class CoherentCache {
   Way* ways_;
   /// Line words, words_per_line_ per way, in ways_ order.
   Word* data_;
-  std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by txn
+  std::unordered_map<std::uint64_t, WordOp> word_ops_;  ///< update protocol, keyed by token
   FixedQueue<CacheResponse> responses_;  ///< ready_at non-decreasing
   FixedQueue<Message> retry_fills_;
   FixedQueue<Message> retrying_;  ///< tick()'s scratch: the fills it retries

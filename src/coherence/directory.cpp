@@ -112,14 +112,23 @@ void Directory::tick(Cycle now) {
   while (net_.recv(self_, msg)) handle(msg, now);
 }
 
-void Directory::reply_read(Entry& e, const Message& req, Cycle now) {
-  Message reply;
-  reply.type = MsgType::kReadReply;
-  reply.src = self_;
-  reply.dst = req.src;
-  reply.line_addr = req.line_addr;
+Message Directory::message(MsgType type, EndpointId dst, Addr line) const {
+  Message msg;
+  msg.type = type;
+  msg.src = self_;
+  msg.dst = dst;
+  msg.line_addr = line;
+  return msg;
+}
+
+void Directory::reply_line(MsgType type, const Message& req, Cycle now) {
+  Message reply = message(type, req.src, req.line_addr);
   read_line(req.line_addr, reply.data);
   send(std::move(reply), now);
+}
+
+void Directory::reply_read(Entry& e, const Message& req, Cycle now) {
+  reply_line(MsgType::kReadReply, req, now);
   e.state = State::kShared;
   e.sharers.add(static_cast<ProcId>(req.src));
   e.owner = kNoProc;
@@ -131,17 +140,59 @@ void Directory::reply_read(Entry& e, const Message& req, Cycle now) {
 }
 
 void Directory::reply_read_ex(Entry& e, const Message& req, Cycle now) {
-  Message reply;
-  reply.type = MsgType::kReadExReply;
-  reply.src = self_;
-  reply.dst = req.src;
-  reply.line_addr = req.line_addr;
-  read_line(req.line_addr, reply.data);
-  send(std::move(reply), now);
+  reply_line(MsgType::kReadExReply, req, now);
   e.state = State::kDirty;
   e.sharers.clear();
   e.owner = req.src;
   if (profile_) ledger_.on_exclusive_grant(req.line_addr, static_cast<ProcId>(req.src));
+}
+
+void Directory::recall(Entry& e, const Message& req, bool exclusive, Cycle now) {
+  open_txn(e, exclusive ? Txn::Kind::kRecallForEx : Txn::Kind::kRecallForRead, req, now);
+  // A recall-for-exclusive is a fan-out-1 invalidation round aimed at
+  // the current owner.
+  if (exclusive) note_round(/*update=*/false, req.line_addr, 1, now);
+  Message msg = message(MsgType::kRecall, e.owner, req.line_addr);
+  msg.recall_exclusive = exclusive;
+  send(std::move(msg), now);
+}
+
+Directory::Txn& Directory::fan_out(Entry& e, Txn::Kind kind, const Message& req,
+                                   const Message& copy, Cycle now) {
+  Txn& txn = open_txn(e, kind, req, now);
+  e.sharers.for_each_other(static_cast<ProcId>(req.src), [&](ProcId p) {
+    ++txn.acks_left;
+    Message msg = copy;
+    msg.dst = p;
+    send(std::move(msg), now);
+  });
+  note_round(kind == Txn::Kind::kGatherUpdateAcks, req.line_addr, txn.acks_left, now);
+  return txn;
+}
+
+void Directory::note_round(bool update, Addr line, std::uint32_t fanout, Cycle now) {
+  if (!profile_) return;
+  if (update) {
+    ledger_.on_update_round(line, fanout);
+    stats_.sample(prof::sh_upd_fanout, fanout);
+  } else {
+    ledger_.on_invalidation_round(line, fanout);
+    stats_.sample(prof::sh_inv_fanout, fanout);
+  }
+  if (events_ != nullptr && events_->enabled())
+    events_->counter(update ? ev::upd_fanout : ev::inv_fanout, track_, now, fanout);
+}
+
+void Directory::finish_word_op(const Message& req, Word old, Cycle now) {
+  const bool rmw = req.type == MsgType::kRmwReq;
+  Message reply = message(rmw ? MsgType::kRmwReply : MsgType::kUpdateDone, req.src,
+                          req.line_addr);
+  reply.txn = req.txn;
+  if (rmw) {
+    reply.word_addr = req.word_addr;
+    reply.word_value = old;
+  }
+  send(std::move(reply), now);
 }
 
 void Directory::handle(const Message& msg, Cycle now) {
@@ -212,86 +263,31 @@ Directory::Txn& Directory::open_txn(Entry& e, Txn::Kind kind, const Message& req
 
 void Directory::handle_request(Entry& e, const Message& msg, Cycle now) {
   const Addr line = msg.line_addr;
+  // Does a processor other than the requester hold a shared copy?
+  const auto others_share = [&] {
+    return e.state == State::kShared && e.sharers.count_other(static_cast<ProcId>(msg.src)) != 0;
+  };
 
   switch (msg.type) {
-    case MsgType::kReadReq: {
-      switch (e.state) {
-        case State::kUncached:
-        case State::kShared:
-          reply_read(e, msg, now);
-          break;
-        case State::kDirty: {
-          open_txn(e, Txn::Kind::kRecallForRead, msg, now);
-          Message recall;
-          recall.type = MsgType::kRecall;
-          recall.src = self_;
-          recall.dst = e.owner;
-          recall.line_addr = line;
-          recall.recall_exclusive = false;
-          send(std::move(recall), now);
-          break;
-        }
-      }
+    case MsgType::kReadReq:
+      if (e.state == State::kDirty)
+        recall(e, msg, /*exclusive=*/false, now);
+      else
+        reply_read(e, msg, now);
       break;
-    }
 
-    case MsgType::kReadExReq: {
-      switch (e.state) {
-        case State::kUncached:
-          reply_read_ex(e, msg, now);
-          break;
-        case State::kShared: {
-          const ProcId requester = static_cast<ProcId>(msg.src);
-          if (e.sharers.count_other(requester) == 0) {
-            reply_read_ex(e, msg, now);
-            break;
-          }
-          Txn& txn = open_txn(e, Txn::Kind::kGatherInvAcks, msg, now);
-          e.sharers.for_each_other(requester, [&](ProcId p) {
-            ++txn.acks_left;
-            Message inv;
-            inv.type = MsgType::kInvalidate;
-            inv.src = self_;
-            inv.dst = p;
-            inv.line_addr = line;
-            send(std::move(inv), now);
-          });
-          if (profile_) {
-            ledger_.on_invalidation_round(line, txn.acks_left);
-            stats_.sample(prof::sh_inv_fanout, txn.acks_left);
-            if (events_ != nullptr && events_->enabled())
-              events_->counter(ev::inv_fanout, track_, now, txn.acks_left);
-          }
-          break;
-        }
-        case State::kDirty: {
-          if (e.owner == msg.src) {
-            // Stale corner (owner re-requesting after a crossing
-            // writeback was processed): just grant again.
-            reply_read_ex(e, msg, now);
-            break;
-          }
-          open_txn(e, Txn::Kind::kRecallForEx, msg, now);
-          if (profile_) {
-            // A recall-for-exclusive is a fan-out-1 invalidation round
-            // aimed at the current owner.
-            ledger_.on_invalidation_round(line, 1);
-            stats_.sample(prof::sh_inv_fanout, 1);
-            if (events_ != nullptr && events_->enabled())
-              events_->counter(ev::inv_fanout, track_, now, 1);
-          }
-          Message recall;
-          recall.type = MsgType::kRecall;
-          recall.src = self_;
-          recall.dst = e.owner;
-          recall.line_addr = line;
-          recall.recall_exclusive = true;
-          send(std::move(recall), now);
-          break;
-        }
+    case MsgType::kReadExReq:
+      if (e.state == State::kDirty && e.owner != msg.src) {
+        recall(e, msg, /*exclusive=*/true, now);
+      } else if (others_share()) {
+        fan_out(e, Txn::Kind::kGatherInvAcks, msg, message(MsgType::kInvalidate, 0, line), now);
+      } else {
+        // Uncached, shared by the requester alone, or the stale corner
+        // of an owner re-requesting after its crossing writeback was
+        // processed: grant at once.
+        reply_read_ex(e, msg, now);
       }
       break;
-    }
 
     case MsgType::kWriteback: {
       if (e.state == State::kDirty && e.owner == msg.src) {
@@ -318,83 +314,26 @@ void Directory::handle_request(Entry& e, const Message& msg, Cycle now) {
       assert(false && "ack with no transaction in progress");
       break;
 
-    case MsgType::kUpdateReq: {
-      // Update protocol: write memory, push the word to all other
-      // sharers, confirm to the writer once every ack is back.
-      mem_.write(msg.word_addr, msg.word_value);
-      const ProcId requester = static_cast<ProcId>(msg.src);
-      const bool fan_out =
-          e.state == State::kShared && e.sharers.count_other(requester) != 0;
-      if (!fan_out) {
-        Message done;
-        done.type = MsgType::kUpdateDone;
-        done.src = self_;
-        done.dst = msg.src;
-        done.line_addr = line;
-        done.txn = msg.txn;
-        send(std::move(done), now);
-        break;
-      }
-      Txn& txn = open_txn(e, Txn::Kind::kGatherUpdateAcks, msg, now);
-      e.sharers.for_each_other(requester, [&](ProcId p) {
-        ++txn.acks_left;
-        Message upd;
-        upd.type = MsgType::kUpdate;
-        upd.src = self_;
-        upd.dst = p;
-        upd.line_addr = line;
-        upd.word_addr = msg.word_addr;
-        upd.word_value = msg.word_value;
-        send(std::move(upd), now);
-      });
-      if (profile_) {
-        ledger_.on_update_round(line, txn.acks_left);
-        stats_.sample(prof::sh_upd_fanout, txn.acks_left);
-        if (events_ != nullptr && events_->enabled())
-          events_->counter(ev::upd_fanout, track_, now, txn.acks_left);
-      }
-      break;
-    }
-
+    case MsgType::kUpdateReq:
     case MsgType::kRmwReq: {
-      // Update protocol: the atomic happens at the memory module.
-      Word old = mem_.read(msg.word_addr);
-      Word newval = apply_rmw(static_cast<RmwOp>(msg.rmw_op), old, msg.rmw_cmp, msg.rmw_src);
-      mem_.write(msg.word_addr, newval);
-      const ProcId requester = static_cast<ProcId>(msg.src);
-      const bool fan_out =
-          e.state == State::kShared && e.sharers.count_other(requester) != 0;
-      Message reply;
-      reply.type = MsgType::kRmwReply;
-      reply.src = self_;
-      reply.dst = msg.src;
-      reply.line_addr = line;
-      reply.word_addr = msg.word_addr;
-      reply.word_value = old;
-      reply.txn = msg.txn;
-      if (!fan_out) {
-        send(std::move(reply), now);
+      // Update protocol: the word op is performed at the memory module
+      // (an RMW's atomic too), the new word goes to every other sharer,
+      // and the writer is answered once every ack is back.
+      const bool rmw = msg.type == MsgType::kRmwReq;
+      const Word old = rmw ? mem_.read(msg.word_addr) : 0;
+      const Word value =
+          rmw ? apply_rmw(static_cast<RmwOp>(msg.rmw_op), old, msg.rmw_cmp, msg.rmw_src)
+              : msg.word_value;
+      mem_.write(msg.word_addr, value);
+      if (!others_share()) {
+        finish_word_op(msg, old, now);
         break;
       }
-      Txn& txn = open_txn(e, Txn::Kind::kGatherUpdateAcks, msg, now);
-      txn.request.word_value = old;  // remembered for the final reply
-      e.sharers.for_each_other(requester, [&](ProcId p) {
-        ++txn.acks_left;
-        Message upd;
-        upd.type = MsgType::kUpdate;
-        upd.src = self_;
-        upd.dst = p;
-        upd.line_addr = line;
-        upd.word_addr = msg.word_addr;
-        upd.word_value = newval;
-        send(std::move(upd), now);
-      });
-      if (profile_) {
-        ledger_.on_update_round(line, txn.acks_left);
-        stats_.sample(prof::sh_upd_fanout, txn.acks_left);
-        if (events_ != nullptr && events_->enabled())
-          events_->counter(ev::upd_fanout, track_, now, txn.acks_left);
-      }
+      Message upd = message(MsgType::kUpdate, 0, line);
+      upd.word_addr = msg.word_addr;
+      upd.word_value = value;
+      Txn& txn = fan_out(e, Txn::Kind::kGatherUpdateAcks, msg, upd, now);
+      txn.request.word_value = old;  // for an RMW's reply, once the acks are in
       break;
     }
 
@@ -407,7 +346,6 @@ void Directory::handle_request(Entry& e, const Message& msg, Cycle now) {
 void Directory::finish_txn(Entry& e, Cycle now) {
   const std::uint32_t id = e.txn;
   Txn& txn = txns_[id];
-  const Addr line = txn.request.line_addr;
 
   if (events_ != nullptr && events_->enabled()) {
     events_->complete(txn_event_name(static_cast<int>(txn.kind)), track_,
@@ -432,22 +370,9 @@ void Directory::finish_txn(Entry& e, Cycle now) {
       e.owner = kNoProc;
       reply_read_ex(e, txn.request, now);
       break;
-    case Txn::Kind::kGatherUpdateAcks: {
-      Message done;
-      done.src = self_;
-      done.dst = txn.request.src;
-      done.line_addr = line;
-      done.txn = txn.request.txn;
-      if (txn.request.type == MsgType::kRmwReq) {
-        done.type = MsgType::kRmwReply;
-        done.word_addr = txn.request.word_addr;
-        done.word_value = txn.request.word_value;  // old value
-      } else {
-        done.type = MsgType::kUpdateDone;
-      }
-      send(std::move(done), now);
+    case Txn::Kind::kGatherUpdateAcks:
+      finish_word_op(txn.request, txn.request.word_value, now);
       break;
-    }
   }
 
   // Close the slot and take its wait queue; the slot keeps replay_'s

@@ -153,8 +153,25 @@ class Directory {
   /// reference is valid until the next open_txn.
   Txn& open_txn(Entry& e, Txn::Kind kind, const Message& req, Cycle now);
   void finish_txn(Entry& e, Cycle now);
+  /// A message from this bank.
+  Message message(MsgType type, EndpointId dst, Addr line) const;
+  /// Send `req`'s requester its line from memory as a `type` reply.
+  void reply_line(MsgType type, const Message& req, Cycle now);
   void reply_read(Entry& e, const Message& req, Cycle now);
   void reply_read_ex(Entry& e, const Message& req, Cycle now);
+  /// Open a recall of `e`'s dirty line from its owner, for a read or,
+  /// when `exclusive`, for a ReadExReq (the owner then drops its copy).
+  void recall(Entry& e, const Message& req, bool exclusive, Cycle now);
+  /// Open a `kind` transaction for `req` and send `copy`, addressed to
+  /// each in turn, to every sharer but the requester, counting the acks
+  /// to gather.
+  Txn& fan_out(Entry& e, Txn::Kind kind, const Message& req, const Message& copy, Cycle now);
+  /// Profile one invalidation (or, when `update`, update) round of
+  /// `fanout` messages.
+  void note_round(bool update, Addr line, std::uint32_t fanout, Cycle now);
+  /// Confirm update-protocol request `req` to its writer: UpdateDone for
+  /// a store, RmwReply carrying `old` for an RMW.
+  void finish_word_op(const Message& req, Word old, Cycle now);
   void send(Message&& msg, Cycle now) { net_.send(std::move(msg), now, service_delay_); }
 
   std::uint32_t num_procs_;

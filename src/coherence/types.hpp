@@ -37,8 +37,6 @@ enum class LineState : std::uint8_t {
   kExclusive,  ///< readable + writable; memory may be stale (DASH "dirty")
 };
 
-const char* to_string(LineState s);
-
 /// What the processor asks its cache to do.
 enum class CacheOp : std::uint8_t {
   kLoad,
@@ -50,8 +48,6 @@ enum class CacheOp : std::uint8_t {
   kPrefetchShared,  ///< §3 read prefetch (non-binding)
   kPrefetchEx,      ///< §3 read-exclusive prefetch (non-binding)
 };
-
-const char* to_string(CacheOp op);
 
 struct CacheRequest {
   CacheOp op = CacheOp::kLoad;

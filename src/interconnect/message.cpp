@@ -1,7 +1,5 @@
 #include "interconnect/message.hpp"
 
-#include <sstream>
-
 namespace mcsim {
 
 const char* to_string(MsgType t) {
@@ -24,13 +22,6 @@ const char* to_string(MsgType t) {
     case MsgType::kRmwReply: return "RmwReply";
   }
   return "?";
-}
-
-std::string Message::describe() const {
-  std::ostringstream os;
-  os << to_string(type) << " src=" << src << " dst=" << dst << " line=0x" << std::hex
-     << line_addr << std::dec << " txn=" << txn;
-  return os.str();
 }
 
 }  // namespace mcsim

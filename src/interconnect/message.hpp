@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "common/types.hpp"
 
@@ -60,8 +59,6 @@ struct Message {
   Word rmw_cmp = 0;
   Word rmw_src = 0;
   std::uint8_t rmw_op = 0;
-
-  std::string describe() const;
 };
 
 }  // namespace mcsim

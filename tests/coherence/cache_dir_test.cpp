@@ -49,6 +49,7 @@ class MemorySystem {
   }
 
   CoherentCache& cache(ProcId p) { return *caches_[p]; }
+  Network& net() { return *net_; }
   DirectoryGroup& dir() { return *dir_; }
   Cycle now() const { return cycle_; }
 
@@ -83,10 +84,11 @@ struct Recorder : LineEventObserver {
   struct Ev {
     LineEventKind kind;
     Addr line;
+    Cycle at;
   };
   std::vector<Ev> events;
-  void on_line_event(LineEventKind kind, Addr line, Cycle) override {
-    events.push_back({kind, line});
+  void on_line_event(LineEventKind kind, Addr line, Cycle now) override {
+    events.push_back({kind, line, now});
   }
 };
 
@@ -338,6 +340,48 @@ TEST(CacheDirUpdate, StoreToUncachedLineStillPerforms) {
   ms.store(0, 0x300, 5, 1);
   ASSERT_TRUE(ms.run_until_response(0, r));
   EXPECT_EQ(ms.dir().memory().read(0x300), 5u);
+}
+
+// The RMW is performed at memory; the other sharer gets the new word,
+// and only once its UpdateAck is in does the requester get the old one.
+TEST(CacheDirUpdate, RmwWithAnotherSharerRepliesAfterTheUpdateAck) {
+  MemorySystem ms(2, CoherenceKind::kUpdate);
+  ms.dir().memory().write(0x200, 7);
+  CacheResponse r;
+  ms.load(0, 0x200, 1);
+  ASSERT_TRUE(ms.run_until_response(0, r));
+  ms.load(1, 0x200, 2);
+  ASSERT_TRUE(ms.run_until_response(1, r));
+  Recorder rec0, rec1;
+  ms.cache(0).set_observer(&rec0);
+  ms.cache(1).set_observer(&rec1);
+  CacheRequest req;
+  req.op = CacheOp::kRmw;
+  req.addr = 0x200;
+  req.rmw_op = RmwOp::kFetchAdd;
+  req.rmw_src = 5;
+  req.token = 3;
+  EXPECT_EQ(ms.cache(0).probe(req, ms.now()), ProbeResult::kMiss);
+  for (int i = 0; i < 100 && rec1.events.empty(); ++i) {
+    ms.tick();
+    ASSERT_FALSE(ms.cache(0).pop_response(ms.now(), r)) << "replied before the UpdateAck";
+  }
+  ASSERT_EQ(rec1.events.size(), 1u);
+  EXPECT_EQ(rec1.events[0].kind, LineEventKind::kUpdate);
+  const Cycle updated_at = rec1.events[0].at;
+  EXPECT_EQ(*ms.cache(1).peek_word(0x200), 12u) << "the Update carries the new word";
+  EXPECT_EQ(*ms.cache(0).peek_word(0x200), 7u) << "the requester's copy waits for the reply";
+  EXPECT_TRUE(ms.dir().line_busy(0x200));
+
+  ASSERT_TRUE(ms.run_until_response(0, r));
+  EXPECT_EQ(r.value, 7u) << "the RmwReply carries the old value";
+  // The ack's leg to the directory, its service, and the reply's leg.
+  EXPECT_EQ(r.ready_at, updated_at + 2 * ms.mem_cfg_.net_latency + ms.mem_cfg_.dir_latency);
+  EXPECT_EQ(ms.dir().memory().read(0x200), 12u);
+  EXPECT_EQ(*ms.cache(0).peek_word(0x200), 12u);
+  EXPECT_TRUE(rec0.events.empty()) << "the requester gets no Update of its own";
+  EXPECT_FALSE(ms.dir().line_busy(0x200));
+  EXPECT_TRUE(ms.net().idle());
 }
 
 }  // namespace

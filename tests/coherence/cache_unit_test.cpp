@@ -1,18 +1,21 @@
 // Cache-internal behaviours not covered by the protocol tests: LRU
 // replacement order, the port model, prefetched-line accounting,
-// line_of arithmetic, direct MSHR merging, and preload.
+// line_of arithmetic, direct MSHR merging, preload, and each demand
+// op's hit / merge / miss decision.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "coherence/cache.hpp"
 #include "coherence/directory.hpp"
+#include "common/profile.hpp"
 
 namespace mcsim {
 namespace {
 
 struct Rig {
-  explicit Rig(std::uint32_t sets = 2, std::uint32_t ways = 2) {
+  explicit Rig(std::uint32_t sets = 2, std::uint32_t ways = 2,
+               CoherenceKind proto = CoherenceKind::kInvalidation) {
     cache_cfg.num_sets = sets;
     cache_cfg.ways = ways;
     cache_cfg.line_bytes = 16;
@@ -20,6 +23,7 @@ struct Rig {
     mem_cfg.net_latency = 5;
     mem_cfg.dir_latency = 2;
     mem_cfg.mem_bytes = 1 << 16;
+    mem_cfg.coherence = proto;
     net = std::make_unique<Network>(2, mem_cfg.net_latency);
     dir = std::make_unique<DirectoryGroup>(1, cache_cfg, mem_cfg, *net);
     cache = std::make_unique<CoherentCache>(0, cache_cfg, mem_cfg, *net, 1);
@@ -335,6 +339,227 @@ TEST(CacheUnit, SetsFilledOutOfOrderKeepSetMajorOrderVictimsAndWords) {
   r.cache->preload_line(f, LineState::kShared, f_words);  // refills the hole
   EXPECT_EQ(resident_lines(*r.cache), (std::vector<Addr>{f, e, c, a, g}));
   for (Addr line : {a, c, e, f, g}) expect_own_words(line);
+}
+
+// --- a demand access's decision: hit, merge or miss -------------------
+// These tests play the directory by hand: they take the cache's
+// requests off the wire and answer them, so each test sees exactly what
+// the cache sent.
+
+constexpr EndpointId kDir = 1;  // Rig's directory endpoint, never ticked here
+constexpr Addr kLine = 0x100;
+constexpr CacheOp kDemandOps[] = {CacheOp::kLoad, CacheOp::kStore, CacheOp::kLoadEx,
+                                  CacheOp::kRmw};
+
+// The next request the cache sends, taken before any directory sees it.
+Message take_request(Rig& r) {
+  Message msg;
+  for (int i = 0; i < 20; ++i, ++r.cycle) {
+    r.net->deliver(r.cycle);
+    if (r.net->recv(kDir, msg)) return msg;
+  }
+  ADD_FAILURE() << "the cache sent no request";
+  return msg;
+}
+
+// Send `msg` from the directory to the cache and let the cache handle it.
+void answer(Rig& r, Message msg) {
+  msg.src = kDir;
+  msg.dst = 0;
+  r.net->send(std::move(msg), r.cycle);
+  for (int i = 0; i < 10; ++i, ++r.cycle) {
+    r.net->deliver(r.cycle);
+    r.cache->tick(r.cycle);
+  }
+}
+
+// Grant `req`'s line with `type`, carrying the words 10, 11, 12, 13.
+void grant(Rig& r, const Message& req, MsgType type) {
+  Message reply;
+  reply.type = type;
+  reply.line_addr = req.line_addr;
+  for (Word i = 0; i < 4; ++i) reply.data[i] = 10 + i;
+  answer(r, std::move(reply));
+}
+
+// `op` on word 1 of kLine: a store writes 99, an RMW adds 5.
+CacheRequest demand(CacheOp op, std::uint64_t token) {
+  CacheRequest req;
+  req.op = op;
+  req.addr = kLine + 4;
+  req.store_value = 99;
+  req.rmw_op = RmwOp::kFetchAdd;
+  req.rmw_src = 5;
+  req.token = token;
+  return req;
+}
+// What `op`'s response carries, and what it leaves in word 1 (11 before).
+Word response_of(CacheOp op) { return op == CacheOp::kStore ? 0 : 11; }
+Word word_after(CacheOp op) {
+  return op == CacheOp::kStore ? 99 : op == CacheOp::kRmw ? 16 : 11;
+}
+
+// Bring kLine in by a prefetch with no demand use yet: shared, or
+// exclusive when `ex`.
+void prefetch_fill(Rig& r, bool ex) {
+  CacheRequest pf;
+  pf.op = ex ? CacheOp::kPrefetchEx : CacheOp::kPrefetchShared;
+  pf.addr = kLine;
+  ASSERT_EQ(r.cache->probe(pf, r.cycle), ProbeResult::kMiss);
+  const Message req = take_request(r);
+  ASSERT_EQ(req.type, ex ? MsgType::kReadExReq : MsgType::kReadReq);
+  grant(r, req, ex ? MsgType::kReadExReply : MsgType::kReadReply);
+}
+
+std::uint64_t stat(const Rig& r, const char* name) { return r.cache->stats().get(name); }
+
+TEST(CacheProbe, HitCountsLoadHitOnlyForALoadAndThePrefetchUseOnce) {
+  for (CacheOp op : kDemandOps) {
+    SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op));
+    Rig r;
+    prefetch_fill(r, /*ex=*/op != CacheOp::kLoad);
+    EXPECT_EQ(r.cache->probe(demand(op, 1), r.cycle), ProbeResult::kHit);
+    EXPECT_TRUE(r.net->idle()) << "a hit sends nothing";
+    EXPECT_EQ(stat(r, "load_hit"), op == CacheOp::kLoad ? 1u : 0u);
+    // A kLoadEx is the read half of an RMW (Appendix A): the RMW's own
+    // hit counts the prefetch's use.
+    EXPECT_EQ(stat(r, "prefetch_useful_hit"), op == CacheOp::kLoadEx ? 0u : 1u);
+    EXPECT_EQ(stat(r, "prefetch_useful_merge"), 0u);
+    CacheResponse resp;
+    ASSERT_TRUE(r.cache->pop_response(r.cycle + 1, resp));
+    EXPECT_TRUE(resp.was_hit);
+    EXPECT_EQ(resp.value, response_of(op));
+    EXPECT_EQ(*r.cache->peek_word(kLine + 4), word_after(op));
+  }
+}
+
+TEST(CacheProbe, LoadExHitLeavesThePrefetchUseToItsRmw) {
+  Rig r;
+  prefetch_fill(r, /*ex=*/true);
+  EXPECT_EQ(r.cache->probe(demand(CacheOp::kLoadEx, 1), r.cycle), ProbeResult::kHit);
+  EXPECT_EQ(stat(r, "prefetch_useful_hit"), 0u);
+  ++r.cycle;
+  EXPECT_EQ(r.cache->probe(demand(CacheOp::kRmw, 2), r.cycle), ProbeResult::kHit);
+  EXPECT_EQ(stat(r, "prefetch_useful_hit"), 1u);
+  ++r.cycle;
+  EXPECT_EQ(r.cache->probe(demand(CacheOp::kRmw, 3), r.cycle), ProbeResult::kHit);
+  EXPECT_EQ(stat(r, "prefetch_useful_hit"), 1u) << "the use counts once";
+  EXPECT_EQ(stat(r, "load_hit"), 0u);
+  EXPECT_EQ(*r.cache->peek_word(kLine + 4), 21u);
+}
+
+TEST(CacheProbe, MergeIntoAReadPrefetchCountsItsUseAndUpgradesAfterTheFill) {
+  for (CacheOp op : kDemandOps) {
+    SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op));
+    Rig r;
+    CacheRequest pf;
+    pf.op = CacheOp::kPrefetchShared;
+    pf.addr = kLine;
+    ASSERT_EQ(r.cache->probe(pf, r.cycle), ProbeResult::kMiss);
+    const Message read = take_request(r);
+    EXPECT_EQ(read.type, MsgType::kReadReq);
+    EXPECT_EQ(r.cache->probe(demand(op, 1), r.cycle), ProbeResult::kMerged);
+    EXPECT_TRUE(r.net->idle()) << "a merge sends nothing";
+    EXPECT_EQ(stat(r, "prefetch_useful_merge"), op == CacheOp::kLoadEx ? 0u : 1u);
+    EXPECT_EQ(stat(r, "prefetch_useful_hit"), 0u);
+    EXPECT_EQ(stat(r, "load_hit"), 0u);
+    grant(r, read, MsgType::kReadReply);
+    CacheResponse resp;
+    if (op == CacheOp::kLoad) {
+      EXPECT_TRUE(r.net->idle()) << "a load completes off the shared copy";
+      EXPECT_EQ(r.cache->line_state(kLine), LineState::kShared);
+    } else {
+      EXPECT_FALSE(r.cache->pop_response(r.cycle, resp)) << "it waits for ownership";
+      const Message upgrade = take_request(r);
+      EXPECT_EQ(upgrade.type, MsgType::kReadExReq);
+      EXPECT_EQ(upgrade.line_addr, kLine);
+      grant(r, upgrade, MsgType::kReadExReply);
+      EXPECT_EQ(r.cache->line_state(kLine), LineState::kExclusive);
+    }
+    ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+    EXPECT_FALSE(resp.was_hit);
+    EXPECT_EQ(resp.value, response_of(op));
+    EXPECT_EQ(*r.cache->peek_word(kLine + 4), word_after(op));
+    EXPECT_TRUE(r.cache->idle());
+  }
+}
+
+TEST(CacheProbe, MissSendsAReadForALoadAndAReadExOtherwise) {
+  for (CacheOp op : kDemandOps) {
+    SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op));
+    Rig r;
+    EXPECT_EQ(r.cache->probe(demand(op, 1), r.cycle), ProbeResult::kMiss);
+    const Message req = take_request(r);
+    const bool ex = op != CacheOp::kLoad;
+    EXPECT_EQ(req.type, ex ? MsgType::kReadExReq : MsgType::kReadReq);
+    EXPECT_EQ(req.line_addr, kLine);
+    EXPECT_EQ(stat(r, "load_hit") + stat(r, "prefetch_useful_hit") +
+                  stat(r, "prefetch_useful_merge"),
+              0u);
+    grant(r, req, ex ? MsgType::kReadExReply : MsgType::kReadReply);
+    CacheResponse resp;
+    ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+    EXPECT_EQ(resp.value, response_of(op));
+    EXPECT_EQ(*r.cache->peek_word(kLine + 4), word_after(op));
+    EXPECT_TRUE(r.net->idle());
+  }
+}
+
+TEST(CacheProbe, ExclusiveMissResolvesAPrefetchedSharedCopyAsUseful) {
+  for (CacheOp op : {CacheOp::kStore, CacheOp::kLoadEx, CacheOp::kRmw}) {
+    SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op));
+    Rig r;
+    r.cache->set_profiling(true);
+    prefetch_fill(r, /*ex=*/false);
+    ASSERT_EQ(r.cache->profile_pending(), 1u);
+    EXPECT_EQ(r.cache->probe(demand(op, 1), r.cycle), ProbeResult::kMiss);
+    EXPECT_EQ(take_request(r).type, MsgType::kReadExReq);
+    EXPECT_EQ(r.cache->stats().get(prof::pf_useful), 1u);
+    EXPECT_EQ(r.cache->profile_pending(), 0u);
+  }
+}
+
+TEST(CacheProbe, UpdateStoreWritesItsCopyAtProbeAndAnRmwWaitsForTheDirectory) {
+  Rig r(/*sets=*/2, /*ways=*/2, CoherenceKind::kUpdate);
+  r.cache->preload_line(kLine, LineState::kShared, std::vector<Word>{10, 11, 12, 13});
+  EXPECT_EQ(r.cache->probe(demand(CacheOp::kStore, 1), r.cycle), ProbeResult::kMiss);
+  EXPECT_EQ(*r.cache->peek_word(kLine + 4), 99u);
+  const Message upd = take_request(r);
+  EXPECT_EQ(upd.type, MsgType::kUpdateReq);
+  EXPECT_EQ(upd.word_addr, kLine + 4);
+  EXPECT_EQ(upd.word_value, 99u);
+  EXPECT_EQ(upd.txn, 1u);
+  EXPECT_EQ(r.cache->probe(demand(CacheOp::kRmw, 2), r.cycle), ProbeResult::kMiss);
+  EXPECT_EQ(*r.cache->peek_word(kLine + 4), 99u);
+  const Message rmw = take_request(r);
+  EXPECT_EQ(rmw.type, MsgType::kRmwReq);
+  EXPECT_EQ(rmw.word_addr, kLine + 4);
+  EXPECT_EQ(rmw.rmw_op, static_cast<std::uint8_t>(RmwOp::kFetchAdd));
+  EXPECT_EQ(rmw.rmw_src, 5u);
+  EXPECT_EQ(rmw.txn, 2u);
+  EXPECT_FALSE(r.cache->idle());
+
+  Message done;
+  done.type = MsgType::kUpdateDone;
+  done.line_addr = kLine;
+  done.txn = 1;
+  answer(r, std::move(done));
+  Message reply;
+  reply.type = MsgType::kRmwReply;
+  reply.line_addr = kLine;
+  reply.word_addr = kLine + 4;
+  reply.word_value = 99;  // the old value, from memory
+  reply.txn = 2;
+  answer(r, std::move(reply));
+  CacheResponse resp;
+  ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+  EXPECT_EQ(resp.token, 1u);
+  EXPECT_EQ(resp.value, 0u);
+  ASSERT_TRUE(r.cache->pop_response(r.cycle, resp));
+  EXPECT_EQ(resp.token, 2u);
+  EXPECT_EQ(resp.value, 99u);
+  EXPECT_EQ(*r.cache->peek_word(kLine + 4), 104u) << "the reply's old value, plus 5";
+  EXPECT_TRUE(r.cache->idle());
 }
 
 }  // namespace

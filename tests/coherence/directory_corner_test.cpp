@@ -1,6 +1,6 @@
 // Directory transient-state corner cases: deferred-request replay,
-// recall/writeback crossings, eviction during contention, and sharer
-// bookkeeping.
+// recall/writeback crossings, eviction during contention, sharer
+// bookkeeping, the owner's own re-request, and fan-out profiling.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +14,8 @@ namespace {
 
 class Harness {
  public:
-  explicit Harness(std::uint32_t nprocs, std::uint32_t sets = 16, std::uint32_t ways = 2) {
+  explicit Harness(std::uint32_t nprocs, std::uint32_t sets = 16, std::uint32_t ways = 2,
+                   CoherenceKind proto = CoherenceKind::kInvalidation) {
     cfg_.num_sets = sets;
     cfg_.ways = ways;
     cfg_.line_bytes = 16;
@@ -22,6 +23,7 @@ class Harness {
     mem_cfg_.net_latency = 5;
     mem_cfg_.dir_latency = 2;
     mem_cfg_.mem_bytes = 1 << 16;
+    mem_cfg_.coherence = proto;
     net_ = std::make_unique<Network>(nprocs + 1, mem_cfg_.net_latency);
     dir_ = std::make_unique<DirectoryGroup>(nprocs, cfg_, mem_cfg_, *net_);
     for (ProcId p = 0; p < nprocs; ++p)
@@ -59,6 +61,15 @@ class Harness {
     CacheRequest r;
     r.op = CacheOp::kLoad;
     r.addr = a;
+    r.token = tok;
+    return caches_[p]->probe(r, cycle_);
+  }
+  ProbeResult rmw(ProcId p, Addr a, std::uint64_t tok) {
+    CacheRequest r;
+    r.op = CacheOp::kRmw;
+    r.addr = a;
+    r.rmw_op = RmwOp::kFetchAdd;
+    r.rmw_src = 1;
     r.token = tok;
     return caches_[p]->probe(r, cycle_);
   }
@@ -247,6 +258,105 @@ TEST(DirectoryCorner, WaitQueueHandedOverServesInArrivalOrder) {
   EXPECT_EQ(wait->sum(), kWaitSum);
   EXPECT_EQ(wait->max(), kWaitMax);
   EXPECT_EQ(h.caches_[kProcs - 1]->peek_word(kLine), Word{100 + kProcs - 1});
+}
+
+// A ReadExReq from the line's own Dirty owner (its writeback crossed
+// and was processed first, say) is granted again at once: no recall, no
+// transaction. A bare endpoint plays the owner, since its cache would
+// not send such a request.
+TEST(DirectoryCorner, ReadExFromTheDirtyOwnerIsGrantedAtOnce) {
+  Harness h(2);
+  constexpr Addr kLine = 0x100;
+  h.dir_->preload(kLine, Directory::State::kDirty, 0);
+  h.dir_->memory().write(kLine + 4, 9);
+  Message req;
+  req.type = MsgType::kReadExReq;
+  req.src = 0;
+  req.dst = Network::directory_endpoint(2);
+  req.line_addr = kLine;
+  const Cycle sent_at = h.cycle_;
+  h.net_->send(std::move(req), sent_at);
+  Message got;
+  Cycle granted_at = kCycleNever;
+  for (Cycle c = sent_at; c < sent_at + 50 && granted_at == kCycleNever; ++c) {
+    h.net_->deliver(c);
+    h.dir_->tick(c);
+    EXPECT_FALSE(h.dir_->line_busy(kLine)) << "cycle " << c;
+    if (h.net_->recv(0, got)) granted_at = c;
+  }
+  ASSERT_NE(granted_at, kCycleNever);
+  EXPECT_EQ(got.type, MsgType::kReadExReply);
+  EXPECT_EQ(got.data[1], 9u);
+  EXPECT_EQ(granted_at, sent_at + 2 * h.mem_cfg_.net_latency + h.mem_cfg_.dir_latency);
+  EXPECT_EQ(h.dir_->line_state(kLine), Directory::State::kDirty);
+  EXPECT_EQ(h.dir_->owner(kLine), 0u);
+  EXPECT_TRUE(h.net_->idle()) << "nothing else was sent";
+}
+
+// The values of the timeline's counter samples named `name`, each on `track`.
+std::vector<std::uint64_t> counter_samples(const TraceEventSink& sink, const char* name,
+                                           std::uint16_t track) {
+  std::vector<std::uint64_t> out;
+  for (const TraceEventSink::Event& e : sink.events()) {
+    if (e.phase == TraceEventSink::Phase::kCounter && e.name == TraceEventSink::name_id(name)) {
+      EXPECT_EQ(e.track, track);
+      out.push_back(e.value[0]);
+    }
+  }
+  return out;
+}
+
+// Every invalidation round is profiled with its fan-out: a gather of
+// two sharers' acks, then a recall-for-exclusive as a round of one.
+TEST(DirectoryCorner, InvalidationRoundsReachTheTimeline) {
+  constexpr Addr kLine = 0x100;
+  constexpr std::uint16_t kTrack = 7;
+  Harness h(3);
+  TraceEventSink sink;
+  sink.enable();
+  h.dir_->set_profiling(true);
+  h.dir_->set_event_sink(&sink, kTrack);
+  h.load(1, kLine, 1);
+  h.drain();
+  h.load(2, kLine, 2);
+  h.drain();
+  h.store(0, kLine, 5, 3);
+  h.drain();
+  h.store(1, kLine, 6, 4);
+  h.drain();
+  EXPECT_EQ(counter_samples(sink, "inv-fanout", kTrack), (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_TRUE(counter_samples(sink, "upd-fanout", kTrack).empty());
+  const LogHistogram* fanout = h.dir_->bank(0).stats().histogram(prof::sh_inv_fanout);
+  ASSERT_NE(fanout, nullptr);
+  EXPECT_EQ(fanout->count(), 2u);
+  EXPECT_EQ(fanout->sum(), 3u);
+  EXPECT_EQ(*h.caches_[1]->peek_word(kLine), 6u);
+}
+
+// Under update, a store and an RMW each fan out to the other sharers.
+TEST(DirectoryCorner, UpdateRoundsReachTheTimeline) {
+  constexpr Addr kLine = 0x100;
+  constexpr std::uint16_t kTrack = 3;
+  Harness h(3, 16, 2, CoherenceKind::kUpdate);
+  TraceEventSink sink;
+  sink.enable();
+  h.dir_->set_profiling(true);
+  h.dir_->set_event_sink(&sink, kTrack);
+  for (ProcId p = 0; p < 3; ++p) {
+    h.load(p, kLine, p + 1);
+    h.drain();
+  }
+  h.store(0, kLine, 5, 4);
+  h.drain();
+  h.rmw(1, kLine, 5);
+  h.drain();
+  EXPECT_EQ(counter_samples(sink, "upd-fanout", kTrack), (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_TRUE(counter_samples(sink, "inv-fanout", kTrack).empty());
+  const LogHistogram* fanout = h.dir_->bank(0).stats().histogram(prof::sh_upd_fanout);
+  ASSERT_NE(fanout, nullptr);
+  EXPECT_EQ(fanout->count(), 2u);
+  for (ProcId p = 0; p < 3; ++p) EXPECT_EQ(*h.caches_[p]->peek_word(kLine), 6u) << "P" << p;
+  EXPECT_EQ(h.dir_->memory().read(kLine), 6u);
 }
 
 }  // namespace
