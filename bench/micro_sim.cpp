@@ -43,7 +43,7 @@ void BM_CacheHitProbe(benchmark::State& state) {
   CacheConfig cfg;
   MemConfig mem_cfg;
   Network net(2, mem_cfg.net_latency);
-  CoherentCache cache(0, cfg, mem_cfg, net, 1);
+  CoherentCache cache(0, cfg, mem_cfg, net, 1, CoreConfig{}.max_requests());
   std::vector<Word> line(cfg.line_bytes / kWordBytes, 42);
   cache.preload_line(0x1000, LineState::kExclusive, line);
   Cycle now = 0;
@@ -174,7 +174,8 @@ void BM_DirectoryHotLineFanIn(benchmark::State& state) {
   DirectoryGroup dir(n, cfg, mem_cfg, net);
   std::vector<std::unique_ptr<CoherentCache>> caches;
   for (ProcId p = 0; p < n; ++p)
-    caches.push_back(std::make_unique<CoherentCache>(p, cfg, mem_cfg, net, n));
+    caches.push_back(
+        std::make_unique<CoherentCache>(p, cfg, mem_cfg, net, n, CoreConfig{}.max_requests()));
   std::vector<EndpointId> landed;
   net.set_delivery_hook([&landed](EndpointId ep) { landed.push_back(ep); });
   Cycle now = 0;

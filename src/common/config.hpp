@@ -84,6 +84,11 @@ struct CoreConfig {
   std::uint32_t num_alus = 2;
   std::uint32_t btb_entries = 64;   ///< branch target buffer (2-bit counters)
 
+  /// The most demand requests the core keeps in its cache at once: one
+  /// per load-queue entry (sized like the reservation station) and one
+  /// per store-buffer entry.
+  std::uint32_t max_requests() const { return ls_rs_entries + store_buffer_entries; }
+
   /// When true, the front end is ideal: the whole program is decoded
   /// and placed in the reorder buffer before cycle 0, exactly the
   /// assumption of the paper's Figure 5 walkthrough ("the instructions

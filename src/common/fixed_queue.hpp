@@ -5,10 +5,10 @@
 // are also scanned associatively; this container supports both uses.
 // Their owners check full() before every push, so the ring keeps the
 // buffer it was built with. The event queues whose depth is not known
-// up front (crossbar lanes, a directory line's wait queue, a cache's
-// responses) push without checking: a push into a full ring moves it to
-// a buffer twice the size, once per doubling, and clear() keeps the
-// capacity, so steady traffic allocates nothing.
+// up front (crossbar lanes, a directory line's wait queue) push without
+// checking: a push into a full ring moves it to a buffer twice the size,
+// once per doubling, and clear() keeps the capacity, so steady traffic
+// allocates nothing.
 //
 // The buffer comes from the memory resource the ring is built with (its
 // owner's arena, see docs/INTERNALS.md §1). A slot's element is

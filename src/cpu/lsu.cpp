@@ -71,13 +71,11 @@ LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, std::size_t pro
       acquires_(cfg.core.ls_rs_entries + cfg.core.store_buffer_entries, arena),
       rmws_(cfg.core.store_buffer_entries, arena),
       slb_acquires_(cfg.core.spec_load_buffer_entries, arena),
-      tokens_(arena),
       local_completions_(cfg.core.ls_rs_entries, arena),
       records_(arena),
       // load_latency, store_latency, store_release_latency; rb_wasted
       // when profiling.
       stats_("lsu" + std::to_string(id), cfg.profile ? 4 : 3, arena) {
-  tokens_.reserve(cfg.core.ls_rs_entries);
   if (cfg.record_accesses) records_.reserve(program_size);
 }
 
@@ -193,20 +191,10 @@ void LoadStoreUnit::erase_store_at(std::size_t i) {
   store_buf_.erase_at(i);
 }
 
-bool LoadStoreUnit::erase_load(std::uint64_t seq) {
-  const std::size_t i = load_index(seq);
-  if (i == load_q_.size()) return false;
-  erase_load_at(i);
-  return true;
-}
-
-bool LoadStoreUnit::take_token(std::uint64_t token, TokenInfo& out) {
-  const auto it = std::find_if(tokens_.begin(), tokens_.end(),
-                               [token](const TokenInfo& t) { return t.token == token; });
-  if (it == tokens_.end()) return false;
-  out = *it;
-  tokens_.erase(it, it + 1);  // keeps the tokens in issue order, as walk() visits them
-  return true;
+void LoadStoreUnit::withdraw(LoadEntry& ld) {
+  if (ld.token == 0) return;
+  cache_.cancel(ld.addr, ld.token);
+  ld.token = 0;
 }
 
 void LoadStoreUnit::tick_addr_unit(Cycle now) {
@@ -421,9 +409,7 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
     --next_token_;
     return;  // retry next cycle
   }
-  tokens_.push_back(TokenInfo{req.token, ld.seq, ld.gen,
-                              ld.is_rmw_read ? TokenInfo::Kind::kLoadEx
-                                             : TokenInfo::Kind::kLoad});
+  ld.token = req.token;
   if (ld.is_rmw_read) {
     if (StoreEntry* st = find_store(ld.seq)) st->spec_read_issued = true;
   }
@@ -473,8 +459,7 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
     if (r == ProbeResult::kRejected) return;
   }
   ++next_token_;
-  tokens_.push_back(TokenInfo{req.token, st.seq, 0,
-                              st.is_rmw ? TokenInfo::Kind::kRmw : TokenInfo::Kind::kStore});
+  st.token = req.token;
   st.issued = true;
   note_progress();
   instant(ev::sb_issue, now, {arg::seq, st.seq}, {arg::addr, st.addr});
@@ -621,65 +606,60 @@ void LoadStoreUnit::drain_responses(Cycle now) {
   CacheResponse r;
   while (cache_.pop_response(now, r)) {
     note_progress();  // the response pop itself mutates cache state
-    TokenInfo info;
-    if (!take_token(r.token, info)) continue;
-    switch (info.kind) {
-      case TokenInfo::Kind::kLoad: {
-        const std::size_t i = load_index(info.seq);
-        const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
-        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) break;
-        record(info.seq, e->pc, e->addr, AccessKind::kLoad, e->sync, r.value, now);
-        stats_.sample(stat::load_latency, now - e->ready_at);
+    // Every response answers the load or store that issued it: a load
+    // that is dropped or reissued withdraws its request.
+    std::size_t i = 0;
+    while (i < load_q_.size() && load_q_.at(i).token != r.token) ++i;
+    if (i < load_q_.size()) {
+      const LoadEntry& e = load_q_.at(i);
+      const std::uint64_t seq = e.seq;
+      if (e.is_rmw_read) {
         if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::load, static_cast<std::uint16_t>(id_), e->ready_at, now);
+          events_->complete(ev::rmw_read, static_cast<std::uint16_t>(id_), e.ready_at, now);
         erase_load_at(i);
-        spec_buffer_.mark_done(info.seq, r.value, now);
-        host_.mem_completed(info.seq, r.value, now);
-        break;
+        spec_buffer_.mark_done(seq, r.value, now);
+        host_.rmw_spec_value(seq, r.value, now);
+        continue;
       }
-      case TokenInfo::Kind::kLoadEx: {
-        const std::size_t i = load_index(info.seq);
-        const LoadEntry* e = i == load_q_.size() ? nullptr : &load_q_.at(i);
-        if (e == nullptr || e->gen != info.gen || !e->issued || e->reissue) break;
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::rmw_read, static_cast<std::uint16_t>(id_), e->ready_at, now);
-        erase_load_at(i);
-        spec_buffer_.mark_done(info.seq, r.value, now);
-        host_.rmw_spec_value(info.seq, r.value, now);
-        break;
-      }
-      case TokenInfo::Kind::kStore: {
-        const std::size_t i = store_index(info.seq);
-        assert(i < store_buf_.size() && "issued stores are never squashed");
-        const StoreEntry* s = &store_buf_.at(i);
-        record(info.seq, s->pc, s->addr, AccessKind::kStore, s->sync, s->data.value, now);
-        stats_.sample(stat::store_latency, now - s->ready_at);
-        stats_.sample(stat::store_release_latency, now - s->released_at);
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::store, static_cast<std::uint16_t>(id_), s->ready_at, now);
-        erase_store_at(i);
-        spec_buffer_.nullify_store_tag(info.seq);
-        host_.mem_completed(info.seq, 0, now);
-        break;
-      }
-      case TokenInfo::Kind::kRmw: {
-        const std::size_t i = store_index(info.seq);
-        assert(i < store_buf_.size() && "issued RMWs are never squashed");
-        const StoreEntry* s = &store_buf_.at(i);
-        record(info.seq, s->pc, s->addr, AccessKind::kRmw, s->sync, r.value, now);
-        if (s->released) stats_.sample(stat::store_release_latency, now - s->released_at);
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::rmw, static_cast<std::uint16_t>(id_), s->ready_at, now);
-        erase_store_at(i);
-        // Drop a still-pending speculative read-exclusive for this RMW:
-        // its return value must be ignored once the atomic has issued.
-        erase_load(info.seq);
-        spec_buffer_.nullify_store_tag(info.seq);
-        spec_buffer_.mark_done(info.seq, r.value, now);
-        host_.mem_completed(info.seq, r.value, now);
-        break;
-      }
+      record(seq, e.pc, e.addr, AccessKind::kLoad, e.sync, r.value, now);
+      stats_.sample(stat::load_latency, now - e.ready_at);
+      if (events_ != nullptr && events_->enabled())
+        events_->complete(ev::load, static_cast<std::uint16_t>(id_), e.ready_at, now);
+      erase_load_at(i);
+      spec_buffer_.mark_done(seq, r.value, now);
+      host_.mem_completed(seq, r.value, now);
+      continue;
     }
+    i = 0;
+    while (i < store_buf_.size() && store_buf_.at(i).token != r.token) ++i;
+    assert(i < store_buf_.size() && "a response answers a request in flight");
+    const StoreEntry& s = store_buf_.at(i);
+    const std::uint64_t seq = s.seq;
+    if (!s.is_rmw) {
+      record(seq, s.pc, s.addr, AccessKind::kStore, s.sync, s.data.value, now);
+      stats_.sample(stat::store_latency, now - s.ready_at);
+      stats_.sample(stat::store_release_latency, now - s.released_at);
+      if (events_ != nullptr && events_->enabled())
+        events_->complete(ev::store, static_cast<std::uint16_t>(id_), s.ready_at, now);
+      erase_store_at(i);
+      spec_buffer_.nullify_store_tag(seq);
+      host_.mem_completed(seq, 0, now);
+      continue;
+    }
+    record(seq, s.pc, s.addr, AccessKind::kRmw, s.sync, r.value, now);
+    if (s.released) stats_.sample(stat::store_release_latency, now - s.released_at);
+    if (events_ != nullptr && events_->enabled())
+      events_->complete(ev::rmw, static_cast<std::uint16_t>(id_), s.ready_at, now);
+    erase_store_at(i);
+    // Drop a still-pending speculative read-exclusive for this RMW:
+    // nothing reads its value once the atomic has performed.
+    if (const std::size_t li = load_index(seq); li < load_q_.size()) {
+      withdraw(load_q_.at(li));
+      erase_load_at(li);
+    }
+    spec_buffer_.nullify_store_tag(seq);
+    spec_buffer_.mark_done(seq, r.value, now);
+    host_.mem_completed(seq, r.value, now);
   }
 }
 
@@ -727,7 +707,7 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
   for (std::uint64_t seq : mr.reissue) {
     LoadEntry* e = find_load(seq);
     if (e == nullptr || !e->issued) continue;
-    ++e->gen;  // the in-flight initial return value must be discarded
+    withdraw(*e);  // the initial return value must be discarded (§4)
     e->reissue = true;
     spec_buffer_.mark_reissued(seq);
     stats_.add(stat::spec_reissue);
@@ -770,7 +750,10 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
 void LoadStoreUnit::squash_from(std::uint64_t seq, SquashOrigin origin) {
   note_progress();
   while (!ls_rs_.empty() && ls_rs_.back().seq >= seq) ls_rs_.pop_back_n(1);
-  while (!load_q_.empty() && load_q_.back().seq >= seq) load_q_.pop_back_n(1);
+  while (!load_q_.empty() && load_q_.back().seq >= seq) {
+    withdraw(load_q_.back());
+    load_q_.pop_back_n(1);
+  }
   while (!store_buf_.empty() && store_buf_.back().seq >= seq) {
     assert(!store_buf_.back().issued && "issued stores are architecturally committed");
     store_buf_.pop_back_n(1);
@@ -866,8 +849,7 @@ StallCause LoadStoreUnit::classify_drain() const {
 
 std::uint64_t LoadStoreUnit::occupancy() const {
   return ls_rs_.size() | load_q_.size() << 8 | store_buf_.size() << 16 |
-         spec_buffer_.size() << 24 | prefetch_.size() << 32 | tokens_.size() << 40 |
-         local_completions_.size() << 48;
+         spec_buffer_.size() << 24 | prefetch_.size() << 32 | local_completions_.size() << 40;
 }
 
 namespace {
@@ -895,6 +877,7 @@ void LoadStoreUnit::walk(Walk& w) {
                                 e.cmp.ready << 14;
     w.plain(e.pc | flags << 32);
     w.plain(e.addr);
+    if (e.issued) w.token(e.token);
     walk_operands(w, e.data, e.cmp);
     w.cycle(e.ready_at);
     w.cycle(e.released_at);
@@ -914,24 +897,18 @@ void LoadStoreUnit::walk(Walk& w) {
   for (std::size_t i = 0; i < load_q_.size(); ++i) {
     LoadEntry& e = load_q_.at(i);
     w.seq(e.seq);
-    // Plain fields packed, to keep a record short: pc and gen fit 32 bits.
+    // Plain fields packed, to keep a record short: pc fits 32 bits.
     const std::uint64_t flags = static_cast<std::uint64_t>(e.sync) | e.is_rmw_read << 8 |
-                                e.issued << 9 | e.reissue << 10 | e.offered << 11;
+                                e.issued << 9 | e.reissue << 10 | e.offered << 11 |
+                                std::uint64_t{e.token != 0} << 12;
     w.plain(e.pc | flags << 32);
     w.plain(e.addr);
-    w.plain(e.gen);
+    if (e.token != 0) w.token(e.token);
     w.cycle(e.ready_at);
   }
   spec_buffer_.walk(w);
   prefetch_.walk(w);
   for (SeqFifo* f : {&sync_, &acquires_, &rmws_, &slb_acquires_}) f->walk(w);
-  w.plain(tokens_.size());
-  for (TokenInfo& t : tokens_) {
-    w.token(t.token);
-    w.seq(t.seq);
-    w.plain(t.gen);
-    w.plain(t.kind);
-  }
   w.plain(local_completions_.size());
   for (std::size_t i = 0; i < local_completions_.size(); ++i) {
     LocalCompletion& c = local_completions_.at(i);

@@ -203,7 +203,7 @@ class LoadStoreUnit {
     bool issued = false;
     bool reissue = false;      ///< detection asked for a reissue
     bool offered = false;      ///< already offered to the prefetch engine
-    std::uint32_t gen = 0;     ///< bumped to drop a stale in-flight value
+    std::uint64_t token = 0;   ///< its request in the cache; 0 when none is
     Cycle ready_at = 0;        ///< when the address became available
   };
 
@@ -219,17 +219,9 @@ class LoadStoreUnit {
     bool issued = false;
     bool offered = false;
     bool spec_read_issued = false;  ///< Appendix-A read-exclusive in flight
+    std::uint64_t token = 0;        ///< its request in the cache, once issued
     Cycle ready_at = 0;             ///< when the address became available
     Cycle released_at = 0;          ///< when the ROB head released it
-  };
-
-  /// A demand request in flight in the cache, by its token.
-  struct TokenInfo {
-    enum class Kind : std::uint8_t { kLoad, kLoadEx, kStore, kRmw };
-    std::uint64_t token = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 0;
-    Kind kind = Kind::kLoad;
   };
 
   struct LocalCompletion {  ///< store-to-load forwarding result
@@ -280,7 +272,9 @@ class LoadStoreUnit {
   void push_store(const StoreEntry& e);
   void erase_load_at(std::size_t i);
   void erase_store_at(std::size_t i);
-  bool erase_load(std::uint64_t seq);
+  /// Withdraw `ld`'s request from the cache, if it has one in flight:
+  /// the load is dropped or reissued and wants no reply.
+  void withdraw(LoadEntry& ld);
   /// Has a load / store older than `seq` not performed? Both queues are
   /// filled in seq order, so their fronts are the watermarks.
   bool load_before(std::uint64_t seq) const {
@@ -289,8 +283,6 @@ class LoadStoreUnit {
   bool store_before(std::uint64_t seq) const {
     return !store_buf_.empty() && store_buf_.front().seq < seq;
   }
-  /// Remove `token`'s request into `out`; false for a token not ours.
-  bool take_token(std::uint64_t token, TokenInfo& out);
   void record(std::uint64_t seq, std::size_t pc, Addr addr, AccessKind kind, SyncKind sync,
               Word value, Cycle now);
 
@@ -335,16 +327,6 @@ class LoadStoreUnit {
   SeqFifo acquires_;
   SeqFifo rmws_;
   SeqFifo slb_acquires_;
-  /// Requests in flight, in issue (= token) order; a response finds its
-  /// entry by a linear scan. Each request gets exactly one response, so
-  /// this holds only what is outstanding. It is reserved for a full
-  /// reservation station; squashed and reissued loads can keep more in
-  /// flight, and then it grows to that high-water mark and allocates
-  /// nothing more. (Tokens are dense, but a miss on a
-  /// contended line can stay outstanding while hundreds of later tokens
-  /// come and go, so a table indexed by token would have to span them
-  /// all.)
-  std::pmr::vector<TokenInfo> tokens_;
   /// One per forwarded load still in the load queue.
   FixedQueue<LocalCompletion> local_completions_;
   std::uint64_t next_token_ = 1;

@@ -175,7 +175,8 @@ class Machine {
   struct Proc {
     Proc(ProcId p, const SystemConfig& cfg, const Program& program, Network& net,
          TraceEventSink* events, std::pmr::memory_resource* arena)
-        : cache(p, cfg.cache, cfg.mem, net, cfg.num_procs, arena),
+        : cache(p, cfg.cache, cfg.mem, net, cfg.num_procs, cfg.core_for(p).max_requests(),
+                arena),
           core(p, cfg, program, cache, events, arena) {}
     CoherentCache cache;
     Core core;

@@ -25,7 +25,8 @@ class MemorySystem {
     net_ = std::make_unique<Network>(nprocs + 1, mem_cfg_.net_latency);
     dir_ = std::make_unique<DirectoryGroup>(nprocs, cfg_, mem_cfg_, *net_);
     for (ProcId p = 0; p < nprocs; ++p)
-      caches_.push_back(std::make_unique<CoherentCache>(p, cfg_, mem_cfg_, *net_, nprocs));
+      caches_.push_back(std::make_unique<CoherentCache>(p, cfg_, mem_cfg_, *net_, nprocs,
+                                                        CoreConfig{}.max_requests()));
   }
 
   void tick() {

@@ -28,7 +28,8 @@ class Harness {
     dir_ = std::make_unique<DirectoryGroup>(nprocs, cfg_, mem_cfg_, *net_);
     for (ProcId p = 0; p < nprocs; ++p)
       caches_.push_back(
-          std::make_unique<CoherentCache>(p, cfg_, mem_cfg_, *net_, nprocs));
+          std::make_unique<CoherentCache>(p, cfg_, mem_cfg_, *net_, nprocs,
+                                          CoreConfig{}.max_requests()));
   }
 
   void tick() {

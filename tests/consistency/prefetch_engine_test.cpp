@@ -7,7 +7,7 @@ namespace {
 
 class PrefetchEngineTest : public ::testing::Test {
  protected:
-  PrefetchEngineTest() : net_(2, 5), cache_(0, cache_cfg_, mem_cfg_, net_, 1) {}
+  PrefetchEngineTest() : net_(2, 5), cache_(0, cache_cfg_, mem_cfg_, net_, 1, CoreConfig{}.max_requests()) {}
 
   CacheConfig cache_cfg_;
   MemConfig mem_cfg_;

@@ -57,7 +57,8 @@ class Harness : public LsuHost, public LineEventObserver {
     cfg_.mem.mem_bytes = 1 << 16;
     net_ = std::make_unique<Network>(2, cfg_.mem.net_latency);
     dir_ = std::make_unique<DirectoryGroup>(1, cfg_.cache, cfg_.mem, *net_);
-    cache_ = std::make_unique<CoherentCache>(0, cfg_.cache, cfg_.mem, *net_, 1);
+    cache_ = std::make_unique<CoherentCache>(0, cfg_.cache, cfg_.mem, *net_, 1,
+                                             cfg_.core.max_requests());
     lsu_ = std::make_unique<LoadStoreUnit>(0, cfg_, 0, *cache_, *this, nullptr);
     cache_->set_observer(this);
     for (Opcode op : {Opcode::kLoad, Opcode::kStore, Opcode::kRmw}) {

@@ -3,8 +3,12 @@
 // (tiny cache), RMW speculation repair, and accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "isa/builder.hpp"
 #include "sim/machine.hpp"
+#include "trace/trace_core.hpp"
+#include "trace/workload_gen.hpp"
 
 namespace mcsim {
 namespace {
@@ -202,6 +206,34 @@ TEST(Speculation, NonspecLoadKeepsItsBindStamp) {
   EXPECT_LT(bound_at, log[0].performed_at) << "the load should bind long before the swap";
   EXPECT_EQ(log[1].performed_at, bound_at)
       << "the nonspec load was restamped when its buffer entry retired";
+}
+
+// A contended zipfian trace squashes and reissues loads by the thousand;
+// each withdraws its cache request, so no cache holds a request nothing
+// waits for, and its waiter pool and response queue, sized for
+// CoreConfig::max_requests() at construction, never grow.
+TEST(Speculation, DroppedLoadsWithdrawTheirRequests) {
+  WorkloadGenSpec spec;
+  spec.kind = WorkloadKind::kZipfian;
+  spec.nprocs = 64;
+  spec.ops = 32ull * spec.nprocs;
+  const Workload wl = trace_to_workload(generate_trace(spec));
+  SystemConfig cfg = SystemConfig::realistic(spec.nprocs, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  cfg.core.speculative_loads = true;
+  const std::uint64_t line = cfg.cache.line_bytes;
+  cfg.mem.mem_bytes = std::max(cfg.mem.mem_bytes, (wl.min_mem_bytes + line - 1) / line * line);
+  Machine m(cfg, wl.programs);
+  const RunResult r = m.run();
+  ASSERT_FALSE(r.deadlocked);
+  std::uint64_t dropped = 0;
+  const std::size_t bound = cfg.core.max_requests();
+  for (ProcId p = 0; p < spec.nprocs; ++p) {
+    dropped += m.core(p).stats().get("squashes") + m.core(p).lsu().stats().get("spec_reissue");
+    EXPECT_EQ(m.cache(p).waiter_capacity(), bound) << "cache " << p;
+    EXPECT_EQ(m.cache(p).response_capacity(), bound) << "cache " << p;
+  }
+  EXPECT_GT(dropped, 1000u) << "the run should drop loads in flight";
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(NextEventCache, HitResponseMaturesOneCycleLater) {
   CacheConfig cfg;
   MemConfig mem_cfg;
   Network net(2, mem_cfg.net_latency);
-  CoherentCache cache(0, cfg, mem_cfg, net, 1);
+  CoherentCache cache(0, cfg, mem_cfg, net, 1, CoreConfig{}.max_requests());
   EXPECT_EQ(cache.next_event(0), kCycleNever) << "idle cache";
   std::vector<Word> line(cfg.line_bytes / kWordBytes, 7);
   cache.preload_line(0x1000, LineState::kExclusive, line);
@@ -96,7 +96,7 @@ TEST(NextEventCache, MissIsReactiveUntilTheFillArrives) {
   CacheConfig cfg;
   MemConfig mem_cfg;
   Network net(2, mem_cfg.net_latency);
-  CoherentCache cache(0, cfg, mem_cfg, net, 1);
+  CoherentCache cache(0, cfg, mem_cfg, net, 1, CoreConfig{}.max_requests());
   CacheRequest req;
   req.op = CacheOp::kLoad;
   req.addr = 0x2000;
